@@ -18,7 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from parahiggs.cli import _parse_range  # noqa: E402
+from parahiggs.cli import parse_range  # noqa: E402
 from parahiggs.dimensions import pfaffian_space_discrepancy  # noqa: E402
 
 
@@ -30,7 +30,7 @@ def main() -> int:
     ap.add_argument("-o", "--output", default="-")
     args = ap.parse_args()
 
-    rows = pfaffian_space_discrepancy(_parse_range(args.m), _parse_range(args.g), _parse_range(args.n))
+    rows = pfaffian_space_discrepancy(parse_range(args.m), parse_range(args.g), parse_range(args.n))
     lines = [
         "| m | g | n | literal K(D)^m | adopted K^m(D^(m-1)) | closed form | excess |",
         "|---|---|---|---|---|---|---|",

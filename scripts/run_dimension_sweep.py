@@ -14,9 +14,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from parahiggs.cli import _format_reports, _parse_range  # noqa: E402
-from parahiggs.dimensions import CurveParams, identity_suite  # noqa: E402
-from parahiggs.groups import GroupSpec  # noqa: E402
+from parahiggs.cli import format_reports, parse_range  # noqa: E402
+from parahiggs.dimensions import sweep_reports  # noqa: E402
 
 
 def main() -> int:
@@ -30,15 +29,11 @@ def main() -> int:
     args = ap.parse_args()
 
     t0 = time.perf_counter()
-    reports = [
-        identity_suite(GroupSpec(kind, m), CurveParams(g, n, args.deg_m))
-        for kind in sorted(args.groups.split(","))
-        for m in _parse_range(args.m)
-        for g in _parse_range(args.g)
-        for n in _parse_range(args.n)
-    ]
+    reports = sweep_reports(
+        args.groups.split(","), parse_range(args.m), parse_range(args.g), parse_range(args.n), args.deg_m
+    )
     elapsed = time.perf_counter() - t0
-    print(_format_reports(reports, args.format))
+    print(format_reports(reports, args.format))
     failed = [r for r in reports if not r.passed]
     print(
         f"\n{len(reports)} tuples in {elapsed * 1e3:.1f} ms, "

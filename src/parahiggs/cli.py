@@ -22,7 +22,7 @@ from .curves import (
     so_even_singularity_pattern,
     twisted_curve,
 )
-from .dimensions import CSV_HEADER, CurveParams, DimensionReport, identity_suite
+from .dimensions import CSV_HEADER, DimensionReport, sweep_reports
 from .groups import GROUP_KINDS, GroupError, GroupSpec, check_lie_membership
 from .higgs import (
     HiggsField,
@@ -61,7 +61,7 @@ class RunConfig:
     out: str = "-"
 
 
-def _parse_range(text: str) -> range:
+def parse_range(text: str) -> range:
     """"3" -> 3..3, "1:4" -> 1..4 inclusive."""
     parts = text.split(":")
     if len(parts) == 1:
@@ -98,7 +98,7 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _format_reports(reports: list[DimensionReport], fmt: str) -> str:
+def format_reports(reports: list[DimensionReport], fmt: str) -> str:
     if fmt == "json":
         return _dump_json([r.to_dict() for r in reports])
     if fmt == "csv":
@@ -112,14 +112,8 @@ def _format_reports(reports: list[DimensionReport], fmt: str) -> str:
 
 
 def _run_suite(cfg: RunConfig) -> int:
-    reports = [
-        identity_suite(GroupSpec(kind, m), CurveParams(g, n, cfg.deg_m))
-        for kind in sorted(cfg.groups)
-        for m in cfg.ms
-        for g in cfg.gs
-        for n in cfg.ns
-    ]
-    _write_output(cfg.out, _format_reports(reports, cfg.fmt))
+    reports = sweep_reports(cfg.groups, cfg.ms, cfg.gs, cfg.ns, cfg.deg_m)
+    _write_output(cfg.out, format_reports(reports, cfg.fmt))
     return OK if all(r.passed for r in reports) else CHECK_FAILED
 
 
@@ -314,9 +308,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         for kind in cfg.groups:
             if kind not in GROUP_KINDS:
                 raise ValueError(f"unknown group {kind!r}")
-        cfg.ms = _parse_range(args.m)
-        cfg.gs = _parse_range(args.g)
-        cfg.ns = _parse_range(args.n)
+        cfg.ms = parse_range(args.m)
+        cfg.gs = parse_range(args.g)
+        cfg.ns = parse_range(args.n)
         if cfg.ms[0] < 1 or cfg.gs[0] < 2 or cfg.ns[0] < 1:
             raise ValueError("need m >= 1, g >= 2, n >= 1")
         cfg.deg_m = args.deg_m
@@ -324,7 +318,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.out = args.output
     elif args.command == "gen":
         cfg.groups = (args.group,)
-        cfg.ms = _parse_range(args.m)
+        cfg.ms = parse_range(args.m)
+        if len(cfg.ms) != 1:
+            raise ValueError(f"gen takes a single m, not the range {args.m!r}")
         cfg.marked = _parse_marked(args.marked)
         if not cfg.marked:
             raise ValueError("need at least one marked point")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .bipoly import BiPoly, discriminant_x, is_squarefree_xy, resultant_x
 from .higgs import HiggsField, PoleOrderError
@@ -44,6 +45,11 @@ class PlaneCurve:
     @property
     def r(self) -> int:
         return self.f.deg_x
+
+    @cached_property
+    def discriminant(self) -> UniPoly:
+        """x-discriminant of f, computed once per curve."""
+        return discriminant_x(self.f)
 
     def to_dict(self) -> dict:
         return {"r": self.r, "coeffs": self.f.to_json(), "twist": self.twist.to_json()}
@@ -131,7 +137,7 @@ def smoothness_check(curve: PlaneCurve) -> SingularReport:
         raise NonReducedCurveError("non-reduced curve")
     if f.deg_x < 2:
         return SingularReport("smooth", (), True)
-    disc = discriminant_x(f)
+    disc = curve.discriminant
     if disc.is_zero:
         # cannot happen for monic squarefree f; defensive
         raise NonReducedCurveError("vanishing discriminant on a reduced curve")
@@ -210,7 +216,7 @@ def ramification_degree_affine(curve: PlaneCurve) -> int:
     """deg_t of the x-discriminant: affine branch count with multiplicity."""
     if curve.r < 2:
         return 0
-    disc = discriminant_x(curve.f)
+    disc = curve.discriminant
     if disc.is_zero:
         raise ValueError("discriminant vanishes identically")
     return disc.degree

@@ -1,5 +1,10 @@
 """Classical group bookkeeping and split bilinear forms over Q.
 
+Random algebra elements, nilpotents and Cayley group elements are constant
+matrices of Fractions and live over Q; a Gram form and a Higgs field are
+matrices over Q(t), and Lie algebra membership of a field is decided on the
+matrices cleared to Z[t].
+
 The three families are tagged "sp" (Sp(2m)), "so-even" (SO(2m)) and
 "so-odd" (SO(2m+1)).  Split Gram matrices are fixed once:
 
@@ -20,17 +25,14 @@ from fractions import Fraction
 
 from .linalg import (
     Mat,
+    QMat,
     SingularMatrixError,
-    identity,
-    is_zero_matrix,
-    mat_add,
-    mat_from_scalars,
+    _scaled_integer_matrix,
+    const_mat_mul,
+    mat_det,
     mat_inverse,
-    mat_mul,
-    mat_sub,
     rf,
     transpose,
-    zero_matrix,
 )
 from .poly import RationalFunction
 
@@ -105,10 +107,8 @@ class GramForm:
                 want = -self.matrix[j][i] if self.kind == "symplectic" else self.matrix[j][i]
                 if self.matrix[i][j] != want:
                     raise ValueError(f"Gram matrix is not {self.kind}")
-        try:
-            mat_inverse(self.as_mat())
-        except SingularMatrixError:
-            raise ValueError("Gram matrix is degenerate") from None
+        if mat_det(self.as_mat()).is_zero:
+            raise ValueError("Gram matrix is degenerate")
 
     @staticmethod
     def make(rows, kind: str) -> "GramForm":
@@ -151,28 +151,66 @@ def split_gram(group: GroupSpec) -> GramForm:
     return GramForm.make(rows, "symmetric")
 
 
-def check_lie_membership(mat: Mat, gram: GramForm) -> bool:
-    """True iff mat^T B + B mat = 0 identically over Q(t)."""
+def _int_poly_mul_add(acc: list[int], p: list[int], q: list[int]) -> None:
+    """acc += p * q for ascending integer coefficient lists."""
+    if not p or not q:
+        return
+    if len(acc) < len(p) + len(q) - 1:
+        acc.extend([0] * (len(p) + len(q) - 1 - len(acc)))
+    for i, x in enumerate(p):
+        if x:
+            for j, y in enumerate(q):
+                acc[i + j] += x * y
+
+
+def _check_size(mat, gram: GramForm) -> int:
     n = len(mat)
     if any(len(row) != n for row in mat) or n != gram.size:
         raise ValueError("matrix size does not match the Gram form")
-    b = gram.as_mat()
-    return is_zero_matrix(mat_add(mat_mul(transpose(mat), b), mat_mul(b, mat)))
+    return n
 
 
-def cayley_group_element(a: Mat, gram: GramForm) -> Mat:
-    """Q = (I - A)(I + A)^(-1); preserves the Gram form exactly.
+def check_lie_membership(mat: Mat, gram: GramForm) -> bool:
+    """True iff mat^T B + B mat = 0 identically over Q(t).
+
+    Decided over Z[t]: with M = c*d*mat and B' = c'*d'*B cleared of
+    denominators, M^T B' + B' M is the original sum times c*d*c'*d' != 0.
+    """
+    n = _check_size(mat, gram)
+    m, _, _ = _scaled_integer_matrix(mat)
+    b, _, _ = _scaled_integer_matrix(gram.as_mat())
+    for i in range(n):
+        for j in range(n):
+            acc: list[int] = []
+            for s in range(n):
+                _int_poly_mul_add(acc, m[s][i], b[s][j])
+                _int_poly_mul_add(acc, b[i][s], m[s][j])
+            if any(acc):
+                return False
+    return True
+
+
+def _constant_gram(gram: GramForm) -> QMat:
+    if any(x.num.degree > 0 or x.den.degree > 0 for row in gram.matrix for x in row):
+        raise GroupError("the Gram form is not constant")
+    return [[x.num.coeff(0) for x in row] for row in gram.matrix]
+
+
+def cayley_group_element(a: QMat, gram: GramForm) -> QMat:
+    """Q = (I - A)(I + A)^(-1) over Q; preserves the constant Gram form exactly.
 
     A must lie in the algebra of the form and I + A must be invertible.
     """
-    if not check_lie_membership(a, gram):
+    n = _check_size(a, gram)
+    b = _constant_gram(gram)
+    at_b, b_a = const_mat_mul(transpose(a), b), const_mat_mul(b, a)
+    if any(x + y for rx, ry in zip(at_b, b_a) for x, y in zip(rx, ry)):
         raise GroupError("input is not in the Lie algebra of the form")
-    n = len(a)
     try:
-        inv = mat_inverse(mat_add(identity(n), a))
+        inv = mat_inverse([[int(i == j) + a[i][j] for j in range(n)] for i in range(n)])
     except SingularMatrixError:
         raise SingularMatrixError("Cayley pole") from None
-    return mat_mul(mat_sub(identity(n), a), inv)
+    return const_mat_mul([[int(i == j) - a[i][j] for j in range(n)] for i in range(n)], inv)
 
 
 # -- random elements ----------------------------------------------------------
@@ -189,7 +227,7 @@ def cayley_group_element(a: Mat, gram: GramForm) -> Mat:
 # its draws supply the nilpotent residues of generated Higgs fields.
 
 
-def _assemble(group: GroupSpec, p, q, r, v=None, w=None) -> list[list[Fraction]]:
+def _assemble(group: GroupSpec, p, q, r, v=None, w=None) -> QMat:
     m = group.m
     n = group.rank_size
     out = [[Fraction(0)] * n for _ in range(n)]
@@ -220,7 +258,7 @@ def _sym_block(rng: random.Random, m: int, lo: int, hi: int, anti: bool):
     return b
 
 
-def random_algebra_element(group: GroupSpec, rng: random.Random, lo: int = -2, hi: int = 2) -> Mat:
+def random_algebra_element(group: GroupSpec, rng: random.Random, lo: int = -2, hi: int = 2) -> QMat:
     """Seeded random element of the split-form Lie algebra (integer entries)."""
     m = group.m
     anti = group.kind != "sp"
@@ -231,10 +269,10 @@ def random_algebra_element(group: GroupSpec, rng: random.Random, lo: int = -2, h
     if group.kind == "so-odd":
         v = [rng.randint(lo, hi) for _ in range(m)]
         w = [rng.randint(lo, hi) for _ in range(m)]
-    return mat_from_scalars(_assemble(group, p, q, r, v, w))
+    return _assemble(group, p, q, r, v, w)
 
 
-def random_nilpotent_element(group: GroupSpec, rng: random.Random, lo: int = -3, hi: int = 3) -> Mat:
+def random_nilpotent_element(group: GroupSpec, rng: random.Random, lo: int = -3, hi: int = 3) -> QMat:
     """Seeded random strictly-upper-triangular member of the algebra.
 
     For so-odd with m = 1 (and so-even with m = 1) this space is zero, so
@@ -249,10 +287,10 @@ def random_nilpotent_element(group: GroupSpec, rng: random.Random, lo: int = -3,
     if group.kind == "so-odd":
         v = [0] * m
         w = [0] * m
-    return mat_from_scalars(_assemble(group, zero, q, zero, v, w))
+    return _assemble(group, zero, q, zero, v, w)
 
 
-def random_group_element(group: GroupSpec, gram: GramForm, rng: random.Random) -> Mat:
+def random_group_element(group: GroupSpec, gram: GramForm, rng: random.Random) -> QMat:
     """Cayley transform of a random algebra element; retries past Cayley poles."""
     while True:
         a = random_algebra_element(group, rng, -2, 2)

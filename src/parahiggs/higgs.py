@@ -5,7 +5,9 @@ lying in the algebra of a Gram form, with simple poles allowed only at the
 marked points of the affine chart.  The checkers verify exactly (no
 tolerances) the structural laws the three group families impose on the
 characteristic coefficients: evenness, the Pfaffian square, nilpotency of
-residues and the pole-order bounds.
+residues and the pole-order bounds.  The generator does its constant linear
+algebra (residues, Cayley elements, conjugation) over Q and only the final
+assembly of each entry touches Q(t); membership is checked over Z[t].
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ from .groups import (
 )
 from .linalg import (
     Mat,
+    QMat,
     char_poly,
+    const_mat_mul,
     kernel_basis,
     mat_det,
-    mat_from_scalars,
     mat_inverse,
     mat_mul,
     pfaffian,
@@ -131,7 +134,7 @@ class HiggsField:
 # -- residues and the strong-parabolicity law ---------------------------------
 
 
-def residue_at(fld: HiggsField, a) -> list[list[Fraction]]:
+def residue_at(fld: HiggsField, a) -> QMat:
     """Entrywise residue lim (t - a) * Phi_ij(t) at a marked point."""
     a = Fraction(a)
     if a not in fld.marked_points:
@@ -151,16 +154,12 @@ def residue_at(fld: HiggsField, a) -> list[list[Fraction]]:
     return out
 
 
-def _fraction_mat_nilpotent(mat: list[list[Fraction]], power: int) -> bool:
-    n = len(mat)
+def _fraction_mat_nilpotent(mat: QMat, power: int) -> bool:
     cur = mat
     for _ in range(power - 1):
         if all(x == 0 for row in cur for x in row):
             return True
-        cur = [
-            [sum(cur[i][k] * mat[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
+        cur = const_mat_mul(cur, mat)
     return all(x == 0 for row in cur for x in row)
 
 
@@ -247,10 +246,6 @@ def pfaffian_square_check(fld: HiggsField) -> PfaffianSquareResult:
 # -- random field generation ---------------------------------------------------
 
 
-def _constant_entry(x: RationalFunction) -> Fraction:
-    return x.num.coeff(0)
-
-
 def random_strongly_parabolic_higgs(
     group: GroupSpec,
     marked_points,
@@ -279,30 +274,32 @@ def random_strongly_parabolic_higgs(
     r = group.rank_size
     m = group.m
 
-    residues: list[Mat] = []
+    residues: list[QMat] = []
     for k in range(len(marked)):
         if k == 0 and _semisimple_first_residue:
             diag = [Fraction(0)] * r
             diag[0], diag[m] = Fraction(1), Fraction(-1)
-            residues.append(mat_from_scalars([[diag[i] if i == j else 0 for j in range(r)] for i in range(r)]))
+            residues.append([[diag[i] if i == j else Fraction(0) for j in range(r)] for i in range(r)])
             continue
         u = random_nilpotent_element(group, rng)
         q = random_group_element(group, gram, rng)
-        residues.append(mat_mul(mat_mul(q, u), mat_inverse(q)))
+        residues.append(const_mat_mul(const_mat_mul(q, u), mat_inverse(q)))
     poly_coeffs = [random_algebra_element(group, rng, -3, 3) for _ in range(degree_bound + 1)]
 
+    # every entry over the one denominator d = prod (t - a_k); make() reduces
+    d = UniPoly.one()
+    for a in marked:
+        d = d * UniPoly.linear_root(a)
+    cofactors = [d.exact_div(UniPoly.linear_root(a)) for a in marked]
     entries: Mat = []
     for i in range(r):
         row = []
         for j in range(r):
-            acc = RationalFunction.make(
-                UniPoly.make([_constant_entry(c[i][j]) for c in poly_coeffs])
-            )
-            for a, n_k in zip(marked, residues):
-                c = _constant_entry(n_k[i][j])
-                if c != 0:
-                    acc = acc + RationalFunction.make(UniPoly.const(c), UniPoly.linear_root(a))
-            row.append(acc)
+            num = UniPoly.make([c[i][j] for c in poly_coeffs]) * d
+            for cof, n_k in zip(cofactors, residues):
+                if n_k[i][j]:
+                    num = num + cof * n_k[i][j]
+            row.append(RationalFunction.make(num, d))
         entries.append(row)
     return HiggsField(group, gram, entries, marked)
 

@@ -1,8 +1,10 @@
-"""Matrices over the rational function field Q(t).
+"""Matrices over Q and over the rational function field Q(t).
 
-A matrix is a plain list of lists of RationalFunction.  Characteristic
-polynomials and Pfaffians are computed exactly but without symbolic
-rational-function elimination: the matrix is scaled by the common
+A Q(t) matrix is a plain list of lists of RationalFunction; a constant
+matrix (a residue, a Cayley group element) is a list of lists of Fraction
+and stays over Q, where ``mat_inverse`` and ``const_mat_mul`` work.
+Characteristic polynomials and Pfaffians are computed exactly but without
+symbolic rational-function elimination: the matrix is scaled by the common
 denominator (and an integer scalar) to land in Z[t], evaluated at integer
 sample points, handled there division-free, and the result interpolated
 back; the scaling exponents are divided out at the end.  This keeps the
@@ -12,11 +14,13 @@ heavy inner loops in machine integers.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from fractions import Fraction
+from typing import Sequence
 
 from .poly import RationalFunction, UniPoly, interpolate_int_range, poly_lcm
 
 Mat = list[list[RationalFunction]]
+QMat = list[list[Fraction]]
 
 
 class SingularMatrixError(ArithmeticError):
@@ -44,21 +48,6 @@ def zero_matrix(n: int, m: int | None = None) -> Mat:
     return [[rf(0) for _ in range(m)] for _ in range(n)]
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_neg(a: Mat) -> Mat:
-    return [[-x for x in row] for row in a]
-
-
-def mat_scale(a: Mat, c) -> Mat:
-    return [[x * c for x in row] for row in a]
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
     n, k, m = len(a), len(b), len(b[0])
     out = zero_matrix(n, m)
@@ -76,30 +65,45 @@ def transpose(a: Mat) -> Mat:
     return [list(col) for col in zip(*a)]
 
 
-def mat_eq(a: Mat, b: Mat) -> bool:
-    return a == b
+def _integer_rows(a: QMat) -> tuple[list[list[int]], int]:
+    """(A', den) with a == A' / den, A' an integer matrix."""
+    den = math.lcm(*(x.denominator for row in a for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
 
 
-def is_zero_matrix(a: Mat) -> bool:
-    return all(x.is_zero for row in a for x in row)
+def const_mat_mul(a: QMat, b: QMat) -> QMat:
+    """Product of two constant matrices over Q, summed in integers."""
+    ia, da = _integer_rows(a)
+    ib, db = _integer_rows(b)
+    cols = list(zip(*ib))
+    return [[Fraction(sum(x * y for x, y in zip(row, col)), da * db) for col in cols] for row in ia]
 
 
-def mat_inverse(a: Mat) -> Mat:
-    """Gauss-Jordan inverse over Q(t); raises SingularMatrixError."""
+def mat_inverse(a: QMat) -> QMat:
+    """Inverse of a constant matrix over Q; raises SingularMatrixError.
+
+    Fraction-free Gauss-Jordan on the integer rows of [den*a | den*I]: each
+    elimination step cross-multiplies and divides the row by its content, so
+    the pivots end on a diagonal D and the inverse is D^(-1) times the right
+    half.
+    """
     n = len(a)
-    work = [list(row) + irow for row, irow in zip(a, identity(n))]
+    ia, den = _integer_rows(a)
+    work = [row + [den * int(i == j) for j in range(n)] for i, row in enumerate(ia)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if not work[r][col].is_zero), None)
+        piv = next((r for r in range(col, n) if work[r][col]), None)
         if piv is None:
             raise SingularMatrixError("matrix is singular")
         work[col], work[piv] = work[piv], work[col]
-        inv = rf(1) / work[col][col]
-        work[col] = [x * inv for x in work[col]]
+        prow = work[col]
+        p = prow[col]
         for r in range(n):
-            if r != col and not work[r][col].is_zero:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+            f = work[r][col]
+            if r != col and f:
+                row = [p * x - f * y for x, y in zip(work[r], prow)]
+                g = math.gcd(*row)
+                work[r] = [x // g for x in row]
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(work)]
 
 
 def kernel_basis(a: Mat) -> list[list[RationalFunction]]:
@@ -140,13 +144,12 @@ def kernel_basis(a: Mat) -> list[list[RationalFunction]]:
 def _scaled_integer_matrix(a: Mat) -> tuple[list[list[list[int]]], UniPoly, int]:
     """Return (Z[t] matrix as ascending int lists, monic d, integer c) with
     c * d * a integral: entry lists are coefficients of (c*d) * a[i][j]."""
+    dens = {x.den for row in a for x in row}  # entries mostly share a few
     d = UniPoly.one()
-    for row in a:
-        for x in row:
-            d = poly_lcm(d, x.den)
-    polys: list[list[UniPoly]] = [
-        [x.num * d.exact_div(x.den) for x in row] for row in a
-    ]
+    for den in dens:
+        d = poly_lcm(d, den)
+    cofactors = {den: d.exact_div(den) for den in dens}
+    polys: list[list[UniPoly]] = [[x.num * cofactors[x.den] for x in row] for row in a]
     c = 1
     for row in polys:
         for p in row:
@@ -284,7 +287,3 @@ def pfaffian(a: Mat) -> RationalFunction:
         vals.append(_pfaffian_const(const, n))
     p = interpolate_int_range(vals)
     return RationalFunction.make(p, (d * c) ** m)
-
-
-def apply_entrywise(a: Mat, f: Callable[[RationalFunction], RationalFunction]) -> Mat:
-    return [[f(x) for x in row] for row in a]

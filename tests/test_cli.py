@@ -86,6 +86,12 @@ class TestGen:
         assert code == 2
         assert "duplicate" in err
 
+    def test_m_range_exit_2(self, capsys):
+        code, out, err = run(capsys, "gen", "--group", "sp", "-m", "1:3", "--marked", "0", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert "single m" in err
+
     def test_so_odd_char_divisible_by_x(self, tmp_path, capsys):
         path = tmp_path / "f.json"
         run(capsys, "gen", "--group", "so-odd", "-m", "1", "--marked", "0", "--seed", "3", "-o", str(path))

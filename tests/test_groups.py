@@ -14,13 +14,15 @@ from parahiggs.groups import (
     random_nilpotent_element,
     split_gram,
 )
+from parahiggs.higgs import random_strongly_parabolic_higgs
 from parahiggs.linalg import (
     SingularMatrixError,
+    const_mat_mul,
     identity,
     mat_from_scalars,
-    mat_mul,
     transpose,
 )
+from parahiggs.poly import RationalFunction, UniPoly
 
 
 class TestGroupSpec:
@@ -101,39 +103,46 @@ class TestMembership:
         for group in (GroupSpec.sp(2), GroupSpec.so_even(2), GroupSpec.so_odd(2)):
             gram = split_gram(group)
             for _ in range(5):
-                assert check_lie_membership(random_algebra_element(group, rng), gram)
+                assert check_lie_membership(mat_from_scalars(random_algebra_element(group, rng)), gram)
                 u = random_nilpotent_element(group, rng)
-                assert check_lie_membership(u, gram)
+                assert check_lie_membership(mat_from_scalars(u), gram)
                 # strictly upper triangular
                 n = group.rank_size
-                assert all(u[i][j].is_zero for i in range(n) for j in range(i + 1))
+                assert all(u[i][j] == 0 for i in range(n) for j in range(i + 1))
+
+    def test_perturbed_field_is_not_member(self):
+        # one pole term off the algebra, in an entry with a nontrivial denominator
+        fld = random_strongly_parabolic_higgs(GroupSpec.so_odd(2), (0, 1), 1, 3)
+        assert check_lie_membership(fld.matrix, fld.gram)
+        bump = RationalFunction.make(UniPoly.one(), UniPoly.linear_root(1))
+        fld.matrix[0][1] = fld.matrix[0][1] + bump
+        assert not check_lie_membership(fld.matrix, fld.gram)
 
 
 class TestCayley:
     def test_rotation_generator(self):
         gram = GramForm.make([[1, 0], [0, 1]], "symmetric")
-        a = mat_from_scalars([[0, 1], [-1, 0]])
-        q = cayley_group_element(a, gram)
-        assert q == mat_from_scalars([[0, -1], [1, 0]])
-        assert mat_mul(transpose(q), q) == identity(2)
+        q = cayley_group_element([[0, 1], [-1, 0]], gram)
+        assert q == [[0, -1], [1, 0]]
+        assert const_mat_mul(transpose(q), q) == [[1, 0], [0, 1]]
 
     def test_zero_maps_to_identity(self):
         gram = split_gram(GroupSpec.sp(2))
-        z = mat_from_scalars([[0] * 4 for _ in range(4)])
-        assert cayley_group_element(z, gram) == identity(4)
+        z = [[0] * 4 for _ in range(4)]
+        assert cayley_group_element(z, gram) == [[int(i == j) for j in range(4)] for i in range(4)]
 
     def test_preserves_split_symplectic_form(self):
         rng = random.Random(9)
         group = GroupSpec.sp(2)
         gram = split_gram(group)
-        j = gram.as_mat()
+        j = [[x.num.coeff(0) for x in row] for row in gram.matrix]
         for _ in range(5):
             a = random_algebra_element(group, rng)
             try:
                 q = cayley_group_element(a, gram)
             except SingularMatrixError:
                 continue
-            assert mat_mul(mat_mul(transpose(q), j), q) == j
+            assert const_mat_mul(const_mat_mul(transpose(q), j), q) == j
 
     def test_conjugation_preserves_membership_and_char(self):
         from parahiggs.groups import random_group_element
@@ -144,16 +153,22 @@ class TestCayley:
             gram = split_gram(group)
             a = random_algebra_element(group, rng)
             q = random_group_element(group, gram, rng)
-            conj = mat_mul(mat_mul(q, a), mat_inverse(q))
+            conj = mat_from_scalars(const_mat_mul(const_mat_mul(q, a), mat_inverse(q)))
             assert check_lie_membership(conj, gram)
-            assert char_poly(conj) == char_poly(a)
+            assert char_poly(conj) == char_poly(mat_from_scalars(a))
 
     def test_rejects_non_member(self):
         with pytest.raises(GroupError):
-            cayley_group_element(identity(2), split_gram(GroupSpec.sp(1)))
+            cayley_group_element([[1, 0], [0, 1]], split_gram(GroupSpec.sp(1)))
+
+    def test_rejects_non_constant_gram(self):
+        t = RationalFunction.t()
+        gram = GramForm.make([[0, t], [-t, 0]], "symplectic")
+        with pytest.raises(GroupError, match="not constant"):
+            cayley_group_element([[1, 0], [0, -1]], gram)
 
     def test_cayley_pole(self):
         b = GramForm.make([[0, 1], [-1, 0]], "symplectic")
-        bad = mat_from_scalars([[-1, 0], [0, 1]])  # in sp(2), eigenvalue -1
+        bad = [[-1, 0], [0, 1]]  # in sp(2), eigenvalue -1
         with pytest.raises(SingularMatrixError, match="Cayley pole"):
             cayley_group_element(bad, b)

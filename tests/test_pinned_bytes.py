@@ -1,0 +1,91 @@
+"""Pinned output bytes for seeded `gen`, `analyze` and `reduce-odd` runs.
+
+`TestGen.test_deterministic_bytes` only compares two runs of the same code.
+The SHA-256 values here were recorded with the generator's earlier Q(t)
+linear algebra, so they also catch a change that moves the seeded streams,
+the normal form of a field entry or the JSON layout.
+
+Grid: every group, m in 1..3 and marked-point count in 1..3, with the degree
+bound (m + count) mod 3 (a Latin square over 0..2), plus the semisimple
+control of every group.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from parahiggs.cli import main
+from parahiggs.groups import GroupSpec
+from parahiggs.higgs import semisimple_residue_control
+
+MARKED = ("0", "1/2", "-2")
+ALGEBRAIC_CHECKS = ("membership", "charpoly", "parity", "strong-parabolic")
+
+PINNED = {
+    ("gen", "sp"):
+        "364883ff24d5c4407d01acd04b7cb47d6889e4e02a7df732641fbdc23d9d7aa1",
+    ("gen", "so-even"):
+        "11873f3e705a3d24f7b819c965623691b3ee13463c61d223e22fee472464b239",
+    ("gen", "so-odd"):
+        "48811792c16c04d45e68d1449381e8f38a411f017fad48e62c9a194b640742aa",
+    ("analyze", "sp"):
+        "6c73fda91d6c7fef80728fd0dfb377ba91378ca921a032d89f9f4635cfc4fe64",
+    ("analyze", "so-even"):
+        "a06d03b53cc47cd54eb70b2adbb30ba22e06ff1fed931795143aa2105c2b6375",
+    ("analyze", "so-odd"):
+        "62e3f63962e5b69c91e7572e1c8dd5b73f82d0f86df2a750cb1025979dc7bbf2",
+    ("reduce-odd", "so-odd"):
+        "70f91c4ab5491a0d2bdc58b22a095b0dd62a2f03ff3eccf07b9928b3ee1638fb",
+}
+
+
+def grid():
+    for m in range(1, 4):
+        for count in range(1, 4):
+            yield m, ",".join(MARKED[:count]), (m + count) % 3, 10 * m + count
+
+
+def _run(argv, out) -> bytes:
+    code = main([*argv, "-o", str(out)])
+    body = out.read_bytes() if out.exists() else b""
+    out.unlink(missing_ok=True)
+    return f"exit {code}\n".encode() + body
+
+
+def digests(kind: str, workdir) -> dict[str, str]:
+    """SHA-256 of the concatenated outputs of each command over the grid."""
+    checks = ALGEBRAIC_CHECKS + (("pfaffian",) if kind == "so-even" else ())
+    streams = {"gen": hashlib.sha256(), "analyze": hashlib.sha256()}
+    if kind == "so-odd":
+        streams["reduce-odd"] = hashlib.sha256()
+    fields = []
+    for m, marked, deg, seed in grid():
+        path = workdir / f"{kind}-{m}-{seed}.json"
+        argv = ["gen", "--group", kind, "-m", str(m), "--marked", marked,
+                "--deg-bound", str(deg), "--seed", str(seed)]
+        if main([*argv, "-o", str(path)]) != 0:
+            raise AssertionError(f"gen failed: {argv}")
+        streams["gen"].update(path.read_bytes())
+        fields.append(path)
+    control = semisimple_residue_control(GroupSpec(kind, 2), (0, 1), 1, 5)
+    path = workdir / f"{kind}-control.json"
+    path.write_text(json.dumps(control.to_dict(), indent=2, sort_keys=True) + "\n")
+    streams["gen"].update(path.read_bytes())
+    fields.append(path)
+    out = workdir / "out.json"
+    for path in fields:
+        streams["analyze"].update(
+            _run(["analyze", str(path), "--format", "json", "--checks", ",".join(checks)], out)
+        )
+        if kind == "so-odd":
+            streams["reduce-odd"].update(_run(["reduce-odd", str(path)], out))
+    return {name: h.hexdigest() for name, h in streams.items()}
+
+
+@pytest.mark.parametrize("kind", ["sp", "so-even", "so-odd"])
+def test_pinned_output_bytes(kind, tmp_path, capsys):
+    got = digests(kind, tmp_path)
+    capsys.readouterr()
+    want = {name: digest for (name, k), digest in PINNED.items() if k == kind}
+    assert got == want
