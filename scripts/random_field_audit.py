@@ -18,7 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from parahiggs.curves import build_plane_curve, involution_check  # noqa: E402
-from parahiggs.groups import GroupSpec, check_lie_membership  # noqa: E402
+from parahiggs.groups import GroupSpec  # noqa: E402
 from parahiggs.higgs import (  # noqa: E402
     parity_classify,
     pfaffian_square_check,
@@ -44,13 +44,12 @@ def main() -> int:
             fld = random_strongly_parabolic_higgs(
                 GroupSpec(kind, m), [0, 1], args.deg_bound, seed=args.seed + i
             )
-            tallies["membership"] += check_lie_membership(fld.matrix, fld.gram)
+            tallies["membership"] += fld.is_member
             tallies["parabolic"] += strong_parabolic_check(fld).passed
-            parity = parity_classify(fld.char_data(), fld.group)
+            parity = parity_classify(fld.char_data, fld.group)
             tallies["parity"] += parity.passed
-            if kind == "so-odd":
-                tallies["involution"] += 1  # involution applies to the even cofactor
-            else:
+            # for so-odd the curve is that of the even cofactor char/x, which needs parity
+            if kind != "so-odd" or parity.passed:
                 tallies["involution"] += involution_check(build_plane_curve(fld))
             if kind == "so-even":
                 tallies["pfaffian"] += pfaffian_square_check(fld).passed

@@ -20,10 +20,9 @@ from .curves import (
     ramification_degree_affine,
     smoothness_check,
     so_even_singularity_pattern,
-    twisted_curve,
 )
 from .dimensions import CSV_HEADER, DimensionReport, sweep_reports
-from .groups import GROUP_KINDS, GroupError, GroupSpec, check_lie_membership
+from .groups import GROUP_KINDS, GroupError, GroupSpec
 from .higgs import (
     HiggsField,
     NonGenericFieldError,
@@ -34,7 +33,6 @@ from .higgs import (
     so_odd_reduce,
     strong_parabolic_check,
 )
-from .linalg import char_poly
 from .poly import RationalFunction, q_to_str
 
 OK, CHECK_FAILED, USAGE_ERROR = 0, 1, 2
@@ -135,15 +133,9 @@ def cmd_gen(cfg: RunConfig) -> int:
 
 def _spectral_section(fld: HiggsField) -> dict:
     group = fld.group
-    char = fld.char_data()
-    if group.kind == "so-odd":
-        parity = parity_classify(char, group)
-        if not parity.passed:
-            return {"pass": False, "reason": "char polynomial is not x * even"}
-        sections = [char.s(i) for i in range(1, group.rank_size)]
-        curve = twisted_curve(sections, fld.marked_points)
-    else:
-        curve = build_plane_curve(fld)
+    if group.kind == "so-odd" and not parity_classify(fld.char_data, group).passed:
+        return {"pass": False, "reason": "char polynomial is not x * even"}
+    curve = build_plane_curve(fld)
     out: dict = {"involution": involution_check(curve)}
     smooth = smoothness_check(curve)
     out["smoothness"] = smooth.to_dict()
@@ -172,14 +164,14 @@ def _analyze_field(fld: HiggsField, checks: tuple[str, ...]) -> dict:
     }
     for name in checks:
         if name == "membership":
-            section = {"pass": check_lie_membership(fld.matrix, fld.gram)}
+            section = {"pass": fld.is_member}
         elif name == "charpoly":
             section = {
                 "pass": True,
-                "coefficients": [c.to_json() for c in fld.char_data().coeffs],
+                "coefficients": [c.to_json() for c in fld.char_data.coeffs],
             }
         elif name == "parity":
-            parity = parity_classify(fld.char_data(), fld.group)
+            parity = parity_classify(fld.char_data, fld.group)
             section = {"pass": parity.passed}
             if not parity.passed:
                 section["first_odd_index"] = parity.first_odd_index
@@ -237,9 +229,8 @@ def cmd_reduce_odd(cfg: RunConfig) -> int:
     reduced_field = HiggsField(
         GroupSpec.sp(fld.group.m), red.induced_gram, red.reduced, fld.marked_points
     )
-    full = list(fld.char_data().coeffs)
-    reduced_char = char_poly(red.reduced)
-    char_ok = full[-1].is_zero and full[:-1] == reduced_char
+    full = fld.char_data.coeffs
+    char_ok = full[-1].is_zero and full[:-1] == reduced_field.char_data.coeffs
     doc = reduced_field.to_dict()
     doc["reduction_report"] = {
         "kernel_vector": [p.to_json() for p in red.kernel_vector],

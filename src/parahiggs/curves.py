@@ -86,8 +86,12 @@ def twisted_curve(sections, marked_points) -> PlaneCurve:
 
 
 def build_plane_curve(fld: HiggsField) -> PlaneCurve:
-    """Spectral curve of a Higgs field in the twisted polynomial chart."""
-    return twisted_curve(list(fld.char_data().coeffs), fld.marked_points)
+    """Spectral curve of a Higgs field in the twisted polynomial chart; for
+    so(2m+1), that of the even x-cofactor char/x (callers check parity)."""
+    coeffs = fld.char_data.coeffs
+    if fld.group.kind == "so-odd":
+        coeffs = coeffs[:-1]
+    return twisted_curve(list(coeffs), fld.marked_points)
 
 
 def involution_check(curve: PlaneCurve) -> bool:

@@ -83,10 +83,6 @@ class LineBundleClass:
         return int(val)
 
 
-def lb_degree(cls: LineBundleClass, p: CurveParams) -> int:
-    return cls.degree(p)
-
-
 def h0_rr(cls: LineBundleClass, p: CurveParams) -> int:
     """deg + 1 - g, valid only above the canonical degree where h^1 = 0."""
     deg = cls.degree(p)

@@ -2,8 +2,9 @@
 
 Random algebra elements, nilpotents and Cayley group elements are constant
 matrices of Fractions and live over Q; a Gram form and a Higgs field are
-matrices over Q(t), and Lie algebra membership of a field is decided on the
-matrices cleared to Z[t].
+matrices over Q(t).  Lie algebra membership of a field Phi is read off the
+one product B*Phi, cleared to Z[t]: Phi^T B + B Phi = 0 exactly when B*Phi
+is symmetric for a symplectic B and antisymmetric for a symmetric B.
 
 The three families are tagged "sp" (Sp(2m)), "so-even" (SO(2m)) and
 "so-odd" (SO(2m+1)).  Split Gram matrices are fixed once:
@@ -19,22 +20,26 @@ upper-triangular nilpotents needed for parabolic residues.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import (
+    IntMat,
     Mat,
     QMat,
     SingularMatrixError,
-    _scaled_integer_matrix,
     const_mat_mul,
+    int_mat_mul,
     mat_det,
     mat_inverse,
     rf,
+    scaled_integer_matrix,
     transpose,
 )
-from .poly import RationalFunction
+from .poly import RationalFunction, UniPoly
 
 GROUP_KINDS = ("sp", "so-even", "so-odd")
 
@@ -119,6 +124,11 @@ class GramForm:
     def size(self) -> int:
         return len(self.matrix)
 
+    @cached_property
+    def cleared(self) -> tuple[IntMat, UniPoly, int]:
+        """(B', d, c) with B = B' / (c*d); it depends on the matrix alone."""
+        return scaled_integer_matrix(self.matrix)
+
     def as_mat(self) -> Mat:
         return [list(row) for row in self.matrix]
 
@@ -132,8 +142,9 @@ class GramForm:
         )
 
 
+@functools.cache
 def split_gram(group: GroupSpec) -> GramForm:
-    """The fixed split Gram model for the group."""
+    """The fixed split Gram model for the group, built once per group."""
     m = group.m
     if group.kind == "sp":
         rows = [[0] * 2 * m for _ in range(2 * m)]
@@ -151,18 +162,6 @@ def split_gram(group: GroupSpec) -> GramForm:
     return GramForm.make(rows, "symmetric")
 
 
-def _int_poly_mul_add(acc: list[int], p: list[int], q: list[int]) -> None:
-    """acc += p * q for ascending integer coefficient lists."""
-    if not p or not q:
-        return
-    if len(acc) < len(p) + len(q) - 1:
-        acc.extend([0] * (len(p) + len(q) - 1 - len(acc)))
-    for i, x in enumerate(p):
-        if x:
-            for j, y in enumerate(q):
-                acc[i + j] += x * y
-
-
 def _check_size(mat, gram: GramForm) -> int:
     n = len(mat)
     if any(len(row) != n for row in mat) or n != gram.size:
@@ -170,24 +169,21 @@ def _check_size(mat, gram: GramForm) -> int:
     return n
 
 
-def check_lie_membership(mat: Mat, gram: GramForm) -> bool:
-    """True iff mat^T B + B mat = 0 identically over Q(t).
+def is_algebra_product(prod: IntMat, gram: GramForm) -> bool:
+    """True iff prod, a nonzero multiple of B*mat, is symmetric for a
+    symplectic B and antisymmetric for a symmetric B: with B^T = e*B,
+    mat^T B + B mat = e*(B mat)^T + B mat."""
+    sign = 1 if gram.kind == "symplectic" else -1
+    n = len(prod)
+    return all(
+        prod[j][i] == tuple(sign * x for x in prod[i][j]) for i in range(n) for j in range(i, n)
+    )
 
-    Decided over Z[t]: with M = c*d*mat and B' = c'*d'*B cleared of
-    denominators, M^T B' + B' M is the original sum times c*d*c'*d' != 0.
-    """
-    n = _check_size(mat, gram)
-    m, _, _ = _scaled_integer_matrix(mat)
-    b, _, _ = _scaled_integer_matrix(gram.as_mat())
-    for i in range(n):
-        for j in range(n):
-            acc: list[int] = []
-            for s in range(n):
-                _int_poly_mul_add(acc, m[s][i], b[s][j])
-                _int_poly_mul_add(acc, b[i][s], m[s][j])
-            if any(acc):
-                return False
-    return True
+
+def check_lie_membership(mat: Mat, gram: GramForm) -> bool:
+    """True iff mat^T B + B mat = 0 identically over Q(t)."""
+    _check_size(mat, gram)
+    return is_algebra_product(int_mat_mul(gram.cleared[0], scaled_integer_matrix(mat)[0]), gram)
 
 
 def _constant_gram(gram: GramForm) -> QMat:

@@ -5,46 +5,53 @@ lying in the algebra of a Gram form, with simple poles allowed only at the
 marked points of the affine chart.  The checkers verify exactly (no
 tolerances) the structural laws the three group families impose on the
 characteristic coefficients: evenness, the Pfaffian square, nilpotency of
-residues and the pole-order bounds.  The generator does its constant linear
-algebra (residues, Cayley elements, conjugation) over Q and only the final
-assembly of each entry touches Q(t); membership is checked over Z[t].
+residues and the pole-order bounds.
+
+A field is cleared once to Phi = M / (c*d) with M over Z[t], and B*Phi is
+formed once from M over Z[t].  Membership, the characteristic coefficients,
+the residues M(a) / (c*d'(a)), the Pfaffian and the so(2m+1) kernel line (the
+Pfaffian adjugate of B*Phi) are all read off these two.  The generator does
+its constant linear algebra (residues, Cayley elements, conjugation) over Q.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .groups import (
     GramForm,
     GroupError,
     GroupSpec,
-    check_lie_membership,
+    is_algebra_product,
     random_algebra_element,
     random_group_element,
     random_nilpotent_element,
     split_gram,
 )
 from .linalg import (
+    IntMat,
     Mat,
     QMat,
     char_poly,
     const_mat_mul,
-    kernel_basis,
+    int_char_poly,
+    int_mat_at,
+    int_mat_mul,
+    int_pfaffian,
     mat_det,
     mat_inverse,
-    mat_mul,
-    pfaffian,
+    pfaffian_adjugate,
     rf,
+    scaled_integer_matrix,
 )
 from .poly import (
-    Q,
     RationalFunction,
     UniPoly,
     poly_gcd,
-    poly_lcm,
     q_from_str,
     q_to_str,
     root_multiplicity,
@@ -86,11 +93,12 @@ def char_data(mat: Mat) -> CharData:
 
 @dataclass(eq=False)
 class HiggsField:
+    """Phi over Q(t); the values derived from ``matrix`` are computed once."""
+
     group: GroupSpec
     gram: GramForm
     matrix: Mat
     marked_points: tuple[Fraction, ...]
-    _char: CharData | None = field(default=None, repr=False)
 
     def __post_init__(self):
         r = self.group.rank_size
@@ -102,10 +110,27 @@ class HiggsField:
         if len(set(self.marked_points)) != len(self.marked_points):
             raise ValueError("duplicate marked points")
 
+    @cached_property
+    def cleared(self) -> tuple[IntMat, UniPoly, int]:
+        """(M, d, c) with Phi = M / (c*d), M over Z[t], d monic."""
+        return scaled_integer_matrix(self.matrix)
+
+    @cached_property
+    def gram_product(self) -> tuple[IntMat, UniPoly]:
+        """(P, e) with B*Phi = P / e: P = B'M over Z[t] for B = B' / (c'*d')."""
+        ints, d, c = self.cleared
+        b, d_b, c_b = self.gram.cleared
+        return int_mat_mul(b, ints), d * d_b * (c * c_b)
+
+    @cached_property
+    def is_member(self) -> bool:
+        """Phi^T B + B Phi = 0."""
+        return is_algebra_product(self.gram_product[0], self.gram)
+
+    @cached_property
     def char_data(self) -> CharData:
-        if self._char is None:
-            self._char = char_data(self.matrix)
-        return self._char
+        ints, d, c = self.cleared
+        return CharData(tuple(int_char_poly(ints, d * c)))
 
     def to_dict(self) -> dict:
         out = {
@@ -135,23 +160,20 @@ class HiggsField:
 
 
 def residue_at(fld: HiggsField, a) -> QMat:
-    """Entrywise residue lim (t - a) * Phi_ij(t) at a marked point."""
+    """Residue lim (t - a) * Phi(t) = M(a) / (c*d'(a)) at a marked point.
+
+    Zero when d(a) != 0; d'(a) = 0 at a root of d means a pole of order > 1.
+    """
     a = Fraction(a)
     if a not in fld.marked_points:
         raise ValueError(f"t = {a} is not a marked point")
-    lin = UniPoly.linear_root(a)
-    out = []
-    for row in fld.matrix:
-        orow = []
-        for x in row:
-            if x.is_zero or x.den(a) != 0:
-                orow.append(Q(0))
-                continue
-            if root_multiplicity(x.den, a) > 1:
-                raise PoleOrderError(f"pole of order > 1 at t = {a}")
-            orow.append(x.num(a) / x.den.exact_div(lin)(a))
-        out.append(orow)
-    return out
+    ints, d, c = fld.cleared
+    if d(a) != 0:
+        return [[Fraction(0)] * len(ints) for _ in ints]
+    slope = d.derivative()(a)
+    if slope == 0:
+        raise PoleOrderError(f"pole of order > 1 at t = {a}")
+    return [[x / (c * slope) for x in row] for row in int_mat_at(ints, a)]
 
 
 def _fraction_mat_nilpotent(mat: QMat, power: int) -> bool:
@@ -170,10 +192,16 @@ class StrongParabolicResult:
 
 
 def strong_parabolic_check(fld: HiggsField) -> StrongParabolicResult:
-    """Residue nilpotency at every marked point plus the pole bound
-    ord_a(s_i) <= i - 1 on the characteristic coefficients."""
+    """Poles of Phi only at marked points, residue nilpotency at every marked
+    point, and the pole bound ord_a(s_i) <= i - 1 on the characteristic
+    coefficients."""
     failures: list[str] = []
     r = fld.group.rank_size
+    off = fld.cleared[1]
+    for a in fld.marked_points:
+        off = off.exact_div(UniPoly.linear_root(a) ** root_multiplicity(off, a))
+    if off.degree > 0:
+        failures.append(f"pole off the marked points: Phi has denominator factor {off}")
     for a in fld.marked_points:
         try:
             res = residue_at(fld, a)
@@ -182,7 +210,7 @@ def strong_parabolic_check(fld: HiggsField) -> StrongParabolicResult:
             continue
         if not _fraction_mat_nilpotent(res, r):
             failures.append(f"residue at t = {a} is not nilpotent")
-    char = fld.char_data()
+    char = fld.char_data
     for i in range(1, r + 1):
         s_i = char.s(i)
         for a in fld.marked_points:
@@ -234,12 +262,11 @@ def pfaffian_square_check(fld: HiggsField) -> PfaffianSquareResult:
     det(B) unit, i.e. s_2m * det(B) == Pf(B*Phi)^2 identically."""
     if fld.group.kind != "so-even":
         raise GroupError("Pfaffian square law applies to so-even fields only")
-    if not check_lie_membership(fld.matrix, fld.gram):
+    if not fld.is_member:
         raise ValueError("field is not in the Lie algebra of its Gram form")
-    b = fld.gram.as_mat()
-    p_m = pfaffian(mat_mul(b, fld.matrix))
-    det_b = mat_det(b)
-    s_top = fld.char_data().s(fld.group.rank_size)
+    p_m = int_pfaffian(*fld.gram_product)
+    det_b = mat_det(fld.gram.as_mat())
+    s_top = fld.char_data.s(fld.group.rank_size)
     return PfaffianSquareResult(s_top * det_b == p_m * p_m, p_m, det_b)
 
 
@@ -325,29 +352,23 @@ class SoOddReduction:
     induced_gram: GramForm
 
 
-def _primitive_kernel_vector(vec: list[RationalFunction]) -> tuple[UniPoly, ...]:
-    den = UniPoly.one()
-    for x in vec:
-        den = poly_lcm(den, x.den)
-    polys = [x.num * den.exact_div(x.den) if not x.is_zero else UniPoly.zero() for x in vec]
+def _primitive_kernel_vector(polys: list[UniPoly]) -> tuple[UniPoly, ...]:
+    # coprime coordinates, integer content 1, first nonzero lc > 0: unique on the line
     g = UniPoly.zero()
     for p in polys:
         g = poly_gcd(g, p)
     if g.degree > 0:
-        polys = [p.exact_div(g) if not p.is_zero else p for p in polys]
-    # integer-primitive, first nonzero coordinate with positive leading coeff
+        polys = [p.exact_div(g) for p in polys]
     den_lcm = 1
     num_gcd = 0
     for p in polys:
         for c in p.coeffs:
             den_lcm = math.lcm(den_lcm, c.denominator)
             num_gcd = math.gcd(num_gcd, c.numerator)
-    scale = Fraction(den_lcm, num_gcd or 1)
-    polys = [p * scale for p in polys]
-    lead = next(p for p in polys if not p.is_zero)
-    if lead.lc < 0:
-        polys = [-p for p in polys]
-    return tuple(polys)
+    scale = Fraction(den_lcm, num_gcd)
+    if next(p for p in polys if not p.is_zero).lc < 0:
+        scale = -scale
+    return tuple(p * scale for p in polys)
 
 
 def so_odd_reduce(fld: HiggsField) -> SoOddReduction:
@@ -356,27 +377,31 @@ def so_odd_reduce(fld: HiggsField) -> SoOddReduction:
     Returns the primitive polynomial kernel vector, the matrix of the action
     induced on the quotient by the standard-basis complement (dropping the
     coordinate of largest degree in the kernel vector), and the induced skew
-    form G_ij = <Phi b_i, b_j>.  Guarantees x * char(reduced) = char(input).
+    form G_ij = <Phi b_i, b_j> = (B*Phi)_ji.  Guarantees x * char(reduced) =
+    char(input).  The kernel is that of B*Phi, antisymmetric of odd size.
     """
     if fld.group.kind != "so-odd":
         raise GroupError("reduction applies to so-odd fields only")
-    ker = kernel_basis(fld.matrix)
-    if len(ker) != 1:
+    if not fld.is_member:
+        raise ValueError("field is not in the Lie algebra of its Gram form")
+    prod, prod_den = fld.gram_product
+    w = pfaffian_adjugate(prod)
+    if all(p.is_zero for p in w):
         raise NonGenericFieldError("non-generic field: kernel rank != 1")
-    v = _primitive_kernel_vector(ker[0])
+    v = _primitive_kernel_vector(w)
     ell = max(range(len(v)), key=lambda i: (v[i].degree, -i))
     keep = [i for i in range(len(v)) if i != ell]
-    v_ell = RationalFunction.make(v[ell])
+    ints, d, c = fld.cleared
+    m = [[UniPoly.make(p) for p in row] for row in ints]
+    den = d * c * v[ell]
+    # Phi_ij - Phi_ell,j * v_i / v_ell over the one denominator c*d*v_ell
     reduced = [
-        [
-            fld.matrix[i][j] - fld.matrix[ell][j] * (RationalFunction.make(v[i]) / v_ell)
-            for j in keep
-        ]
+        [RationalFunction.make(m[i][j] * v[ell] - m[ell][j] * v[i], den) for j in keep]
         for i in keep
     ]
-    b = fld.gram.as_mat()
-    phi_t_b = mat_mul([list(r) for r in zip(*fld.matrix)], b)
-    induced = [[phi_t_b[i][j] for j in keep] for i in keep]
+    induced = [
+        [RationalFunction.make(UniPoly.make(prod[j][i]), prod_den) for j in keep] for i in keep
+    ]
     try:
         gram = GramForm.make(induced, "symplectic")
     except ValueError as exc:

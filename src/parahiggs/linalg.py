@@ -1,14 +1,15 @@
-"""Matrices over Q and over the rational function field Q(t).
+"""Matrices over Q, over Z[t] and over the rational function field Q(t).
 
 A Q(t) matrix is a plain list of lists of RationalFunction; a constant
 matrix (a residue, a Cayley group element) is a list of lists of Fraction
-and stays over Q, where ``mat_inverse`` and ``const_mat_mul`` work.
-Characteristic polynomials and Pfaffians are computed exactly but without
-symbolic rational-function elimination: the matrix is scaled by the common
-denominator (and an integer scalar) to land in Z[t], evaluated at integer
-sample points, handled there division-free, and the result interpolated
-back; the scaling exponents are divided out at the end.  This keeps the
-heavy inner loops in machine integers.
+and stays over Q, where ``mat_inverse`` and ``const_mat_mul`` work; a Z[t]
+matrix (``IntMat``) holds ascending integer coefficient tuples.
+Characteristic polynomials, Pfaffians and Pfaffian adjugates are computed
+exactly but without symbolic rational-function elimination: the matrix is
+scaled by the common denominator (and an integer scalar) to land in Z[t],
+evaluated at integer sample points, handled there division-free, and the
+result interpolated back; the scaling exponents are divided out at the end.
+This keeps the heavy inner loops in machine integers.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .poly import RationalFunction, UniPoly, interpolate_int_range, poly_lcm
 
 Mat = list[list[RationalFunction]]
 QMat = list[list[Fraction]]
+IntMat = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 class SingularMatrixError(ArithmeticError):
@@ -37,28 +39,6 @@ def rf(x) -> RationalFunction:
 
 def mat_from_scalars(rows: Sequence[Sequence]) -> Mat:
     return [[rf(x) for x in row] for row in rows]
-
-
-def identity(n: int) -> Mat:
-    return [[rf(1) if i == j else rf(0) for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(n: int, m: int | None = None) -> Mat:
-    m = n if m is None else m
-    return [[rf(0) for _ in range(m)] for _ in range(n)]
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    n, k, m = len(a), len(b), len(b[0])
-    out = zero_matrix(n, m)
-    for i in range(n):
-        for j in range(m):
-            acc = rf(0)
-            for s in range(k):
-                if not a[i][s].is_zero and not b[s][j].is_zero:
-                    acc = acc + a[i][s] * b[s][j]
-            out[i][j] = acc
-    return out
 
 
 def transpose(a: Mat) -> Mat:
@@ -106,44 +86,12 @@ def mat_inverse(a: QMat) -> QMat:
     return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(work)]
 
 
-def kernel_basis(a: Mat) -> list[list[RationalFunction]]:
-    """Basis of the right kernel over Q(t) (columns as vectors)."""
-    n, m = len(a), len(a[0])
-    work = [list(row) for row in a]
-    pivots: list[int] = []
-    r = 0
-    for col in range(m):
-        piv = next((i for i in range(r, n) if not work[i][col].is_zero), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = rf(1) / work[r][col]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(n):
-            if i != r and not work[i][col].is_zero:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == n:
-            break
-    free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [rf(0)] * m
-        vec[fc] = rf(1)
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -work[row_idx][fc]
-        basis.append(vec)
-    return basis
-
-
 # -- common-denominator scaling ----------------------------------------------
 
 
-def _scaled_integer_matrix(a: Mat) -> tuple[list[list[list[int]]], UniPoly, int]:
-    """Return (Z[t] matrix as ascending int lists, monic d, integer c) with
-    c * d * a integral: entry lists are coefficients of (c*d) * a[i][j]."""
+def scaled_integer_matrix(a: Mat) -> tuple[IntMat, UniPoly, int]:
+    """Return (Z[t] matrix, d, c) with d the monic lcm of the denominators and
+    c a positive integer: entry tuples are coefficients of (c*d) * a[i][j]."""
     dens = {x.den for row in a for x in row}  # entries mostly share a few
     d = UniPoly.one()
     for den in dens:
@@ -155,20 +103,56 @@ def _scaled_integer_matrix(a: Mat) -> tuple[list[list[list[int]]], UniPoly, int]
         for p in row:
             for q in p.coeffs:
                 c = math.lcm(c, q.denominator)
-    ints = [[[int(q * c) for q in p.coeffs] for p in row] for row in polys]
+    ints = tuple(tuple(tuple(int(q * c) for q in p.coeffs) for p in row) for row in polys)
     return ints, d, c
 
 
-def _eval_int_poly(coeffs: list[int], t0: int) -> int:
+def _int_poly_mul_add(acc: list[int], p: Sequence[int], q: Sequence[int]) -> None:
+    """acc += p * q for ascending integer coefficient lists."""
+    if not p or not q:
+        return
+    if len(acc) < len(p) + len(q) - 1:
+        acc.extend([0] * (len(p) + len(q) - 1 - len(acc)))
+    for i, x in enumerate(p):
+        if x:
+            for j, y in enumerate(q):
+                acc[i + j] += x * y
+
+
+def int_mat_mul(a: IntMat, b: IntMat) -> IntMat:
+    """Product of two matrices over Z[t]; zero entries cost nothing."""
+    out = []
+    for row in a:
+        orow = []
+        for j in range(len(b[0])):
+            acc: list[int] = []
+            for s, p in enumerate(row):
+                _int_poly_mul_add(acc, p, b[s][j])
+            while acc and not acc[-1]:
+                acc.pop()
+            orow.append(tuple(acc))
+        out.append(tuple(orow))
+    return tuple(out)
+
+
+def _eval_int_poly(coeffs: Sequence[int], t0):
     acc = 0
     for c in reversed(coeffs):
         acc = acc * t0 + c
     return acc
 
 
-def _sample_points(count: int) -> list[int]:
-    # consecutive nodes so interpolation can run in pure integers
-    return list(range(count))
+def int_mat_at(a: IntMat, t0) -> list[list]:
+    """The Z[t] matrix a evaluated at t = t0 (an int or a Fraction)."""
+    return [[_eval_int_poly(p, t0) for p in row] for row in a]
+
+
+def _interpolated(a: IntMat, factor: int, values) -> list[UniPoly]:
+    """Interpolate values(a(t0)), of t-degree <= factor * deg(a), from the
+    consecutive nodes t0 = 0, 1, ... so interpolation runs in pure integers."""
+    maxdeg = max((len(p) - 1 for row in a for p in row if p), default=0)
+    samples = [values(int_mat_at(a, t0)) for t0 in range(factor * maxdeg + 1)]
+    return [interpolate_int_range(col) for col in zip(*samples)]
 
 
 def berkowitz_char_poly(a: list[list]) -> list:
@@ -197,33 +181,27 @@ def berkowitz_char_poly(a: list[list]) -> list:
     return poly
 
 
+def int_char_poly(a: IntMat, den: UniPoly) -> list[RationalFunction]:
+    """char_poly of a/den for a Z[t] matrix a: Berkowitz on the samples of a,
+    and s_i(a/den) = s_i(a) / den^i."""
+    out: list[RationalFunction] = []
+    power = UniPoly.one()
+    for p in _interpolated(a, len(a), lambda const: berkowitz_char_poly(const)[1:]):
+        power = power * den
+        out.append(RationalFunction.make(p, power))
+    return out
+
+
 def char_poly(a: Mat) -> list[RationalFunction]:
     """Coefficients s_1..s_r of det(x*I - a) = x^r + s_1 x^(r-1) + ... + s_r.
 
-    Exact over Q(t): the matrix is cleared to Z[t], sampled at integers,
-    run through the division-free Berkowitz recurrence, interpolated, and
-    the clearing factor (c*d)^i divided back out of s_i.
+    Exact over Q(t): a is cleared to Z[t] and the clearing factor (c*d)^i
+    divided back out of s_i.
     """
-    r = len(a)
-    if r == 0:
+    if not a:
         return []
-    ints, d, c = _scaled_integer_matrix(a)
-    maxdeg = max((len(p) - 1 for row in ints for p in row if p), default=0)
-    pts = _sample_points(r * maxdeg + 1)
-    samples = [[0] * len(pts) for _ in range(r)]
-    for pi, t0 in enumerate(pts):
-        const = [[_eval_int_poly(p, t0) for p in row] for row in ints]
-        coeffs = berkowitz_char_poly(const)
-        for i in range(1, r + 1):
-            samples[i - 1][pi] = coeffs[i]
-    cd = d * c
-    out: list[RationalFunction] = []
-    denom = UniPoly.one()
-    for i in range(1, r + 1):
-        denom = denom * cd
-        p_i = interpolate_int_range(samples[i - 1])
-        out.append(RationalFunction.make(p_i, denom))
-    return out
+    ints, d, c = scaled_integer_matrix(a)
+    return int_char_poly(ints, d * c)
 
 
 def mat_det(a: Mat) -> RationalFunction:
@@ -234,13 +212,12 @@ def mat_det(a: Mat) -> RationalFunction:
     return s_r if r % 2 == 0 else -s_r
 
 
-def _pfaffian_const(a: list[list], n: int) -> object:
-    """Pfaffian of a constant antisymmetric matrix by memoized expansion."""
-    memo: dict[int, object] = {}
+def _pfaffians_const(a: list[list], masks: list[int]) -> list:
+    """Pfaffians of the principal submatrices of a constant antisymmetric
+    matrix on the index sets given as bit masks, by one memoized expansion."""
+    memo: dict[int, object] = {0: 1}
 
     def go(mask: int):
-        if mask == 0:
-            return 1
         if mask in memo:
             return memo[mask]
         i = (mask & -mask).bit_length() - 1
@@ -257,7 +234,14 @@ def _pfaffian_const(a: list[list], n: int) -> object:
         memo[mask] = acc
         return acc
 
-    return go((1 << n) - 1)
+    return [go(mask) for mask in masks]
+
+
+def int_pfaffian(a: IntMat, den: UniPoly) -> RationalFunction:
+    """Pf(a/den) = Pf(a) / den^(n/2) for an even-size antisymmetric Z[t] matrix a."""
+    n = len(a)
+    (p,) = _interpolated(a, n // 2, lambda const: _pfaffians_const(const, [(1 << n) - 1]))
+    return RationalFunction.make(p, den ** (n // 2))
 
 
 def pfaffian(a: Mat) -> RationalFunction:
@@ -275,15 +259,15 @@ def pfaffian(a: Mat) -> RationalFunction:
         for j in range(i + 1, n):
             if a[i][j] != -a[j][i]:
                 raise ValueError("matrix is not antisymmetric")
-    if n == 0:
-        return rf(1)
-    m = n // 2
-    ints, d, c = _scaled_integer_matrix(a)
-    maxdeg = max((len(p) - 1 for row in ints for p in row if p), default=0)
-    pts = _sample_points(m * maxdeg + 1)
-    vals = []
-    for t0 in pts:
-        const = [[_eval_int_poly(p, t0) for p in row] for row in ints]
-        vals.append(_pfaffian_const(const, n))
-    p = interpolate_int_range(vals)
-    return RationalFunction.make(p, (d * c) ** m)
+    ints, d, c = scaled_integer_matrix(a)
+    return int_pfaffian(ints, d * c)
+
+
+def pfaffian_adjugate(a: IntMat) -> list[UniPoly]:
+    """w_i = (-1)^i Pf(a without row and column i) for an odd-size
+    antisymmetric Z[t] matrix a: adj(a) = w w^T and a w = 0, so w spans the
+    kernel when it is a line and is 0 when the kernel is larger."""
+    n = len(a)
+    masks = [((1 << n) - 1) & ~(1 << i) for i in range(n)]
+    polys = _interpolated(a, n // 2, lambda const: _pfaffians_const(const, masks))
+    return [-p if i % 2 else p for i, p in enumerate(polys)]

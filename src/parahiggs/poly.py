@@ -392,24 +392,6 @@ def interpolate_int_range(ys: Sequence[int]) -> UniPoly:
     return UniPoly.make(Q(c, top) for c in acc)
 
 
-def interpolate(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> UniPoly:
-    """Newton interpolation through distinct nodes xs; exact over Q."""
-    n = len(xs)
-    if n != len(ys) or n == 0:
-        raise ValueError("need equally many nodes and values, at least one")
-    xq = [_as_q(x) for x in xs]
-    coef = [_as_q(y) for y in ys]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xq[i] - xq[i - j])
-    poly = UniPoly.zero()
-    basis = UniPoly.one()
-    for j in range(n):
-        poly = poly + basis * coef[j]
-        basis = basis * UniPoly.linear_root(xq[j])
-    return poly
-
-
 @dataclass(frozen=True)
 class RationalFunction:
     """Reduced fraction of UniPoly: den monic and nonzero, gcd(num, den) = 1."""
@@ -551,7 +533,3 @@ class RationalFunction:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 
-
-def pole_order_at(f: RationalFunction, a: Scalar) -> int | None:
-    """Module-level alias for RationalFunction.pole_order_at."""
-    return f.pole_order_at(a)

@@ -146,11 +146,11 @@ def test_c04_parity_law():
             fld = random_strongly_parabolic_higgs(
                 GroupSpec(kind, m), marked, bound, seed=1000 + sample
             )
-            res = parity_classify(fld.char_data(), fld.group)
+            res = parity_classify(fld.char_data, fld.group)
             if not res.passed:
                 failures += 1
             if kind == "so-odd":
-                assert fld.char_data().coeffs[-1].is_zero  # char divisible by x
+                assert fld.char_data.coeffs[-1].is_zero  # char divisible by x
         assert failures == 0, f"{kind}: {failures} parity failures"
 
 
@@ -233,7 +233,7 @@ def test_c08_so_odd_reduction():
             red = so_odd_reduce(fld)
         except NonGenericFieldError:
             continue
-        full = list(fld.char_data().coeffs)
+        full = list(fld.char_data.coeffs)
         assert full[-1].is_zero
         assert full[:-1] == char_poly(red.reduced)  # x * char(reduced) = char(input)
         g = red.induced_gram.matrix

@@ -4,8 +4,12 @@ import json
 
 import pytest
 
+from parahiggs import groups, higgs, linalg
 from parahiggs.cli import main
 from parahiggs.higgs import HiggsField
+
+ZERO = {"num": [], "den": ["1"]}
+ONE = {"num": ["1"], "den": ["1"]}
 
 
 def run(capsys, *argv):
@@ -96,7 +100,7 @@ class TestGen:
         path = tmp_path / "f.json"
         run(capsys, "gen", "--group", "so-odd", "-m", "1", "--marked", "0", "--seed", "3", "-o", str(path))
         fld = HiggsField.from_dict(json.loads(path.read_text()))
-        assert fld.char_data().coeffs[-1].is_zero
+        assert fld.char_data.coeffs[-1].is_zero
 
 
 class TestAnalyze:
@@ -129,6 +133,44 @@ class TestAnalyze:
         assert code == 1
         assert "strong-parabolic: FAIL" in out
 
+    def test_pole_off_marked_points_exit_1(self, tmp_path, capsys):
+        # nilpotent sp(1) field with a pole at t = 5, which is not marked
+        doc = {
+            "group": "sp",
+            "m": 1,
+            "marked_points": ["0"],
+            "matrix": [[ZERO, {"num": ["1"], "den": ["-5", "1"]}], [ZERO, ZERO]],
+        }
+        path = tmp_path / "off.json"
+        path.write_text(json.dumps(doc))
+        checks = "membership,charpoly,parity,strong-parabolic"
+        code, out, _ = run(capsys, "analyze", str(path), "--checks", checks)
+        assert code == 1
+        assert "membership: PASS" in out
+        assert "strong-parabolic: FAIL" in out
+        assert "  - pole off the marked points: Phi has denominator factor -5 + t" in out
+
+    def test_analyze_clears_the_field_once(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "so4.json"
+        gen = ("gen", "--group", "so-even", "-m", "2", "--marked", "0,1", "--seed", "7")
+        run(capsys, *gen, "-o", str(path))
+        matrix = HiggsField.from_dict(json.loads(path.read_text())).matrix
+        cleared = []
+        original = linalg.scaled_integer_matrix
+
+        def counting(a):
+            cleared.append(a)
+            return original(a)
+
+        for module in (linalg, groups, higgs):
+            monkeypatch.setattr(module, "scaled_integer_matrix", counting)
+        code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
+        assert code == 0
+        assert sorted(json.loads(out)["checks"]) == [
+            "charpoly", "membership", "parity", "pfaffian", "spectral", "strong-parabolic"
+        ]
+        assert sum(1 for a in cleared if a == matrix) == 1
+
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "junk.json"
         path.write_text("{not json")
@@ -155,6 +197,24 @@ class TestReduceOdd:
         code, out, _ = run(capsys, "analyze", str(red), "--checks", "membership,parity")
         assert code == 0
         assert "membership: PASS" in out
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[{"num": ["0", "1"], "den": ["1"]}, ZERO, ZERO], [ZERO] * 3, [ZERO] * 3],
+            [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]],
+            [[ZERO, ONE, ZERO], [ZERO] * 3, [ZERO] * 3],
+        ],
+        ids=["diag-t", "identity", "e01"],
+    )
+    def test_non_member_exit_2(self, tmp_path, capsys, matrix):
+        path = tmp_path / "odd.json"
+        doc = {"group": "so-odd", "m": 1, "marked_points": ["0"], "matrix": matrix}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "reduce-odd", str(path))
+        assert code == 2
+        assert out == ""
+        assert "not in the Lie algebra" in err
 
     def test_wrong_group_exit_2(self, tmp_path, capsys):
         path = tmp_path / "sp.json"

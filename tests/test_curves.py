@@ -62,7 +62,7 @@ class TestBuildPlaneCurve:
         c = build_plane_curve(fld)
         assert c.twist == UniPoly.one()
         # char poly passes through unchanged: x^2 + s_2
-        assert c.f.coeff(0) == fld.char_data().coeffs[1].as_poly()
+        assert c.f.coeff(0) == fld.char_data.coeffs[1].as_poly()
 
     def test_zero_field(self):
         group = GroupSpec.so_even(2)

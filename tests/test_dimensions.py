@@ -24,7 +24,6 @@ from parahiggs.dimensions import (
     higgs_moduli_dim,
     hitchin_dim,
     identity_suite,
-    lb_degree,
     moduli_dim,
     pardeg_identity,
     pfaffian_space_discrepancy,
@@ -60,9 +59,9 @@ class TestCurveParams:
 
 class TestLineBundleClass:
     def test_degrees(self):
-        assert lb_degree(KD(2, 1), P211) == 5
-        assert lb_degree(KD(0, 0), P211) == 0
-        assert lb_degree(KD(2, 2), P211) == 6  # K(D)^2m at m=1
+        assert KD(2, 1).degree(P211) == 5
+        assert KD(0, 0).degree(P211) == 0
+        assert KD(2, 2).degree(P211) == 6  # K(D)^2m at m=1
 
     def test_half_exponents(self):
         cls = LineBundleClass(Q(1, 2), 0, Q(1, 2))
@@ -151,7 +150,7 @@ class TestGenera:
         assert sp_fixed_points(1, P211) == 6
         assert sp_fixed_points(2, CurveParams(3, 2)) == 24
         for m in range(1, 5):
-            assert sp_fixed_points(m, P211) == lb_degree(KD(2 * m, 2 * m), P211)
+            assert sp_fixed_points(m, P211) == KD(2 * m, 2 * m).degree(P211)
 
     def test_quotient_genus(self):
         assert sp_quotient_genus(1, P211) == 2  # 10 = 4 g_q - 4 + 6

@@ -20,7 +20,7 @@ from parahiggs.higgs import (
     so_odd_reduce,
     strong_parabolic_check,
 )
-from parahiggs.linalg import char_poly, mat_from_scalars, mat_mul, rf, transpose
+from parahiggs.linalg import char_poly, mat_from_scalars, rf
 from parahiggs.poly import RationalFunction, UniPoly
 
 P = UniPoly.make
@@ -104,7 +104,7 @@ class TestStrongParabolic:
         res = strong_parabolic_check(fld)
         assert res.passed, res.failures
         # s_2 = -t^2 - 1: pole order 0 <= 1
-        assert fld.char_data().coeffs[1] == RF(P([-1, 0, -1]))
+        assert fld.char_data.coeffs[1] == RF(P([-1, 0, -1]))
 
     def test_semisimple_residue_fails_both_clauses(self):
         fld = sp1_field([[ONE_OVER_T, rf(0)], [rf(0), -ONE_OVER_T]], (Q(0),))
@@ -114,12 +114,33 @@ class TestStrongParabolic:
         assert "not nilpotent" in text
         assert "pole order 2 > 1" in text
         # the offending coefficient is s_2 = -1/t^2
-        assert fld.char_data().coeffs[1] == RF(P([-1]), P([0, 0, 1]))
+        assert fld.char_data.coeffs[1] == RF(P([-1]), P([0, 0, 1]))
 
     def test_polynomial_entries_pass_vacuously(self):
         fld = sp1_field([[T, T], [T, -T]], (Q(0),))
         res = strong_parabolic_check(fld)
         assert res.passed
+
+    def test_pole_off_marked_points_fails(self):
+        # nilpotent, in sp(1), char = x^2: only the pole at t = 5 is wrong
+        fld = sp1_field([[rf(0), RF(P([1]), P([-5, 1]))], [rf(0), rf(0)]], (Q(0),))
+        assert fld.is_member
+        res = strong_parabolic_check(fld)
+        assert res.failures == ("pole off the marked points: Phi has denominator factor -5 + t",)
+
+    def test_double_pole_at_marked_point_reported_once(self):
+        fld = sp1_field([[rf(0), RF(P([1]), P([0, 0, 1]))], [rf(0), rf(0)]], (Q(0),))
+        assert strong_parabolic_check(fld).failures == ("pole of order > 1 at t = 0",)
+
+    def test_reduced_field_has_poles_at_the_kernel_pivot(self):
+        # the quotient frame of reduce-odd is singular where v_ell vanishes
+        fld = random_strongly_parabolic_higgs(GroupSpec.so_odd(2), [0], 0, seed=100)
+        red = so_odd_reduce(fld)
+        v_ell = red.kernel_vector[red.removed_index]
+        reduced = HiggsField(GroupSpec.sp(2), red.induced_gram, red.reduced, fld.marked_points)
+        assert reduced.is_member
+        (failure,) = strong_parabolic_check(reduced).failures
+        assert failure == f"pole off the marked points: Phi has denominator factor {v_ell.monic()}"
 
 
 class TestPfaffianSquare:
@@ -157,7 +178,7 @@ class TestGenerator:
         fld = random_strongly_parabolic_higgs(group, [0, -1], 2, seed=11)
         assert check_lie_membership(fld.matrix, fld.gram)
         assert strong_parabolic_check(fld).passed
-        assert parity_classify(fld.char_data(), group).passed
+        assert parity_classify(fld.char_data, group).passed
 
     def test_determinism(self):
         a = random_strongly_parabolic_higgs(GroupSpec.sp(2), [0, 1], 2, seed=42)
@@ -216,6 +237,49 @@ class TestSoOddReduce:
         with pytest.raises(GroupError):
             so_odd_reduce(fld)
 
+    def test_kernel_vector_is_exact_kernel(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        t = sympy.Symbol("t")
+
+        def to_sympy(p):
+            coeffs = enumerate(p.coeffs)
+            return sum(sympy.Rational(c.numerator, c.denominator) * t**k for k, c in coeffs)
+
+        def to_sympy_rf(x):
+            return to_sympy(x.num) / to_sympy(x.den)
+
+        checked = 0
+        for m, seed in itertools.product((1, 2), range(4)):
+            fld = random_strongly_parabolic_higgs(GroupSpec.so_odd(m), [0, Q(1, 2)], 1, seed=seed)
+            try:
+                v = so_odd_reduce(fld).kernel_vector
+            except NonGenericFieldError:
+                continue
+            n = len(v)
+            phi_v = [sum((x * rf(p) for x, p in zip(row, v)), rf(0)) for row in fld.matrix]
+            assert all(x.is_zero for x in phi_v)
+            # sympy's nullspace over Q(t) is one line, and v lies on it
+            phi = sympy.Matrix(n, n, lambda i, j: to_sympy_rf(fld.matrix[i][j]))
+            dm = DomainMatrix.from_Matrix(phi).to_field()
+            null = dm.nullspace()
+            assert null.shape == (1, n)
+            field = dm.domain
+            w = [field.from_sympy(x) for x in null.to_Matrix().row(0)]
+            u = [field.from_sympy(to_sympy(p)) for p in v]
+            assert all(u[i] * w[j] == u[j] * w[i] for i in range(n) for j in range(n))
+            checked += 1
+        assert checked >= 4
+
+    def test_non_member_rejected(self):
+        # zero except a diagonal entry: not in so(3) for the split form
+        z = [[rf(0)] * 3 for _ in range(3)]
+        z[0][0] = T
+        fld = HiggsField(GroupSpec.so_odd(1), split_gram(GroupSpec.so_odd(1)), z, ())
+        with pytest.raises(ValueError, match="not in the Lie algebra"):
+            so_odd_reduce(fld)
+
     def test_non_generic_detected(self):
         # zero matrix: kernel rank 3
         gram = GramForm.make([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "symmetric")
@@ -227,7 +291,10 @@ class TestSoOddReduce:
     def test_induced_form_is_submatrix_of_phi_t_b(self):
         fld = so3_identity_gram_field(1, 2, 3)
         red = so_odd_reduce(fld)
-        phi_t_b = mat_mul(transpose(fld.matrix), fld.gram.as_mat())
+        phi, b = fld.matrix, fld.gram.matrix
+        phi_t_b = [
+            [sum((phi[s][i] * b[s][j] for s in range(3)), rf(0)) for j in range(3)] for i in range(3)
+        ]
         keep = [i for i in range(3) if i != red.removed_index]
         expect = [[phi_t_b[i][j] for j in keep] for i in keep]
         assert [list(row) for row in red.induced_gram.matrix] == expect

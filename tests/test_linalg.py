@@ -11,7 +11,6 @@ from parahiggs.linalg import (
     SingularMatrixError,
     char_poly,
     const_mat_mul,
-    kernel_basis,
     mat_det,
     mat_from_scalars,
     mat_inverse,
@@ -188,14 +187,3 @@ class TestInverseAndKernel:
     def test_singular_detected(self):
         with pytest.raises(SingularMatrixError):
             mat_inverse([[1, 2], [2, 4]])
-
-    def test_kernel(self):
-        m = mat_from_scalars([[1, 2, 3], [2, 4, 6]])
-        basis = kernel_basis(m)
-        assert len(basis) == 2
-        for vec in basis:
-            out = [sum((m[i][j] * vec[j] for j in range(3)), rf(0)) for i in range(2)]
-            assert all(x.is_zero for x in out)
-
-    def test_full_rank_kernel_empty(self):
-        assert kernel_basis(mat_from_scalars([[1, 0], [0, 1]])) == []

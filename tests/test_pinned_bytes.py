@@ -8,6 +8,12 @@ the normal form of a field entry or the JSON layout.
 Grid: every group, m in 1..3 and marked-point count in 1..3, with the degree
 bound (m + count) mod 3 (a Latin square over 0..2), plus the semisimple
 control of every group.
+
+The spectral digests cover `analyze` with every default check, the spectral
+curve and the so-even singularity pattern included, on m = 1 fields with
+1..3 marked points and degree bounds 0..2; they were recorded on the code
+that still computed the so-odd kernel by Gauss-Jordan over Q(t) and the
+Pfaffian of B*Phi from a Q(t) product.
 """
 
 import hashlib
@@ -37,6 +43,12 @@ PINNED = {
         "62e3f63962e5b69c91e7572e1c8dd5b73f82d0f86df2a750cb1025979dc7bbf2",
     ("reduce-odd", "so-odd"):
         "70f91c4ab5491a0d2bdc58b22a095b0dd62a2f03ff3eccf07b9928b3ee1638fb",
+}
+
+SPECTRAL_PINNED = {
+    "sp": "cd88bc775c188c24a82c62a75c5bc08b4ee21ae36df907714680fdc9bef0167f",
+    "so-even": "38608baf75c2204db4b6df28f46661d18f097b59e11c6e08ca26b666dab52b74",
+    "so-odd": "f4b1d5fd233b6bef7ba19add130792f3c9cc101b96ba1037b48d2c78f9fa58fe",
 }
 
 
@@ -89,3 +101,24 @@ def test_pinned_output_bytes(kind, tmp_path, capsys):
     capsys.readouterr()
     want = {name: digest for (name, k), digest in PINNED.items() if k == kind}
     assert got == want
+
+
+def spectral_digest(kind: str, workdir) -> str:
+    """SHA-256 of `analyze --format json` (default checks) over the m = 1 grid."""
+    stream = hashlib.sha256()
+    path, out = workdir / "field.json", workdir / "out.json"
+    for count in range(1, 4):
+        for deg in range(3):
+            argv = ["gen", "--group", kind, "-m", "1", "--marked", ",".join(MARKED[:count]),
+                    "--deg-bound", str(deg), "--seed", str(10 + count)]
+            if main([*argv, "-o", str(path)]) != 0:
+                raise AssertionError(f"gen failed: {argv}")
+            stream.update(_run(["analyze", str(path), "--format", "json"], out))
+    return stream.hexdigest()
+
+
+@pytest.mark.parametrize("kind", ["sp", "so-even", "so-odd"])
+def test_pinned_spectral_bytes(kind, tmp_path, capsys):
+    got = spectral_digest(kind, tmp_path)
+    capsys.readouterr()
+    assert got == SPECTRAL_PINNED[kind]
