@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .poly import Q, Scalar, UniPoly, poly_gcd
+from .poly import Q, Scalar, UniPoly
 
 
 @dataclass(frozen=True)
@@ -91,11 +91,6 @@ class BiPoly:
         return BiPoly.make(out)
 
     __rmul__ = __mul__
-
-    def shift_x(self, k: int) -> "BiPoly":
-        if self.is_zero:
-            return self
-        return BiPoly((UniPoly.zero(),) * k + self.coeffs)
 
     def derivative_x(self) -> "BiPoly":
         return BiPoly.make(c * i for i, c in enumerate(self.coeffs) if i > 0)
@@ -203,68 +198,3 @@ def discriminant_x(f: BiPoly) -> UniPoly:
         raise ValueError("discriminant convention requires a monic polynomial")
     res = resultant_x(f, f.derivative_x())
     return res * ((-1) ** (r * (r - 1) // 2))
-
-
-# -- bivariate gcd / squarefreeness -------------------------------------------
-
-
-def _content_t(f: BiPoly) -> UniPoly:
-    g = UniPoly.zero()
-    for c in f.coeffs:
-        g = poly_gcd(g, c)
-        if g.degree == 0 and not g.is_zero:
-            return UniPoly.one()
-    return g
-
-
-def _primitive_t(f: BiPoly) -> BiPoly:
-    c = _content_t(f)
-    if c.degree <= 0:
-        return f
-    return BiPoly(tuple(p.exact_div(c) for p in f.coeffs))
-
-
-def _pseudo_rem_x(a: BiPoly, b: BiPoly) -> BiPoly:
-    """Pseudo-remainder in x over Q[t]."""
-    rem = a
-    db = b.deg_x
-    lb = b.lead
-    while not rem.is_zero and rem.deg_x >= db:
-        k = rem.deg_x - db
-        lr = rem.lead
-        rem = rem * lb - (b * lr).shift_x(k)
-    return rem
-
-
-def bipoly_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
-    """gcd in Q[t][x] via primitive PRS; normalized with monic leading part."""
-    if f.is_zero:
-        return g
-    if g.is_zero:
-        return f
-    cf, cg = _content_t(f), _content_t(g)
-    a, b = _primitive_t(f), _primitive_t(g)
-    if a.deg_x < b.deg_x:
-        a, b = b, a
-    while not b.is_zero and b.deg_x > 0:
-        a, b = b, _primitive_t(_pseudo_rem_x(a, b))
-    if not b.is_zero:
-        # common factor is at most a polynomial in t
-        prim = BiPoly.from_t(UniPoly.one())
-    else:
-        prim = _primitive_t(a)
-    cont = poly_gcd(cf, cg)
-    out = prim * cont
-    return BiPoly(tuple(c * (1 / out.lead.lc) for c in out.coeffs))
-
-
-def is_squarefree_xy(f: BiPoly) -> bool:
-    """True iff f has no repeated factor in Q[t, x]."""
-    if f.is_zero:
-        return False
-    fx, ft = f.derivative_x(), f.derivative_t()
-    if fx.is_zero and ft.is_zero:
-        return f.deg_x == 0 and f.coeff(0).degree == 0
-    g = bipoly_gcd(f, fx) if not fx.is_zero else f
-    g = bipoly_gcd(g, ft) if not ft.is_zero else g
-    return g.deg_x == 0 and g.coeff(0).degree == 0

@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import (
+    NonReducedCurveError,
     build_plane_curve,
     involution_check,
     ramification_degree_affine,
@@ -33,7 +34,7 @@ from .higgs import (
     so_odd_reduce,
     strong_parabolic_check,
 )
-from .poly import RationalFunction, q_to_str
+from .poly import q_to_str
 
 OK, CHECK_FAILED, USAGE_ERROR = 0, 1, 2
 
@@ -136,15 +137,20 @@ def _spectral_section(fld: HiggsField) -> dict:
     if group.kind == "so-odd" and not parity_classify(fld.char_data, group).passed:
         return {"pass": False, "reason": "char polynomial is not x * even"}
     curve = build_plane_curve(fld)
-    out: dict = {"involution": involution_check(curve)}
-    smooth = smoothness_check(curve)
-    out["smoothness"] = smooth.to_dict()
-    out["affine_ramification_degree"] = ramification_degree_affine(curve)
+    try:
+        smooth = smoothness_check(curve)
+    except NonReducedCurveError:
+        return {"pass": False, "reason": "spectral curve is not reduced"}
+    out: dict = {
+        "involution": involution_check(curve),
+        "smoothness": smooth.to_dict(),
+        "affine_ramification_degree": ramification_degree_affine(curve),
+    }
     ok = out["involution"]
     if group.kind == "so-even":
-        pf = pfaffian_square_check(fld).pfaffian
-        twisted = pf * RationalFunction.make(curve.twist) ** group.m
-        pattern = so_even_singularity_pattern(curve, twisted.as_poly())
+        pf = fld.pfaffian[0]
+        twisted = (pf.num * curve.twist ** group.m).exact_div(pf.den)
+        pattern = so_even_singularity_pattern(curve, twisted)
         out["singularity_pattern"] = {
             "pass": pattern.passed,
             "count": pattern.count,

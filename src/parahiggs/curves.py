@@ -2,10 +2,11 @@
 
 The chart twist y = d(t) x with d = prod (t - a_k) clears the marked-point
 denominators of the characteristic coefficients, so every curve handled
-here is a monic-in-x polynomial over Q[t].  Smoothness certification is
-sufficient-but-not-complete: a squarefree discriminant certifies smooth;
-otherwise rational singular points are searched for exactly, and the
-honest answer is "inconclusive" when none is found.
+here is a monic-in-x polynomial over Q[t].  Smoothness is read off the
+x-discriminant: a zero discriminant means a non-reduced curve, a squarefree
+one certifies smooth, and otherwise rational singular points are searched
+for exactly over the discriminant's repeated roots; the honest answer is
+"inconclusive" when none is found.
 """
 
 from __future__ import annotations
@@ -14,17 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .bipoly import BiPoly, discriminant_x, is_squarefree_xy, resultant_x
+from .bipoly import BiPoly, discriminant_x
 from .higgs import HiggsField, PoleOrderError
-from .poly import (
-    Q,
-    RationalFunction,
-    UniPoly,
-    is_squarefree,
-    poly_gcd,
-    rational_roots,
-    squarefree_part,
-)
+from .poly import Q, UniPoly, is_squarefree, poly_gcd, rational_roots
 
 
 class NonReducedCurveError(ValueError):
@@ -64,7 +57,8 @@ def twisted_curve(sections, marked_points) -> PlaneCurve:
 
     The i-th section is cleared by d^i; strong parabolicity (pole order of
     s_i at most i - 1 < i, poles only at marked points) makes every cleared
-    coefficient polynomial.  A non-polynomial coefficient raises.
+    coefficient polynomial, so s_i.den divides s_i.num * d^i exactly.  A
+    non-zero remainder raises.
     """
     d = UniPoly.one()
     for a in marked_points:
@@ -72,16 +66,15 @@ def twisted_curve(sections, marked_points) -> PlaneCurve:
     r = len(sections)
     coeffs = [UniPoly.zero()] * (r + 1)
     coeffs[r] = UniPoly.one()
-    d_rf = RationalFunction.make(d)
-    power = RationalFunction.make(UniPoly.one())
+    power = UniPoly.one()
     for i, s_i in enumerate(sections, start=1):
-        power = power * d_rf
-        cleared = s_i * power
-        if not cleared.is_polynomial:
+        power = power * d
+        cleared, rem = (s_i.num * power).divmod(s_i.den)
+        if not rem.is_zero:
             raise PoleOrderError(
                 f"s_{i} * d^{i} is not polynomial; pole outside the allowed order/locus"
             )
-        coeffs[r - i] = cleared.as_poly()
+        coeffs[r - i] = cleared
     return PlaneCurve(BiPoly.make(coeffs), d)
 
 
@@ -113,10 +106,12 @@ class SingularReport:
         }
 
 
-def _rational_singular_points(f: BiPoly, disc: UniPoly) -> list[tuple[Fraction, Fraction]]:
+def _rational_singular_points(f: BiPoly, rep: UniPoly) -> list[tuple[Fraction, Fraction]]:
+    """Rational points where f = f_x = f_t = 0, searched over the rational
+    roots of rep = gcd(disc, disc'), the discriminant's repeated roots."""
     f_x, f_t = f.derivative_x(), f.derivative_t()
     witnesses = []
-    for t0, _ in rational_roots(squarefree_part(disc)):
+    for t0, _ in rational_roots(rep):
         slice_f = f.eval_t(t0)
         slice_fx = f_x.eval_t(t0)
         common = poly_gcd(slice_f, slice_fx)
@@ -130,24 +125,26 @@ def _rational_singular_points(f: BiPoly, disc: UniPoly) -> list[tuple[Fraction, 
 
 def smoothness_check(curve: PlaneCurve) -> SingularReport:
     """Certify smoothness of the affine curve, or exhibit rational singular
-    points, or answer "inconclusive".
+    points, or answer "inconclusive".  Raises on a non-reduced curve.
 
-    Squarefree x-discriminant is a sufficient smoothness criterion: a
-    singular point forces a repeated discriminant root.  Raises on a
-    non-reduced (non-squarefree) curve.
+    A singular point (t0, x0) forces a repeated root of the x-discriminant
+    at t0, so a squarefree discriminant certifies smooth, and the witness
+    search needs only the roots of gcd(disc, disc'); each witness found is
+    then checked exactly against f = f_x = f_t = 0.
     """
     f = curve.f
-    if not is_squarefree_xy(f):
-        raise NonReducedCurveError("non-reduced curve")
     if f.deg_x < 2:
         return SingularReport("smooth", (), True)
     disc = curve.discriminant
+    # f is monic, hence primitive over Q[t], so by Gauss's lemma it has a
+    # repeated factor in Q[t, x] exactly when gcd(f, f_x) != 1 over Q(t),
+    # that is, exactly when its x-discriminant vanishes.
     if disc.is_zero:
-        # cannot happen for monic squarefree f; defensive
-        raise NonReducedCurveError("vanishing discriminant on a reduced curve")
-    if is_squarefree(disc):
+        raise NonReducedCurveError("non-reduced curve")
+    rep = poly_gcd(disc, disc.derivative())
+    if rep.degree == 0:
         return SingularReport("smooth", (), True)
-    witnesses = _rational_singular_points(f, disc)
+    witnesses = _rational_singular_points(f, rep)
     if witnesses:
         return SingularReport("singular", tuple(witnesses), False)
     return SingularReport("inconclusive", (), False)

@@ -36,7 +36,6 @@ from .linalg import (
     IntMat,
     Mat,
     QMat,
-    char_poly,
     const_mat_mul,
     int_char_poly,
     int_mat_at,
@@ -87,10 +86,6 @@ class CharData:
         return [self.s(self.r - k) for k in range(self.r)] + [rf(1)]
 
 
-def char_data(mat: Mat) -> CharData:
-    return CharData(tuple(char_poly(mat)))
-
-
 @dataclass(eq=False)
 class HiggsField:
     """Phi over Q(t); the values derived from ``matrix`` are computed once."""
@@ -131,6 +126,15 @@ class HiggsField:
     def char_data(self) -> CharData:
         ints, d, c = self.cleared
         return CharData(tuple(int_char_poly(ints, d * c)))
+
+    @cached_property
+    def pfaffian(self) -> tuple[RationalFunction, RationalFunction]:
+        """(Pf(B*Phi), det B) of an so(2m) field in its Lie algebra."""
+        if self.group.kind != "so-even":
+            raise GroupError("Pfaffian square law applies to so-even fields only")
+        if not self.is_member:
+            raise ValueError("field is not in the Lie algebra of its Gram form")
+        return int_pfaffian(*self.gram_product), mat_det(self.gram.as_mat())
 
     def to_dict(self) -> dict:
         out = {
@@ -260,12 +264,7 @@ class PfaffianSquareResult:
 def pfaffian_square_check(fld: HiggsField) -> PfaffianSquareResult:
     """For so-even fields: s_2m agrees with det(B) * Pf(B*Phi)^2 up to the
     det(B) unit, i.e. s_2m * det(B) == Pf(B*Phi)^2 identically."""
-    if fld.group.kind != "so-even":
-        raise GroupError("Pfaffian square law applies to so-even fields only")
-    if not fld.is_member:
-        raise ValueError("field is not in the Lie algebra of its Gram form")
-    p_m = int_pfaffian(*fld.gram_product)
-    det_b = mat_det(fld.gram.as_mat())
+    p_m, det_b = fld.pfaffian
     s_top = fld.char_data.s(fld.group.rank_size)
     return PfaffianSquareResult(s_top * det_b == p_m * p_m, p_m, det_b)
 

@@ -140,12 +140,6 @@ class UniPoly:
             n >>= 1
         return result
 
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by t**k."""
-        if self.is_zero:
-            return self
-        return UniPoly((Q(0),) * k + self.coeffs)
-
     # -- evaluation / calculus ---------------------------------------------
 
     def __call__(self, a: Scalar) -> Fraction:

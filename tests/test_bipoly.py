@@ -7,13 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from parahiggs.bipoly import (
     BiPoly,
-    bipoly_gcd,
     discriminant_x,
-    is_squarefree_xy,
     resultant_x,
     sylvester_matrix,
 )
-from parahiggs.poly import UniPoly, poly_gcd
+from parahiggs.poly import UniPoly
 
 P = UniPoly.make
 
@@ -86,9 +84,6 @@ class TestResultant:
         if h.deg_x == 0:
             return
         assert resultant_x(f * h, g * h).is_zero
-        # and conversely a nonzero resultant means the gcd is constant in x
-        if f.deg_x and g.deg_x and not resultant_x(f, g).is_zero:
-            assert bipoly_gcd(f, g).deg_x == 0
 
 
 class TestDiscriminant:
@@ -121,24 +116,3 @@ class TestDiscriminant:
             return
         assert discriminant_x(h * h).is_zero
 
-
-class TestBivariateGcdAndSquarefree:
-    def test_gcd_planted(self):
-        f = B([0, -1], 1)  # x - t
-        g = B([1, 1], 1)  # x + t + 1
-        h = B([2, 0, 1], 0, 1)  # x^2 + t^2 + 2
-        assert bipoly_gcd(f * h, g * h).deg_x == h.deg_x
-
-    def test_squarefree_detection(self):
-        f = B([0, -1], 1)
-        assert is_squarefree_xy(f * B([1, 1], 1))
-        assert not is_squarefree_xy(f * f)
-        # repeated pure-t factor
-        tt = BiPoly.from_t(P([-1, 1]))
-        assert not is_squarefree_xy(tt * tt * B(0, 1))
-
-    def test_content_handling(self):
-        f = BiPoly.from_t(P([0, 2])) * B(1, 1)
-        g = bipoly_gcd(f, BiPoly.from_t(P([0, 0, 1])))
-        assert g.deg_x == 0
-        assert poly_gcd(g.coeff(0), P([0, 1])) == P([0, 1])

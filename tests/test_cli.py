@@ -171,6 +171,38 @@ class TestAnalyze:
         ]
         assert sum(1 for a in cleared if a == matrix) == 1
 
+    def test_analyze_computes_the_pfaffian_once(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "so4.json"
+        gen = ("gen", "--group", "so-even", "-m", "2", "--marked", "0,1", "--seed", "7")
+        run(capsys, *gen, "-o", str(path))
+        calls = []
+        original = higgs.int_pfaffian
+
+        def counting(a, den):
+            calls.append(a)
+            return original(a, den)
+
+        monkeypatch.setattr(higgs, "int_pfaffian", counting)
+        code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert checks["pfaffian"]["pass"] and checks["spectral"]["singularity_pattern"]["pass"]
+        assert len(calls) == 1
+
+    def test_non_reduced_spectral_curve_exit_1_with_report(self, tmp_path, capsys):
+        # this seed draws Phi = 0 (so(2) has no nonzero nilpotents), so the
+        # spectral curve is the double line x^2 = 0
+        path = tmp_path / "so2.json"
+        gen = ("gen", "--group", "so-even", "-m", "1", "--marked", "0,1,-1", "--deg-bound", "0")
+        run(capsys, *gen, "--seed", "0", "-o", str(path))
+        code, out, err = run(capsys, "analyze", str(path), "--format", "json")
+        assert code == 1
+        assert err == ""
+        report = json.loads(out)
+        assert report["checks"]["spectral"] == {"pass": False, "reason": "spectral curve is not reduced"}
+        assert all(sec["pass"] for name, sec in report["checks"].items() if name != "spectral")
+        assert not report["all_pass"]
+
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "junk.json"
         path.write_text("{not json")

@@ -11,7 +11,6 @@ from parahiggs.higgs import (
     HiggsField,
     NonGenericFieldError,
     PoleOrderError,
-    char_data,
     parity_classify,
     pfaffian_square_check,
     random_strongly_parabolic_higgs,
@@ -73,7 +72,7 @@ class TestResidue:
 
 class TestCharAndParity:
     def test_sl2_char(self):
-        s = char_data(mat_from_scalars([[1, 2], [3, -1]]))
+        s = CharData(tuple(char_poly(mat_from_scalars([[1, 2], [3, -1]]))))
         assert s.coeffs == (rf(0), rf(-7))
         res = parity_classify(s, GroupSpec.sp(1))
         assert res.passed and res.first_odd_index is None
@@ -81,7 +80,7 @@ class TestCharAndParity:
 
     def test_so3_cofactor(self):
         # cross matrix (1,2,3): char = x^3 + 14x
-        s = char_data(cross_matrix(1, 2, 3))
+        s = CharData(tuple(char_poly(cross_matrix(1, 2, 3))))
         assert s.coeffs == (rf(0), rf(14), rf(0))
         res = parity_classify(s, GroupSpec.so_odd(1))
         assert res.passed

@@ -14,6 +14,11 @@ curve and the so-even singularity pattern included, on m = 1 fields with
 1..3 marked points and degree bounds 0..2; they were recorded on the code
 that still computed the so-odd kernel by Gauss-Jordan over Q(t) and the
 Pfaffian of B*Phi from a Q(t) product.
+
+The m = 2 spectral digests cover fields whose discriminant is not squarefree,
+so the rational witness search runs and reports singular points; they were
+recorded on the code that still tested reducedness by a bivariate gcd and
+searched every rational root of the discriminant for witnesses.
 """
 
 import hashlib
@@ -49,6 +54,19 @@ SPECTRAL_PINNED = {
     "sp": "cd88bc775c188c24a82c62a75c5bc08b4ee21ae36df907714680fdc9bef0167f",
     "so-even": "38608baf75c2204db4b6df28f46661d18f097b59e11c6e08ca26b666dab52b74",
     "so-odd": "f4b1d5fd233b6bef7ba19add130792f3c9cc101b96ba1037b48d2c78f9fa58fe",
+}
+
+# (marked-point count, degree bound, seed) of the m = 2 fields per group
+M2_FIELDS = {
+    "sp": ((1, 0, 0), (1, 0, 1), (2, 0, 1)),
+    "so-even": ((1, 0, 1), (2, 0, 0), (2, 1, 0)),
+    "so-odd": ((1, 0, 1), (1, 0, 3), (2, 0, 1)),
+}
+
+M2_SPECTRAL_PINNED = {
+    "sp": "88a676e43564de64fe0d2977f212c40b9316292fb2d14a72dd6e89407292a9e8",
+    "so-even": "0b287e72b43e445bed8e3281790b916dbfc7b4814eeab3690033368e64780dcd",
+    "so-odd": "c9a91b93c4c5da1c20bc166fc6228ae87b3b9dd34ea5fd8e6b77b0c48c4bde37",
 }
 
 
@@ -103,22 +121,30 @@ def test_pinned_output_bytes(kind, tmp_path, capsys):
     assert got == want
 
 
-def spectral_digest(kind: str, workdir) -> str:
-    """SHA-256 of `analyze --format json` (default checks) over the m = 1 grid."""
+def spectral_digest(kind: str, m: int, fields, workdir) -> str:
+    """SHA-256 of `analyze --format json` (default checks) over the given
+    (marked-point count, degree bound, seed) fields."""
     stream = hashlib.sha256()
     path, out = workdir / "field.json", workdir / "out.json"
-    for count in range(1, 4):
-        for deg in range(3):
-            argv = ["gen", "--group", kind, "-m", "1", "--marked", ",".join(MARKED[:count]),
-                    "--deg-bound", str(deg), "--seed", str(10 + count)]
-            if main([*argv, "-o", str(path)]) != 0:
-                raise AssertionError(f"gen failed: {argv}")
-            stream.update(_run(["analyze", str(path), "--format", "json"], out))
+    for count, deg, seed in fields:
+        argv = ["gen", "--group", kind, "-m", str(m), "--marked", ",".join(MARKED[:count]),
+                "--deg-bound", str(deg), "--seed", str(seed)]
+        if main([*argv, "-o", str(path)]) != 0:
+            raise AssertionError(f"gen failed: {argv}")
+        stream.update(_run(["analyze", str(path), "--format", "json"], out))
     return stream.hexdigest()
 
 
 @pytest.mark.parametrize("kind", ["sp", "so-even", "so-odd"])
 def test_pinned_spectral_bytes(kind, tmp_path, capsys):
-    got = spectral_digest(kind, tmp_path)
+    m1_grid = [(count, deg, 10 + count) for count in range(1, 4) for deg in range(3)]
+    got = spectral_digest(kind, 1, m1_grid, tmp_path)
     capsys.readouterr()
     assert got == SPECTRAL_PINNED[kind]
+
+
+@pytest.mark.parametrize("kind", ["sp", "so-even", "so-odd"])
+def test_pinned_m2_spectral_bytes(kind, tmp_path, capsys):
+    got = spectral_digest(kind, 2, M2_FIELDS[kind], tmp_path)
+    capsys.readouterr()
+    assert got == M2_SPECTRAL_PINNED[kind]
