@@ -1,17 +1,19 @@
 """Bivariate polynomials F(t, x), dense in x with UniPoly coefficients.
 
-The x-eliminants (Sylvester resultant, discriminant) run Bareiss
-fraction-free elimination over Q[t]; every division there is exact, so no
-rational functions appear at intermediate stages.
+The x-eliminants (Sylvester resultant, discriminant) clear each operand to
+Z[t] by the lcm of its coefficient denominators, run one Bareiss
+fraction-free elimination on integer coefficient lists, where every division
+is exact, and divide the known power of the two lcms out of the result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .poly import Q, Scalar, UniPoly
+from .poly import Q, Scalar, UniPoly, _int_exact_div, _int_poly_mul_add
 
 
 @dataclass(frozen=True)
@@ -132,51 +134,66 @@ class BiPoly:
         return " + ".join(parts)
 
 
-def _bareiss_det_unipoly(m: list[list[UniPoly]]) -> UniPoly:
-    """Fraction-free determinant of a matrix over Q[t] (Bareiss).
+def _bareiss_det(m: list[list[list[int]]]) -> list[int]:
+    """Fraction-free determinant of a matrix over Z[t] (Bareiss).
 
-    Every interior division is exact by the Bareiss identity; row swaps flip
-    the sign.  The input list is consumed.
+    Entries are ascending integer coefficient lists, [] being zero.  Every
+    interior division is exact in Z[t] by Sylvester's identity; row swaps
+    flip the sign.  The input list is consumed.
     """
     n = len(m)
-    if n == 0:
-        return UniPoly.one()
     sign = 1
-    prev = UniPoly.one()
+    prev = [1]
     for k in range(n - 1):
-        if m[k][k].is_zero:
+        if not m[k][k]:
             for i in range(k + 1, n):
-                if not m[i][k].is_zero:
+                if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                return UniPoly.zero()
+                return []
+        pivot = m[k][k]
         for i in range(k + 1, n):
+            neg = [-c for c in m[i][k]]
             for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = UniPoly.zero()
-        prev = m[k][k]
-    return m[n - 1][n - 1] * sign
+                num: list[int] = []
+                _int_poly_mul_add(num, pivot, m[i][j])
+                _int_poly_mul_add(num, neg, m[k][j])
+                while num and not num[-1]:
+                    num.pop()
+                m[i][j] = _int_exact_div(num, prev) if num else []
+        prev = pivot
+    return [sign * c for c in m[n - 1][n - 1]]
 
 
-def sylvester_matrix(f: BiPoly, g: BiPoly) -> list[list[UniPoly]]:
-    p, q = f.deg_x, g.deg_x
+def _cleared(f: BiPoly) -> tuple[list[list[int]], int]:
+    """(integer x-coefficients of L * f, L) with L the lcm of f's coefficient
+    denominators."""
+    lcm = math.lcm(*(c.denominator for p in f.coeffs for c in p.coeffs))
+    return [[int(c * lcm) for c in p.coeffs] for p in f.coeffs], lcm
+
+
+def sylvester_matrix(f, g, zero=UniPoly.zero()) -> list[list]:
+    """Sylvester matrix of two BiPolys, or of two ascending x-coefficient
+    lists over any ring whose zero is `zero`."""
+    if isinstance(f, BiPoly):
+        f, g = f.coeffs, g.coeffs
+    f, g = list(f), list(g)
+    p, q = len(f) - 1, len(g) - 1
     n = p + q
-    rows: list[list[UniPoly]] = []
+    rows = []
     # descending coefficient order, f-rows then g-rows
-    fc = [f.coeff(p - i) for i in range(p + 1)]
-    gc = [g.coeff(q - i) for i in range(q + 1)]
     for i in range(q):
-        rows.append([UniPoly.zero()] * i + fc + [UniPoly.zero()] * (n - p - 1 - i))
+        rows.append([zero] * i + f[::-1] + [zero] * (n - p - 1 - i))
     for i in range(p):
-        rows.append([UniPoly.zero()] * i + gc + [UniPoly.zero()] * (n - q - 1 - i))
+        rows.append([zero] * i + g[::-1] + [zero] * (n - q - 1 - i))
     return rows
 
 
 def resultant_x(f: BiPoly, g: BiPoly) -> UniPoly:
-    """Res_x(f, g) as the Sylvester determinant, computed fraction-free."""
+    """Res_x(f, g) as the Sylvester determinant, computed fraction-free over
+    Z[t] on f and g cleared of their denominators."""
     if f.is_zero or g.is_zero:
         raise ValueError("resultant of zero polynomial")
     p, q = f.deg_x, g.deg_x
@@ -186,7 +203,10 @@ def resultant_x(f: BiPoly, g: BiPoly) -> UniPoly:
         return g.coeff(0) ** p
     if p == 0:
         return f.coeff(0) ** q
-    return _bareiss_det_unipoly(sylvester_matrix(f, g))
+    (fz, lf), (gz, lg) = _cleared(f), _cleared(g)
+    det = _bareiss_det(sylvester_matrix(fz, gz, []))
+    # Res(lf * f, lg * g) = lf^q * lg^p * Res(f, g)
+    return UniPoly.make(Q(c, lf**q * lg**p) for c in det)
 
 
 def discriminant_x(f: BiPoly) -> UniPoly:

@@ -206,6 +206,8 @@ def _format_analysis(report: dict, fmt: str) -> str:
     lines = [f"field: {report['group']} m={report['m']} marked={report['marked_points']}"]
     for name, sec in report["checks"].items():
         lines.append(f"{name}: {'PASS' if sec['pass'] else 'FAIL'}")
+        if "reason" in sec:
+            lines.append(f"  - {sec['reason']}")
         for failure in sec.get("failures", []):
             lines.append(f"  - {failure}")
     lines.append("overall: " + ("PASS" if report["all_pass"] else "FAIL"))

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import RationalFunction, UniPoly, interpolate_int_range, poly_lcm
+from .poly import RationalFunction, UniPoly, _int_poly_mul_add, interpolate_int_range, poly_lcm
 
 Mat = list[list[RationalFunction]]
 QMat = list[list[Fraction]]
@@ -105,18 +105,6 @@ def scaled_integer_matrix(a: Mat) -> tuple[IntMat, UniPoly, int]:
                 c = math.lcm(c, q.denominator)
     ints = tuple(tuple(tuple(int(q * c) for q in p.coeffs) for p in row) for row in polys)
     return ints, d, c
-
-
-def _int_poly_mul_add(acc: list[int], p: Sequence[int], q: Sequence[int]) -> None:
-    """acc += p * q for ascending integer coefficient lists."""
-    if not p or not q:
-        return
-    if len(acc) < len(p) + len(q) - 1:
-        acc.extend([0] * (len(p) + len(q) - 1 - len(acc)))
-    for i, x in enumerate(p):
-        if x:
-            for j, y in enumerate(q):
-                acc[i + j] += x * y
 
 
 def int_mat_mul(a: IntMat, b: IntMat) -> IntMat:

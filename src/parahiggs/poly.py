@@ -4,9 +4,11 @@ Polynomials are dense ascending coefficient tuples of ``fractions.Fraction``;
 the zero polynomial is the empty tuple.  Everything here is immutable and
 pure, so values can be shared freely across threads.
 
-Degrees in this project stay well under 100, so all algorithms are the
-simple dense ones; gcds go through a primitive-PRS over the integers to
-avoid coefficient blow-up.
+UniPoly arithmetic is schoolbook: degrees in this project stay well under
+100.  What grows with coefficient size runs on primitive integer coefficient
+lists instead: the gcd is a primitive PRS over Z, and the rational roots come
+from Loos' p-adic method (roots modulo a small prime, Newton-lifted and read
+back by rational reconstruction), polynomial in the coefficient bit length.
 """
 
 from __future__ import annotations
@@ -231,13 +233,29 @@ class UniPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-# -- integer-level helpers (primitive PRS gcd) -------------------------------
+# -- integer polynomials (ascending int lists, [] is zero) --------------------
 
 
 def _int_primitive(p: list[int]) -> list[int]:
     g = math.gcd(*p)
     sign = -1 if p[-1] < 0 else 1
     return [c // (g * sign) for c in p]
+
+
+def _int_derivative(p: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _int_poly_mul_add(acc: list[int], p: Sequence[int], q: Sequence[int]) -> None:
+    """acc += p * q for ascending integer coefficient lists."""
+    if not p or not q:
+        return
+    if len(acc) < len(p) + len(q) - 1:
+        acc.extend([0] * (len(p) + len(q) - 1 - len(acc)))
+    for i, x in enumerate(p):
+        if x:
+            for j, y in enumerate(q):
+                acc[i + j] += x * y
 
 
 def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
@@ -260,6 +278,52 @@ def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return rem
 
 
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd (positive leading coefficient) of two nonzero integer
+    polynomials, via a primitive PRS."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _int_pseudo_rem(a, b)
+        if b:
+            b = _int_primitive(b)
+    return _int_primitive(a)
+
+
+def _int_exact_div(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials with b | a in Z[t]; raises otherwise."""
+    rem = list(a)
+    db, lb = len(b) - 1, b[-1]
+    quo = [0] * max(0, len(a) - db)
+    for k in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[k + db], lb)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        if c:
+            quo[k] = c
+            for j, bj in enumerate(b):
+                rem[k + j] -= c * bj
+    if any(rem):
+        raise ArithmeticError("inexact polynomial division")
+    return quo
+
+
+def _hom_eval(p: list[int], a: int, b: int) -> int:
+    """b^deg(p) * p(a/b), the homogeneous value sum p_i a^i b^(deg - i)."""
+    acc, b_pow = 0, 1
+    for c in reversed(p):
+        acc = acc * a + c * b_pow
+        b_pow *= b
+    return acc
+
+
+def _eval_mod(p: list[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(p):
+        acc = (acc * x + c) % m
+    return acc
+
+
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd over Q, via a primitive PRS over Z."""
     if a.is_zero:
@@ -268,15 +332,7 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         return a.monic()
     if a.degree == 0 or b.degree == 0:
         return UniPoly.one()
-    pa, _ = a.int_scaled()
-    pb, _ = b.int_scaled()
-    if len(pa) < len(pb):
-        pa, pb = pb, pa
-    while pb:
-        pa, pb = pb, _int_pseudo_rem(pa, pb)
-        if pb:
-            pb = _int_primitive(pb)
-    return UniPoly.make(pa).monic()
+    return UniPoly.make(_int_gcd(a.int_scaled()[0], b.int_scaled()[0])).monic()
 
 
 def poly_lcm(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -316,39 +372,76 @@ def root_multiplicity(p: UniPoly, a: Scalar) -> int:
     return mult
 
 
-def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+def _lifting_prime(f: list[int], df: list[int]) -> tuple[int, list[int]]:
+    """The smallest odd prime p not dividing lc(f) at which every root of f
+    mod p is simple, with those roots; f must be squarefree over Q."""
+    p = 1
+    while True:
+        p += 2
+        if f[-1] % p == 0 or any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
+            continue
+        roots = [r for r in range(p) if _eval_mod(f, r, p) == 0]
+        if all(_eval_mod(df, r, p) for r in roots):
+            return p, roots
+
+
+def _reconstruct(u: int, m: int, bound: int) -> Fraction:
+    """Wang's rational reconstruction: the fraction r/s = u mod m with
+    |r| <= bound read off the half-extended Euclidean algorithm.  It is the
+    one such fraction with 0 < s <= D whenever one exists and m > 2 bound D."""
+    r0, r1, s0, s1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return Q(r1, s1)
+
+
+def _squarefree_rational_roots(f: list[int]) -> list[Fraction]:
+    """Rational roots of a squarefree integer polynomial with f(0) != 0.
+
+    Loos' p-adic method: a root a/b in lowest terms has b | lc(f) and
+    a | f(0), so for a prime p not dividing lc(f) it reduces to a root of
+    f mod p, simple by the choice of p.  Each root mod p is Newton-lifted to
+    p^k > 2 |lc(f)| |f(0)|, which makes a/b its unique rational
+    reconstruction; every candidate is kept only if it is an exact root.
+    """
+    df = _int_derivative(f)
+    p, mod_roots = _lifting_prime(f, df)
+    bound = abs(f[0])
+    target = 2 * abs(f[-1]) * bound
+    roots = []
+    for x in mod_roots:
+        m = p
+        while m <= target:
+            m *= m
+            x = (x - _eval_mod(f, x, m) * pow(_eval_mod(df, x, m), -1, m)) % m
+        cand = _reconstruct(x, m, bound)
+        if _hom_eval(f, cand.numerator, cand.denominator) == 0:
+            roots.append(cand)
+    return roots
 
 
 def rational_roots(p: UniPoly) -> list[tuple[Fraction, int]]:
-    """All rational roots of p with multiplicities, sorted ascending."""
+    """All rational roots of p with multiplicities, sorted ascending.
+
+    The roots of the squarefree part come from `_squarefree_rational_roots`;
+    each multiplicity counts exact divisions by (b t - a) over Z[t].
+    """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    roots: list[tuple[Fraction, int]] = []
-    # strip t = 0 first so the constant term below is nonzero
-    k = 0
-    while p.coeff(0) == 0 and p.degree >= 1:
-        p = UniPoly(p.coeffs[1:])
-        k += 1
-    if k:
-        roots.append((Q(0), k))
-    if p.degree >= 1:
-        ints, _ = p.int_scaled()
-        sf = squarefree_part(UniPoly.make(ints))
-        sf_ints, _ = sf.int_scaled()
-        for num in _int_divisors(sf_ints[0]):
-            for den in _int_divisors(sf_ints[-1]):
-                for cand in (Q(num, den), Q(-num, den)):
-                    if sf(cand) == 0 and all(r != cand for r, _ in roots):
-                        roots.append((cand, root_multiplicity(p, cand)))
+    f, _ = p.int_scaled()
+    k = next(i for i, c in enumerate(f) if c)
+    f = f[k:]
+    roots = [(Q(0), k)] if k else []
+    if len(f) > 1:
+        sf = _int_exact_div(f, _int_gcd(f, _int_derivative(f)))
+        for root in _squarefree_rational_roots(sf):
+            a, b = root.numerator, root.denominator
+            mult = 0
+            while _hom_eval(f, a, b) == 0:
+                f = _int_exact_div(f, [-a, b])
+                mult += 1
+            roots.append((root, mult))
     return sorted(roots)
 
 

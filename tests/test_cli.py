@@ -1,5 +1,6 @@
 """CLI contract: exit codes, determinism, JSON round-trips, check filtering."""
 
+import io
 import json
 
 import pytest
@@ -202,6 +203,17 @@ class TestAnalyze:
         assert report["checks"]["spectral"] == {"pass": False, "reason": "spectral curve is not reduced"}
         assert all(sec["pass"] for name, sec in report["checks"].items() if name != "spectral")
         assert not report["all_pass"]
+
+    def test_text_report_prints_the_spectral_reason(self, capsys, monkeypatch):
+        # gen ... | analyze -: the same double-line field as above, text report
+        gen = ("gen", "--group", "so-even", "-m", "1", "--marked", "0,1,-1", "--deg-bound", "0")
+        _, field, _ = run(capsys, *gen, "--seed", "0")
+        monkeypatch.setattr("sys.stdin", io.StringIO(field))
+        code, out, err = run(capsys, "analyze", "-")
+        assert code == 1
+        assert err == ""
+        assert "\nspectral: FAIL\n  - spectral curve is not reduced\n" in out
+        assert out.endswith("overall: FAIL\n")
 
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "junk.json"

@@ -19,10 +19,17 @@ The m = 2 spectral digests cover fields whose discriminant is not squarefree,
 so the rational witness search runs and reports singular points; they were
 recorded on the code that still tested reducedness by a bivariate gcd and
 searched every rational root of the discriminant for witnesses.
+
+The two stalled sp fields (m = 2, marked points 0 and 1/2, seed 3, degree
+bounds 0 and 1) have 45-bit end coefficients in the squarefree part of
+gcd(disc, disc'); their digests were recorded on the code that found rational
+roots by trial division of those coefficients, where each `analyze` took 10 to
+14 s on one core.
 """
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -68,6 +75,13 @@ M2_SPECTRAL_PINNED = {
     "so-even": "0b287e72b43e445bed8e3281790b916dbfc7b4814eeab3690033368e64780dcd",
     "so-odd": "c9a91b93c4c5da1c20bc166fc6228ae87b3b9dd34ea5fd8e6b77b0c48c4bde37",
 }
+
+# degree bound -> digest of `analyze --format json` of the stalled sp field
+STALLED_PINNED = {
+    0: "1f9d1bafd863d8a3d271730c04581f260c59c449079a2b04b36f1409ceaebbc2",
+    1: "6e33a8258c3d85009b303ca61e6cfe3f5bfc3fee6c44c057c27626afb15b5afd",
+}
+STALLED_BOUND_S = 5.0
 
 
 def grid():
@@ -148,3 +162,30 @@ def test_pinned_m2_spectral_bytes(kind, tmp_path, capsys):
     got = spectral_digest(kind, 2, M2_FIELDS[kind], tmp_path)
     capsys.readouterr()
     assert got == M2_SPECTRAL_PINNED[kind]
+
+
+def stalled_analyze(deg: int, workdir) -> tuple[bytes, float]:
+    """(exit code and bytes, wall seconds) of `analyze --format json` on the
+    stalled sp field with degree bound `deg`."""
+    path = workdir / "field.json"
+    argv = ["gen", "--group", "sp", "-m", "2", "--marked", "0,1/2",
+            "--deg-bound", str(deg), "--seed", "3", "-o", str(path)]
+    if main(argv) != 0:
+        raise AssertionError(f"gen failed: {argv}")
+    start = time.perf_counter()
+    got = _run(["analyze", str(path), "--format", "json"], workdir / "out.json")
+    return got, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("deg", sorted(STALLED_PINNED))
+def test_pinned_stalled_m2_bytes(deg, tmp_path, capsys):
+    got, _ = stalled_analyze(deg, tmp_path)
+    capsys.readouterr()
+    assert hashlib.sha256(got).hexdigest() == STALLED_PINNED[deg]
+
+
+@pytest.mark.parametrize("deg", sorted(STALLED_PINNED))
+def test_stalled_m2_analyze_is_bounded(deg, tmp_path, capsys):
+    _, seconds = stalled_analyze(deg, tmp_path)
+    capsys.readouterr()
+    assert seconds < STALLED_BOUND_S

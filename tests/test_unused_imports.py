@@ -1,7 +1,10 @@
-"""Every name a `parahiggs` module imports is used in that module.
+"""Every name a `parahiggs` module imports is used in that module, and every
+private module-level helper is used somewhere in the package.
 
 A static scan: each module is parsed, and every name bound by an import must
-occur as a name in the module body or be re-exported through `__all__`.
+occur as a name in the module body or be re-exported through `__all__`; every
+module-level `def` or `class` whose name starts with `_` must occur as a name,
+an attribute or an imported name in some module of the package.
 """
 
 import ast
@@ -40,3 +43,29 @@ def test_no_unused_imports(path):
     used = used_names(tree)
     unused = [f"{name} (line {line})" for name, line in imported_names(tree).items() if name not in used]
     assert unused == []
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_no_dead_private_helpers():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    referenced = set().union(*(referenced_names(tree) for tree in trees.values()))
+    dead = [
+        f"{module}: {node.name} (line {node.lineno})"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and node.name not in referenced
+    ]
+    assert dead == []
