@@ -2,6 +2,9 @@
 
 Everything in this module is plain integer arithmetic; each operation
 asserts its own integrality/parities and raises rather than round.  The
+half-integer exponents of square-rooted line bundles are held doubled, as
+integers, so a degree is formed as twice its value and its parity is the
+integrality check; no rational number is built on the sweep path.  The
 identity chain checked per (group, m, g, n) is
 
     dim H  =  dim moduli  =  dim Prym  =  dim Higgs-moduli / 2
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .groups import GroupSpec
 
@@ -53,34 +57,62 @@ def validate_group_params(group: GroupSpec, p: CurveParams) -> None:
         raise ValueError("so-odd needs even deg(M)")
 
 
-@dataclass(frozen=True)
+def _doubled_exponent(x, name: str) -> int:
+    """2x for an integer or half-integer exponent x, else ValueError."""
+    if type(x) is int:
+        return 2 * x
+    twice = 2 * Fraction(x)
+    if twice.denominator != 1:
+        raise ValueError(f"{name}-exponent must be integer or half-integer")
+    return int(twice)
+
+
+def _half(twice: int) -> str:
+    """twice / 2 written as `Fraction` writes it: 3, -1/2, 7/2."""
+    return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
+
+
+@dataclass(frozen=True, init=False)
 class LineBundleClass:
     """Formal class K^a (D^b) M^c; a and c may be half-integers (square
     roots), b is an integer, and any degree actually evaluated must land in Z.
+
+    The exponents of K and M are stored doubled, two_a = 2a and two_c = 2c,
+    as integers; the constructor takes a and c themselves, as an `int` or a
+    half-integer `Fraction`.
     """
 
-    a: Fraction
+    two_a: int
     b: int
-    c: Fraction = Fraction(0)
+    two_c: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "c", Fraction(self.c))
-        for x, name in ((self.a, "K"), (self.c, "M")):
-            if x.denominator not in (1, 2):
-                raise ValueError(f"{name}-exponent must be integer or half-integer")
+    def __init__(self, a, b: int, c=0):
+        self._set(_doubled_exponent(a, "K"), b, _doubled_exponent(c, "M"))
+
+    def _set(self, two_a: int, b: int, two_c: int) -> None:
+        object.__setattr__(self, "two_a", two_a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "two_c", two_c)
+
+    @classmethod
+    def from_doubled(cls, two_a: int, b: int, two_c: int = 0) -> "LineBundleClass":
+        """K^(two_a/2) (D^b) M^(two_c/2), built from integers alone."""
+        self = cls.__new__(cls)
+        self._set(two_a, b, two_c)
+        return self
 
     @staticmethod
     def kd(a: int, b: int) -> "LineBundleClass":
-        return LineBundleClass(Fraction(a), b)
+        return LineBundleClass.from_doubled(2 * a, b)
 
     def degree(self, p: CurveParams) -> int:
-        val = self.a * p.two_g_minus_2 + self.b * p.n + self.c * p.deg_m
-        if val.denominator != 1:
+        twice = self.two_a * p.two_g_minus_2 + 2 * self.b * p.n + self.two_c * p.deg_m
+        if twice % 2 != 0:
             raise IntegralityError(
-                f"class K^{self.a}(D^{self.b})M^{self.c} has non-integral degree {val}"
+                f"class K^{_half(self.two_a)}(D^{self.b})M^{_half(self.two_c)} "
+                f"has non-integral degree {twice}/2"
             )
-        return int(val)
+        return twice // 2
 
 
 def h0_rr(cls: LineBundleClass, p: CurveParams) -> int:
@@ -91,13 +123,14 @@ def h0_rr(cls: LineBundleClass, p: CurveParams) -> int:
     return deg + 1 - p.g
 
 
-def _hitchin_section_classes(group: GroupSpec) -> list[LineBundleClass]:
+@cache
+def _hitchin_section_classes(group: GroupSpec) -> tuple[LineBundleClass, ...]:
     m = group.m
     classes = [LineBundleClass.kd(2 * i, 2 * i - 1) for i in range(1, m + 1)]
     if group.kind == "so-even":
         # top coefficient replaced by its square root: K^m(D^(m-1))
         classes[-1] = LineBundleClass.kd(m, m - 1)
-    return classes
+    return tuple(classes)
 
 
 def hitchin_dim(group: GroupSpec, p: CurveParams) -> int:
@@ -235,10 +268,10 @@ def eigenline_degree_sqrt_twist(m: int, p: CurveParams, deg_m: int | None = None
     -(1/2)[(2g_s - 2) - r(2g - 2)] + (1/2) r deg(M), with r = 2m."""
     r = 2 * m
     dm = p.deg_m if deg_m is None else deg_m
-    val = Fraction(-ramification_degree(r, p) + r * dm, 2)
-    if val.denominator != 1:
+    twice = -ramification_degree(r, p) + r * dm
+    if twice % 2 != 0:
         raise IntegralityError("square-root parity violated")
-    return int(val)
+    return twice // 2
 
 
 @dataclass(frozen=True)
@@ -356,10 +389,10 @@ def identity_suite(group: GroupSpec, p: CurveParams) -> DimensionReport:
         # deg of the rank-2m quotient determinant, two routes: from
         # ker(Phi) ~ M^(1/2)(K(D))^(-m) and det E = M^((2m+1)/2) on one side,
         # directly as K^m D^m M^m on the other.
-        e0 = LineBundleClass(Fraction(-m), -m, Fraction(1, 2))
-        det_e = LineBundleClass(Fraction(0), 0, Fraction(2 * m + 1, 2))
+        e0 = LineBundleClass.from_doubled(-2 * m, -m, 1)
+        det_e = LineBundleClass.from_doubled(0, 0, 2 * m + 1)
         lhs = det_e.degree(p) - e0.degree(p)
-        rhs = LineBundleClass(Fraction(m), m, Fraction(m)).degree(p)
+        rhs = LineBundleClass(m, m, m).degree(p)
         if lhs != rhs:
             raise ArithmeticError(f"quotient determinant degree mismatch: {lhs} != {rhs}")
     checks = [
@@ -415,13 +448,14 @@ def pfaffian_space_discrepancy(ms=range(1, 5), gs=range(2, 7), ns=range(1, 5)) -
                 p = CurveParams(g, n)
                 group = GroupSpec.so_even(m)
                 closed = m * (2 * m - 1) * (g - 1) + m * n * (m - 1)
+                literal = so_even_hitchin_dim_literal(m, p)
                 rows.append(
                     PfaffianSpaceRow(
                         m, g, n,
-                        so_even_hitchin_dim_literal(m, p),
+                        literal,
                         hitchin_dim(group, p),
                         closed,
-                        so_even_hitchin_dim_literal(m, p) - closed,
+                        literal - closed,
                     )
                 )
     return rows

@@ -341,18 +341,6 @@ def poly_lcm(a: UniPoly, b: UniPoly) -> UniPoly:
     return (a * b).exact_div(poly_gcd(a, b)).monic()
 
 
-def squarefree_part(p: UniPoly) -> UniPoly:
-    """Monic p / gcd(p, p'); strips repeated roots.
-
-    Raises ValueError on the zero polynomial.
-    """
-    if p.is_zero:
-        raise ValueError("zero input")
-    if p.degree == 0:
-        return UniPoly.one()
-    return p.exact_div(poly_gcd(p, p.derivative())).monic()
-
-
 def is_squarefree(p: UniPoly) -> bool:
     if p.is_zero:
         return False

@@ -2,13 +2,18 @@
 
 Expected values are frozen from independent plug-in computation of the
 Riemann-Roch counts and the two Riemann-Hurwitz bookkeepings; the closed
-forms are cross-checked term by term against the section sums.
+forms are cross-checked term by term against the section sums.  Property
+tests compare the doubled-integer degrees against a plain `Fraction`
+evaluation and the identity suite against the closed forms on random boxes.
 """
 
+import re
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from parahiggs import dimensions
 from parahiggs.dimensions import (
     CSV_HEADER,
     CurveParams,
@@ -70,6 +75,38 @@ class TestLineBundleClass:
             cls.degree(CurveParams(3, 1, deg_m=1))
         with pytest.raises(ValueError, match="half-integer"):
             LineBundleClass(Q(1, 4), 0)
+
+
+def fraction_degree(a: Q, b: int, c: Q, p: CurveParams) -> int:
+    """a(2g - 2) + bn + c deg(M) over Q; IntegralityError off Z."""
+    val = a * (2 * p.g - 2) + b * p.n + c * p.deg_m
+    if val.denominator != 1:
+        raise IntegralityError(f"class K^{a}(D^{b})M^{c} has non-integral degree {val}")
+    return int(val)
+
+
+half_integers = st.integers(-40, 40).map(lambda k: Q(k, 2))
+curve_params = st.builds(CurveParams, st.integers(2, 30), st.integers(1, 30), st.integers(-30, 30))
+
+
+class TestDegreeOracle:
+    @given(half_integers, st.integers(-40, 40), half_integers, curve_params)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_evaluation(self, a, b, c, p):
+        try:
+            want = fraction_degree(a, b, c, p)
+        except IntegralityError as exc:
+            with pytest.raises(IntegralityError, match=re.escape(str(exc))):
+                LineBundleClass(a, b, c).degree(p)
+        else:
+            assert LineBundleClass(a, b, c).degree(p) == want
+
+    @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40), curve_params)
+    @settings(max_examples=100, deadline=None)
+    def test_int_and_doubled_constructors_agree(self, a, b, c, p):
+        cls = LineBundleClass(a, b, c)
+        assert cls == LineBundleClass(Q(a), b, Q(c)) == LineBundleClass.from_doubled(2 * a, b, 2 * c)
+        assert cls.degree(p) == fraction_degree(Q(a), b, Q(c), p)
 
 
 class TestH0:
@@ -277,3 +314,60 @@ class TestPfaffianSpaceDiscrepancy:
         p = P211
         assert so_even_hitchin_dim_literal(2, p) == 9
         assert hitchin_dim(GroupSpec.so_even(2), p) == 8
+
+
+def closed_form_row(kind: str, m: int, g: int, n: int) -> tuple:
+    """(dimH, dimM, dimN, spectral genus, quotient or desingularized genus,
+    fixed points or nodes, prym) from the closed forms alone."""
+    ell = 2 * g - 2 + n  # deg K(D)
+    if kind == "so-even":
+        dim_h = sum(2 * i * (2 * g - 2) + (2 * i - 1) * n + 1 - g for i in range(1, m))
+        dim_h += m * (2 * g - 2) + (m - 1) * n + 1 - g
+        dim_g, dim_flag = m * (2 * m - 1), m * (m - 1)
+    else:
+        dim_h = sum(2 * i * (2 * g - 2) + (2 * i - 1) * n + 1 - g for i in range(1, m + 1))
+        dim_g, dim_flag = m * (2 * m + 1), m * m
+    r = 2 * m
+    g_s = (r * (2 * g - 2) + r * (r - 1) * ell) // 2 + 1
+    if kind == "so-even":
+        fixed = m * ell
+        quot = g_s - fixed
+        prym = (quot - 1) // 2
+    else:
+        fixed = 2 * m * ell
+        quot = (2 * g_s - 2 - fixed + 4) // 4
+        prym = g_s - quot
+    dim_m = (g - 1) * dim_g + n * dim_flag
+    return dim_h, dim_m, 2 * dim_m, g_s, quot, fixed, prym
+
+
+def spans(lo, hi, width):
+    return st.tuples(st.integers(lo, hi), st.integers(0, width - 1)).map(lambda t: range(t[0], t[0] + t[1] + 1))
+
+
+class TestIdentityOracle:
+    @given(
+        st.lists(st.sampled_from(["sp", "so-even", "so-odd"]), min_size=1, max_size=3, unique=True),
+        spans(1, 9, 3), spans(2, 14, 3), spans(1, 10, 3), st.integers(-6, 6).map(lambda k: 2 * k),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_box_matches_closed_forms(self, kinds, ms, gs, ns, deg_m):
+        reports = sweep_reports(kinds, ms, gs, ns, deg_m)
+        assert len(reports) == len(kinds) * len(ms) * len(gs) * len(ns)
+        for rep in reports:
+            got = (rep.dim_hitchin, rep.dim_moduli, rep.dim_higgs_moduli, rep.spectral_genus,
+                   rep.quotient_or_desing_genus, rep.fixed_points_or_singularities, rep.prym_dim)
+            assert got == closed_form_row(rep.group, rep.m, rep.g, rep.n)
+            assert rep.chain_verdict == "PASS"
+
+    def test_sweep_builds_no_fraction(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"Fraction{args} built on the sweep path")
+
+        monkeypatch.setattr(dimensions, "Fraction", refuse)
+        dimensions._hitchin_section_classes.cache_clear()
+        reports = sweep_reports(ms=range(1, 6), gs=range(2, 5), ns=range(1, 4), deg_m=2)
+        assert len(reports) == 135 and all(r.passed for r in reports)
+        assert all(row.excess == row.n for row in pfaffian_space_discrepancy())
+        with pytest.raises(IntegralityError, match="non-integral degree 7/2"):
+            LineBundleClass.from_doubled(0, 0, 1).degree(CurveParams(2, 1, deg_m=7))

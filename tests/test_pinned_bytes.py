@@ -25,11 +25,19 @@ bounds 0 and 1) have 45-bit end coefficients in the squarefree part of
 gcd(disc, disc'); their digests were recorded on the code that found rational
 roots by trial division of those coefficients, where each `analyze` took 10 to
 14 s on one core.
+
+The sweep digests cover the exit code, output bytes and stderr of `sweep` and
+`dims`, and the exit code and stdout of the two dimension scripts; they were
+recorded on the code that still evaluated line-bundle degrees over `Fraction`.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -189,3 +197,73 @@ def test_stalled_m2_analyze_is_bounded(deg, tmp_path, capsys):
     _, seconds = stalled_analyze(deg, tmp_path)
     capsys.readouterr()
     assert seconds < STALLED_BOUND_S
+
+
+BOX = ["-m", "2:9", "-g", "3:13", "-n", "2:9"]  # 8 x 11 x 8 per group
+
+# case -> argv of `main`, or the file name of a script in scripts/ run with its defaults
+SWEEP_CASES = {
+    "sweep-csv": ["sweep", "--format", "csv"],
+    "sweep-json": ["sweep", "--format", "json"],
+    "sweep-md": ["sweep", "--format", "md"],
+    "box-deg0": ["sweep", *BOX, "--deg-m", "0"],
+    "box-deg2": ["sweep", *BOX, "--deg-m", "2", "--format", "json"],
+    "box-deg4": ["sweep", *BOX, "--deg-m", "4", "--format", "json"],
+    "sp-so-even-deg1": ["sweep", "--groups", "sp,so-even", "--deg-m", "1"],
+    "so-odd-odd-deg": ["sweep", "--groups", "so-odd", "--deg-m", "1"],
+    "dims-sp": ["dims", "--group", "sp", "-m", "1:5", "-g", "2:7", "-n", "1:5", "--deg-m", "3"],
+    "dims-so-even": ["dims", "--group", "so-even", "-m", "1:5", "-g", "2:7", "-n", "1:5",
+                     "--format", "json"],
+    "dims-so-odd": ["dims", "--group", "so-odd", "-m", "1:5", "-g", "2:7", "-n", "1:5",
+                    "--deg-m", "-2", "--format", "md"],
+    "pfaffian-space-report": "pfaffian_space_report.py",
+    "run-dimension-sweep": "run_dimension_sweep.py",
+}
+
+SWEEP_PINNED = {
+    "box-deg0":
+        "b7c55894fc158468c0e4f6544c334c65e6f094e085079ce171eacdb5387b707e",
+    "box-deg2":
+        "ac59e0159af933dbbe8f23811113ec9d09c9046349fefbda48baf5094fca877c",
+    "box-deg4":
+        "ac59e0159af933dbbe8f23811113ec9d09c9046349fefbda48baf5094fca877c",
+    "dims-so-even":
+        "3d277be005a437cf8db6809c9e704d3415e928942177cd97f25ef0bcbc5a5bbe",
+    "dims-so-odd":
+        "14edc21cf01c9f95dec7f3fbb4c326671f5d114e8ebad3b06500dedf67678e1f",
+    "dims-sp":
+        "f7776a2456500ae580145c0cc0995c91eb819112467513c47322e8cbe77f59fc",
+    "pfaffian-space-report":
+        "eb8b83c4b8dfce2f339d55a8610d74555648c0bbc7cca181ea1ca791f478d2e3",
+    "run-dimension-sweep":
+        "77d644b6b7bd93b53c8f4247579d2c7b2a2183bb02f5f7d40f5a4388a1ba2d60",
+    "so-odd-odd-deg":
+        "ae70eb688c64233f7fdbd56e6c698d10add38ac900c5be610aab1b7eacc2a3f0",
+    "sp-so-even-deg1":
+        "683c381c0233bc36ea607048136004b403d68e6c090924c3c1843cf2c0b718ba",
+    "sweep-csv":
+        "f22e7864b3da53c593babf2f8f7fee3f0d23a9b84c29b635128929345add7f59",
+    "sweep-json":
+        "cc36459f2d46fa3dc2045d62629ab8ba5dff83ed4fe8d244ff5e1b1ed7b079eb",
+    "sweep-md":
+        "77d644b6b7bd93b53c8f4247579d2c7b2a2183bb02f5f7d40f5a4388a1ba2d60",
+}
+
+
+def sweep_case_bytes(case: str, workdir, capsys) -> bytes:
+    argv = SWEEP_CASES[case]
+    if isinstance(argv, str):
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / argv)],
+            capture_output=True, timeout=300, cwd=root, env={**os.environ, "PYTHONHASHSEED": "0"},
+        )
+        return f"exit {proc.returncode}\n".encode() + proc.stdout
+    got = _run(argv, workdir / "out.txt")
+    return got + capsys.readouterr().err.encode()
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_pinned_sweep_bytes(case, tmp_path, capsys):
+    got = sweep_case_bytes(case, tmp_path, capsys)
+    assert hashlib.sha256(got).hexdigest() == SWEEP_PINNED[case]

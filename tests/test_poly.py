@@ -1,4 +1,4 @@
-"""Univariate core: squarefree parts, pole orders, gcd, interpolation."""
+"""Univariate core: squarefree tests, pole orders, gcd, interpolation."""
 
 from fractions import Fraction as Q
 
@@ -13,7 +13,6 @@ from parahiggs.poly import (
     poly_gcd,
     rational_roots,
     root_multiplicity,
-    squarefree_part,
 )
 
 P = UniPoly.make
@@ -70,36 +69,6 @@ class TestGcd:
         assert b.divmod(g)[1].is_zero
         # the planted factor divides the gcd
         assert g.divmod(poly_gcd(g, c))[1].is_zero
-
-
-class TestSquarefreePart:
-    def test_strips_double_root(self):
-        # t^3 - t^2 -> t^2 - t
-        assert squarefree_part(P([0, 0, -1, 1])) == P([0, -1, 1])
-
-    def test_already_squarefree(self):
-        p = P([0, -1, 0, 1])  # t^3 - t
-        assert squarefree_part(p) == p
-
-    def test_expanded_product(self):
-        # (t-1)^2 (t+2) -> (t-1)(t+2), both sides expanded independently
-        inp = P([-1, 1]) * P([-1, 1]) * P([2, 1])
-        expected = P([-1, 1]) * P([2, 1])
-        assert squarefree_part(inp) == expected.monic()
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError, match="zero input"):
-            squarefree_part(UniPoly.zero())
-
-    @given(small_polys(2), small_polys(2))
-    @settings(max_examples=60, deadline=None)
-    def test_square_invariance(self, p, q):
-        # squarefree_part(p^2 q) == squarefree_part(p q) for squarefree coprime p, q
-        if not (is_squarefree(p) and is_squarefree(q)):
-            return
-        if poly_gcd(p, q).degree != 0:
-            return
-        assert squarefree_part(p * p * q) == squarefree_part(p * q)
 
 
 class TestRationalRoots:
