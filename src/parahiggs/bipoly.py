@@ -134,7 +134,7 @@ class BiPoly:
         return " + ".join(parts)
 
 
-def _bareiss_det(m: list[list[list[int]]]) -> list[int]:
+def bareiss_det(m: list[list[list[int]]]) -> list[int]:
     """Fraction-free determinant of a matrix over Z[t] (Bareiss).
 
     Entries are ascending integer coefficient lists, [] being zero.  Every
@@ -204,7 +204,7 @@ def resultant_x(f: BiPoly, g: BiPoly) -> UniPoly:
     if p == 0:
         return f.coeff(0) ** q
     (fz, lf), (gz, lg) = _cleared(f), _cleared(g)
-    det = _bareiss_det(sylvester_matrix(fz, gz, []))
+    det = bareiss_det(sylvester_matrix(fz, gz, []))
     # Res(lf * f, lg * g) = lf^q * lg^p * Res(f, g)
     return UniPoly.make(Q(c, lf**q * lg**p) for c in det)
 

@@ -21,6 +21,7 @@ from .curves import (
     ramification_degree_affine,
     smoothness_check,
     so_even_singularity_pattern,
+    twisted_pfaffian,
 )
 from .dimensions import CSV_HEADER, DimensionReport, sweep_reports
 from .groups import GROUP_KINDS, GroupError, GroupSpec
@@ -136,6 +137,14 @@ def _spectral_section(fld: HiggsField) -> dict:
     group = fld.group
     if group.kind == "so-odd" and not parity_classify(fld.char_data, group).passed:
         return {"pass": False, "reason": "char polynomial is not x * even"}
+    if group.kind == "so-even":
+        det_b = fld.gram.det
+        if det_b.num.degree > 0 or det_b.den.degree > 0:
+            return {
+                "pass": False,
+                "reason": f"Gram determinant {det_b} is not constant; the SO(2m) singularity "
+                          "pattern needs a form that is non-degenerate at every t",
+            }
     curve = build_plane_curve(fld)
     try:
         smooth = smoothness_check(curve)
@@ -148,9 +157,7 @@ def _spectral_section(fld: HiggsField) -> dict:
     }
     ok = out["involution"]
     if group.kind == "so-even":
-        pf = fld.pfaffian[0]
-        twisted = (pf.num * curve.twist ** group.m).exact_div(pf.den)
-        pattern = so_even_singularity_pattern(curve, twisted)
+        pattern = so_even_singularity_pattern(curve, twisted_pfaffian(fld, curve.twist))
         out["singularity_pattern"] = {
             "pass": pattern.passed,
             "count": pattern.count,
@@ -174,7 +181,7 @@ def _analyze_field(fld: HiggsField, checks: tuple[str, ...]) -> dict:
         elif name == "charpoly":
             section = {
                 "pass": True,
-                "coefficients": [c.to_json() for c in fld.char_data.coeffs],
+                "coefficients": [s.to_json() for s in fld.char_data.sections()],
             }
         elif name == "parity":
             parity = parity_classify(fld.char_data, fld.group)
@@ -237,8 +244,8 @@ def cmd_reduce_odd(cfg: RunConfig) -> int:
     reduced_field = HiggsField(
         GroupSpec.sp(fld.group.m), red.induced_gram, red.reduced, fld.marked_points
     )
-    full = fld.char_data.coeffs
-    char_ok = full[-1].is_zero and full[:-1] == reduced_field.char_data.coeffs
+    full = fld.char_data
+    char_ok = not full.e[-1] and full.x_cofactor().same_sections(reduced_field.char_data)
     doc = reduced_field.to_dict()
     doc["reduction_report"] = {
         "kernel_vector": [p.to_json() for p in red.kernel_vector],

@@ -1,12 +1,13 @@
 """Affine spectral plane curves: symmetry, smoothness, fixed points.
 
-The chart twist y = d(t) x with d = prod (t - a_k) clears the marked-point
+The chart twist y = D(t) x with D = prod (t - a_k) clears the marked-point
 denominators of the characteristic coefficients, so every curve handled
-here is a monic-in-x polynomial over Q[t].  Smoothness is read off the
-x-discriminant: a zero discriminant means a non-reduced curve, a squarefree
-one certifies smooth, and otherwise rational singular points are searched
-for exactly over the discriminant's repeated roots; the honest answer is
-"inconclusive" when none is found.
+here is a monic-in-x polynomial over Q[t], read off the field's integer
+characteristic data e_i and clearing c*d with no arithmetic over Q(t).
+Smoothness is read off the x-discriminant: a zero discriminant means a
+non-reduced curve, a squarefree one certifies smooth, and otherwise rational
+singular points are searched for exactly over the discriminant's repeated
+roots; the honest answer is "inconclusive" when none is found.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .bipoly import BiPoly, discriminant_x
-from .higgs import HiggsField, PoleOrderError
+from .higgs import CharData, HiggsField, PoleOrderError
 from .poly import Q, UniPoly, is_squarefree, poly_gcd, rational_roots
 
 
@@ -52,39 +53,52 @@ class PlaneCurve:
         return PlaneCurve(BiPoly.from_json(data["coeffs"]), UniPoly.from_json(data["twist"]))
 
 
-def twisted_curve(sections, marked_points) -> PlaneCurve:
-    """Curve y^r + sum_i s_i d^i y^(r-i) from coefficient sections s_1..s_r.
+def twisted_curve(char: CharData, marked_points) -> PlaneCurve:
+    """Curve y^r + sum_i s_i D^i y^(r-i), D = prod (t - a_k), from the char
+    data s_i = e_i / (c*d)^i: its i-th coefficient is e_i D^i / (c^i d^i),
+    formed as e_i (D/g)^i / (c^i (d/g)^i) with g = gcd(D, d), so a field whose
+    poles all sit at marked points (d | D) needs no polynomial division.
 
-    The i-th section is cleared by d^i; strong parabolicity (pole order of
-    s_i at most i - 1 < i, poles only at marked points) makes every cleared
-    coefficient polynomial, so s_i.den divides s_i.num * d^i exactly.  A
-    non-zero remainder raises.
+    Strong parabolicity (pole order of s_i at most i - 1 < i, poles only at
+    marked points) makes every coefficient polynomial, so the division is
+    exact.  A non-zero remainder raises.
     """
-    d = UniPoly.one()
+    twist = UniPoly.one()
     for a in marked_points:
-        d = d * UniPoly.linear_root(Fraction(a))
-    r = len(sections)
+        twist = twist * UniPoly.linear_root(Fraction(a))
+    g = poly_gcd(twist, char.d)
+    up, down = twist.exact_div(g), char.d.exact_div(g)
+    r = char.r
     coeffs = [UniPoly.zero()] * (r + 1)
     coeffs[r] = UniPoly.one()
-    power = UniPoly.one()
-    for i, s_i in enumerate(sections, start=1):
-        power = power * d
-        cleared, rem = (s_i.num * power).divmod(s_i.den)
+    up_power = down_power = UniPoly.one()
+    for i, e_i in enumerate(char.e, start=1):
+        up_power = up_power * up
+        down_power = down_power * down
+        cleared, rem = (UniPoly.make(e_i) * up_power).divmod(down_power)
         if not rem.is_zero:
             raise PoleOrderError(
                 f"s_{i} * d^{i} is not polynomial; pole outside the allowed order/locus"
             )
-        coeffs[r - i] = cleared
-    return PlaneCurve(BiPoly.make(coeffs), d)
+        coeffs[r - i] = cleared * Fraction(1, char.c**i)
+    return PlaneCurve(BiPoly.make(coeffs), twist)
 
 
 def build_plane_curve(fld: HiggsField) -> PlaneCurve:
     """Spectral curve of a Higgs field in the twisted polynomial chart; for
     so(2m+1), that of the even x-cofactor char/x (callers check parity)."""
-    coeffs = fld.char_data.coeffs
+    char = fld.char_data
     if fld.group.kind == "so-odd":
-        coeffs = coeffs[:-1]
-    return twisted_curve(list(coeffs), fld.marked_points)
+        char = char.x_cofactor()
+    return twisted_curve(char, fld.marked_points)
+
+
+def twisted_pfaffian(fld: HiggsField, twist: UniPoly) -> UniPoly:
+    """Pf(B*Phi) * twist^m of an so(2m) field: Pf(P) twist^m / e^m with
+    B*Phi = P / e, read off the Z[t] Pfaffian.  Raises ArithmeticError when
+    the division is not exact."""
+    m = fld.group.m
+    return (UniPoly.make(fld.pfaffian) * twist**m).exact_div(fld.gram_product[1] ** m)
 
 
 def involution_check(curve: PlaneCurve) -> bool:

@@ -1,10 +1,12 @@
 """Classical group bookkeeping and split bilinear forms over Q.
 
 Random algebra elements, nilpotents and Cayley group elements are constant
-matrices of Fractions and live over Q; a Gram form and a Higgs field are
-matrices over Q(t).  Lie algebra membership of a field Phi is read off the
-one product B*Phi, cleared to Z[t]: Phi^T B + B Phi = 0 exactly when B*Phi
-is symmetric for a symplectic B and antisymmetric for a symmetric B.
+matrices of Fractions and live over Q.  A Gram form has entries in Q(t), but
+it is checked on its clearing B = B' / (c*d) with B' over Z[t]: B' is
+(anti)symmetric and det B' (Bareiss over Z[t]) is nonzero.  Lie algebra
+membership of a field Phi is read off the one product B*Phi, cleared to
+Z[t]: Phi^T B + B Phi = 0 exactly when B*Phi is symmetric for a symplectic B
+and antisymmetric for a symmetric B.
 
 The three families are tagged "sp" (Sp(2m)), "so-even" (SO(2m)) and
 "so-odd" (SO(2m+1)).  Split Gram matrices are fixed once:
@@ -26,16 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .bipoly import bareiss_det
 from .linalg import (
     IntMat,
-    Mat,
     QMat,
     SingularMatrixError,
     const_mat_mul,
-    int_mat_mul,
-    mat_det,
     mat_inverse,
-    rf,
     scaled_integer_matrix,
     transpose,
 )
@@ -107,17 +106,17 @@ class GramForm:
             raise ValueError("Gram matrix must be square")
         if self.kind not in ("symplectic", "symmetric"):
             raise ValueError(f"unknown form kind {self.kind!r}")
-        for i in range(n):
-            for j in range(n):
-                want = -self.matrix[j][i] if self.kind == "symplectic" else self.matrix[j][i]
-                if self.matrix[i][j] != want:
-                    raise ValueError(f"Gram matrix is not {self.kind}")
-        if mat_det(self.as_mat()).is_zero:
+        b = self.cleared[0]
+        sign = -1 if self.kind == "symplectic" else 1
+        if any(b[i][j] != tuple(sign * x for x in b[j][i]) for i in range(n) for j in range(i, n)):
+            raise ValueError(f"Gram matrix is not {self.kind}")
+        if not self.cleared_det:
             raise ValueError("Gram matrix is degenerate")
 
     @staticmethod
     def make(rows, kind: str) -> "GramForm":
-        rows = [[x if isinstance(x, RationalFunction) else rf(x) for x in row] for row in rows]
+        make = RationalFunction.make
+        rows = [[x if isinstance(x, RationalFunction) else make(x) for x in row] for row in rows]
         return GramForm(tuple(tuple(row) for row in rows), kind)
 
     @property
@@ -129,8 +128,16 @@ class GramForm:
         """(B', d, c) with B = B' / (c*d); it depends on the matrix alone."""
         return scaled_integer_matrix(self.matrix)
 
-    def as_mat(self) -> Mat:
-        return [list(row) for row in self.matrix]
+    @cached_property
+    def cleared_det(self) -> tuple[int, ...]:
+        """det B' over Z[t], by Bareiss: det B = det B' / (c*d)^n."""
+        return tuple(bareiss_det([[list(p) for p in row] for row in self.cleared[0]]))
+
+    @cached_property
+    def det(self) -> RationalFunction:
+        """det B, for output."""
+        _, d, c = self.cleared
+        return RationalFunction.make(UniPoly.make(self.cleared_det), (d * c) ** self.size)
 
     def to_json(self) -> list[list[dict]]:
         return [[x.to_json() for x in row] for row in self.matrix]
@@ -178,12 +185,6 @@ def is_algebra_product(prod: IntMat, gram: GramForm) -> bool:
     return all(
         prod[j][i] == tuple(sign * x for x in prod[i][j]) for i in range(n) for j in range(i, n)
     )
-
-
-def check_lie_membership(mat: Mat, gram: GramForm) -> bool:
-    """True iff mat^T B + B mat = 0 identically over Q(t)."""
-    _check_size(mat, gram)
-    return is_algebra_product(int_mat_mul(gram.cleared[0], scaled_integer_matrix(mat)[0]), gram)
 
 
 def _constant_gram(gram: GramForm) -> QMat:

@@ -1,17 +1,20 @@
-"""Higgs fields over Q(t): checkers, random generation, odd-rank reduction.
+"""Higgs fields: checkers, random generation, odd-rank reduction.
 
-A Higgs field here is a square matrix over the rational function field,
-lying in the algebra of a Gram form, with simple poles allowed only at the
-marked points of the affine chart.  The checkers verify exactly (no
-tolerances) the structural laws the three group families impose on the
-characteristic coefficients: evenness, the Pfaffian square, nilpotency of
-residues and the pole-order bounds.
+A Higgs field here is a square matrix with entries in Q(t), lying in the
+algebra of a Gram form, with simple poles allowed only at the marked points
+of the affine chart.  The checkers verify exactly (no tolerances) the
+structural laws the three group families impose on the characteristic
+coefficients: evenness, the Pfaffian square, nilpotency of residues and the
+pole-order bounds.
 
 A field is cleared once to Phi = M / (c*d) with M over Z[t], and B*Phi is
-formed once from M over Z[t].  Membership, the characteristic coefficients,
-the residues M(a) / (c*d'(a)), the Pfaffian and the so(2m+1) kernel line (the
-Pfaffian adjugate of B*Phi) are all read off these two.  The generator does
-its constant linear algebra (residues, Cayley elements, conjugation) over Q.
+formed once from M over Z[t].  Membership, the characteristic data
+(e_1..e_r over Z[t] with s_i = e_i / (c*d)^i), the residues
+M(a) / (c*d'(a)), the Pfaffian and the so(2m+1) kernel line (the Pfaffian
+adjugate of B*Phi) are all read off these two, and no check computes over
+Q(t): rational functions are built only for field entries and JSON output.
+The generator does its constant linear algebra (residues, Cayley elements,
+conjugation) over Q.
 """
 
 from __future__ import annotations
@@ -41,16 +44,16 @@ from .linalg import (
     int_mat_at,
     int_mat_mul,
     int_pfaffian,
-    mat_det,
     mat_inverse,
     pfaffian_adjugate,
-    rf,
     scaled_integer_matrix,
 )
 from .poly import (
     RationalFunction,
     UniPoly,
-    poly_gcd,
+    _int_exact_div,
+    _int_gcd,
+    _int_poly_mul_add,
     q_from_str,
     q_to_str,
     root_multiplicity,
@@ -67,28 +70,54 @@ class NonGenericFieldError(ArithmeticError):
 
 @dataclass(frozen=True)
 class CharData:
-    """Coefficients s_1..s_r of det(x*I - Phi) = x^r + s_1 x^(r-1) + ... + s_r."""
+    """det(x*I - Phi) = x^r + s_1 x^(r-1) + ... + s_r for Phi = M / (c*d):
+    s_i = e_i / (c*d)^i with e_i the i-th coefficient of det(x*I - M) over
+    Z[t] (ascending integer tuples), c a positive integer and d monic."""
 
-    coeffs: tuple[RationalFunction, ...]
+    e: tuple[tuple[int, ...], ...]
+    c: int
+    d: UniPoly
 
     @property
     def r(self) -> int:
-        return len(self.coeffs)
+        return len(self.e)
 
-    def s(self, i: int) -> RationalFunction:
-        """s_i, 1-based; s_0 = 1."""
-        if i == 0:
-            return rf(1)
-        return self.coeffs[i - 1]
+    def x_cofactor(self) -> "CharData":
+        """s_1..s_(r-1): the data of char / x when s_r = 0."""
+        return CharData(self.e[:-1], self.c, self.d)
 
-    def ascending(self) -> list[RationalFunction]:
-        """Coefficients of the char polynomial ascending in x (monic top)."""
-        return [self.s(self.r - k) for k in range(self.r)] + [rf(1)]
+    @cached_property
+    def den_powers(self) -> tuple[UniPoly, ...]:
+        """(c*d)^1..(c*d)^r, the denominators that e_1..e_r are divided by."""
+        den, power, out = self.d * self.c, UniPoly.one(), []
+        for _ in self.e:
+            power = power * den
+            out.append(power)
+        return tuple(out)
+
+    def sections(self) -> list[RationalFunction]:
+        """s_1..s_r as reduced rational functions, for output."""
+        return [RationalFunction.make(UniPoly.make(e), p) for e, p in zip(self.e, self.den_powers)]
+
+    def pole_order(self, i: int, a: Fraction) -> int | None:
+        """Order of the pole of s_i at t = a, i*ord_a(d) - ord_a(e_i): positive
+        for a pole, <= 0 otherwise, None for s_i = 0."""
+        e_i = self.e[i - 1]
+        if not e_i:
+            return None
+        return i * root_multiplicity(self.d.int_scaled()[0], a) - root_multiplicity(e_i, a)
+
+    def same_sections(self, other: "CharData") -> bool:
+        """s_i = s'_i for every i, compared as e_i (c'd')^i = e'_i (c d)^i."""
+        return self.r == other.r and all(
+            UniPoly.make(a) * q == UniPoly.make(b) * p
+            for a, b, p, q in zip(self.e, other.e, self.den_powers, other.den_powers)
+        )
 
 
 @dataclass(eq=False)
 class HiggsField:
-    """Phi over Q(t); the values derived from ``matrix`` are computed once."""
+    """Phi with entries in Q(t); the values derived from ``matrix`` are computed once."""
 
     group: GroupSpec
     gram: GramForm
@@ -125,16 +154,17 @@ class HiggsField:
     @cached_property
     def char_data(self) -> CharData:
         ints, d, c = self.cleared
-        return CharData(tuple(int_char_poly(ints, d * c)))
+        return CharData(tuple(int_char_poly(ints)), c, d)
 
     @cached_property
-    def pfaffian(self) -> tuple[RationalFunction, RationalFunction]:
-        """(Pf(B*Phi), det B) of an so(2m) field in its Lie algebra."""
+    def pfaffian(self) -> tuple[int, ...]:
+        """Pf(P) over Z[t] of an so(2m) field in its Lie algebra, with
+        B*Phi = P / e: Pf(B*Phi) = Pf(P) / e^m."""
         if self.group.kind != "so-even":
             raise GroupError("Pfaffian square law applies to so-even fields only")
         if not self.is_member:
             raise ValueError("field is not in the Lie algebra of its Gram form")
-        return int_pfaffian(*self.gram_product), mat_det(self.gram.as_mat())
+        return int_pfaffian(self.gram_product[0])
 
     def to_dict(self) -> dict:
         out = {
@@ -203,7 +233,7 @@ def strong_parabolic_check(fld: HiggsField) -> StrongParabolicResult:
     r = fld.group.rank_size
     off = fld.cleared[1]
     for a in fld.marked_points:
-        off = off.exact_div(UniPoly.linear_root(a) ** root_multiplicity(off, a))
+        off = off.exact_div(UniPoly.linear_root(a) ** root_multiplicity(off.int_scaled()[0], a))
     if off.degree > 0:
         failures.append(f"pole off the marked points: Phi has denominator factor {off}")
     for a in fld.marked_points:
@@ -216,9 +246,8 @@ def strong_parabolic_check(fld: HiggsField) -> StrongParabolicResult:
             failures.append(f"residue at t = {a} is not nilpotent")
     char = fld.char_data
     for i in range(1, r + 1):
-        s_i = char.s(i)
         for a in fld.marked_points:
-            order = s_i.pole_order_at(a)
+            order = char.pole_order(i, a)
             if order is not None and order > i - 1:
                 failures.append(f"s_{i} has pole order {order} > {i - 1} at t = {a}")
     return StrongParabolicResult(not failures, tuple(failures))
@@ -231,23 +260,16 @@ def strong_parabolic_check(fld: HiggsField) -> StrongParabolicResult:
 class ParityResult:
     passed: bool
     first_odd_index: int | None
-    even_coeffs: tuple[RationalFunction, ...]
-    """Ascending x-coefficients of the even polynomial: the char polynomial
-    itself for sp/so-even, its x-cofactor for so-odd."""
 
 
 def parity_classify(char: CharData, group: GroupSpec) -> ParityResult:
-    """PASS iff all odd-indexed s_i vanish identically (so the char is even,
+    """PASS iff all odd-indexed e_i vanish identically (so the char is even,
     resp. x times an even polynomial for so-odd)."""
     r = group.rank_size
     if char.r != r:
         raise ValueError(f"char data has degree {char.r}, group needs {r}")
-    bad = next((i for i in range(1, r + 1, 2) if not char.s(i).is_zero), None)
-    asc = char.ascending()
-    even = tuple(asc[1:]) if group.kind == "so-odd" else tuple(asc)
-    if bad is not None:
-        return ParityResult(False, bad, even)
-    return ParityResult(True, None, even)
+    bad = next((i for i in range(1, r + 1, 2) if char.e[i - 1]), None)
+    return ParityResult(bad is None, bad)
 
 
 # -- Pfaffian square law -------------------------------------------------------
@@ -262,11 +284,17 @@ class PfaffianSquareResult:
 
 
 def pfaffian_square_check(fld: HiggsField) -> PfaffianSquareResult:
-    """For so-even fields: s_2m agrees with det(B) * Pf(B*Phi)^2 up to the
-    det(B) unit, i.e. s_2m * det(B) == Pf(B*Phi)^2 identically."""
-    p_m, det_b = fld.pfaffian
-    s_top = fld.char_data.s(fld.group.rank_size)
-    return PfaffianSquareResult(s_top * det_b == p_m * p_m, p_m, det_b)
+    """For so-even fields: s_2m * det(B) == Pf(B*Phi)^2 identically.  With
+    Phi = M / (c*d), B = B' / (c'*d') and B*Phi = B'M / e this is
+    e_2m * det B' == Pf(B'M)^2 over Z[t]; the rational functions Pf(B*Phi)
+    and det B are built for output only."""
+    pf, gram = fld.pfaffian, fld.gram
+    lhs: list[int] = []
+    rhs: list[int] = []
+    _int_poly_mul_add(lhs, fld.char_data.e[-1], gram.cleared_det)
+    _int_poly_mul_add(rhs, pf, pf)
+    pf_rf = RationalFunction.make(UniPoly.make(pf), fld.gram_product[1] ** fld.group.m)
+    return PfaffianSquareResult(lhs == rhs, pf_rf, gram.det)
 
 
 # -- random field generation ---------------------------------------------------
@@ -351,23 +379,16 @@ class SoOddReduction:
     induced_gram: GramForm
 
 
-def _primitive_kernel_vector(polys: list[UniPoly]) -> tuple[UniPoly, ...]:
+def _primitive_kernel_vector(polys: list[tuple[int, ...]]) -> tuple[UniPoly, ...]:
     # coprime coordinates, integer content 1, first nonzero lc > 0: unique on the line
-    g = UniPoly.zero()
-    for p in polys:
-        g = poly_gcd(g, p)
-    if g.degree > 0:
-        polys = [p.exact_div(g) for p in polys]
-    den_lcm = 1
-    num_gcd = 0
-    for p in polys:
-        for c in p.coeffs:
-            den_lcm = math.lcm(den_lcm, c.denominator)
-            num_gcd = math.gcd(num_gcd, c.numerator)
-    scale = Fraction(den_lcm, num_gcd)
-    if next(p for p in polys if not p.is_zero).lc < 0:
-        scale = -scale
-    return tuple(p * scale for p in polys)
+    nonzero = [list(p) for p in polys if p]
+    g = nonzero[0]
+    for p in nonzero[1:]:
+        g = _int_gcd(g, p)
+    polys = [_int_exact_div(list(p), g) if p else [] for p in polys]
+    lead = next(p for p in polys if p)[-1]
+    scale = math.gcd(*(c for p in polys for c in p)) * (1 if lead > 0 else -1)
+    return tuple(UniPoly.make(c // scale for c in p) for p in polys)
 
 
 def so_odd_reduce(fld: HiggsField) -> SoOddReduction:
@@ -385,7 +406,7 @@ def so_odd_reduce(fld: HiggsField) -> SoOddReduction:
         raise ValueError("field is not in the Lie algebra of its Gram form")
     prod, prod_den = fld.gram_product
     w = pfaffian_adjugate(prod)
-    if all(p.is_zero for p in w):
+    if not any(w):
         raise NonGenericFieldError("non-generic field: kernel rank != 1")
     v = _primitive_kernel_vector(w)
     ell = max(range(len(v)), key=lambda i: (v[i].degree, -i))

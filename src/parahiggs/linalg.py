@@ -1,15 +1,14 @@
-"""Matrices over Q, over Z[t] and over the rational function field Q(t).
+"""Matrices over Q and over Z[t].
 
-A Q(t) matrix is a plain list of lists of RationalFunction; a constant
-matrix (a residue, a Cayley group element) is a list of lists of Fraction
-and stays over Q, where ``mat_inverse`` and ``const_mat_mul`` work; a Z[t]
-matrix (``IntMat``) holds ascending integer coefficient tuples.
-Characteristic polynomials, Pfaffians and Pfaffian adjugates are computed
-exactly but without symbolic rational-function elimination: the matrix is
-scaled by the common denominator (and an integer scalar) to land in Z[t],
-evaluated at integer sample points, handled there division-free, and the
-result interpolated back; the scaling exponents are divided out at the end.
-This keeps the heavy inner loops in machine integers.
+A field's entries are RationalFunctions (``Mat``), but no arithmetic runs
+on them: ``scaled_integer_matrix`` clears the matrix once to M / (c*d) with
+M over Z[t] (``IntMat``, ascending integer coefficient tuples), and every
+characteristic coefficient, Pfaffian and Pfaffian adjugate is computed from
+M.  These are evaluated at integer sample points, handled there
+division-free, and interpolated back over Z[t], which keeps the heavy inner
+loops in machine integers.  A constant matrix (a residue, a Cayley group
+element) is a list of lists of Fraction and stays over Q, where
+``mat_inverse`` and ``const_mat_mul`` work.
 """
 
 from __future__ import annotations
@@ -27,18 +26,6 @@ IntMat = tuple[tuple[tuple[int, ...], ...], ...]
 
 class SingularMatrixError(ArithmeticError):
     pass
-
-
-def rf(x) -> RationalFunction:
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, UniPoly):
-        return RationalFunction.make(x)
-    return RationalFunction.make(UniPoly.const(x))
-
-
-def mat_from_scalars(rows: Sequence[Sequence]) -> Mat:
-    return [[rf(x) for x in row] for row in rows]
 
 
 def transpose(a: Mat) -> Mat:
@@ -135,12 +122,12 @@ def int_mat_at(a: IntMat, t0) -> list[list]:
     return [[_eval_int_poly(p, t0) for p in row] for row in a]
 
 
-def _interpolated(a: IntMat, factor: int, values) -> list[UniPoly]:
-    """Interpolate values(a(t0)), of t-degree <= factor * deg(a), from the
-    consecutive nodes t0 = 0, 1, ... so interpolation runs in pure integers."""
+def _interpolated(a: IntMat, factor: int, values) -> list[tuple[int, ...]]:
+    """Interpolate values(a(t0)), in Z[t] of t-degree <= factor * deg(a), from
+    the consecutive nodes t0 = 0, 1, ... so interpolation runs in pure integers."""
     maxdeg = max((len(p) - 1 for row in a for p in row if p), default=0)
     samples = [values(int_mat_at(a, t0)) for t0 in range(factor * maxdeg + 1)]
-    return [interpolate_int_range(col) for col in zip(*samples)]
+    return [tuple(interpolate_int_range(col)) for col in zip(*samples)]
 
 
 def berkowitz_char_poly(a: list[list]) -> list:
@@ -169,35 +156,11 @@ def berkowitz_char_poly(a: list[list]) -> list:
     return poly
 
 
-def int_char_poly(a: IntMat, den: UniPoly) -> list[RationalFunction]:
-    """char_poly of a/den for a Z[t] matrix a: Berkowitz on the samples of a,
-    and s_i(a/den) = s_i(a) / den^i."""
-    out: list[RationalFunction] = []
-    power = UniPoly.one()
-    for p in _interpolated(a, len(a), lambda const: berkowitz_char_poly(const)[1:]):
-        power = power * den
-        out.append(RationalFunction.make(p, power))
-    return out
-
-
-def char_poly(a: Mat) -> list[RationalFunction]:
-    """Coefficients s_1..s_r of det(x*I - a) = x^r + s_1 x^(r-1) + ... + s_r.
-
-    Exact over Q(t): a is cleared to Z[t] and the clearing factor (c*d)^i
-    divided back out of s_i.
-    """
-    if not a:
-        return []
-    ints, d, c = scaled_integer_matrix(a)
-    return int_char_poly(ints, d * c)
-
-
-def mat_det(a: Mat) -> RationalFunction:
-    r = len(a)
-    if r == 0:
-        return rf(1)
-    s_r = char_poly(a)[-1]
-    return s_r if r % 2 == 0 else -s_r
+def int_char_poly(a: IntMat) -> list[tuple[int, ...]]:
+    """e_1..e_r with det(x*I - a) = x^r + e_1 x^(r-1) + ... + e_r for a Z[t]
+    matrix a: Berkowitz on the samples of a.  For Phi = a / den the
+    characteristic coefficients are s_i = e_i / den^i."""
+    return _interpolated(a, len(a), lambda const: berkowitz_char_poly(const)[1:])
 
 
 def _pfaffians_const(a: list[list], masks: list[int]) -> list:
@@ -225,37 +188,24 @@ def _pfaffians_const(a: list[list], masks: list[int]) -> list:
     return [go(mask) for mask in masks]
 
 
-def int_pfaffian(a: IntMat, den: UniPoly) -> RationalFunction:
-    """Pf(a/den) = Pf(a) / den^(n/2) for an even-size antisymmetric Z[t] matrix a."""
-    n = len(a)
-    (p,) = _interpolated(a, n // 2, lambda const: _pfaffians_const(const, [(1 << n) - 1]))
-    return RationalFunction.make(p, den ** (n // 2))
-
-
-def pfaffian(a: Mat) -> RationalFunction:
-    """Pfaffian of an antisymmetric matrix over Q(t).
-
-    Convention Pf([[0, a], [-a, 0]]) = a; satisfies Pf(A)^2 = det(A).
-    Raises ValueError on odd size or a non-antisymmetric input.
-    """
+def int_pfaffian(a: IntMat) -> tuple[int, ...]:
+    """Pfaffian of an even-size antisymmetric Z[t] matrix, with the convention
+    Pf([[0, a], [-a, 0]]) = a, so Pf(a)^2 = det(a).  Raises ValueError on odd
+    size or a non-antisymmetric input."""
     n = len(a)
     if n % 2 != 0:
         raise ValueError("Pfaffian needs even size")
-    for i in range(n):
-        if not a[i][i].is_zero:
-            raise ValueError("matrix is not antisymmetric")
-        for j in range(i + 1, n):
-            if a[i][j] != -a[j][i]:
-                raise ValueError("matrix is not antisymmetric")
-    ints, d, c = scaled_integer_matrix(a)
-    return int_pfaffian(ints, d * c)
+    if any(a[j][i] != tuple(-x for x in a[i][j]) for i in range(n) for j in range(i, n)):
+        raise ValueError("matrix is not antisymmetric")
+    (p,) = _interpolated(a, n // 2, lambda const: _pfaffians_const(const, [(1 << n) - 1]))
+    return p
 
 
-def pfaffian_adjugate(a: IntMat) -> list[UniPoly]:
+def pfaffian_adjugate(a: IntMat) -> list[tuple[int, ...]]:
     """w_i = (-1)^i Pf(a without row and column i) for an odd-size
     antisymmetric Z[t] matrix a: adj(a) = w w^T and a w = 0, so w spans the
     kernel when it is a line and is 0 when the kernel is larger."""
     n = len(a)
     masks = [((1 << n) - 1) & ~(1 << i) for i in range(n)]
     polys = _interpolated(a, n // 2, lambda const: _pfaffians_const(const, masks))
-    return [-p if i % 2 else p for i, p in enumerate(polys)]
+    return [tuple(-x for x in p) if i % 2 else p for i, p in enumerate(polys)]

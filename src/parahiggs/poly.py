@@ -1,4 +1,4 @@
-"""Exact univariate polynomial and rational-function arithmetic over Q.
+"""Exact univariate polynomials over Q and over Z, and rational functions.
 
 Polynomials are dense ascending coefficient tuples of ``fractions.Fraction``;
 the zero polynomial is the empty tuple.  Everything here is immutable and
@@ -9,6 +9,9 @@ UniPoly arithmetic is schoolbook: degrees in this project stay well under
 lists instead: the gcd is a primitive PRS over Z, and the rational roots come
 from Loos' p-adic method (roots modulo a small prime, Newton-lifted and read
 back by rational reconstruction), polynomial in the coefficient bit length.
+
+A RationalFunction is a reduced num/den pair with no arithmetic of its own:
+it holds field entries and JSON sections, while every check runs over Z[t].
 """
 
 from __future__ import annotations
@@ -66,10 +69,6 @@ class UniPoly:
     @staticmethod
     def one() -> "UniPoly":
         return UniPoly((Q(1),))
-
-    @staticmethod
-    def t() -> "UniPoly":
-        return UniPoly((Q(0), Q(1)))
 
     @staticmethod
     def linear_root(a: Scalar) -> "UniPoly":
@@ -347,17 +346,23 @@ def is_squarefree(p: UniPoly) -> bool:
     return p.degree < 1 or poly_gcd(p, p.derivative()).degree == 0
 
 
-def root_multiplicity(p: UniPoly, a: Scalar) -> int:
-    """Multiplicity of (t - a) in p; 0 if a is not a root.  p must be nonzero."""
-    if p.is_zero:
+def _strip_root(f: list[int], a: int, b: int) -> tuple[list[int], int]:
+    """(f / (b t - a)^k, k) for an integer polynomial f and the multiplicity k
+    of its root a/b; each division is exact over Z[t] by Gauss's lemma."""
+    k = 0
+    while _hom_eval(f, a, b) == 0:
+        f = _int_exact_div(f, [-a, b])
+        k += 1
+    return f, k
+
+
+def root_multiplicity(p: Sequence[int], a: Scalar) -> int:
+    """Multiplicity of the root t = a of a nonzero integer polynomial p
+    (ascending coefficients); 0 if a is not a root."""
+    if not any(p):
         raise ValueError("zero polynomial")
     a = _as_q(a)
-    mult = 0
-    lin = UniPoly.linear_root(a)
-    while p(a) == 0:
-        p = p.exact_div(lin)
-        mult += 1
-    return mult
+    return _strip_root(list(p), a.numerator, a.denominator)[1]
 
 
 def _lifting_prime(f: list[int], df: list[int]) -> tuple[int, list[int]]:
@@ -413,7 +418,7 @@ def rational_roots(p: UniPoly) -> list[tuple[Fraction, int]]:
     """All rational roots of p with multiplicities, sorted ascending.
 
     The roots of the squarefree part come from `_squarefree_rational_roots`;
-    each multiplicity counts exact divisions by (b t - a) over Z[t].
+    `_strip_root` counts each multiplicity.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -424,21 +429,18 @@ def rational_roots(p: UniPoly) -> list[tuple[Fraction, int]]:
     if len(f) > 1:
         sf = _int_exact_div(f, _int_gcd(f, _int_derivative(f)))
         for root in _squarefree_rational_roots(sf):
-            a, b = root.numerator, root.denominator
-            mult = 0
-            while _hom_eval(f, a, b) == 0:
-                f = _int_exact_div(f, [-a, b])
-                mult += 1
+            f, mult = _strip_root(f, root.numerator, root.denominator)
             roots.append((root, mult))
     return sorted(roots)
 
 
-def interpolate_int_range(ys: Sequence[int]) -> UniPoly:
-    """Interpolate integer values at nodes 0, 1, ..., len(ys)-1.
+def interpolate_int_range(ys: Sequence[int]) -> list[int]:
+    """The polynomial in Z[t] taking the values ys at nodes 0, 1, ...,
+    len(ys)-1, as ascending integer coefficients without trailing zeros.
 
     All-integer forward-difference scheme over the common denominator
-    (len-1)!; only the final per-coefficient normalization touches
-    Fractions, which keeps large instances fast.
+    (len-1)!, divided out exactly at the end; raises ArithmeticError when the
+    interpolant is not in Z[t].
     """
     n = len(ys)
     if n == 0:
@@ -464,7 +466,15 @@ def interpolate_int_range(ys: Sequence[int]) -> UniPoly:
             scale = diff[k] * (top // fact)
             for idx, c in enumerate(basis):
                 acc[idx] += scale * c
-    return UniPoly.make(Q(c, top) for c in acc)
+    out = []
+    for c in acc:
+        q, rem = divmod(c, top)
+        if rem:
+            raise ArithmeticError("interpolant is not in Z[t]")
+        out.append(q)
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 @dataclass(frozen=True)
@@ -496,18 +506,6 @@ class RationalFunction:
         lc = den.lc
         return RationalFunction(num * (1 / lc), den * (1 / lc))
 
-    @staticmethod
-    def zero() -> "RationalFunction":
-        return RationalFunction(UniPoly.zero(), UniPoly.one())
-
-    @staticmethod
-    def one() -> "RationalFunction":
-        return RationalFunction(UniPoly.one(), UniPoly.one())
-
-    @staticmethod
-    def t() -> "RationalFunction":
-        return RationalFunction(UniPoly.t(), UniPoly.one())
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
@@ -515,86 +513,6 @@ class RationalFunction:
     @property
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
-
-    def as_poly(self) -> UniPoly:
-        if not self.is_polynomial:
-            raise ArithmeticError(f"not a polynomial: {self}")
-        return self.num
-
-    def _coerce(self, other) -> "RationalFunction":
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, UniPoly):
-            return RationalFunction.make(other)
-        return RationalFunction.make(UniPoly.const(other))
-
-    def __add__(self, other) -> "RationalFunction":
-        o = self._coerce(other)
-        return RationalFunction.make(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other) -> "RationalFunction":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "RationalFunction":
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> "RationalFunction":
-        o = self._coerce(other)
-        if self.is_zero or o.is_zero:
-            return RationalFunction.zero()
-        # cross-reduce first to keep intermediate degrees down
-        n1, d1, n2, d2 = self.num, self.den, o.num, o.den
-        if n1.degree > 0 and d2.degree > 0:
-            g1 = poly_gcd(n1, d2)
-            if g1.degree > 0:
-                n1, d2 = n1.exact_div(g1), d2.exact_div(g1)
-        if n2.degree > 0 and d1.degree > 0:
-            g2 = poly_gcd(n2, d1)
-            if g2.degree > 0:
-                n2, d1 = n2.exact_div(g2), d1.exact_div(g2)
-        num, den = n1 * n2, d1 * d2
-        # cross-reduced parts are already coprime; only normalize den monic
-        lc = den.lc
-        return RationalFunction(num * (1 / lc), den * (1 / lc))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunction":
-        o = self._coerce(other)
-        if o.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return self * RationalFunction.make(o.den, o.num)
-
-    def __rtruediv__(self, other) -> "RationalFunction":
-        return self._coerce(other) / self
-
-    def __pow__(self, n: int) -> "RationalFunction":
-        if n < 0:
-            if self.is_zero:
-                raise ZeroDivisionError("zero to a negative power")
-            return RationalFunction.make(self.den**-n, self.num**-n)
-        return RationalFunction(self.num**n, self.den**n)
-
-    def __call__(self, a: Scalar) -> Fraction:
-        d = self.den(a)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at t = {a}")
-        return self.num(a) / d
-
-    def pole_order_at(self, a: Scalar) -> int | None:
-        """Order of the pole at t = a: positive for a pole, <= 0 for a zero or
-        regular point, None for the zero function (regular everywhere)."""
-        if self.is_zero:
-            return None
-        a = _as_q(a)
-        if self.den(a) == 0:
-            return root_multiplicity(self.den, a)
-        return -root_multiplicity(self.num, a) if self.num(a) == 0 else 0
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
@@ -607,4 +525,3 @@ class RationalFunction:
         if self.is_polynomial:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
-

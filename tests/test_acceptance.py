@@ -21,7 +21,7 @@ from parahiggs.curves import (
     smoothness_check,
     so_even_singularity_pattern,
 )
-from parahiggs.bipoly import BiPoly
+from parahiggs.bipoly import BiPoly, bareiss_det
 from parahiggs.dimensions import (
     CurveParams,
     eigenline_degree_sqrt_twist,
@@ -34,6 +34,7 @@ from parahiggs.dimensions import (
 )
 from parahiggs.groups import GroupSpec, split_gram
 from parahiggs.higgs import (
+    HiggsField,
     NonGenericFieldError,
     parity_classify,
     pfaffian_square_check,
@@ -42,10 +43,11 @@ from parahiggs.higgs import (
     so_odd_reduce,
     strong_parabolic_check,
 )
-from parahiggs.linalg import char_poly, mat_det, mat_from_scalars, pfaffian, rf
-from parahiggs.poly import UniPoly
+from parahiggs.linalg import int_pfaffian, scaled_integer_matrix
+from parahiggs.poly import RationalFunction, UniPoly
 
 P = UniPoly.make
+RF = RationalFunction.make
 MARKED_POOL = (0, 1, -1, 2)
 
 
@@ -150,7 +152,7 @@ def test_c04_parity_law():
             if not res.passed:
                 failures += 1
             if kind == "so-odd":
-                assert fld.char_data.coeffs[-1].is_zero  # char divisible by x
+                assert not fld.char_data.e[-1]  # char divisible by x
         assert failures == 0, f"{kind}: {failures} parity failures"
 
 
@@ -166,7 +168,7 @@ def test_c05_pfaffian_law():
         )
         res = pfaffian_square_check(fld)
         assert res.passed
-        assert res.unit == rf((-1) ** m)  # det of the split Gram
+        assert res.unit == RF((-1) ** m)  # det of the split Gram
     # independent route: Pf(A)^2 = det(A) on random constant antisymmetric matrices
     for sample in range(200):
         n = rng.choice([2, 4, 6, 8])
@@ -175,9 +177,10 @@ def test_c05_pfaffian_law():
             for j in range(i + 1, n):
                 a[i][j] = Q(rng.randint(-9, 9), rng.randint(1, 4))
                 a[j][i] = -a[i][j]
-        mat = mat_from_scalars(a)
-        pf = pfaffian(mat)
-        assert pf * pf == mat_det(mat)
+        # cleared to L*A over Z: Pf(L*A)^2 = L^n Pf(A)^2 and det(L*A) = L^n det(A)
+        ints, _, _ = scaled_integer_matrix([[RF(x) for x in row] for row in a])
+        pf = int_pfaffian(ints)
+        assert ([pf[0] ** 2] if pf else []) == bareiss_det([[list(p) for p in row] for row in ints])
 
 
 @criterion(6, "pole-order law on >= 100 generated fields; semisimple control flagged")
@@ -233,24 +236,28 @@ def test_c08_so_odd_reduction():
             red = so_odd_reduce(fld)
         except NonGenericFieldError:
             continue
-        full = list(fld.char_data.coeffs)
+        full = fld.char_data.sections()
+        reduced = HiggsField(GroupSpec.sp(m), red.induced_gram, red.reduced, fld.marked_points)
         assert full[-1].is_zero
-        assert full[:-1] == char_poly(red.reduced)  # x * char(reduced) = char(input)
+        assert full[:-1] == reduced.char_data.sections()  # x * char(reduced) = char(input)
         g = red.induced_gram.matrix
         size = 2 * m
-        assert all(g[i][j] == -g[j][i] for i in range(size) for j in range(size))
+        assert all(
+            g[i][j].num == -g[j][i].num and g[i][j].den == g[j][i].den
+            for i in range(size) for j in range(size)
+        )
         done += 1
     # the worked 3x3 instance: cross matrix of (1,2,3) reduces to x^2 + 14
     from parahiggs.groups import GramForm
-    from parahiggs.higgs import HiggsField
 
     gram = GramForm.make([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "symmetric")
     fld = HiggsField(
         GroupSpec.so_odd(1), gram,
-        mat_from_scalars([[0, -3, 2], [3, 0, -1], [-2, 1, 0]]), (),
+        [[RF(x) for x in row] for row in [[0, -3, 2], [3, 0, -1], [-2, 1, 0]]], (),
     )
     red = so_odd_reduce(fld)
-    assert char_poly(red.reduced) == [rf(0), rf(14)]
+    reduced = HiggsField(GroupSpec.sp(1), red.induced_gram, red.reduced, ())
+    assert reduced.char_data.sections() == [RF(0), RF(14)]
 
 
 @criterion(9, "plane-curve certification on the two reference curves")

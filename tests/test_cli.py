@@ -101,7 +101,7 @@ class TestGen:
         path = tmp_path / "f.json"
         run(capsys, "gen", "--group", "so-odd", "-m", "1", "--marked", "0", "--seed", "3", "-o", str(path))
         fld = HiggsField.from_dict(json.loads(path.read_text()))
-        assert fld.char_data.coeffs[-1].is_zero
+        assert not fld.char_data.e[-1]
 
 
 class TestAnalyze:
@@ -179,9 +179,9 @@ class TestAnalyze:
         calls = []
         original = higgs.int_pfaffian
 
-        def counting(a, den):
+        def counting(a):
             calls.append(a)
-            return original(a, den)
+            return original(a)
 
         monkeypatch.setattr(higgs, "int_pfaffian", counting)
         code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
@@ -213,6 +213,41 @@ class TestAnalyze:
         assert code == 1
         assert err == ""
         assert "\nspectral: FAIL\n  - spectral curve is not reduced\n" in out
+        assert out.endswith("overall: FAIL\n")
+
+    # so(2) field Phi = diag(t, -t) in the algebra of B = [[0, t+1], [t+1, 0]],
+    # which degenerates at t = -1: det B = -(t + 1)^2
+    NONCONSTANT_GRAM_FIELD = {
+        "group": "so-even",
+        "m": 1,
+        "marked_points": ["0"],
+        "gram": [[ZERO, {"num": ["1", "1"], "den": ["1"]}], [{"num": ["1", "1"], "den": ["1"]}, ZERO]],
+        "matrix": [[{"num": ["0", "1"], "den": ["1"]}, ZERO], [ZERO, {"num": ["0", "-1"], "den": ["1"]}]],
+    }
+    GRAM_REASON = (
+        "Gram determinant -1 - 2*t - t^2 is not constant; the SO(2m) singularity "
+        "pattern needs a form that is non-degenerate at every t"
+    )
+
+    def test_nonconstant_gram_spectral_fails_with_reason(self, tmp_path, capsys):
+        path = tmp_path / "so2.json"
+        path.write_text(json.dumps(self.NONCONSTANT_GRAM_FIELD))
+        code, out, err = run(capsys, "analyze", str(path), "--format", "json")
+        assert code == 1
+        assert err == ""
+        report = json.loads(out)
+        assert report["checks"]["spectral"] == {"pass": False, "reason": self.GRAM_REASON}
+        assert all(sec["pass"] for name, sec in report["checks"].items() if name != "spectral")
+        assert report["checks"]["pfaffian"]["unit"] == {"num": ["-1", "-2", "-1"], "den": ["1"]}
+        assert not report["all_pass"]
+
+    def test_nonconstant_gram_text_report_prints_the_reason(self, tmp_path, capsys):
+        path = tmp_path / "so2.json"
+        path.write_text(json.dumps(self.NONCONSTANT_GRAM_FIELD))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 1
+        assert err == ""
+        assert f"\nspectral: FAIL\n  - {self.GRAM_REASON}\n" in out
         assert out.endswith("overall: FAIL\n")
 
     def test_malformed_json_exit_2(self, tmp_path, capsys):

@@ -18,10 +18,10 @@ from parahiggs.curves import (
     smoothness_check,
     so_even_singularity_pattern,
     twisted_curve,
+    twisted_pfaffian,
 )
 from parahiggs.groups import GroupSpec, split_gram
-from parahiggs.higgs import HiggsField, PoleOrderError, random_strongly_parabolic_higgs
-from parahiggs.linalg import rf
+from parahiggs.higgs import CharData, HiggsField, PoleOrderError, random_strongly_parabolic_higgs
 from parahiggs.poly import RationalFunction, UniPoly, is_squarefree
 
 P = UniPoly.make
@@ -44,10 +44,10 @@ QUARTIC = curve([0, 0, 1], 0, [-1, 1], 0, 1)
 class TestBuildPlaneCurve:
     def test_twist_clears_marked_pole(self):
         group = GroupSpec.sp(1)
-        t = RF(P([0, 1]))
+        t, minus_t = RF(P([0, 1])), RF(P([0, -1]))
         fld = HiggsField(
             group, split_gram(group),
-            [[t, RF(P([1]), P([0, 1]))], [t, -t]],
+            [[t, RF(P([1]), P([0, 1]))], [t, minus_t]],
             (Q(0),),
         )
         c = build_plane_curve(fld)
@@ -57,25 +57,27 @@ class TestBuildPlaneCurve:
 
     def test_no_marked_points_identity_twist(self):
         group = GroupSpec.sp(1)
-        t = RF(P([0, 1]))
-        fld = HiggsField(group, split_gram(group), [[t, t], [t, -t]], ())
+        t, minus_t = RF(P([0, 1])), RF(P([0, -1]))
+        fld = HiggsField(group, split_gram(group), [[t, t], [t, minus_t]], ())
         c = build_plane_curve(fld)
         assert c.twist == UniPoly.one()
         # char poly passes through unchanged: x^2 + s_2
-        assert c.f.coeff(0) == fld.char_data.coeffs[1].as_poly()
+        s_2 = fld.char_data.sections()[1]
+        assert s_2.is_polynomial and c.f.coeff(0) == s_2.num
 
     def test_zero_field(self):
         group = GroupSpec.so_even(2)
-        z = [[rf(0)] * 4 for _ in range(4)]
+        z = [[RF(0)] * 4 for _ in range(4)]
         fld = HiggsField(group, split_gram(group), z, (Q(0),))
         assert build_plane_curve(fld).f == BiPoly.make(
             [UniPoly.zero()] * 4 + [UniPoly.one()]
         )
 
     def test_pole_outside_marked_locus_rejected(self):
-        f = RF(P([1]), P([-5, 1]))  # pole at t = 5, marked point is 0
+        # s_1 = 0, s_2 = (t - 5) / (t - 5)^2: a pole at t = 5, marked point is 0
+        char = CharData(((), (-5, 1)), 1, P([-5, 1]))
         with pytest.raises(PoleOrderError):
-            twisted_curve([rf(0), f], (Q(0),))
+            twisted_curve(char, (Q(0),))
 
 
 class TestInvolution:
@@ -181,9 +183,11 @@ class TestSoEvenPattern:
 
         fld = random_strongly_parabolic_higgs(GroupSpec.so_even(2), [0], 1, seed=8)
         c = build_plane_curve(fld)
+        twisted = twisted_pfaffian(fld, c.twist)
+        # the twisted Pfaffian is Pf(B*Phi) * t^m, with Pf(B*Phi) from the pfaffian check
         pf = pfaffian_square_check(fld).pfaffian
-        twisted = pf * RationalFunction.make(c.twist) ** fld.group.m
-        rep = so_even_singularity_pattern(c, twisted.as_poly())
+        assert twisted * pf.den == pf.num * c.twist ** fld.group.m
+        rep = so_even_singularity_pattern(c, twisted)
         assert rep.passed
 
 

@@ -56,7 +56,7 @@ def planted(seed: int) -> UniPoly:
         b = rng.randint(2**64, 2**80)
         p = p * UniPoly.make([-a, b]) ** rng.randint(1, 3)
     if seed % 4 == 0:
-        p = p * UniPoly.t() ** rng.randint(1, 2)
+        p = p * UniPoly.make([0, 1]) ** rng.randint(1, 2)
     return p
 
 

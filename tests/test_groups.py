@@ -9,23 +9,32 @@ from parahiggs.groups import (
     GroupError,
     GroupSpec,
     cayley_group_element,
-    check_lie_membership,
     random_algebra_element,
     random_nilpotent_element,
     split_gram,
 )
-from parahiggs.higgs import random_strongly_parabolic_higgs
+from parahiggs.higgs import HiggsField, random_strongly_parabolic_higgs
 from parahiggs.linalg import (
     SingularMatrixError,
     const_mat_mul,
-    mat_from_scalars,
     transpose,
 )
 from parahiggs.poly import RationalFunction, UniPoly
 
+RF = RationalFunction.make
+
+
+def scalars(rows):
+    return [[RF(x) for x in row] for row in rows]
+
 
 def identity(n):
-    return mat_from_scalars([[int(i == j) for j in range(n)] for i in range(n)])
+    return scalars([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def is_member(group, mat, gram=None):
+    """Phi^T B + B Phi = 0 for the field mat, read off its cleared B*Phi."""
+    return HiggsField(group, gram or split_gram(group), mat, ()).is_member
 
 
 class TestGroupSpec:
@@ -67,7 +76,8 @@ class TestSplitGram:
     def test_symmetry_kind(self, kind, m):
         group = GroupSpec(kind, m)
         gram = split_gram(group)
-        b = gram.as_mat()
+        assert all(x.den == UniPoly.one() for row in gram.matrix for x in row)
+        b = [[x.num.coeff(0) for x in row] for row in gram.matrix]
         bt = transpose(b)
         if kind == "sp":
             assert gram.kind == "symplectic"
@@ -85,41 +95,39 @@ class TestSplitGram:
 
 class TestMembership:
     def test_sl2_is_sp2(self):
-        j = split_gram(GroupSpec.sp(1))
-        assert check_lie_membership(mat_from_scalars([[1, 2], [3, -1]]), j)
+        assert is_member(GroupSpec.sp(1), scalars([[1, 2], [3, -1]]))
 
     def test_identity_never_member(self):
         for group in (GroupSpec.sp(1), GroupSpec.so_even(2), GroupSpec.so_odd(1)):
-            gram = split_gram(group)
-            assert not check_lie_membership(identity(group.rank_size), gram)
+            assert not is_member(group, identity(group.rank_size))
 
     def test_zero_member(self):
-        gram = split_gram(GroupSpec.so_even(2))
-        assert check_lie_membership(mat_from_scalars([[0] * 4 for _ in range(4)]), gram)
+        assert is_member(GroupSpec.so_even(2), scalars([[0] * 4 for _ in range(4)]))
 
     def test_size_mismatch(self):
-        with pytest.raises(ValueError, match="size"):
-            check_lie_membership(identity(3), split_gram(GroupSpec.sp(1)))
+        with pytest.raises(ValueError, match="2x2"):
+            is_member(GroupSpec.sp(1), identity(3))
 
     def test_random_elements_are_members(self):
         rng = random.Random(2)
         for group in (GroupSpec.sp(2), GroupSpec.so_even(2), GroupSpec.so_odd(2)):
-            gram = split_gram(group)
             for _ in range(5):
-                assert check_lie_membership(mat_from_scalars(random_algebra_element(group, rng)), gram)
+                assert is_member(group, scalars(random_algebra_element(group, rng)))
                 u = random_nilpotent_element(group, rng)
-                assert check_lie_membership(mat_from_scalars(u), gram)
+                assert is_member(group, scalars(u))
                 # strictly upper triangular
                 n = group.rank_size
                 assert all(u[i][j] == 0 for i in range(n) for j in range(i + 1))
 
     def test_perturbed_field_is_not_member(self):
         # one pole term off the algebra, in an entry with a nontrivial denominator
-        fld = random_strongly_parabolic_higgs(GroupSpec.so_odd(2), (0, 1), 1, 3)
-        assert check_lie_membership(fld.matrix, fld.gram)
-        bump = RationalFunction.make(UniPoly.one(), UniPoly.linear_root(1))
-        fld.matrix[0][1] = fld.matrix[0][1] + bump
-        assert not check_lie_membership(fld.matrix, fld.gram)
+        group = GroupSpec.so_odd(2)
+        fld = random_strongly_parabolic_higgs(group, (0, 1), 1, 3)
+        assert fld.is_member
+        x, lin = fld.matrix[0][1], UniPoly.linear_root(1)
+        bumped = [list(row) for row in fld.matrix]
+        bumped[0][1] = RF(x.num * lin + x.den, x.den * lin)  # x + 1/(t - 1)
+        assert not is_member(group, bumped)
 
 
 class TestCayley:
@@ -149,24 +157,25 @@ class TestCayley:
 
     def test_conjugation_preserves_membership_and_char(self):
         from parahiggs.groups import random_group_element
-        from parahiggs.linalg import char_poly, mat_inverse
+        from parahiggs.linalg import mat_inverse
 
         rng = random.Random(13)
         for group in (GroupSpec.sp(2), GroupSpec.so_odd(1)):
             gram = split_gram(group)
             a = random_algebra_element(group, rng)
             q = random_group_element(group, gram, rng)
-            conj = mat_from_scalars(const_mat_mul(const_mat_mul(q, a), mat_inverse(q)))
-            assert check_lie_membership(conj, gram)
-            assert char_poly(conj) == char_poly(mat_from_scalars(a))
+            conj = HiggsField(group, gram, scalars(const_mat_mul(const_mat_mul(q, a), mat_inverse(q))), ())
+            assert conj.is_member
+            char = HiggsField(group, gram, scalars(a), ()).char_data
+            assert conj.char_data.sections() == char.sections()
 
     def test_rejects_non_member(self):
         with pytest.raises(GroupError):
             cayley_group_element([[1, 0], [0, 1]], split_gram(GroupSpec.sp(1)))
 
     def test_rejects_non_constant_gram(self):
-        t = RationalFunction.t()
-        gram = GramForm.make([[0, t], [-t, 0]], "symplectic")
+        t, minus_t = RF(UniPoly.make([0, 1])), RF(UniPoly.make([0, -1]))
+        gram = GramForm.make([[0, t], [minus_t, 0]], "symplectic")
         with pytest.raises(GroupError, match="not constant"):
             cayley_group_element([[1, 0], [0, -1]], gram)
 

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from parahiggs.groups import GramForm, GroupError, GroupSpec, check_lie_membership, split_gram
+from parahiggs.groups import GramForm, GroupError, GroupSpec, split_gram
 from parahiggs.higgs import (
     CharData,
     HiggsField,
@@ -19,11 +19,21 @@ from parahiggs.higgs import (
     so_odd_reduce,
     strong_parabolic_check,
 )
-from parahiggs.linalg import char_poly, mat_from_scalars, rf
+from parahiggs.linalg import int_char_poly, scaled_integer_matrix
 from parahiggs.poly import RationalFunction, UniPoly
 
 P = UniPoly.make
 RF = RationalFunction.make
+
+
+def scalars(rows):
+    return [[RF(x) for x in row] for row in rows]
+
+
+def char_sections(mat):
+    """s_1..s_r of det(x*I - mat) as reduced rational functions."""
+    ints, d, c = scaled_integer_matrix(mat)
+    return CharData(tuple(int_char_poly(ints)), c, d).sections()
 
 
 def sp1_field(entries, marked):
@@ -32,7 +42,7 @@ def sp1_field(entries, marked):
 
 def cross_matrix(a, b, c):
     """v -> (a,b,c) x v; antisymmetric with kernel (a, b, c)."""
-    return mat_from_scalars([[0, -c, b], [c, 0, -a], [-b, a, 0]])
+    return scalars([[0, -c, b], [c, 0, -a], [-b, a, 0]])
 
 
 def so3_identity_gram_field(a, b, c, marked=()):
@@ -41,94 +51,98 @@ def so3_identity_gram_field(a, b, c, marked=()):
 
 
 ONE_OVER_T = RF(P([1]), P([0, 1]))
+MINUS_ONE_OVER_T = RF(P([-1]), P([0, 1]))
 T = RF(P([0, 1]))
+MINUS_T = RF(P([0, -1]))
+ZERO = RF(0)
 
 
 class TestResidue:
     def test_reads_off_simple_pole(self):
-        fld = sp1_field([[T, ONE_OVER_T], [T, -T]], (Q(0),))
+        fld = sp1_field([[T, ONE_OVER_T], [T, MINUS_T]], (Q(0),))
         assert residue_at(fld, 0) == [[Q(0), Q(1)], [Q(0), Q(0)]]
 
     def test_polynomial_entries_zero_residue(self):
-        fld = sp1_field([[T, T * T], [rf(1), -T]], (Q(0),))
+        fld = sp1_field([[T, RF(P([0, 0, 1]))], [RF(1), MINUS_T]], (Q(0),))
         assert residue_at(fld, 0) == [[Q(0), Q(0)], [Q(0), Q(0)]]
 
     def test_diagonal_pole(self):
-        f = RF(P([1]), P([-1, 1]))
-        fld = sp1_field([[f, rf(0)], [rf(0), -f]], (Q(1),))
+        f, minus_f = RF(P([1]), P([-1, 1])), RF(P([-1]), P([-1, 1]))
+        fld = sp1_field([[f, ZERO], [ZERO, minus_f]], (Q(1),))
         assert residue_at(fld, 1) == [[Q(1), Q(0)], [Q(0), Q(-1)]]
 
     def test_unmarked_point_rejected(self):
-        fld = sp1_field([[T, rf(0)], [rf(0), -T]], (Q(0),))
+        fld = sp1_field([[T, ZERO], [ZERO, MINUS_T]], (Q(0),))
         with pytest.raises(ValueError, match="not a marked point"):
             residue_at(fld, 5)
 
     def test_high_order_pole_rejected(self):
         f = RF(P([1]), P([0, 0, 1]))
-        fld = sp1_field([[rf(0), f], [rf(0), rf(0)]], (Q(0),))
+        fld = sp1_field([[ZERO, f], [ZERO, ZERO]], (Q(0),))
         with pytest.raises(PoleOrderError):
             residue_at(fld, 0)
 
 
 class TestCharAndParity:
     def test_sl2_char(self):
-        s = CharData(tuple(char_poly(mat_from_scalars([[1, 2], [3, -1]]))))
-        assert s.coeffs == (rf(0), rf(-7))
+        fld = sp1_field(scalars([[1, 2], [3, -1]]), ())
+        s = fld.char_data
+        assert s.e == ((), (-7,))  # x^2 - 7
+        assert s.sections() == [RF(0), RF(-7)]
         res = parity_classify(s, GroupSpec.sp(1))
         assert res.passed and res.first_odd_index is None
-        assert res.even_coeffs == (rf(-7), rf(0), rf(1))  # x^2 - 7
 
     def test_so3_cofactor(self):
         # cross matrix (1,2,3): char = x^3 + 14x
-        s = CharData(tuple(char_poly(cross_matrix(1, 2, 3))))
-        assert s.coeffs == (rf(0), rf(14), rf(0))
+        s = so3_identity_gram_field(1, 2, 3).char_data
+        assert s.e == ((), (14,), ())
         res = parity_classify(s, GroupSpec.so_odd(1))
         assert res.passed
-        assert res.even_coeffs == (rf(14), rf(0), rf(1))  # x^2 + 14
+        assert s.x_cofactor().sections() == [RF(0), RF(14)]  # x^2 + 14
 
     def test_fail_carries_first_index(self):
-        s = CharData((rf(1), rf(0)))  # x^2 + x
+        s = CharData(((1,), ()), 1, UniPoly.one())  # x^2 + x
         res = parity_classify(s, GroupSpec.sp(1))
         assert not res.passed and res.first_odd_index == 1
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError, match="degree"):
-            parity_classify(CharData((rf(0), rf(1))), GroupSpec.so_odd(1))
+            parity_classify(CharData(((), (1,)), 1, UniPoly.one()), GroupSpec.so_odd(1))
 
 
 class TestStrongParabolic:
     def test_nilpotent_residue_passes(self):
-        fld = sp1_field([[T, ONE_OVER_T], [T, -T]], (Q(0),))
-        assert check_lie_membership(fld.matrix, fld.gram)
+        fld = sp1_field([[T, ONE_OVER_T], [T, MINUS_T]], (Q(0),))
+        assert fld.is_member
         res = strong_parabolic_check(fld)
         assert res.passed, res.failures
         # s_2 = -t^2 - 1: pole order 0 <= 1
-        assert fld.char_data.coeffs[1] == RF(P([-1, 0, -1]))
+        assert fld.char_data.sections()[1] == RF(P([-1, 0, -1]))
 
     def test_semisimple_residue_fails_both_clauses(self):
-        fld = sp1_field([[ONE_OVER_T, rf(0)], [rf(0), -ONE_OVER_T]], (Q(0),))
+        fld = sp1_field([[ONE_OVER_T, ZERO], [ZERO, MINUS_ONE_OVER_T]], (Q(0),))
         res = strong_parabolic_check(fld)
         assert not res.passed
         text = "\n".join(res.failures)
         assert "not nilpotent" in text
         assert "pole order 2 > 1" in text
         # the offending coefficient is s_2 = -1/t^2
-        assert fld.char_data.coeffs[1] == RF(P([-1]), P([0, 0, 1]))
+        assert fld.char_data.sections()[1] == RF(P([-1]), P([0, 0, 1]))
 
     def test_polynomial_entries_pass_vacuously(self):
-        fld = sp1_field([[T, T], [T, -T]], (Q(0),))
+        fld = sp1_field([[T, T], [T, MINUS_T]], (Q(0),))
         res = strong_parabolic_check(fld)
         assert res.passed
 
     def test_pole_off_marked_points_fails(self):
         # nilpotent, in sp(1), char = x^2: only the pole at t = 5 is wrong
-        fld = sp1_field([[rf(0), RF(P([1]), P([-5, 1]))], [rf(0), rf(0)]], (Q(0),))
+        fld = sp1_field([[ZERO, RF(P([1]), P([-5, 1]))], [ZERO, ZERO]], (Q(0),))
         assert fld.is_member
         res = strong_parabolic_check(fld)
         assert res.failures == ("pole off the marked points: Phi has denominator factor -5 + t",)
 
     def test_double_pole_at_marked_point_reported_once(self):
-        fld = sp1_field([[rf(0), RF(P([1]), P([0, 0, 1]))], [rf(0), rf(0)]], (Q(0),))
+        fld = sp1_field([[ZERO, RF(P([1]), P([0, 0, 1]))], [ZERO, ZERO]], (Q(0),))
         assert strong_parabolic_check(fld).failures == ("pole of order > 1 at t = 0",)
 
     def test_reduced_field_has_poles_at_the_kernel_pivot(self):
@@ -145,22 +159,21 @@ class TestStrongParabolic:
 class TestPfaffianSquare:
     def test_so2_toy(self):
         group = GroupSpec.so_even(1)
-        a = T
-        fld = HiggsField(group, split_gram(group), [[a, rf(0)], [rf(0), -a]], ())
+        fld = HiggsField(group, split_gram(group), [[T, ZERO], [ZERO, MINUS_T]], ())
         res = pfaffian_square_check(fld)
         assert res.passed
-        assert res.pfaffian == -a
-        assert res.unit == rf(-1)  # det B = (-1)^m, m = 1
+        assert res.pfaffian == MINUS_T
+        assert res.unit == RF(-1)  # det B = (-1)^m, m = 1
 
     def test_zero_field(self):
         group = GroupSpec.so_even(2)
-        z = [[rf(0)] * 4 for _ in range(4)]
+        z = [[ZERO] * 4 for _ in range(4)]
         fld = HiggsField(group, split_gram(group), z, ())
         res = pfaffian_square_check(fld)
         assert res.passed and res.pfaffian.is_zero
 
     def test_wrong_group_rejected(self):
-        fld = sp1_field([[T, rf(0)], [rf(0), -T]], ())
+        fld = sp1_field([[T, ZERO], [ZERO, MINUS_T]], ())
         with pytest.raises(GroupError):
             pfaffian_square_check(fld)
 
@@ -175,7 +188,7 @@ class TestGenerator:
     def test_contract(self, kind, m):
         group = GroupSpec(kind, m)
         fld = random_strongly_parabolic_higgs(group, [0, -1], 2, seed=11)
-        assert check_lie_membership(fld.matrix, fld.gram)
+        assert fld.is_member
         assert strong_parabolic_check(fld).passed
         assert parity_classify(fld.char_data, group).passed
 
@@ -208,12 +221,11 @@ class TestSoOddReduce:
         fld = so3_identity_gram_field(1, 0, 0)
         red = so_odd_reduce(fld)
         assert red.kernel_vector == (P([1]), UniPoly.zero(), UniPoly.zero())
-        s = char_poly(red.reduced)
-        assert s == [rf(0), rf(1)]  # x^2 + 1
+        assert char_sections(red.reduced) == [RF(0), RF(1)]  # x^2 + 1
 
     def test_cross_123(self):
         red = so_odd_reduce(so3_identity_gram_field(1, 2, 3))
-        assert char_poly(red.reduced) == [rf(0), rf(14)]  # x^2 + 14
+        assert char_sections(red.reduced) == [RF(0), RF(14)]  # x^2 + 14
 
     def test_char_factorization_and_skewness(self):
         for seed in range(6):
@@ -223,16 +235,19 @@ class TestSoOddReduce:
                     red = so_odd_reduce(fld)
                 except NonGenericFieldError:
                     continue
-                full = char_poly(fld.matrix)
-                reduced = char_poly(red.reduced)
+                full = char_sections(fld.matrix)
+                reduced = char_sections(red.reduced)
                 # x * char(reduced) = char(full): s_i(full) = s_i(reduced), s_r(full) = 0
                 assert full[-1].is_zero
                 assert full[:-1] == reduced
                 g = red.induced_gram.matrix
-                assert all(g[i][j] == -g[j][i] for i in range(2 * m) for j in range(2 * m))
+                assert all(
+                    g[i][j].num == -g[j][i].num and g[i][j].den == g[j][i].den
+                    for i in range(2 * m) for j in range(2 * m)
+                )
 
     def test_wrong_group(self):
-        fld = sp1_field([[T, rf(0)], [rf(0), -T]], ())
+        fld = sp1_field([[T, ZERO], [ZERO, MINUS_T]], ())
         with pytest.raises(GroupError):
             so_odd_reduce(fld)
 
@@ -257,10 +272,10 @@ class TestSoOddReduce:
             except NonGenericFieldError:
                 continue
             n = len(v)
-            phi_v = [sum((x * rf(p) for x, p in zip(row, v)), rf(0)) for row in fld.matrix]
-            assert all(x.is_zero for x in phi_v)
-            # sympy's nullspace over Q(t) is one line, and v lies on it
+            # Phi v = 0 exactly, and sympy's nullspace over Q(t) is one line that v lies on
             phi = sympy.Matrix(n, n, lambda i, j: to_sympy_rf(fld.matrix[i][j]))
+            phi_v = phi * sympy.Matrix([to_sympy(p) for p in v])
+            assert all(sympy.cancel(x) == 0 for x in phi_v)
             dm = DomainMatrix.from_Matrix(phi).to_field()
             null = dm.nullspace()
             assert null.shape == (1, n)
@@ -273,7 +288,7 @@ class TestSoOddReduce:
 
     def test_non_member_rejected(self):
         # zero except a diagonal entry: not in so(3) for the split form
-        z = [[rf(0)] * 3 for _ in range(3)]
+        z = [[ZERO] * 3 for _ in range(3)]
         z[0][0] = T
         fld = HiggsField(GroupSpec.so_odd(1), split_gram(GroupSpec.so_odd(1)), z, ())
         with pytest.raises(ValueError, match="not in the Lie algebra"):
@@ -282,7 +297,7 @@ class TestSoOddReduce:
     def test_non_generic_detected(self):
         # zero matrix: kernel rank 3
         gram = GramForm.make([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "symmetric")
-        z = [[rf(0)] * 3 for _ in range(3)]
+        z = [[ZERO] * 3 for _ in range(3)]
         fld = HiggsField(GroupSpec.so_odd(1), gram, z, ())
         with pytest.raises(NonGenericFieldError):
             so_odd_reduce(fld)
@@ -290,10 +305,10 @@ class TestSoOddReduce:
     def test_induced_form_is_submatrix_of_phi_t_b(self):
         fld = so3_identity_gram_field(1, 2, 3)
         red = so_odd_reduce(fld)
-        phi, b = fld.matrix, fld.gram.matrix
-        phi_t_b = [
-            [sum((phi[s][i] * b[s][j] for s in range(3)), rf(0)) for j in range(3)] for i in range(3)
-        ]
+        # constant Phi and B = I: Phi^T B = Phi^T, entries are integers
+        phi = [[int(x.num.coeff(0)) for x in row] for row in fld.matrix]
+        b = [[int(x.num.coeff(0)) for x in row] for row in fld.gram.matrix]
+        phi_t_b = [[sum(phi[s][i] * b[s][j] for s in range(3)) for j in range(3)] for i in range(3)]
         keep = [i for i in range(3) if i != red.removed_index]
-        expect = [[phi_t_b[i][j] for j in keep] for i in keep]
+        expect = [[RF(phi_t_b[i][j]) for j in keep] for i in keep]
         assert [list(row) for row in red.induced_gram.matrix] == expect

@@ -1,26 +1,53 @@
-"""Matrix layer: char poly and Pfaffian against brute-force expansions."""
+"""Matrix layer: the Z[t] char coefficients, Pfaffian and determinant against
+brute-force expansions over integer coefficient lists."""
 
 import itertools
 import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from parahiggs.bipoly import bareiss_det
 from parahiggs.linalg import (
     SingularMatrixError,
-    char_poly,
     const_mat_mul,
-    mat_det,
-    mat_from_scalars,
+    int_char_poly,
+    int_pfaffian,
     mat_inverse,
-    pfaffian,
-    rf,
+    scaled_integer_matrix,
 )
 from parahiggs.poly import RationalFunction, UniPoly
 
 P = UniPoly.make
 RF = RationalFunction.make
+
+
+# -- oracles over ascending integer coefficient lists, [] being zero ---------
+
+
+def padd(a, b):
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, x in enumerate(b):
+        out[i] += x
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def pmul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def pneg(a):
+    return [-x for x in a]
 
 
 def perm_sign(perm):
@@ -40,135 +67,142 @@ def perm_sign(perm):
 
 
 def leibniz_det(m):
-    """Permutation-sum determinant over Q(t); independent of char_poly."""
+    """Permutation-sum determinant over Z[t]; independent of Bareiss."""
     n = len(m)
-    acc = rf(0)
+    acc = []
     for perm in itertools.permutations(range(n)):
-        term = rf(perm_sign(list(perm)))
+        term = [perm_sign(list(perm))]
         for i in range(n):
-            term = term * m[i][perm[i]]
-        acc = acc + term
+            term = pmul(term, list(m[i][perm[i]]))
+        acc = padd(acc, term)
     return acc
 
 
 def naive_char_coeffs(m):
-    """s_i = (-1)^i * (sum of principal i x i minors); brute-force oracle."""
+    """e_i = (-1)^i * (sum of principal i x i minors); brute-force oracle."""
     n = len(m)
     out = []
     for i in range(1, n + 1):
-        acc = rf(0)
+        acc = []
         for rows in itertools.combinations(range(n), i):
             sub = [[m[r][c] for c in rows] for r in rows]
-            acc = acc + leibniz_det(sub)
-        out.append(acc if i % 2 == 0 else -acc)
+            acc = padd(acc, leibniz_det(sub))
+        out.append(tuple(acc if i % 2 == 0 else pneg(acc)))
     return out
 
 
 def matching_pfaffian(m):
     """Pfaffian as signed sum over perfect matchings (via permutations)."""
     n = len(m)
-    acc = rf(0)
-    count = 0
+    acc = []
     for perm in itertools.permutations(range(n)):
         if any(perm[2 * i] > perm[2 * i + 1] for i in range(n // 2)):
             continue
         if any(perm[2 * i] > perm[2 * i + 2] for i in range(n // 2 - 1)):
             continue
-        term = rf(perm_sign(list(perm)))
+        term = [perm_sign(list(perm))]
         for i in range(n // 2):
-            term = term * m[perm[2 * i]][perm[2 * i + 1]]
-        acc = acc + term
-        count += 1
-    return acc
+            term = pmul(term, list(m[perm[2 * i]][perm[2 * i + 1]]))
+        acc = padd(acc, term)
+    return tuple(acc)
 
 
-def random_rf_matrix(rng, n, max_deg=1):
-    def entry():
-        num = P([rng.randint(-3, 3) for _ in range(max_deg + 1)])
-        den = P([rng.randint(-2, 2) for _ in range(2)])
-        if den.is_zero:
-            den = UniPoly.one()
-        return RF(num, den)
+def int_matrix(rows):
+    """A Z[t] matrix from rows of coefficient lists (or integers)."""
+    def entry(x):
+        p = [x] if isinstance(x, int) else list(x)
+        while p and not p[-1]:
+            p.pop()
+        return tuple(p)
 
-    return [[entry() for _ in range(n)] for _ in range(n)]
+    return tuple(tuple(entry(x) for x in row) for row in rows)
+
+
+def random_int_matrix(rng, n, max_deg=2):
+    return int_matrix([[rng.randint(-3, 3) for _ in range(max_deg + 1)] for _ in range(n)] for _ in range(n))
+
+
+def random_antisymmetric(rng, n, max_deg=1):
+    rows = [[()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = int_matrix([[[rng.randint(-2, 2) for _ in range(max_deg + 1)]]])[0][0]
+            rows[i][j], rows[j][i] = p, tuple(-x for x in p)
+    return tuple(tuple(row) for row in rows)
+
+
+def bareiss(m):
+    return tuple(bareiss_det([[list(p) for p in row] for row in m]))
 
 
 class TestCharPoly:
     def test_two_by_two(self):
-        m = mat_from_scalars([[1, 2], [3, -1]])
-        s = char_poly(m)
-        assert s[0] == rf(0)
-        assert s[1] == rf(-7)  # x^2 - 7
+        assert int_char_poly(int_matrix([[1, 2], [3, -1]])) == [(), (-7,)]  # x^2 - 7
 
     def test_zero_matrix(self):
-        m = mat_from_scalars([[0] * 4 for _ in range(4)])
-        assert all(c.is_zero for c in char_poly(m))
+        assert int_char_poly(int_matrix([[0] * 4 for _ in range(4)])) == [()] * 4
 
     def test_nilpotent_with_pole_entry(self):
-        m = [[rf(0), RF(P([1]), P([0, 1]))], [rf(0), rf(0)]]
-        assert all(c.is_zero for c in char_poly(m))  # x^2
+        # [[0, 1/t], [0, 0]] clears to M = [[0, 1], [0, 0]] over d = t: char x^2
+        ints, d, c = scaled_integer_matrix([[RF(0), RF(P([1]), P([0, 1]))], [RF(0), RF(0)]])
+        assert (d, c) == (P([0, 1]), 1)
+        assert int_char_poly(ints) == [(), ()]
 
     def test_single_pole_entry(self):
-        m = [[RF(P([1]), P([0, 1]))]]
-        s = char_poly(m)
-        assert s[0] == RF(P([-1]), P([0, 1]))  # x - 1/t
+        # [[1/t]] clears to M = [[1]] over d = t: x - 1/t, s_1 = e_1 / t
+        ints, d, c = scaled_integer_matrix([[RF(P([1]), P([0, 1]))]])
+        assert (ints, d, c) == ((((1,),),), P([0, 1]), 1)
+        assert int_char_poly(ints) == [(-1,)]
 
     def test_matches_leibniz_oracle(self):
         rng = random.Random(7)
         for n in (2, 3, 4):
             for _ in range(4):
-                m = random_rf_matrix(rng, n)
-                assert char_poly(m) == naive_char_coeffs(m)
+                m = random_int_matrix(rng, n)
+                assert int_char_poly(m) == naive_char_coeffs(m)
 
     def test_det(self):
         rng = random.Random(11)
-        for n in (1, 2, 3):
-            m = random_rf_matrix(rng, n)
-            assert mat_det(m) == leibniz_det(m)
+        for n in (1, 2, 3, 4):
+            for _ in range(3):
+                m = random_int_matrix(rng, n)
+                assert list(bareiss(m)) == leibniz_det(m)
 
 
 class TestPfaffian:
     def test_convention(self):
-        a = RF(P([0, 1]))
-        m = [[rf(0), a], [-a, rf(0)]]
-        assert pfaffian(m) == a
+        a = (0, 1)
+        assert int_pfaffian((((), a), ((0, -1), ()))) == a
 
     def test_four_by_four(self):
         vals = {(0, 1): 1, (0, 2): 2, (0, 3): 3, (1, 2): 4, (1, 3): 5, (2, 3): 6}
-        m = [[rf(0)] * 4 for _ in range(4)]
+        rows = [[0] * 4 for _ in range(4)]
         for (i, j), v in vals.items():
-            m[i][j] = rf(v)
-            m[j][i] = rf(-v)
-        assert pfaffian(m) == rf(1 * 6 - 2 * 5 + 3 * 4)
-        assert leibniz_det(m) == rf(64)
+            rows[i][j], rows[j][i] = v, -v
+        m = int_matrix(rows)
+        assert int_pfaffian(m) == (1 * 6 - 2 * 5 + 3 * 4,)
+        assert leibniz_det(m) == [64]
 
     def test_block_diagonal_multiplicative(self):
-        m = [[rf(0)] * 4 for _ in range(4)]
-        for i, j, v in ((0, 1, 1), (2, 3, 1)):
-            m[i][j] = rf(v)
-            m[j][i] = rf(-v)
-        assert pfaffian(m) == rf(1)
+        m = int_matrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+        assert int_pfaffian(m) == (1,)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="even"):
-            pfaffian(mat_from_scalars([[0]]))
+            int_pfaffian(int_matrix([[0]]))
         with pytest.raises(ValueError, match="antisymmetric"):
-            pfaffian(mat_from_scalars([[0, 1], [1, 0]]))
+            int_pfaffian(int_matrix([[0, 1], [1, 0]]))
 
     def test_square_is_det_random(self):
         rng = random.Random(3)
         for n in (2, 4, 6):
             for _ in range(5):
-                m = [[rf(0)] * n for _ in range(n)]
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        v = RF(P([rng.randint(-2, 2), rng.randint(-2, 2)]))
-                        m[i][j] = v
-                        m[j][i] = -v
-                pf = pfaffian(m)
-                assert pf * pf == leibniz_det(m)
+                m = random_antisymmetric(rng, n)
+                pf = list(int_pfaffian(m))
+                assert pmul(pf, pf) == leibniz_det(m)
+                assert list(bareiss(m)) == leibniz_det(m)
                 if n <= 4:
-                    assert pf == matching_pfaffian(m)
+                    assert tuple(pf) == matching_pfaffian(m)
 
 
 class TestInverseAndKernel:

@@ -29,6 +29,14 @@ roots by trial division of those coefficients, where each `analyze` took 10 to
 The sweep digests cover the exit code, output bytes and stderr of `sweep` and
 `dims`, and the exit code and stdout of the two dimension scripts; they were
 recorded on the code that still evaluated line-bundle degrees over `Fraction`.
+
+The reduced-field digest covers `analyze` with the algebraic checks on the
+`reduce-odd` outputs of the so-odd grid: sp fields over a non-split Gram form
+over Q(t), with poles off the marked points and a common denominator that is
+not prod (t - a_k).  The non-constant Gram digest covers the `pfaffian` check
+on an so(2) field whose Gram form B = [[0, t+1], [t+1, 0]] degenerates at
+t = -1, so det B is not a constant.  Both were recorded on the code that still
+read every check off characteristic coefficients over Q(t).
 """
 
 import hashlib
@@ -92,6 +100,21 @@ STALLED_PINNED = {
 STALLED_BOUND_S = 5.0
 
 
+REDUCED_PINNED = "11b80c30a70cf2a7d77935e6394fa594b5b6ee4843706e7b7414c39cfd8c761d"
+
+# an so(2) field in the algebra of B = [[0, t+1], [t+1, 0]]
+NONCONSTANT_GRAM_FIELD = {
+    "group": "so-even",
+    "m": 1,
+    "marked_points": ["0"],
+    "gram": [[{"num": [], "den": ["1"]}, {"num": ["1", "1"], "den": ["1"]}],
+             [{"num": ["1", "1"], "den": ["1"]}, {"num": [], "den": ["1"]}]],
+    "matrix": [[{"num": ["0", "1"], "den": ["1"]}, {"num": [], "den": ["1"]}],
+               [{"num": [], "den": ["1"]}, {"num": ["0", "-1"], "den": ["1"]}]],
+}
+NONCONSTANT_GRAM_PINNED = "fd3904ee4e3a0b886de543c3b671c24353a9a1c8d4f19c15874987946bf8b465"
+
+
 def grid():
     for m in range(1, 4):
         for count in range(1, 4):
@@ -141,6 +164,29 @@ def test_pinned_output_bytes(kind, tmp_path, capsys):
     capsys.readouterr()
     want = {name: digest for (name, k), digest in PINNED.items() if k == kind}
     assert got == want
+
+
+def test_pinned_reduced_analyze_bytes(tmp_path, capsys):
+    stream = hashlib.sha256()
+    field, reduced, out = tmp_path / "field.json", tmp_path / "reduced.json", tmp_path / "out.json"
+    for m, marked, deg, seed in grid():
+        argv = ["gen", "--group", "so-odd", "-m", str(m), "--marked", marked,
+                "--deg-bound", str(deg), "--seed", str(seed)]
+        if main([*argv, "-o", str(field)]) != 0:
+            raise AssertionError(f"gen failed: {argv}")
+        stream.update(f"reduce exit {main(['reduce-odd', str(field), '-o', str(reduced)])}\n".encode())
+        stream.update(_run(["analyze", str(reduced), "--format", "json",
+                            "--checks", ",".join(ALGEBRAIC_CHECKS)], out))
+    capsys.readouterr()
+    assert stream.hexdigest() == REDUCED_PINNED
+
+
+def test_pinned_nonconstant_gram_pfaffian_bytes(tmp_path, capsys):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(NONCONSTANT_GRAM_FIELD))
+    got = _run(["analyze", str(path), "--format", "json", "--checks", "pfaffian"], tmp_path / "out.json")
+    capsys.readouterr()
+    assert hashlib.sha256(got).hexdigest() == NONCONSTANT_GRAM_PINNED
 
 
 def spectral_digest(kind: str, m: int, fields, workdir) -> str:

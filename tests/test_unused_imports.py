@@ -1,12 +1,15 @@
 """Every name a `parahiggs` module imports is used in that module, every
 private module-level helper is used somewhere in the package, and every public
-one is used in the package or its scripts unless it is listed as test-only API.
+one, and every named method of a class, is used in the package or its scripts
+unless it is listed as test-only API.
 
 A static scan: each module is parsed, and every name bound by an import must
 occur as a name in the module body or be re-exported through `__all__`; every
 module-level `def` or `class` whose name starts with `_` must occur as a name,
 an attribute or an imported name in some module of the package; every other
-module-level `def` or `class` must occur so in the package or in `scripts/`.
+module-level `def` or `class`, and every method of a module-level class that
+is not a dunder, must occur so in the package or in `scripts/`.  A method is
+matched by name alone, so one use of a name covers it in every class.
 """
 
 import ast
@@ -26,9 +29,8 @@ TEST_ONLY_API = {
     "dimensions.eigenline_reconciliation": "the two eigenline normalizations differ by the ramification degree",
     "dimensions.sqrt_parity_check": "parity of the class whose square root the normalization takes",
     "dimensions.pardeg_identity": "parabolic degree forced by self-duality",
-    "groups.check_lie_membership": "standalone Lie-algebra membership test; fields use their cleared form",
+    "groups.GroupSpec.so_odd": "constructor beside GroupSpec.sp and GroupSpec.so_even, for tests",
     "higgs.semisimple_residue_control": "control field with semisimple residues, for the parabolic checks",
-    "linalg.mat_from_scalars": "builds a Q(t) matrix from scalars, for tests that set fields by hand",
 }
 
 
@@ -88,16 +90,27 @@ def test_no_dead_private_helpers():
     assert dead == []
 
 
+def public_definitions(module: str, tree: ast.Module):
+    """(qualified name, name) of each public module-level def or class and of
+    each non-dunder method of a module-level class."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*defs, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and not (item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{module}.{node.name}.{item.name}", item.name
+
+
 def test_no_dead_public_helpers():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
     scripts = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "scripts").glob("*.py"))]
     referenced = set().union(*(referenced_names(tree) for tree in [*trees.values(), *scripts]))
     dead = [
-        f"{module}.{node.name}"
+        qualified
         for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in referenced
+        for qualified, name in public_definitions(module, tree)
+        if name not in referenced
     ]
     assert sorted(dead) == sorted(TEST_ONLY_API)
