@@ -4,14 +4,21 @@ The chart twist y = D(t) x with D = prod (t - a_k) clears the marked-point
 denominators of the characteristic coefficients, so every curve handled
 here is a monic-in-x polynomial over Q[t], read off the field's integer
 characteristic data e_i and clearing c*d with no arithmetic over Q(t).
-Smoothness is read off the x-discriminant: a zero discriminant means a
-non-reduced curve, a squarefree one certifies smooth, and otherwise rational
-singular points are searched for exactly over the discriminant's repeated
-roots; the honest answer is "inconclusive" when none is found.
+
+An involution-symmetric curve f(t, x) = g(t, x^2) is certified through its
+quotient g: f_x = 2x g_z, so f is smooth exactly when c0 = g(t, 0) is
+squarefree (the points on x = 0) and g has no singular point with z != 0,
+which a squarefree disc_z g certifies; disc_x f = (-4)^m c0 (disc_z g)^2
+itself is squarefree only when disc_z g is constant.  Any other curve is
+certified by its x-discriminant.  Either way a zero discriminant means a non-reduced curve,
+and otherwise rational singular points are searched for exactly over the
+discriminant's repeated roots; the honest answer is "inconclusive" when none
+is found.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -44,6 +51,19 @@ class PlaneCurve:
     def discriminant(self) -> UniPoly:
         """x-discriminant of f, computed once per curve."""
         return discriminant_x(self.f)
+
+    @cached_property
+    def quotient(self) -> BiPoly | None:
+        """g with f(t, x) = g(t, x^2) when f is involution-symmetric, else None."""
+        if self.f.subs_neg_x() != self.f:
+            return None
+        return BiPoly(self.f.coeffs[::2])
+
+    @cached_property
+    def quotient_discriminant(self) -> UniPoly:
+        """disc_z g of the quotient, computed once per curve; 1 when deg_z g = 1."""
+        g = self.quotient
+        return UniPoly.one() if g.deg_x == 1 else discriminant_x(g)
 
     def to_dict(self) -> dict:
         return {"r": self.r, "coeffs": self.f.to_json(), "twist": self.twist.to_json()}
@@ -103,14 +123,15 @@ def twisted_pfaffian(fld: HiggsField, twist: UniPoly) -> UniPoly:
 
 def involution_check(curve: PlaneCurve) -> bool:
     """True iff F(t, -x) = F(t, x), i.e. only even x-powers occur."""
-    return curve.f.subs_neg_x() == curve.f
+    return curve.quotient is not None
 
 
 @dataclass(frozen=True)
 class SingularReport:
     status: str  # "smooth" | "singular" | "inconclusive"
     witnesses: tuple[tuple[Fraction, Fraction], ...]
-    disc_squarefree: bool
+    disc_squarefree: bool  # proved smooth
+    certificate: str = "discriminant"  # or "quotient"; not part of to_dict
 
     def to_dict(self) -> dict:
         return {
@@ -120,9 +141,15 @@ class SingularReport:
         }
 
 
+def _repeated_part(p: UniPoly) -> UniPoly:
+    """gcd(p, p'), whose roots are the repeated roots of p; 1 iff p is squarefree."""
+    return poly_gcd(p, p.derivative())
+
+
 def _rational_singular_points(f: BiPoly, rep: UniPoly) -> list[tuple[Fraction, Fraction]]:
-    """Rational points where f = f_x = f_t = 0, searched over the rational
-    roots of rep = gcd(disc, disc'), the discriminant's repeated roots."""
+    """Rational points where f = f_x = f_t = 0 for a monic f, searched over
+    the rational roots of rep = gcd(disc, disc'): the t of a singular point
+    is a repeated root of the x-discriminant."""
     f_x, f_t = f.derivative_x(), f.derivative_t()
     witnesses = []
     for t0, _ in rational_roots(rep):
@@ -137,31 +164,62 @@ def _rational_singular_points(f: BiPoly, rep: UniPoly) -> list[tuple[Fraction, F
     return witnesses
 
 
+def _rational_sqrt(q: Fraction) -> Fraction | None:
+    if q < 0:
+        return None
+    a, b = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Q(a, b) if a * a == q.numerator and b * b == q.denominator else None
+
+
+def _quotient_witnesses(g: BiPoly, rep_c0: UniPoly, rep_g: UniPoly) -> list[tuple[Fraction, Fraction]]:
+    """Rational singular points of f(t, x) = g(t, x^2), sorted: (t0, 0) for
+    each rational root t0 of rep_c0 = gcd(c0, c0'), where f = f_x = 0 and
+    f_t = c0' all vanish, and (t0, +-sqrt(z0)) for each rational singular
+    point (t0, z0) of g with z0 != 0 a rational square, as f_x = 2x g_z and
+    f_t = g_t there."""
+    witnesses = [(t0, Q(0)) for t0, _ in rational_roots(rep_c0)]
+    for t0, z0 in _rational_singular_points(g, rep_g):
+        root = _rational_sqrt(z0)
+        if root:  # z0 = 0 makes t0 a repeated root of c0, listed above
+            witnesses += [(t0, -root), (t0, root)]
+    return sorted(witnesses)
+
+
 def smoothness_check(curve: PlaneCurve) -> SingularReport:
     """Certify smoothness of the affine curve, or exhibit rational singular
     points, or answer "inconclusive".  Raises on a non-reduced curve.
 
-    A singular point (t0, x0) forces a repeated root of the x-discriminant
-    at t0, so a squarefree discriminant certifies smooth, and the witness
-    search needs only the roots of gcd(disc, disc'); each witness found is
-    then checked exactly against f = f_x = f_t = 0.
+    A symmetric curve f = g(t, x^2) is smooth when c0 = g(t, 0) and disc_z g
+    are both squarefree, any other curve when its x-discriminant is.  The
+    witnesses are the rational singular points, each checked exactly against
+    the vanishing of the polynomial and both partials.
     """
-    f = curve.f
+    f, g = curve.f, curve.quotient
     if f.deg_x < 2:
         return SingularReport("smooth", (), True)
-    disc = curve.discriminant
     # f is monic, hence primitive over Q[t], so by Gauss's lemma it has a
     # repeated factor in Q[t, x] exactly when gcd(f, f_x) != 1 over Q(t),
-    # that is, exactly when its x-discriminant vanishes.
-    if disc.is_zero:
-        raise NonReducedCurveError("non-reduced curve")
-    rep = poly_gcd(disc, disc.derivative())
-    if rep.degree == 0:
-        return SingularReport("smooth", (), True)
-    witnesses = _rational_singular_points(f, rep)
+    # that is, exactly when its x-discriminant vanishes; for f = g(t, x^2)
+    # that discriminant is (-4)^m c0 (disc_z g)^2.
+    if g is not None:
+        certificate, c0, disc_g = "quotient", g.coeff(0), curve.quotient_discriminant
+        if c0.is_zero or disc_g.is_zero:
+            raise NonReducedCurveError("non-reduced curve")
+        rep_c0, rep_g = _repeated_part(c0), _repeated_part(disc_g)
+        if rep_c0.degree == 0 and rep_g.degree == 0:
+            return SingularReport("smooth", (), True, certificate)
+        witnesses = _quotient_witnesses(g, rep_c0, rep_g)
+    else:
+        certificate, disc = "discriminant", curve.discriminant
+        if disc.is_zero:
+            raise NonReducedCurveError("non-reduced curve")
+        rep = _repeated_part(disc)
+        if rep.degree == 0:
+            return SingularReport("smooth", (), True, certificate)
+        witnesses = _rational_singular_points(f, rep)
     if witnesses:
-        return SingularReport("singular", tuple(witnesses), False)
-    return SingularReport("inconclusive", (), False)
+        return SingularReport("singular", tuple(witnesses), False, certificate)
+    return SingularReport("inconclusive", (), False, certificate)
 
 
 @dataclass(frozen=True)
@@ -190,17 +248,21 @@ def involution_fixed_points(curve: PlaneCurve) -> FixedPointReport:
 class SingularityPatternReport:
     passed: bool
     count: int
-    unit: int
+    unit: Fraction
     witnesses: tuple[tuple[Fraction, Fraction], ...]
 
 
-def so_even_singularity_pattern(curve: PlaneCurve, pf_twisted: UniPoly) -> SingularityPatternReport:
-    """Check the even-orthogonal singularity pattern: F(t, 0) is a unit times
-    the square of the twisted Pfaffian, and every rational Pfaffian root
-    gives an exact singular point on the zero section.
+def so_even_singularity_pattern(
+    curve: PlaneCurve, pf_twisted: UniPoly, det_b: Fraction
+) -> SingularityPatternReport:
+    """Check the even-orthogonal singularity pattern for a Gram form of
+    constant determinant det_b: F(t, 0) * det_b is the square of the twisted
+    Pfaffian, as F(t, 0) = Pf(B*Phi)^2 D^2m / det B, so F(t, 0) is the unit
+    1/det_b times that square; and every rational Pfaffian root gives an
+    exact singular point on the zero section.
 
-    F_x(t, 0) vanishes identically by evenness and F_t(t, 0) = +-2 p p', so
-    all three vanishing conditions are verified exactly at each witness.
+    F_x(t, 0) vanishes identically by evenness and F_t(t, 0) = 2 p p' / det_b,
+    so all three vanishing conditions are verified exactly at each witness.
     The returned count is deg(p), the number of pattern singularities with
     multiplicity.
     """
@@ -208,14 +270,9 @@ def so_even_singularity_pattern(curve: PlaneCurve, pf_twisted: UniPoly) -> Singu
         raise ValueError("curve is not involution-symmetric")
     if pf_twisted.is_zero:
         raise ValueError("zero Pfaffian: the zero section is a curve component")
-    c0 = curve.f.coeff(0)
-    sq = pf_twisted * pf_twisted
-    if c0 == sq:
-        unit = 1
-    elif c0 == -sq:
-        unit = -1
-    else:
+    if curve.f.coeff(0) * det_b != pf_twisted * pf_twisted:
         raise ValueError("not an SO(2m) spectral polynomial: F(t,0) is not a unit times a square")
+    unit = 1 / Q(det_b)
     if not curve.f.coeff(1).is_zero:
         raise AssertionError("odd coefficient survives on an even curve")
     f, f_x, f_t = curve.f, curve.f.derivative_x(), curve.f.derivative_t()
@@ -228,9 +285,15 @@ def so_even_singularity_pattern(curve: PlaneCurve, pf_twisted: UniPoly) -> Singu
 
 
 def ramification_degree_affine(curve: PlaneCurve) -> int:
-    """deg_t of the x-discriminant: affine branch count with multiplicity."""
+    """deg_t of the x-discriminant: affine branch count with multiplicity.
+    For f = g(t, x^2) it is deg c0 + 2 deg disc_z g, read off the quotient."""
     if curve.r < 2:
         return 0
+    if curve.quotient is not None:
+        c0, disc_g = curve.quotient.coeff(0), curve.quotient_discriminant
+        if c0.is_zero or disc_g.is_zero:
+            raise ValueError("discriminant vanishes identically")
+        return c0.degree + 2 * disc_g.degree
     disc = curve.discriminant
     if disc.is_zero:
         raise ValueError("discriminant vanishes identically")

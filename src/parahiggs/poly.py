@@ -6,9 +6,11 @@ pure, so values can be shared freely across threads.
 
 UniPoly arithmetic is schoolbook: degrees in this project stay well under
 100.  What grows with coefficient size runs on primitive integer coefficient
-lists instead: the gcd is a primitive PRS over Z, and the rational roots come
-from Loos' p-adic method (roots modulo a small prime, Newton-lifted and read
-back by rational reconstruction), polynomial in the coefficient bit length.
+lists instead: the gcd is the heuristic GCDHEU (one integer gcd of values at a
+large point, read back as digits and checked by exact division, with a
+primitive PRS over Z as fallback), and the rational roots come from Loos'
+p-adic method (roots modulo a small prime, Newton-lifted and read back by
+rational reconstruction), polynomial in the coefficient bit length.
 
 A RationalFunction is a reduced num/den pair with no arithmetic of its own:
 it holds field entries and JSON sections, while every check runs over Z[t].
@@ -277,9 +279,9 @@ def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return rem
 
 
-def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+def _int_prs_gcd(a: list[int], b: list[int]) -> list[int]:
     """Primitive gcd (positive leading coefficient) of two nonzero integer
-    polynomials, via a primitive PRS."""
+    polynomials, via a primitive PRS: the fallback of `_int_gcd`."""
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -287,6 +289,50 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
         if b:
             b = _int_primitive(b)
     return _int_primitive(a)
+
+
+_HEU_STEPS = 6
+
+
+def _symmetric_digits(n: int, xi: int) -> list[int]:
+    """Digits of n in base xi, each in (-xi/2, xi/2], ascending."""
+    digits = []
+    while n:
+        d = n % xi
+        if d > xi // 2:
+            d -= xi
+        digits.append(d)
+        n = (n - d) // xi
+    return digits
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd (positive leading coefficient) of two nonzero integer
+    polynomials, by the heuristic GCDHEU (Char, Geddes and Gonnet 1989).
+
+    For primitive a, b and xi >= 2 min(|a|, |b|) + 2 in the max norm, the
+    primitive part h of the symmetric xi-adic expansion of
+    gcd(a(xi), b(xi)) is the gcd whenever h divides both a and b, so every
+    candidate is accepted only after two exact divisions.  After
+    _HEU_STEPS values of xi the primitive PRS decides.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    a, b = _int_primitive(a), _int_primitive(b)
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(_HEU_STEPS):
+        gamma = math.gcd(_hom_eval(a, xi, 1), _hom_eval(b, xi, 1))
+        h = _int_primitive(_symmetric_digits(gamma, xi))
+        try:
+            _int_exact_div(a, h)
+            _int_exact_div(b, h)
+            return h
+        except ArithmeticError:
+            pass
+        # the published step: xi grows by about 2.73 xi^(1/4), so a
+        # bad point is left quickly while xi stays near the bound
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return _int_prs_gcd(a, b)
 
 
 def _int_exact_div(a: list[int], b: list[int]) -> list[int]:
@@ -324,7 +370,7 @@ def _eval_mod(p: list[int], x: int, m: int) -> int:
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd over Q, via a primitive PRS over Z."""
+    """Monic gcd over Q, via the primitive gcd over Z."""
     if a.is_zero:
         return b.monic()
     if b.is_zero:

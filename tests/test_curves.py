@@ -1,5 +1,6 @@
 """Spectral plane curves: twisting, involution, smoothness, fixed points."""
 
+import json
 import random
 from fractions import Fraction as Q
 
@@ -20,7 +21,8 @@ from parahiggs.curves import (
     twisted_curve,
     twisted_pfaffian,
 )
-from parahiggs.groups import GroupSpec, split_gram
+from parahiggs.cli import main
+from parahiggs.groups import GramForm, GroupSpec, split_gram
 from parahiggs.higgs import CharData, HiggsField, PoleOrderError, random_strongly_parabolic_higgs
 from parahiggs.poly import RationalFunction, UniPoly, is_squarefree
 
@@ -140,6 +142,35 @@ class TestSmoothness:
             assert (Q(c0), Q(0)) in rep.witnesses
 
 
+    def test_certificate_names_the_path(self):
+        rep = smoothness_check(HYPER)
+        assert rep.certificate == "quotient"
+        assert "certificate" not in rep.to_dict()
+        rep = smoothness_check(curve([0, 1], 1, 1))  # x^2 + x + t, disc 1 - 4t
+        assert rep.status == "smooth" and rep.certificate == "discriminant"
+        assert "certificate" not in rep.to_dict()
+
+    def test_quotient_smooth_where_the_discriminant_never_is(self):
+        # x^4 + t x^2 + 1: c0 = 1 and disc_z g = t^2 - 4 are squarefree, while
+        # disc_x f = 16 (t^2 - 4)^2 is not
+        quartic = curve(1, 0, [0, 1], 0, 1)
+        assert not is_squarefree(discriminant_x(quartic.f))
+        rep = smoothness_check(quartic)
+        assert rep.status == "smooth" and rep.disc_squarefree and rep.certificate == "quotient"
+
+    def test_non_symmetric_cusp_found_through_the_discriminant(self):
+        # (x - t)^2 - t^3: disc 4 t^3, cusp at the origin
+        rep = smoothness_check(curve([0, 0, 1, -1], [0, -2], 1))
+        assert rep.status == "singular" and rep.certificate == "discriminant"
+        assert rep.witnesses == ((Q(0), Q(0)),)
+
+    def test_non_reduced_symmetric_rejected(self):
+        with pytest.raises(NonReducedCurveError):
+            smoothness_check(curve(0, 0, [0, 1], 0, 1))  # x^2 (x^2 + t): c0 = 0
+        with pytest.raises(NonReducedCurveError):
+            smoothness_check(curve([0, 0, 1], 0, [0, 2], 0, 1))  # (x^2 + t)^2
+
+
 class TestFixedPoints:
     def test_hyperelliptic(self):
         rep = involution_fixed_points(HYPER)
@@ -157,26 +188,41 @@ class TestFixedPoints:
 
 class TestSoEvenPattern:
     def test_quartic_pattern(self):
-        rep = so_even_singularity_pattern(QUARTIC, P([0, 1]))  # p = t
+        rep = so_even_singularity_pattern(QUARTIC, P([0, 1]), 1)  # p = t
         assert rep.passed and rep.count == 1
         assert rep.witnesses == ((Q(0), Q(0)),)
         assert rep.unit == 1
 
     def test_m1_toy(self):
-        rep = so_even_singularity_pattern(curve([0, 0, 1], 0, 1), P([0, 1]))  # x^2 + t^2
+        rep = so_even_singularity_pattern(curve([0, 0, 1], 0, 1), P([0, 1]), 1)  # x^2 + t^2
         assert rep.passed and rep.count == 1 and rep.unit == 1
 
     def test_split_gram_unit(self):
-        rep = so_even_singularity_pattern(curve([0, 0, -1], 0, 1), P([0, 1]))  # x^2 - t^2
+        rep = so_even_singularity_pattern(curve([0, 0, -1], 0, 1), P([0, 1]), -1)  # x^2 - t^2
         assert rep.passed and rep.unit == -1
 
     def test_constant_pfaffian(self):
-        rep = so_even_singularity_pattern(curve(1, 0, 1), P([1]))  # x^2 + 1
+        rep = so_even_singularity_pattern(curve(1, 0, 1), P([1]), 1)  # x^2 + 1
         assert rep.passed and rep.count == 0 and rep.witnesses == ()
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="unit times a square"):
-            so_even_singularity_pattern(curve([0, 1], 0, 1), P([0, 1]))
+            so_even_singularity_pattern(curve([0, 1], 0, 1), P([0, 1]), 1)
+
+    def test_non_unit_constant_gram_determinant(self, tmp_path, capsys):
+        # B = [[0, 2], [2, 0]], det B = -4, Phi = diag(t, -t): F(t, 0) = -t^4
+        # and the twisted Pfaffian is -2 t^2, so F(t, 0) = (-1/4) Pf^2
+        gram = GramForm.make([[0, 2], [2, 0]], "symmetric")
+        t = P([0, 1])
+        fld = HiggsField(GroupSpec.so_even(1), gram, [[RF(t), RF(0)], [RF(0), RF(-t)]], (Q(0),))
+        c = build_plane_curve(fld)
+        rep = so_even_singularity_pattern(c, twisted_pfaffian(fld, c.twist), gram.det.num.coeff(0))
+        assert rep.passed and rep.unit == Q(-1, 4)
+        assert rep.count == 2 and rep.witnesses == ((Q(0), Q(0)),)
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(fld.to_dict()))
+        assert main(["analyze", str(path)]) == 0
+        assert "spectral: PASS" in capsys.readouterr().out
 
     def test_generated_so_even_field(self):
         from parahiggs.higgs import pfaffian_square_check
@@ -187,7 +233,7 @@ class TestSoEvenPattern:
         # the twisted Pfaffian is Pf(B*Phi) * t^m, with Pf(B*Phi) from the pfaffian check
         pf = pfaffian_square_check(fld).pfaffian
         assert twisted * pf.den == pf.num * c.twist ** fld.group.m
-        rep = so_even_singularity_pattern(c, twisted)
+        rep = so_even_singularity_pattern(c, twisted, fld.gram.det.num.coeff(0))
         assert rep.passed
 
 
@@ -212,6 +258,19 @@ class TestRamificationAndGenus:
             cur = curve([c for c in (-f).coeffs], 0, 1)
             assert ramification_degree_affine(cur) == deg
             assert hyperelliptic_genus(f) == (deg - 1) // 2
+
+    def test_quotient_reads_the_discriminant_degree(self):
+        # disc_x g(t, x^2) = (-4)^m c0 (disc_z g)^2 on random monic g
+        rng = random.Random(9)
+        for _ in range(12):
+            m = rng.randint(1, 3)
+            g = [[rng.randint(-3, 3) for _ in range(rng.randint(0, 3))] for _ in range(m)]
+            cur = curve(*(c for z in g for c in (z, 0)), 1)
+            disc = discriminant_x(cur.f)
+            c0, disc_g = cur.quotient.coeff(0), cur.quotient_discriminant
+            assert disc == c0 * disc_g * disc_g * (-4) ** m
+            if not disc.is_zero:
+                assert ramification_degree_affine(cur) == disc.degree
 
     def test_genus_validation(self):
         with pytest.raises(ValueError):

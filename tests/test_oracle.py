@@ -5,16 +5,22 @@ to sympy: "smooth" must hold exactly when the Groebner basis of
 (f, f_x, f_t) is [1], and the reported witnesses must be exactly the
 rational solutions of f = f_x = f_t = 0, found by eliminating x and
 factoring over Q.  A curve rejected as non-reduced must have a repeated
-factor in sympy's squarefree factorisation.  sympy is a test-only oracle.
+factor in sympy's squarefree factorisation.  Hand-built symmetric quartics
+cover the quotient certificate's branches that no generated field reaches:
+witnesses off the zero section, an irrational one, and a certified "smooth"
+at m = 2.  sympy is a test-only oracle.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from parahiggs.curves import NonReducedCurveError, build_plane_curve, smoothness_check
+from parahiggs.bipoly import BiPoly
+from parahiggs.curves import NonReducedCurveError, PlaneCurve, build_plane_curve, smoothness_check
 from parahiggs.groups import GroupSpec
 from parahiggs.higgs import random_strongly_parabolic_higgs
+from parahiggs.poly import UniPoly
 
 sympy = pytest.importorskip("sympy")
 t, x = sympy.symbols("t x")
@@ -64,18 +70,53 @@ def rational_singular_points(basis) -> list[tuple[Fraction, Fraction]]:
     return sorted(points)
 
 
-@pytest.mark.parametrize("kind,m,count,deg,seed", CASES)
-def test_smoothness_matches_groebner_oracle(kind, m, count, deg, seed):
-    fld = random_strongly_parabolic_higgs(GroupSpec(kind, m), MARKED[:count], deg, seed)
-    curve = build_plane_curve(fld)
+def assert_matches_oracle(curve):
     f = to_sympy(curve.f)
     try:
         report = smoothness_check(curve)
     except NonReducedCurveError:
         _, factors = sympy.sqf_list(f, x, t)
         assert any(mult > 1 for _, mult in factors)
-        return
+        return None
     basis = sympy.groebner([f, sympy.diff(f, x), sympy.diff(f, t)], x, t, order="lex")
     assert (report.status == "smooth") == (basis.exprs == [1])
     if report.status != "smooth":
         assert list(report.witnesses) == rational_singular_points(basis)
+    return report
+
+
+@pytest.mark.parametrize("kind,m,count,deg,seed", CASES)
+def test_smoothness_matches_groebner_oracle(kind, m, count, deg, seed):
+    fld = random_strongly_parabolic_higgs(GroupSpec(kind, m), MARKED[:count], deg, seed)
+    assert_matches_oracle(build_plane_curve(fld))
+
+
+def quartic(a, b) -> PlaneCurve:
+    """x^4 + a x^2 + b for integer t-coefficient lists a, b."""
+    return PlaneCurve(BiPoly.make([UniPoly.make(b), UniPoly.zero(), UniPoly.make(a),
+                                   UniPoly.zero(), UniPoly.one()]))
+
+
+def test_quotient_witnesses_off_the_zero_section():
+    report = assert_matches_oracle(quartic([-2], [1, 0, -1]))  # (x^2 - 1)^2 - t^2
+    assert report.witnesses == ((Fraction(0), Fraction(-1)), (Fraction(0), Fraction(1)))
+
+
+def test_quotient_irrational_square_root_is_inconclusive():
+    report = assert_matches_oracle(quartic([-4], [4, 0, -1]))  # (x^2 - 2)^2 - t^2
+    assert report.status == "inconclusive"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_quotient_certifies_smooth_quartics(seed):
+    """x^4 + a x^2 + b with b and a^2 - 4b squarefree, drawn by sympy: smooth
+    at m = 2, which disc_x f = 16 b (a^2 - 4b)^2 can never certify."""
+    rng = random.Random(seed)
+    while True:
+        a = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))]
+        b = [rng.randint(-5, 5) for _ in range(rng.randint(2, 4))]
+        sa, sb = (sum(c * t**j for j, c in enumerate(p)) for p in (a, b))
+        if all(sympy.degree(p, t) >= 1 and sympy.Poly(p, t).is_sqf for p in (sb, sa**2 - 4 * sb)):
+            break
+    report = assert_matches_oracle(quartic(a, b))
+    assert report.status == "smooth" and report.certificate == "quotient"

@@ -30,6 +30,12 @@ The sweep digests cover the exit code, output bytes and stderr of `sweep` and
 `dims`, and the exit code and stdout of the two dimension scripts; they were
 recorded on the code that still evaluated line-bundle degrees over `Fraction`.
 
+The m = 3 and 4 digests cover `analyze` with the default checks on one
+field per group (marked points 0 and 1, degree bound 1, seed 0); they were
+recorded on the code that still certified every curve by the full
+x-discriminant and took a primitive PRS gcd, where the m = 4 fields took 11 s
+(so-even), 29 s (so-odd) and 64 s (sp) each on one core.
+
 The reduced-field digest covers `analyze` with the algebraic checks on the
 `reduce-odd` outputs of the so-odd grid: sp fields over a non-split Gram form
 over Q(t), with poles off the marked points and a common denominator that is
@@ -98,6 +104,18 @@ STALLED_PINNED = {
     1: "6e33a8258c3d85009b303ca61e6cfe3f5bfc3fee6c44c057c27626afb15b5afd",
 }
 STALLED_BOUND_S = 5.0
+
+# (group, m) -> digest of the bytes `analyze --format json` writes for the
+# field `gen --group G -m M --marked 0,1 --deg-bound 1 --seed 0`
+LARGE_M_PINNED = {
+    ("sp", 3): "590004affaf444693c1d8ac2348b490e458e40e5860005b83de17047b93f3152",
+    ("sp", 4): "06a76cbceb5845c64770bc1d1b7e1d4141a90179ef1e8acd3250b26cc56de62c",
+    ("so-odd", 3): "bd01caaab9a2f5a1f0e6ee900bc5839d3837af0c49c43b8ea497225b5753cbe4",
+    ("so-odd", 4): "8ae7594325e3d3bd5d1543bfde6e80e9ca176b8e0c570baef9f253321329f00b",
+    ("so-even", 3): "56d100db2482144f4ee690a09cbf1d67d18f4ba492a4fc3a816bcebfde6d1abc",
+    ("so-even", 4): "d8c6fc47a4702f6be231cf215a07f58e6916f261c32833d0bec45d45da341428",
+}
+LARGE_M_BOUND_S = 10.0
 
 
 REDUCED_PINNED = "11b80c30a70cf2a7d77935e6394fa594b5b6ee4843706e7b7414c39cfd8c761d"
@@ -243,6 +261,20 @@ def test_stalled_m2_analyze_is_bounded(deg, tmp_path, capsys):
     _, seconds = stalled_analyze(deg, tmp_path)
     capsys.readouterr()
     assert seconds < STALLED_BOUND_S
+
+
+@pytest.mark.parametrize("kind,m", sorted(LARGE_M_PINNED))
+def test_large_m_analyze_is_bounded_and_pinned(kind, m, tmp_path, capsys):
+    field, out = tmp_path / "field.json", tmp_path / "out.json"
+    start = time.perf_counter()
+    assert main(["gen", "--group", kind, "-m", str(m), "--marked", "0,1", "--deg-bound", "1",
+                 "--seed", "0", "-o", str(field)]) == 0
+    code = main(["analyze", str(field), "--format", "json", "-o", str(out)])
+    seconds = time.perf_counter() - start
+    capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_M_PINNED[kind, m]
+    assert seconds < LARGE_M_BOUND_S
 
 
 BOX = ["-m", "2:9", "-g", "3:13", "-n", "2:9"]  # 8 x 11 x 8 per group

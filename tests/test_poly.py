@@ -5,10 +5,14 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parahiggs import poly
 from parahiggs.higgs import CharData
 from parahiggs.poly import (
     RationalFunction,
     UniPoly,
+    _int_gcd,
+    _int_poly_mul_add,
+    _int_prs_gcd,
     interpolate_int_range,
     is_squarefree,
     poly_gcd,
@@ -18,6 +22,9 @@ from parahiggs.poly import (
 
 P = UniPoly.make
 RF = RationalFunction.make
+
+
+BIG = st.builds(lambda n, sign: sign * n, st.integers(2**63, 2**80), st.sampled_from((1, -1)))
 
 
 def small_polys(max_deg=4, min_deg=0, lo=-4, hi=4):
@@ -70,6 +77,26 @@ class TestGcd:
         assert b.divmod(g)[1].is_zero
         # the planted factor divides the gcd
         assert g.divmod(poly_gcd(g, c))[1].is_zero
+
+
+    @given(st.lists(st.lists(BIG, min_size=1, max_size=7), min_size=3, max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_heuristic_gcd_matches_prs(self, polys):
+        """GCDHEU equals the primitive PRS on products with a planted common
+        factor, every input coefficient of 64 bits or more."""
+        a, b, c = polys
+        prod_a, prod_b = [], []
+        _int_poly_mul_add(prod_a, a, c)
+        _int_poly_mul_add(prod_b, b, c)
+        g = _int_gcd(prod_a, prod_b)
+        assert g == _int_prs_gcd(prod_a, prod_b)
+        assert len(g) >= len(c)
+
+    def test_prs_fallback(self, monkeypatch):
+        monkeypatch.setattr(poly, "_HEU_STEPS", 0)
+        a = [-2, -1, 2, 1]  # (t + 1)(t - 1)(t + 2)
+        assert poly._int_gcd(a, [2, 3, 1]) == [2, 3, 1]  # (t + 1)(t + 2)
+        assert poly._int_gcd(a, [6, 2]) == [1]
 
 
 class TestRationalRoots:
