@@ -40,6 +40,7 @@ from .poly import q_to_str
 OK, CHECK_FAILED, USAGE_ERROR = 0, 1, 2
 
 ALL_CHECKS = ("membership", "charpoly", "parity", "strong-parabolic", "pfaffian", "spectral")
+NON_MEMBER = "field is not in the Lie algebra of its Gram form"
 
 
 @dataclass
@@ -55,7 +56,7 @@ class RunConfig:
     seed: int = 0
     degree_bound: int = 1
     marked: tuple[Fraction, ...] = ()
-    checks: tuple[str, ...] = ALL_CHECKS
+    checks: tuple[str, ...] | None = None  # None: every check that applies to the group
     fmt: str = "csv"
     inp: str = "-"
     out: str = "-"
@@ -135,9 +136,12 @@ def cmd_gen(cfg: RunConfig) -> int:
 
 def _spectral_section(fld: HiggsField) -> dict:
     group = fld.group
-    if group.kind == "so-odd" and not parity_classify(fld.char_data, group).passed:
-        return {"pass": False, "reason": "char polynomial is not x * even"}
+    if not parity_classify(fld.char_data, group).passed:
+        even = "x * even" if group.kind == "so-odd" else "even"
+        return {"pass": False, "reason": f"char polynomial is not {even}"}
     if group.kind == "so-even":
+        if not fld.is_member:
+            return {"pass": False, "reason": NON_MEMBER}
         det_b = fld.gram.det
         if det_b.num.degree > 0 or det_b.den.degree > 0:
             return {
@@ -193,6 +197,8 @@ def _analyze_field(fld: HiggsField, checks: tuple[str, ...]) -> dict:
         elif name == "strong-parabolic":
             strong = strong_parabolic_check(fld)
             section = {"pass": strong.passed, "failures": list(strong.failures)}
+        elif name == "pfaffian" and not fld.is_member:
+            section = {"pass": False, "reason": NON_MEMBER}
         elif name == "pfaffian":
             pf = pfaffian_square_check(fld)
             section = {
@@ -225,12 +231,12 @@ def _format_analysis(report: dict, fmt: str) -> str:
 
 def cmd_analyze(cfg: RunConfig) -> int:
     fld = HiggsField.from_dict(_read_input(cfg.inp))
-    checks = list(cfg.checks)
-    if "pfaffian" in checks and fld.group.kind != "so-even":
-        if cfg.checks != ALL_CHECKS:
-            raise GroupError("pfaffian check applies to so-even fields only")
-        checks.remove("pfaffian")
-    report = _analyze_field(fld, tuple(checks))
+    checks = cfg.checks
+    if checks is None:
+        checks = tuple(c for c in ALL_CHECKS if c != "pfaffian" or fld.group.kind == "so-even")
+    elif "pfaffian" in checks and fld.group.kind != "so-even":
+        raise GroupError("pfaffian check applies to so-even fields only")
+    report = _analyze_field(fld, checks)
     _write_output(cfg.out, _format_analysis(report, cfg.fmt))
     return OK if report["all_pass"] else CHECK_FAILED
 

@@ -5,15 +5,16 @@ denominators of the characteristic coefficients, so every curve handled
 here is a monic-in-x polynomial over Q[t], read off the field's integer
 characteristic data e_i and clearing c*d with no arithmetic over Q(t).
 
-An involution-symmetric curve f(t, x) = g(t, x^2) is certified through its
-quotient g: f_x = 2x g_z, so f is smooth exactly when c0 = g(t, 0) is
-squarefree (the points on x = 0) and g has no singular point with z != 0,
-which a squarefree disc_z g certifies; disc_x f = (-4)^m c0 (disc_z g)^2
-itself is squarefree only when disc_z g is constant.  Any other curve is
-certified by its x-discriminant.  Either way a zero discriminant means a non-reduced curve,
-and otherwise rational singular points are searched for exactly over the
-discriminant's repeated roots; the honest answer is "inconclusive" when none
-is found.
+Only involution-symmetric curves f(t, x) = g(t, x^2) are certified, the
+spectral curves of Sp(2m), SO(2m) and (after dividing by x) SO(2m+1)
+fields; the functions below raise on any other curve.  The certificate goes
+through the quotient g: f_x = 2x g_z, so f is smooth exactly when
+c0 = g(t, 0) is squarefree (the points on x = 0) and g has no singular point
+with z != 0, which a squarefree disc_z g certifies; disc_x f =
+(-4)^m c0 (disc_z g)^2 itself is squarefree only when disc_z g is constant.
+A zero c0 or disc_z g means a non-reduced curve, and otherwise rational
+singular points are searched for exactly over their repeated roots; the
+honest answer is "inconclusive" when none is found.
 """
 
 from __future__ import annotations
@@ -46,11 +47,6 @@ class PlaneCurve:
     @property
     def r(self) -> int:
         return self.f.deg_x
-
-    @cached_property
-    def discriminant(self) -> UniPoly:
-        """x-discriminant of f, computed once per curve."""
-        return discriminant_x(self.f)
 
     @cached_property
     def quotient(self) -> BiPoly | None:
@@ -106,7 +102,9 @@ def twisted_curve(char: CharData, marked_points) -> PlaneCurve:
 
 def build_plane_curve(fld: HiggsField) -> PlaneCurve:
     """Spectral curve of a Higgs field in the twisted polynomial chart; for
-    so(2m+1), that of the even x-cofactor char/x (callers check parity)."""
+    so(2m+1), that of the x-cofactor char/x.  The curve is involution-
+    symmetric only for an even char (x times an even char for so(2m+1)),
+    which ``cli._spectral_section`` checks before it builds one."""
     char = fld.char_data
     if fld.group.kind == "so-odd":
         char = char.x_cofactor()
@@ -126,12 +124,18 @@ def involution_check(curve: PlaneCurve) -> bool:
     return curve.quotient is not None
 
 
+def _symmetric_quotient(curve: PlaneCurve) -> BiPoly:
+    """The quotient g of an involution-symmetric curve; raises on any other."""
+    if curve.quotient is None:
+        raise ValueError("curve is not involution-symmetric")
+    return curve.quotient
+
+
 @dataclass(frozen=True)
 class SingularReport:
     status: str  # "smooth" | "singular" | "inconclusive"
     witnesses: tuple[tuple[Fraction, Fraction], ...]
     disc_squarefree: bool  # proved smooth
-    certificate: str = "discriminant"  # or "quotient"; not part of to_dict
 
     def to_dict(self) -> dict:
         return {
@@ -148,8 +152,8 @@ def _repeated_part(p: UniPoly) -> UniPoly:
 
 def _rational_singular_points(f: BiPoly, rep: UniPoly) -> list[tuple[Fraction, Fraction]]:
     """Rational points where f = f_x = f_t = 0 for a monic f, searched over
-    the rational roots of rep = gcd(disc, disc'): the t of a singular point
-    is a repeated root of the x-discriminant."""
+    the rational roots of rep = gcd(disc, disc') for disc the x-discriminant
+    of f: the t of a singular point is a repeated root of disc."""
     f_x, f_t = f.derivative_x(), f.derivative_t()
     witnesses = []
     for t0, _ in rational_roots(rep):
@@ -186,40 +190,28 @@ def _quotient_witnesses(g: BiPoly, rep_c0: UniPoly, rep_g: UniPoly) -> list[tupl
 
 
 def smoothness_check(curve: PlaneCurve) -> SingularReport:
-    """Certify smoothness of the affine curve, or exhibit rational singular
-    points, or answer "inconclusive".  Raises on a non-reduced curve.
+    """Certify smoothness of a symmetric affine curve f = g(t, x^2), or
+    exhibit rational singular points, or answer "inconclusive".  Raises on a
+    non-reduced curve and on a curve that is not involution-symmetric.
 
-    A symmetric curve f = g(t, x^2) is smooth when c0 = g(t, 0) and disc_z g
-    are both squarefree, any other curve when its x-discriminant is.  The
+    f is smooth when c0 = g(t, 0) and disc_z g are both squarefree.  The
     witnesses are the rational singular points, each checked exactly against
     the vanishing of the polynomial and both partials.
     """
-    f, g = curve.f, curve.quotient
-    if f.deg_x < 2:
+    g = _symmetric_quotient(curve)
+    if g.deg_x < 1:
         return SingularReport("smooth", (), True)
     # f is monic, hence primitive over Q[t], so by Gauss's lemma it has a
     # repeated factor in Q[t, x] exactly when gcd(f, f_x) != 1 over Q(t),
-    # that is, exactly when its x-discriminant vanishes; for f = g(t, x^2)
-    # that discriminant is (-4)^m c0 (disc_z g)^2.
-    if g is not None:
-        certificate, c0, disc_g = "quotient", g.coeff(0), curve.quotient_discriminant
-        if c0.is_zero or disc_g.is_zero:
-            raise NonReducedCurveError("non-reduced curve")
-        rep_c0, rep_g = _repeated_part(c0), _repeated_part(disc_g)
-        if rep_c0.degree == 0 and rep_g.degree == 0:
-            return SingularReport("smooth", (), True, certificate)
-        witnesses = _quotient_witnesses(g, rep_c0, rep_g)
-    else:
-        certificate, disc = "discriminant", curve.discriminant
-        if disc.is_zero:
-            raise NonReducedCurveError("non-reduced curve")
-        rep = _repeated_part(disc)
-        if rep.degree == 0:
-            return SingularReport("smooth", (), True, certificate)
-        witnesses = _rational_singular_points(f, rep)
-    if witnesses:
-        return SingularReport("singular", tuple(witnesses), False, certificate)
-    return SingularReport("inconclusive", (), False, certificate)
+    # that is, exactly when its x-discriminant (-4)^m c0 (disc_z g)^2 vanishes.
+    c0, disc_g = g.coeff(0), curve.quotient_discriminant
+    if c0.is_zero or disc_g.is_zero:
+        raise NonReducedCurveError("non-reduced curve")
+    rep_c0, rep_g = _repeated_part(c0), _repeated_part(disc_g)
+    if rep_c0.degree == 0 and rep_g.degree == 0:
+        return SingularReport("smooth", (), True)
+    witnesses = tuple(_quotient_witnesses(g, rep_c0, rep_g))
+    return SingularReport("singular" if witnesses else "inconclusive", witnesses, False)
 
 
 @dataclass(frozen=True)
@@ -234,9 +226,7 @@ def involution_fixed_points(curve: PlaneCurve) -> FixedPointReport:
     The count is deg c_r (all fixed points with multiplicity); the witnesses
     are the rational ones.
     """
-    if not involution_check(curve):
-        raise ValueError("curve is not involution-symmetric")
-    c_r = curve.f.coeff(0)
+    c_r = _symmetric_quotient(curve).coeff(0)
     if c_r.is_zero:
         raise ValueError("zero section lies on the curve; fixed locus not finite")
     if c_r.degree == 0:
@@ -266,15 +256,12 @@ def so_even_singularity_pattern(
     The returned count is deg(p), the number of pattern singularities with
     multiplicity.
     """
-    if not involution_check(curve):
-        raise ValueError("curve is not involution-symmetric")
+    c0 = _symmetric_quotient(curve).coeff(0)
     if pf_twisted.is_zero:
         raise ValueError("zero Pfaffian: the zero section is a curve component")
-    if curve.f.coeff(0) * det_b != pf_twisted * pf_twisted:
+    if c0 * det_b != pf_twisted * pf_twisted:
         raise ValueError("not an SO(2m) spectral polynomial: F(t,0) is not a unit times a square")
     unit = 1 / Q(det_b)
-    if not curve.f.coeff(1).is_zero:
-        raise AssertionError("odd coefficient survives on an even curve")
     f, f_x, f_t = curve.f, curve.f.derivative_x(), curve.f.derivative_t()
     witnesses = []
     for t0, _ in rational_roots(pf_twisted) if pf_twisted.degree >= 1 else []:
@@ -285,19 +272,16 @@ def so_even_singularity_pattern(
 
 
 def ramification_degree_affine(curve: PlaneCurve) -> int:
-    """deg_t of the x-discriminant: affine branch count with multiplicity.
-    For f = g(t, x^2) it is deg c0 + 2 deg disc_z g, read off the quotient."""
-    if curve.r < 2:
+    """deg_t of the x-discriminant (-4)^m c0 (disc_z g)^2 of a symmetric
+    curve f = g(t, x^2): the affine branch count with multiplicity, read off
+    the quotient as deg c0 + 2 deg disc_z g.  Raises on any other curve."""
+    g = _symmetric_quotient(curve)
+    if g.deg_x < 1:
         return 0
-    if curve.quotient is not None:
-        c0, disc_g = curve.quotient.coeff(0), curve.quotient_discriminant
-        if c0.is_zero or disc_g.is_zero:
-            raise ValueError("discriminant vanishes identically")
-        return c0.degree + 2 * disc_g.degree
-    disc = curve.discriminant
-    if disc.is_zero:
+    c0, disc_g = g.coeff(0), curve.quotient_discriminant
+    if c0.is_zero or disc_g.is_zero:
         raise ValueError("discriminant vanishes identically")
-    return disc.degree
+    return c0.degree + 2 * disc_g.degree
 
 
 def hyperelliptic_genus(f: UniPoly) -> int:

@@ -36,7 +36,6 @@ from .linalg import (
     const_mat_mul,
     mat_inverse,
     scaled_integer_matrix,
-    transpose,
 )
 from .poly import RationalFunction, UniPoly
 
@@ -199,9 +198,9 @@ def cayley_group_element(a: QMat, gram: GramForm) -> QMat:
     A must lie in the algebra of the form and I + A must be invertible.
     """
     n = _check_size(a, gram)
-    b = _constant_gram(gram)
-    at_b, b_a = const_mat_mul(transpose(a), b), const_mat_mul(b, a)
-    if any(x + y for rx, ry in zip(at_b, b_a) for x, y in zip(rx, ry)):
+    b_a = const_mat_mul(_constant_gram(gram), a)
+    sign = 1 if gram.kind == "symplectic" else -1
+    if any(b_a[j][i] != sign * b_a[i][j] for i in range(n) for j in range(i, n)):
         raise GroupError("input is not in the Lie algebra of the form")
     try:
         inv = mat_inverse([[int(i == j) + a[i][j] for j in range(n)] for i in range(n)])

@@ -28,10 +28,6 @@ class SingularMatrixError(ArithmeticError):
     pass
 
 
-def transpose(a: Mat) -> Mat:
-    return [list(col) for col in zip(*a)]
-
-
 def _integer_rows(a: QMat) -> tuple[list[list[int]], int]:
     """(A', den) with a == A' / den, A' an integer matrix."""
     den = math.lcm(*(x.denominator for row in a for x in row))

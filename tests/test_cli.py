@@ -2,12 +2,14 @@
 
 import io
 import json
+import time
 
 import pytest
 
 from parahiggs import groups, higgs, linalg
-from parahiggs.cli import main
+from parahiggs.cli import ALL_CHECKS, NON_MEMBER, main
 from parahiggs.higgs import HiggsField
+from parahiggs.poly import RationalFunction, UniPoly
 
 ZERO = {"num": [], "den": ["1"]}
 ONE = {"num": ["1"], "den": ["1"]}
@@ -256,9 +258,66 @@ class TestAnalyze:
         assert run(capsys, "analyze", str(path))[0] == 2
 
     def test_pfaffian_on_sp_requested_explicitly_is_usage_error(self, sp_field, capsys):
-        code, _, err = run(capsys, "analyze", str(sp_field), "--checks", "pfaffian")
-        assert code == 2
-        assert "so-even" in err
+        # the full list in the default order is an explicit request too
+        for checks in ("pfaffian", ",".join(ALL_CHECKS)):
+            code, _, err = run(capsys, "analyze", str(sp_field), "--checks", checks)
+            assert code == 2
+            assert "so-even" in err
+
+
+def trace_bumped(doc: dict) -> dict:
+    """The field of doc with t added to Phi_00: trace Phi = t, so the
+    characteristic polynomial is not even and Phi is off the algebra."""
+    fld = HiggsField.from_dict(doc)
+    x = fld.matrix[0][0]
+    fld.matrix[0][0] = RationalFunction.make(x.num + UniPoly.make([0, 1]) * x.den, x.den)
+    return fld.to_dict()
+
+
+def symmetric_so_even(m: int) -> dict:
+    """Phi = t (E_0m + E_m0), [[0, t], [t, 0]] at m = 1: B*Phi = t (E_00 + E_mm)
+    is symmetric, so Phi is off so(2m), while char = x^(2m-2) (x^2 - t^2) is even."""
+    matrix = [[ZERO] * (2 * m) for _ in range(2 * m)]
+    matrix[0][m] = matrix[m][0] = {"num": ["0", "1"], "den": ["1"]}
+    return {"group": "so-even", "m": m, "marked_points": ["0"], "matrix": matrix}
+
+
+OFF_ALGEBRA_BOUND_S = 10.0
+OFF_ALGEBRA_CASES = [(kind, m, "trace") for kind in ("sp", "so-even", "so-odd") for m in (1, 2)]
+OFF_ALGEBRA_CASES += [("sp", 4, "trace"), ("so-even", 1, "symmetric"), ("so-even", 2, "symmetric")]
+
+
+class TestOffAlgebra:
+    """A well-formed field off the Lie algebra gets a report and exit 1, never exit 2."""
+
+    @pytest.mark.parametrize("kind,m,push", OFF_ALGEBRA_CASES)
+    def test_default_analyze_reports_and_exits_1(self, kind, m, push, tmp_path, capsys):
+        start = time.perf_counter()
+        if push == "trace":
+            _, field, _ = run(capsys, "gen", "--group", kind, "-m", str(m), "--marked", "0,1",
+                              "--deg-bound", "1", "--seed", "0")
+            doc = trace_bumped(json.loads(field))
+            want = "char polynomial is not x * even" if kind == "so-odd" else "char polynomial is not even"
+        else:
+            doc = symmetric_so_even(m)
+            want = NON_MEMBER
+        path = tmp_path / "off.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", str(path), "--format", "json")
+        assert (code, err) == (1, "")
+        checks = json.loads(out)["checks"]
+        assert checks["membership"] == {"pass": False}
+        assert checks["spectral"] == {"pass": False, "reason": want}
+        if kind == "so-even":
+            assert checks["pfaffian"] == {"pass": False, "reason": NON_MEMBER}
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, err) == (1, "")
+        assert "\nmembership: FAIL\n" in out
+        for name in ("pfaffian", "spectral"):
+            if name in checks:
+                assert f"\n{name}: FAIL\n  - {checks[name]['reason']}\n" in out
+        assert out.endswith("overall: FAIL\n")
+        assert time.perf_counter() - start < OFF_ALGEBRA_BOUND_S
 
 
 class TestReduceOdd:

@@ -117,9 +117,9 @@ class TestSmoothness:
         assert (Q(0), Q(0)) in rep.witnesses
 
     def test_non_reduced_rejected(self):
-        # (x - t)^2 = x^2 - 2tx + t^2
+        # (x - t)^2 (x + t)^2 = x^4 - 2t^2 x^2 + t^4: disc_z g = 0
         with pytest.raises(NonReducedCurveError):
-            smoothness_check(curve([0, 0, 1], [0, -2], 1))
+            smoothness_check(curve([0, 0, 0, 0, 1], 0, [0, 0, -2], 0, 1))
 
     def test_inconclusive_on_irrational_singularity(self):
         # x^2 - (t^2 - 2)^2: singular only at t = +-sqrt(2)
@@ -141,28 +141,20 @@ class TestSmoothness:
             assert rep.status == "singular"
             assert (Q(c0), Q(0)) in rep.witnesses
 
-
-    def test_certificate_names_the_path(self):
-        rep = smoothness_check(HYPER)
-        assert rep.certificate == "quotient"
-        assert "certificate" not in rep.to_dict()
-        rep = smoothness_check(curve([0, 1], 1, 1))  # x^2 + x + t, disc 1 - 4t
-        assert rep.status == "smooth" and rep.certificate == "discriminant"
-        assert "certificate" not in rep.to_dict()
-
     def test_quotient_smooth_where_the_discriminant_never_is(self):
         # x^4 + t x^2 + 1: c0 = 1 and disc_z g = t^2 - 4 are squarefree, while
         # disc_x f = 16 (t^2 - 4)^2 is not
         quartic = curve(1, 0, [0, 1], 0, 1)
         assert not is_squarefree(discriminant_x(quartic.f))
         rep = smoothness_check(quartic)
-        assert rep.status == "smooth" and rep.disc_squarefree and rep.certificate == "quotient"
+        assert rep.status == "smooth" and rep.disc_squarefree
 
-    def test_non_symmetric_cusp_found_through_the_discriminant(self):
-        # (x - t)^2 - t^3: disc 4 t^3, cusp at the origin
-        rep = smoothness_check(curve([0, 0, 1, -1], [0, -2], 1))
-        assert rep.status == "singular" and rep.certificate == "discriminant"
-        assert rep.witnesses == ((Q(0), Q(0)),)
+    def test_non_symmetric_curve_rejected(self):
+        # (x - t)^2 - t^3, a cusp at the origin, and x^2 + x + t, smooth
+        for cur in (curve([0, 0, 1, -1], [0, -2], 1), curve([0, 1], 1, 1)):
+            for check in (smoothness_check, ramification_degree_affine):
+                with pytest.raises(ValueError, match="not involution-symmetric"):
+                    check(cur)
 
     def test_non_reduced_symmetric_rejected(self):
         with pytest.raises(NonReducedCurveError):

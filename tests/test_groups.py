@@ -17,7 +17,6 @@ from parahiggs.higgs import HiggsField, random_strongly_parabolic_higgs
 from parahiggs.linalg import (
     SingularMatrixError,
     const_mat_mul,
-    transpose,
 )
 from parahiggs.poly import RationalFunction, UniPoly
 
@@ -26,6 +25,10 @@ RF = RationalFunction.make
 
 def scalars(rows):
     return [[RF(x) for x in row] for row in rows]
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
 
 
 def identity(n):
@@ -172,6 +175,9 @@ class TestCayley:
     def test_rejects_non_member(self):
         with pytest.raises(GroupError):
             cayley_group_element([[1, 0], [0, 1]], split_gram(GroupSpec.sp(1)))
+        # B*A = [[0, 0], [0, 1]] is symmetric, not antisymmetric as so(2) needs
+        with pytest.raises(GroupError, match="not in the Lie algebra"):
+            cayley_group_element([[0, 1], [0, 0]], split_gram(GroupSpec.so_even(1)))
 
     def test_rejects_non_constant_gram(self):
         t, minus_t = RF(UniPoly.make([0, 1])), RF(UniPoly.make([0, -1]))
