@@ -43,6 +43,15 @@ not prod (t - a_k).  The non-constant Gram digest covers the `pfaffian` check
 on an so(2) field whose Gram form B = [[0, t+1], [t+1, 0]] degenerates at
 t = -1, so det B is not a constant.  Both were recorded on the code that still
 read every check off characteristic coefficients over Q(t).
+
+The hand-written digests cover `analyze --format json` (default checks), and
+`reduce-odd` on the so-odd one, on fields whose JSON entries are not in the
+normal form `gen` writes: a trailing zero in a denominator, common factors of
+numerator and denominator, scaled and non-monic denominators, decimal and
+unreduced fraction coefficients and a zero entry over a constant, plus the
+exit code and stderr of a zero denominator.  They were recorded on the code
+that still normalised every parsed entry as a reduced rational function
+before clearing the matrix.
 """
 
 import hashlib
@@ -345,3 +354,81 @@ def sweep_case_bytes(case: str, workdir, capsys) -> bytes:
 def test_pinned_sweep_bytes(case, tmp_path, capsys):
     got = sweep_case_bytes(case, tmp_path, capsys)
     assert hashlib.sha256(got).hexdigest() == SWEEP_PINNED[case]
+
+
+Z5 = {"num": [], "den": ["5"]}
+
+# fields written by hand in forms `gen` never writes; each name says what it holds
+HAND_WRITTEN_FIELDS = {
+    # Phi = [[3/4, -1/(8t)], [0, -3/4]]
+    "sp-unreduced": {
+        "group": "sp", "m": 1, "marked_points": ["0", "1/2"],
+        "matrix": [[{"num": ["0", "1.5"], "den": ["0", "2", "0"]},
+                    {"num": ["-3/6", "1"], "den": ["0", "4", "-8"]}],
+                   [Z5, {"num": ["0", "-1.5"], "den": ["0", "2"]}]],
+    },
+    # Phi = diag(t - 1, 1 - t)
+    "so-even-scaled": {
+        "group": "so-even", "m": 1, "marked_points": ["0", "1"],
+        "matrix": [[{"num": ["-2", "0", "2"], "den": ["2", "2"]}, Z5],
+                   [{"num": [], "den": ["0", "1"]}, {"num": ["-3/6", "3/6"], "den": ["-0.5"]}]],
+    },
+    # B = [[0, 1/2], [1/2, 0]] and Phi = diag(1/(3t), -1/(3t))
+    "so-even-gram": {
+        "group": "so-even", "m": 1, "marked_points": ["0"],
+        "gram": [[Z5, {"num": ["0", "2"], "den": ["0", "4"]}],
+                 [{"num": ["-3/6"], "den": ["-1"]}, {"num": [], "den": ["1", "1"]}]],
+        "matrix": [[{"num": ["2", "2"], "den": ["0", "6", "6"]}, Z5],
+                   [Z5, {"num": ["-1.5"], "den": ["0", "4.5"]}]],
+    },
+    # Phi = [[2t, 0, 1/(2t)], [0, -2t, 1/2], [-1/2, -1/(2t), 0]]
+    "so-odd-unreduced": {
+        "group": "so-odd", "m": 1, "marked_points": ["0"],
+        "matrix": [[{"num": ["0", "0", "4"], "den": ["0", "2", "0"]}, Z5,
+                    {"num": ["1"], "den": ["0", "2"]}],
+                   [Z5, {"num": ["0", "-6"], "den": ["3"]},
+                    {"num": ["-3/6", "1"], "den": ["-1", "2"]}],
+                   [{"num": ["-1"], "den": ["2"]}, {"num": ["-1.5"], "den": ["0", "3"]}, Z5]],
+    },
+}
+
+HAND_WRITTEN_PINNED = {
+    "sp-unreduced":
+        "08f97b761776c41939758f277318e0f8a5a253d5f7c0b54a60fa7532c0516d8b",
+    "so-even-scaled":
+        "d10f191aff1dbc5e23ad73c6591dd2ed05031bb6c376709d83d7bea69d71f068",
+    "so-even-gram":
+        "589a6a27e64be8a163ded10746fa0ed333ad13caaeac2660bce8cc87898b4047",
+    "so-odd-unreduced":
+        "aa1ea40f4faadb4cc02e9b8a4a1a94e6ea55a56e9df3212bfca7493f3ac6313f",
+    "so-odd-unreduced reduce-odd":
+        "62763fe3bb9d279ff5671b9328e430088fdfbb30d604010f9eb96a4d45d252c5",
+}
+
+# an sp(2) field with a zero denominator, written with and without a trailing zero
+ZERO_DENOMINATOR_PINNED = {
+    '["0", "0"]': "910fc68554b83015b1080a28f72f0bcd5519b7ec7e4e979f234edf39a3b3326f",
+    "[]": "910fc68554b83015b1080a28f72f0bcd5519b7ec7e4e979f234edf39a3b3326f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_WRITTEN_PINNED))
+def test_pinned_hand_written_bytes(name, tmp_path, capsys):
+    field, _, command = name.partition(" ")
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(HAND_WRITTEN_FIELDS[field]))
+    argv = [command, str(path)] if command else ["analyze", str(path), "--format", "json"]
+    got = _run(argv, tmp_path / "out.json")
+    capsys.readouterr()
+    assert hashlib.sha256(got).hexdigest() == HAND_WRITTEN_PINNED[name]
+
+
+@pytest.mark.parametrize("den", sorted(ZERO_DENOMINATOR_PINNED))
+def test_pinned_zero_denominator_bytes(den, tmp_path, capsys):
+    doc = {"group": "sp", "m": 1, "marked_points": ["0"],
+           "matrix": [[Z5, {"num": ["1"], "den": json.loads(den)}], [Z5, Z5]]}
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(doc))
+    got = _run(["analyze", str(path), "--format", "json"], tmp_path / "out.json")
+    got += capsys.readouterr().err.encode()
+    assert hashlib.sha256(got).hexdigest() == ZERO_DENOMINATOR_PINNED[den]
