@@ -113,10 +113,15 @@ def build_plane_curve(fld: HiggsField) -> PlaneCurve:
 
 def twisted_pfaffian(fld: HiggsField, twist: UniPoly) -> UniPoly:
     """Pf(B*Phi) * twist^m of an so(2m) field: Pf(P) twist^m / e^m with
-    B*Phi = P / e, read off the Z[t] Pfaffian.  Raises ArithmeticError when
+    B*Phi = P / e, read off the Z[t] Pfaffian.  Raises PoleOrderError when
     the division is not exact."""
     m = fld.group.m
-    return (UniPoly.make(fld.pfaffian) * twist**m).exact_div(fld.gram_product[1] ** m)
+    quo, rem = (UniPoly.make(fld.pfaffian) * twist**m).divmod(fld.gram_product[1] ** m)
+    if not rem.is_zero:
+        raise PoleOrderError(
+            f"Pf(B*Phi) * D^{m} is not polynomial; pole outside the allowed order/locus"
+        )
+    return quo
 
 
 def involution_check(curve: PlaneCurve) -> bool:

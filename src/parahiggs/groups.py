@@ -1,8 +1,9 @@
 """Classical group bookkeeping and split bilinear forms over Q.
 
 Random algebra elements, nilpotents and Cayley group elements are constant
-matrices of Fractions and live over Q.  A Gram form has entries in Q(t), but
-it is checked on its clearing B = B' / (c*d) with B' over Z[t]: B' is
+matrices of Fractions and live over Q.  A Gram form has entries in Q(t) and
+is held as its clearing B = B' / (c*d) with B' over Z[t], made by the same
+routine that clears a Higgs field; it is checked there: B' is
 (anti)symmetric and det B' (Bareiss over Z[t]) is nonzero.  Lie algebra
 membership of a field Phi is read off the one product B*Phi, cleared to
 Z[t]: Phi^T B + B Phi = 0 exactly when B*Phi is symmetric for a symplectic B
@@ -30,14 +31,17 @@ from functools import cached_property
 
 from .bipoly import bareiss_det
 from .linalg import (
+    Cleared,
     IntMat,
     QMat,
     SingularMatrixError,
+    clear_fractions,
+    cleared_den,
     const_mat_mul,
+    entry_ints,
     mat_inverse,
-    scaled_integer_matrix,
 )
-from .poly import RationalFunction, UniPoly
+from .poly import RationalFunction, int_fraction_from_json
 
 GROUP_KINDS = ("sp", "so-even", "so-odd")
 
@@ -94,18 +98,19 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class GramForm:
-    """Invertible Gram matrix over Q(t), antisymmetric or symmetric."""
+    """Invertible Gram matrix over Q(t), antisymmetric or symmetric, held as
+    (B', d, c) with B = B' / (c*d)."""
 
-    matrix: tuple[tuple[RationalFunction, ...], ...]
+    cleared: Cleared
     kind: str  # "symplectic" | "symmetric"
 
     def __post_init__(self):
-        n = len(self.matrix)
-        if any(len(row) != n for row in self.matrix):
+        b = self.cleared[0]
+        n = len(b)
+        if any(len(row) != n for row in b):
             raise ValueError("Gram matrix must be square")
         if self.kind not in ("symplectic", "symmetric"):
             raise ValueError(f"unknown form kind {self.kind!r}")
-        b = self.cleared[0]
         sign = -1 if self.kind == "symplectic" else 1
         if any(b[i][j] != tuple(sign * x for x in b[j][i]) for i in range(n) for j in range(i, n)):
             raise ValueError(f"Gram matrix is not {self.kind}")
@@ -114,18 +119,19 @@ class GramForm:
 
     @staticmethod
     def make(rows, kind: str) -> "GramForm":
-        make = RationalFunction.make
-        rows = [[x if isinstance(x, RationalFunction) else make(x) for x in row] for row in rows]
-        return GramForm(tuple(tuple(row) for row in rows), kind)
+        """The form of a grid of RationalFunctions and rational scalars."""
+        return GramForm(clear_fractions([[entry_ints(x) for x in row] for row in rows]), kind)
 
     @property
     def size(self) -> int:
-        return len(self.matrix)
+        return len(self.cleared[0])
 
     @cached_property
-    def cleared(self) -> tuple[IntMat, UniPoly, int]:
-        """(B', d, c) with B = B' / (c*d); it depends on the matrix alone."""
-        return scaled_integer_matrix(self.matrix)
+    def matrix(self) -> tuple[tuple[RationalFunction, ...], ...]:
+        """B as reduced rational functions, for output."""
+        b, d, c = self.cleared
+        q, lead = cleared_den(d, c)
+        return tuple(tuple(RationalFunction.from_ints(p, q, lead) for p in row) for row in b)
 
     @cached_property
     def cleared_det(self) -> tuple[int, ...]:
@@ -136,16 +142,14 @@ class GramForm:
     def det(self) -> RationalFunction:
         """det B, for output."""
         _, d, c = self.cleared
-        return RationalFunction.make(UniPoly.make(self.cleared_det), (d * c) ** self.size)
+        return RationalFunction.from_ints(self.cleared_det, *cleared_den(d, c, self.size))
 
     def to_json(self) -> list[list[dict]]:
         return [[x.to_json() for x in row] for row in self.matrix]
 
     @staticmethod
     def from_json(data, kind: str) -> "GramForm":
-        return GramForm.make(
-            [[RationalFunction.from_json(x) for x in row] for row in data], kind
-        )
+        return GramForm(clear_fractions([[int_fraction_from_json(x) for x in row] for row in data]), kind)
 
 
 @functools.cache
@@ -187,9 +191,10 @@ def is_algebra_product(prod: IntMat, gram: GramForm) -> bool:
 
 
 def _constant_gram(gram: GramForm) -> QMat:
-    if any(x.num.degree > 0 or x.den.degree > 0 for row in gram.matrix for x in row):
+    b, d, c = gram.cleared
+    if d.degree > 0 or any(len(p) > 1 for row in b for p in row):
         raise GroupError("the Gram form is not constant")
-    return [[x.num.coeff(0) for x in row] for row in gram.matrix]
+    return [[Fraction(p[0] if p else 0, c) for p in row] for row in b]
 
 
 def cayley_group_element(a: QMat, gram: GramForm) -> QMat:

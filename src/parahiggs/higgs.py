@@ -7,14 +7,16 @@ structural laws the three group families impose on the characteristic
 coefficients: evenness, the Pfaffian square, nilpotency of residues and the
 pole-order bounds.
 
-A field is cleared once to Phi = M / (c*d) with M over Z[t], and B*Phi is
-formed once from M over Z[t].  Membership, the characteristic data
-(e_1..e_r over Z[t] with s_i = e_i / (c*d)^i), the residues
-M(a) / (c*d'(a)), the Pfaffian and the so(2m+1) kernel line (the Pfaffian
-adjugate of B*Phi) are all read off these two, and no check computes over
-Q(t): rational functions are built only for field entries and JSON output.
-The generator does its constant linear algebra (residues, Cayley elements,
-conjugation) over Q.
+A field is held as its clearing Phi = M / (c*d), with M over Z[t], d monic
+and c a positive integer, made by `linalg.clear_fractions` whether the
+field is parsed from JSON, generated or reduced; B*Phi is formed once from
+M over Z[t].  Membership, the characteristic data (e_1..e_r over Z[t] with
+s_i = e_i / (c*d)^i), the residues M(a) / (c*d'(a)), the Pfaffian and the
+so(2m+1) kernel line (the Pfaffian adjugate of B*Phi) are all read off
+these two, and no check computes over Q(t): reduced rational functions are
+made only for JSON output.  The generator does its constant linear algebra
+(residues, Cayley elements, conjugation) over Q and assembles M over the
+integer denominator prod (b_k t - a_k) of the marked points a_k / b_k.
 """
 
 from __future__ import annotations
@@ -36,24 +38,30 @@ from .groups import (
     split_gram,
 )
 from .linalg import (
+    Cleared,
     IntMat,
     Mat,
     QMat,
+    clear_fractions,
+    cleared_den,
     const_mat_mul,
+    entry_ints,
     int_char_poly,
     int_mat_at,
     int_mat_mul,
     int_pfaffian,
     mat_inverse,
     pfaffian_adjugate,
-    scaled_integer_matrix,
 )
 from .poly import (
     RationalFunction,
     UniPoly,
     _int_exact_div,
     _int_gcd,
+    _int_mul,
     _int_poly_mul_add,
+    _int_trim,
+    int_fraction_from_json,
     q_from_str,
     q_to_str,
     root_multiplicity,
@@ -87,17 +95,14 @@ class CharData:
         return CharData(self.e[:-1], self.c, self.d)
 
     @cached_property
-    def den_powers(self) -> tuple[UniPoly, ...]:
-        """(c*d)^1..(c*d)^r, the denominators that e_1..e_r are divided by."""
-        den, power, out = self.d * self.c, UniPoly.one(), []
-        for _ in self.e:
-            power = power * den
-            out.append(power)
-        return tuple(out)
+    def den_powers(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(q_i, l_i) with (c*d)^i = q_i / l_i over Z[t], i = 1..r: the
+        denominators that e_1..e_r are divided by."""
+        return tuple(cleared_den(self.d, self.c, i) for i in range(1, self.r + 1))
 
     def sections(self) -> list[RationalFunction]:
         """s_1..s_r as reduced rational functions, for output."""
-        return [RationalFunction.make(UniPoly.make(e), p) for e, p in zip(self.e, self.den_powers)]
+        return [RationalFunction.from_ints(e, q, lead) for e, (q, lead) in zip(self.e, self.den_powers)]
 
     def pole_order(self, i: int, a: Fraction) -> int | None:
         """Order of the pole of s_i at t = a, i*ord_a(d) - ord_a(e_i): positive
@@ -108,25 +113,28 @@ class CharData:
         return i * root_multiplicity(self.d.int_scaled()[0], a) - root_multiplicity(e_i, a)
 
     def same_sections(self, other: "CharData") -> bool:
-        """s_i = s'_i for every i, compared as e_i (c'd')^i = e'_i (c d)^i."""
+        """s_i = s'_i for every i, compared over Z[t] as
+        l_i e_i q'_i == l'_i e'_i q_i with (c*d)^i = q_i / l_i."""
         return self.r == other.r and all(
-            UniPoly.make(a) * q == UniPoly.make(b) * p
-            for a, b, p, q in zip(self.e, other.e, self.den_powers, other.den_powers)
+            _int_mul([lp * x for x in a], q) == _int_mul([lq * x for x in b], p)
+            for a, b, (p, lp), (q, lq) in zip(self.e, other.e, self.den_powers, other.den_powers)
         )
 
 
 @dataclass(eq=False)
 class HiggsField:
-    """Phi with entries in Q(t); the values derived from ``matrix`` are computed once."""
+    """Phi = M / (c*d) with entries in Q(t), held as its clearing
+    ``cleared`` = (M, d, c); the values derived from it are computed once."""
 
     group: GroupSpec
     gram: GramForm
-    matrix: Mat
+    cleared: Cleared
     marked_points: tuple[Fraction, ...]
 
     def __post_init__(self):
         r = self.group.rank_size
-        if len(self.matrix) != r or any(len(row) != r for row in self.matrix):
+        ints = self.cleared[0]
+        if len(ints) != r or any(len(row) != r for row in ints):
             raise ValueError(f"matrix must be {r}x{r} for {self.group.kind}, m={self.group.m}")
         if self.gram.size != r:
             raise ValueError("Gram form size does not match the group")
@@ -134,10 +142,18 @@ class HiggsField:
         if len(set(self.marked_points)) != len(self.marked_points):
             raise ValueError("duplicate marked points")
 
+    @staticmethod
+    def from_grid(group: GroupSpec, gram: GramForm, rows, marked_points) -> "HiggsField":
+        """The field of a grid of RationalFunctions and rational scalars."""
+        grid = [[entry_ints(x) for x in row] for row in rows]
+        return HiggsField(group, gram, clear_fractions(grid), marked_points)
+
     @cached_property
-    def cleared(self) -> tuple[IntMat, UniPoly, int]:
-        """(M, d, c) with Phi = M / (c*d), M over Z[t], d monic."""
-        return scaled_integer_matrix(self.matrix)
+    def matrix(self) -> Mat:
+        """Phi as reduced rational functions, for output."""
+        ints, d, c = self.cleared
+        q, lead = cleared_den(d, c)
+        return [[RationalFunction.from_ints(p, q, lead) for p in row] for row in ints]
 
     @cached_property
     def gram_product(self) -> tuple[IntMat, UniPoly]:
@@ -185,9 +201,9 @@ class HiggsField:
             gram = GramForm.from_json(data["gram"], kind)
         else:
             gram = split_gram(group)
-        matrix = [[RationalFunction.from_json(x) for x in row] for row in data["matrix"]]
+        grid = [[int_fraction_from_json(x) for x in row] for row in data["matrix"]]
         marked = tuple(q_from_str(s) for s in data["marked_points"])
-        return HiggsField(group, gram, matrix, marked)
+        return HiggsField(group, gram, clear_fractions(grid), marked)
 
 
 # -- residues and the strong-parabolicity law ---------------------------------
@@ -289,12 +305,9 @@ def pfaffian_square_check(fld: HiggsField) -> PfaffianSquareResult:
     e_2m * det B' == Pf(B'M)^2 over Z[t]; the rational functions Pf(B*Phi)
     and det B are built for output only."""
     pf, gram = fld.pfaffian, fld.gram
-    lhs: list[int] = []
-    rhs: list[int] = []
-    _int_poly_mul_add(lhs, fld.char_data.e[-1], gram.cleared_det)
-    _int_poly_mul_add(rhs, pf, pf)
-    pf_rf = RationalFunction.make(UniPoly.make(pf), fld.gram_product[1] ** fld.group.m)
-    return PfaffianSquareResult(lhs == rhs, pf_rf, gram.det)
+    passed = _int_mul(fld.char_data.e[-1], gram.cleared_det) == _int_mul(pf, pf)
+    pf_rf = RationalFunction.from_ints(pf, *cleared_den(fld.gram_product[1], power=fld.group.m))
+    return PfaffianSquareResult(passed, pf_rf, gram.det)
 
 
 # -- random field generation ---------------------------------------------------
@@ -340,22 +353,28 @@ def random_strongly_parabolic_higgs(
         residues.append(const_mat_mul(const_mat_mul(q, u), mat_inverse(q)))
     poly_coeffs = [random_algebra_element(group, rng, -3, 3) for _ in range(degree_bound + 1)]
 
-    # every entry over the one denominator d = prod (t - a_k); make() reduces
-    d = UniPoly.one()
-    for a in marked:
-        d = d * UniPoly.linear_root(a)
-    cofactors = [d.exact_div(UniPoly.linear_root(a)) for a in marked]
-    entries: Mat = []
+    # Phi_ij = P_ij + sum_k N_k[i][j] b_k / (b_k t - a_k) for a_k = a/b in
+    # lowest terms: every entry over k * D with D = prod (b_k t - a_k) and k
+    # the lcm of the residue denominators
+    roots = [(-a.numerator, a.denominator) for a in marked]
+    big_d = [1]
+    for root in roots:
+        big_d = _int_mul(big_d, root)
+    cofactors = [_int_exact_div(big_d, root) for root in roots]
+    k = math.lcm(1, *(x.denominator for n_k in residues for row in n_k for x in row))
+    den = tuple(k * x for x in big_d)
+    grid = []
     for i in range(r):
         row = []
         for j in range(r):
-            num = UniPoly.make([c[i][j] for c in poly_coeffs]) * d
-            for cof, n_k in zip(cofactors, residues):
+            num = _int_mul([k * int(c[i][j]) for c in poly_coeffs], big_d)
+            for (_, b), cof, n_k in zip(roots, cofactors, residues):
                 if n_k[i][j]:
-                    num = num + cof * n_k[i][j]
-            row.append(RationalFunction.make(num, d))
-        entries.append(row)
-    return HiggsField(group, gram, entries, marked)
+                    x = n_k[i][j]
+                    _int_poly_mul_add(num, [x.numerator * (k // x.denominator) * b], cof)
+            row.append((tuple(_int_trim(num)), den))
+        grid.append(row)
+    return HiggsField(group, gram, clear_fractions(grid), marked)
 
 
 def semisimple_residue_control(group: GroupSpec, marked_points, degree_bound: int, seed: int) -> HiggsField:
@@ -375,11 +394,11 @@ def semisimple_residue_control(group: GroupSpec, marked_points, degree_bound: in
 class SoOddReduction:
     kernel_vector: tuple[UniPoly, ...]
     removed_index: int
-    reduced: Mat
+    reduced: Cleared
     induced_gram: GramForm
 
 
-def _primitive_kernel_vector(polys: list[tuple[int, ...]]) -> tuple[UniPoly, ...]:
+def _primitive_kernel_vector(polys: list[tuple[int, ...]]) -> list[list[int]]:
     # coprime coordinates, integer content 1, first nonzero lc > 0: unique on the line
     nonzero = [list(p) for p in polys if p]
     g = nonzero[0]
@@ -388,17 +407,18 @@ def _primitive_kernel_vector(polys: list[tuple[int, ...]]) -> tuple[UniPoly, ...
     polys = [_int_exact_div(list(p), g) if p else [] for p in polys]
     lead = next(p for p in polys if p)[-1]
     scale = math.gcd(*(c for p in polys for c in p)) * (1 if lead > 0 else -1)
-    return tuple(UniPoly.make(c // scale for c in p) for p in polys)
+    return [[c // scale for c in p] for p in polys]
 
 
 def so_odd_reduce(fld: HiggsField) -> SoOddReduction:
     """Split off the kernel line of a generic so(2m+1) field.
 
-    Returns the primitive polynomial kernel vector, the matrix of the action
-    induced on the quotient by the standard-basis complement (dropping the
-    coordinate of largest degree in the kernel vector), and the induced skew
-    form G_ij = <Phi b_i, b_j> = (B*Phi)_ji.  Guarantees x * char(reduced) =
-    char(input).  The kernel is that of B*Phi, antisymmetric of odd size.
+    Returns the primitive polynomial kernel vector, the clearing of the
+    matrix of the action induced on the quotient by the standard-basis
+    complement (dropping the coordinate of largest degree in the kernel
+    vector), and the induced skew form G_ij = <Phi b_i, b_j> = (B*Phi)_ji.
+    Guarantees x * char(reduced) = char(input).  The kernel is that of
+    B*Phi, antisymmetric of odd size.
     """
     if fld.group.kind != "so-odd":
         raise GroupError("reduction applies to so-odd fields only")
@@ -409,21 +429,24 @@ def so_odd_reduce(fld: HiggsField) -> SoOddReduction:
     if not any(w):
         raise NonGenericFieldError("non-generic field: kernel rank != 1")
     v = _primitive_kernel_vector(w)
-    ell = max(range(len(v)), key=lambda i: (v[i].degree, -i))
+    ell = max(range(len(v)), key=lambda i: (len(v[i]), -i))
     keep = [i for i in range(len(v)) if i != ell]
     ints, d, c = fld.cleared
-    m = [[UniPoly.make(p) for p in row] for row in ints]
-    den = d * c * v[ell]
-    # Phi_ij - Phi_ell,j * v_i / v_ell over the one denominator c*d*v_ell
-    reduced = [
-        [RationalFunction.make(m[i][j] * v[ell] - m[ell][j] * v[i], den) for j in keep]
-        for i in keep
-    ]
-    induced = [
-        [RationalFunction.make(UniPoly.make(prod[j][i]), prod_den) for j in keep] for i in keep
-    ]
+    q, lead = cleared_den(d, c)
+    den = tuple(_int_mul(q, v[ell]))
+    # Phi_ij - Phi_ell,j * v_i / v_ell = M'_ij / (c*d*v_ell), M'_ij = m_ij v_ell - m_ell,j v_i
+    reduced = []
+    for i in keep:
+        row = []
+        for j in keep:
+            num = _int_mul([lead * x for x in ints[i][j]], v[ell])
+            _int_poly_mul_add(num, [-lead * x for x in ints[ell][j]], v[i])
+            row.append((tuple(_int_trim(num)), den))
+        reduced.append(row)
+    q_e, l_e = cleared_den(prod_den)
+    induced = [[(tuple(l_e * x for x in prod[j][i]), q_e) for j in keep] for i in keep]
     try:
-        gram = GramForm.make(induced, "symplectic")
+        gram = GramForm(clear_fractions(induced), "symplectic")
     except ValueError as exc:
         raise NonGenericFieldError(f"induced form is degenerate or not skew: {exc}") from None
-    return SoOddReduction(v, ell, reduced, gram)
+    return SoOddReduction(tuple(UniPoly.make(p) for p in v), ell, clear_fractions(reduced), gram)

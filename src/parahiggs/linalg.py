@@ -1,13 +1,16 @@
 """Matrices over Q and over Z[t].
 
-A field's entries are RationalFunctions (``Mat``), but no arithmetic runs
-on them: ``scaled_integer_matrix`` clears the matrix once to M / (c*d) with
-M over Z[t] (``IntMat``, ascending integer coefficient tuples), and every
-characteristic coefficient, Pfaffian and Pfaffian adjugate is computed from
-M.  These are evaluated at integer sample points, handled there
-division-free, and interpolated back over Z[t], which keeps the heavy inner
-loops in machine integers.  A constant matrix (a residue, a Cayley group
-element) is a list of lists of Fraction and stays over Q, where
+A Higgs field or Gram form is held as one matrix over Z[t] over one common
+denominator, M / (c*d) with M an ``IntMat`` (ascending integer coefficient
+tuples), d monic and c a positive integer.  ``clear_fractions`` is the one
+routine that makes that triple, from integer numerator and denominator
+pairs, however the matrix was made (parsed, generated, reduced or built in
+a test); reduced ``RationalFunction`` entries are made from it only for
+JSON output.  Every characteristic coefficient, Pfaffian and Pfaffian
+adjugate is computed from M: evaluated at integer sample points, handled
+there division-free, and interpolated back over Z[t], which keeps the heavy
+inner loops in machine integers.  A constant matrix (a residue, a Cayley
+group element) is a list of lists of Fraction and stays over Q, where
 ``mat_inverse`` and ``const_mat_mul`` work.
 """
 
@@ -17,11 +20,22 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import RationalFunction, UniPoly, _int_poly_mul_add, interpolate_int_range, poly_lcm
+from .poly import (
+    RationalFunction,
+    UniPoly,
+    _int_exact_div,
+    _int_gcd,
+    _int_mul,
+    _int_poly_mul_add,
+    int_fraction,
+    interpolate_int_range,
+)
 
 Mat = list[list[RationalFunction]]
 QMat = list[list[Fraction]]
 IntMat = tuple[tuple[tuple[int, ...], ...], ...]
+IntFraction = tuple[tuple[int, ...], tuple[int, ...]]
+Cleared = tuple[IntMat, UniPoly, int]  # (M, d, c) for M / (c*d)
 
 
 class SingularMatrixError(ArithmeticError):
@@ -69,25 +83,77 @@ def mat_inverse(a: QMat) -> QMat:
     return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(work)]
 
 
-# -- common-denominator scaling ----------------------------------------------
+# -- the common denominator ---------------------------------------------------
 
 
-def scaled_integer_matrix(a: Mat) -> tuple[IntMat, UniPoly, int]:
-    """Return (Z[t] matrix, d, c) with d the monic lcm of the denominators and
-    c a positive integer: entry tuples are coefficients of (c*d) * a[i][j]."""
-    dens = {x.den for row in a for x in row}  # entries mostly share a few
-    d = UniPoly.one()
-    for den in dens:
-        d = poly_lcm(d, den)
-    cofactors = {den: d.exact_div(den) for den in dens}
-    polys: list[list[UniPoly]] = [[x.num * cofactors[x.den] for x in row] for row in a]
-    c = 1
-    for row in polys:
-        for p in row:
-            for q in p.coeffs:
-                c = math.lcm(c, q.denominator)
-    ints = tuple(tuple(tuple(int(q * c) for q in p.coeffs) for p in row) for row in polys)
-    return ints, d, c
+def entry_ints(x) -> IntFraction:
+    """`int_fraction` of a RationalFunction or a rational scalar."""
+    if isinstance(x, RationalFunction):
+        return int_fraction(x.num.coeffs, x.den.coeffs)
+    return int_fraction((x,), (1,))
+
+
+def clear_fractions(grid: Sequence[Sequence[IntFraction]]) -> Cleared:
+    """(M, d, c) with grid[i][j] = n / delta equal to M[i][j] / (c*d): d the
+    monic lcm of the reduced denominators, c the least positive integer that
+    makes M integral.  The entries are integer coefficient tuples without
+    trailing zeros, delta nonzero; they need not be reduced.
+
+    Each nonzero entry is written over D, the lcm of the primitive parts of
+    the distinct denominators, times K, the lcm of their contents.  The
+    reduced denominators have lcm D / g with g = gcd(D, every numerator over
+    D), since for each prime p the largest (v_p D - v_p N_ij)+ is
+    v_p D - min(v_p D, min v_p N_ij); so one gcd chain, stopped at degree 0,
+    takes the place of a gcd per entry.
+    """
+    parts: dict[tuple[int, ...], tuple[int, list[int]]] = {}
+    big_d, big_k = [1], 1
+    for row in grid:
+        for n, delta in row:
+            if n and delta not in parts:
+                k = math.gcd(*delta) * (1 if delta[-1] > 0 else -1)
+                prim = [x // k for x in delta]
+                parts[delta] = k, prim
+                big_k = math.lcm(big_k, abs(k))
+                if prim != big_d:
+                    big_d = _int_mul(big_d, _int_exact_div(prim, _int_gcd(big_d, prim)))
+    scales = {
+        delta: (big_k // k, _int_exact_div(big_d, prim)) for delta, (k, prim) in parts.items()
+    }
+    nums: list[list[list[int]]] = []
+    for row in grid:
+        out = []
+        for n, delta in row:
+            if not n:
+                out.append([])
+                continue
+            k, cof = scales[delta]
+            n = [k * x for x in n]
+            out.append(_int_mul(n, cof) if len(cof) > 1 else n)  # a constant cof is 1
+        nums.append(out)
+    g = big_d
+    for n in (n for row in nums for n in row if n):
+        if len(g) == 1:
+            break
+        g = _int_gcd(g, n)
+    if len(g) > 1:
+        big_d = _int_exact_div(big_d, g)
+        nums = [[_int_exact_div(n, g) if n else n for n in row] for row in nums]
+    lead = big_d[-1]
+    content = math.gcd(big_k * lead, *(x for row in nums for n in row for x in n))
+    ints = tuple(tuple(tuple(x // content for x in n) for n in row) for row in nums)
+    return ints, UniPoly(tuple(Fraction(x, lead) for x in big_d)), big_k * lead // content
+
+
+def cleared_den(d: UniPoly, c: int = 1, power: int = 1) -> tuple[tuple[int, ...], int]:
+    """(q, l) with (c*d)^power = q / l for a nonzero d: q over Z[t] and l a
+    positive integer, the least one when d is monic."""
+    ints, scale = d.int_scaled()
+    base = [c * scale.numerator * x for x in ints]
+    q = base
+    for _ in range(power - 1):
+        q = _int_mul(q, base)
+    return tuple(q), scale.denominator**power
 
 
 def int_mat_mul(a: IntMat, b: IntMat) -> IntMat:

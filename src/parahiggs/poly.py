@@ -12,8 +12,11 @@ primitive PRS over Z as fallback), and the rational roots come from Loos'
 p-adic method (roots modulo a small prime, Newton-lifted and read back by
 rational reconstruction), polynomial in the coefficient bit length.
 
-A RationalFunction is a reduced num/den pair with no arithmetic of its own:
-it holds field entries and JSON sections, while every check runs over Z[t].
+A RationalFunction is a reduced num/den pair with no arithmetic of its own.
+It is made only for JSON output, from integer polynomials by one reduction
+(`RationalFunction.from_ints`): a Higgs field is held as M / (c*d) with M
+over Z[t], parsed straight from its JSON coefficient strings
+(`int_fraction_from_json`), and every check runs over Z[t].
 """
 
 from __future__ import annotations
@@ -39,6 +42,13 @@ def q_to_str(x: Fraction) -> str:
 
 def q_from_str(s: str) -> Fraction:
     return Fraction(s)
+
+
+def _coeff_from_str(s) -> Scalar:
+    """The value of q_from_str(s), as an int when s is a plain decimal integer."""
+    if type(s) is str and s.isascii() and (s.isdigit() or (s[:1] == "-" and s[1:].isdigit())):
+        return int(s)
+    return q_from_str(s)
 
 
 @dataclass(frozen=True)
@@ -259,6 +269,20 @@ def _int_poly_mul_add(acc: list[int], p: Sequence[int], q: Sequence[int]) -> Non
                 acc[i + j] += x * y
 
 
+def _int_trim(p: list[int]) -> list[int]:
+    """p without its trailing zeros, in place."""
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _int_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    """p * q for ascending integer coefficient lists."""
+    acc: list[int] = []
+    _int_poly_mul_add(acc, p, q)
+    return acc
+
+
 def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     """Pseudo-remainder of integer polynomials (ascending lists)."""
     rem = list(a)
@@ -378,12 +402,6 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     if a.degree == 0 or b.degree == 0:
         return UniPoly.one()
     return UniPoly.make(_int_gcd(a.int_scaled()[0], b.int_scaled()[0])).monic()
-
-
-def poly_lcm(a: UniPoly, b: UniPoly) -> UniPoly:
-    if a.is_zero or b.is_zero:
-        return UniPoly.zero()
-    return (a * b).exact_div(poly_gcd(a, b)).monic()
 
 
 def is_squarefree(p: UniPoly) -> bool:
@@ -523,6 +541,25 @@ def interpolate_int_range(ys: Sequence[int]) -> list[int]:
     return out
 
 
+def int_fraction(num: Sequence[Scalar], den: Sequence[Scalar]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(n, delta) over Z[t] with n / delta = num / den, for ascending rational
+    coefficient lists; trailing zeros are dropped.  Raises ZeroDivisionError
+    on a zero denominator."""
+    scale = math.lcm(*(x.denominator for x in num), *(x.denominator for x in den))
+    n = _int_trim([x.numerator * (scale // x.denominator) for x in num])
+    delta = _int_trim([x.numerator * (scale // x.denominator) for x in den])
+    if not delta:
+        raise ZeroDivisionError("zero denominator")
+    return tuple(n), tuple(delta)
+
+
+def int_fraction_from_json(data: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """`int_fraction` of an entry {"num": [...], "den": [...]} whose
+    coefficient strings parse as `q_from_str` parses them."""
+    num = [_coeff_from_str(s) for s in data["num"]]
+    return int_fraction(num, [_coeff_from_str(s) for s in data["den"]])
+
+
 @dataclass(frozen=True)
 class RationalFunction:
     """Reduced fraction of UniPoly: den monic and nonzero, gcd(num, den) = 1."""
@@ -540,17 +577,27 @@ class RationalFunction:
             den = UniPoly.const(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
+        (n, n_scale), (d, d_scale) = num.int_scaled(), den.int_scaled()
+        return RationalFunction.from_ints(n, d, n_scale / d_scale)
+
+    @staticmethod
+    def from_ints(num: Sequence[int], den: Sequence[int], scale: Scalar = 1) -> "RationalFunction":
+        """scale * num / den in lowest terms, for integer coefficient lists
+        without trailing zeros and den nonzero: one gcd, two exact divisions
+        and a monic denominator.  Every RationalFunction is reduced here."""
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        if not num:
             return RationalFunction(UniPoly.zero(), UniPoly.one())
-        if den.degree == 0:
-            return RationalFunction(num * (1 / den.lc), UniPoly.one())
-        if num.degree > 0:  # gcd against a constant numerator is trivially 1
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-        lc = den.lc
-        return RationalFunction(num * (1 / lc), den * (1 / lc))
+        if len(num) > 1 and len(den) > 1:
+            g = _int_gcd(list(num), list(den))
+            if len(g) > 1:
+                num, den = _int_exact_div(num, g), _int_exact_div(den, g)
+        lead = den[-1]
+        factor = Q(scale) / lead
+        return RationalFunction(
+            UniPoly(tuple(factor * c for c in num)), UniPoly(tuple(Q(c, lead) for c in den))
+        )
 
     @property
     def is_zero(self) -> bool:
@@ -562,10 +609,6 @@ class RationalFunction:
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @staticmethod
-    def from_json(data: dict) -> "RationalFunction":
-        return RationalFunction.make(UniPoly.from_json(data["num"]), UniPoly.from_json(data["den"]))
 
     def __str__(self) -> str:
         if self.is_polynomial:

@@ -43,7 +43,7 @@ from parahiggs.higgs import (
     so_odd_reduce,
     strong_parabolic_check,
 )
-from parahiggs.linalg import int_pfaffian, scaled_integer_matrix
+from parahiggs.linalg import clear_fractions, entry_ints, int_pfaffian
 from parahiggs.poly import RationalFunction, UniPoly
 
 P = UniPoly.make
@@ -178,7 +178,7 @@ def test_c05_pfaffian_law():
                 a[i][j] = Q(rng.randint(-9, 9), rng.randint(1, 4))
                 a[j][i] = -a[i][j]
         # cleared to L*A over Z: Pf(L*A)^2 = L^n Pf(A)^2 and det(L*A) = L^n det(A)
-        ints, _, _ = scaled_integer_matrix([[RF(x) for x in row] for row in a])
+        ints, _, _ = clear_fractions([[entry_ints(x) for x in row] for row in a])
         pf = int_pfaffian(ints)
         assert ([pf[0] ** 2] if pf else []) == bareiss_det([[list(p) for p in row] for row in ints])
 
@@ -251,7 +251,7 @@ def test_c08_so_odd_reduction():
     from parahiggs.groups import GramForm
 
     gram = GramForm.make([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "symmetric")
-    fld = HiggsField(
+    fld = HiggsField.from_grid(
         GroupSpec.so_odd(1), gram,
         [[RF(x) for x in row] for row in [[0, -3, 2], [3, 0, -1], [-2, 1, 0]]], (),
     )

@@ -9,7 +9,7 @@ import pytest
 from parahiggs import groups, higgs, linalg
 from parahiggs.cli import ALL_CHECKS, NON_MEMBER, main
 from parahiggs.higgs import HiggsField
-from parahiggs.poly import RationalFunction, UniPoly
+from parahiggs.poly import RationalFunction, UniPoly, int_fraction_from_json
 
 ZERO = {"num": [], "den": ["1"]}
 ONE = {"num": ["1"], "den": ["1"]}
@@ -157,22 +157,22 @@ class TestAnalyze:
         path = tmp_path / "so4.json"
         gen = ("gen", "--group", "so-even", "-m", "2", "--marked", "0,1", "--seed", "7")
         run(capsys, *gen, "-o", str(path))
-        matrix = HiggsField.from_dict(json.loads(path.read_text())).matrix
+        grid = [[int_fraction_from_json(x) for x in row] for row in json.loads(path.read_text())["matrix"]]
         cleared = []
-        original = linalg.scaled_integer_matrix
+        original = linalg.clear_fractions
 
         def counting(a):
             cleared.append(a)
             return original(a)
 
         for module in (linalg, groups, higgs):
-            monkeypatch.setattr(module, "scaled_integer_matrix", counting)
+            monkeypatch.setattr(module, "clear_fractions", counting)
         code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
         assert code == 0
         assert sorted(json.loads(out)["checks"]) == [
             "charpoly", "membership", "parity", "pfaffian", "spectral", "strong-parabolic"
         ]
-        assert sum(1 for a in cleared if a == matrix) == 1
+        assert sum(1 for a in cleared if a == grid) == 1
 
     def test_analyze_computes_the_pfaffian_once(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "so4.json"
@@ -265,13 +265,38 @@ class TestAnalyze:
             assert "so-even" in err
 
 
+class TestRationalFunctionsOnlyForOutput:
+    """A field is held cleared over Z[t]: the algebraic checks make no
+    RationalFunction, and `gen` makes one per entry, for its JSON."""
+
+    @pytest.mark.parametrize("kind,m", [("sp", 1), ("sp", 2), ("so-odd", 1), ("so-odd", 2)])
+    def test_counts(self, kind, m, tmp_path, capsys, monkeypatch):
+        made = []
+        original = RationalFunction.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RationalFunction, "__init__", counting)
+        path = tmp_path / "field.json"
+        code, _, _ = run(capsys, "gen", "--group", kind, "-m", str(m), "--marked", "0,1/2",
+                         "--seed", "3", "-o", str(path))
+        r = 2 * m + (kind == "so-odd")
+        assert (code, len(made)) == (0, r * r)
+        made.clear()
+        code, out, _ = run(capsys, "analyze", str(path), "--checks", "membership,parity,strong-parabolic")
+        assert (code, made) == (0, [])
+        assert out.endswith("overall: PASS\n")
+
+
 def trace_bumped(doc: dict) -> dict:
     """The field of doc with t added to Phi_00: trace Phi = t, so the
     characteristic polynomial is not even and Phi is off the algebra."""
-    fld = HiggsField.from_dict(doc)
-    x = fld.matrix[0][0]
-    fld.matrix[0][0] = RationalFunction.make(x.num + UniPoly.make([0, 1]) * x.den, x.den)
-    return fld.to_dict()
+    rows = [list(row) for row in HiggsField.from_dict(doc).matrix]
+    x = rows[0][0]
+    rows[0][0] = RationalFunction.make(x.num + UniPoly.make([0, 1]) * x.den, x.den)
+    return {**doc, "matrix": [[y.to_json() for y in row] for row in rows]}
 
 
 def symmetric_so_even(m: int) -> dict:
@@ -318,6 +343,45 @@ class TestOffAlgebra:
                 assert f"\n{name}: FAIL\n  - {checks[name]['reason']}\n" in out
         assert out.endswith("overall: FAIL\n")
         assert time.perf_counter() - start < OFF_ALGEBRA_BOUND_S
+
+
+def over_t_minus_1(num: str) -> dict:
+    return {"num": [num], "den": ["-1", "1"]}
+
+
+# well-formed fields whose characteristic coefficients have a pole the chart
+# twist D = t cannot clear, so the spectral curve does not exist
+POLE_FIELDS = {
+    # Phi_01 = 1/(t - 1)
+    "sp-pole-off-marked": ("sp", [[ZERO, over_t_minus_1("1")], [ONE, ZERO]]),
+    # Phi_01 = 1/t^3
+    "sp-triple-pole": ("sp", [[ZERO, {"num": ["1"], "den": ["0", "0", "0", "1"]}], [ONE, ZERO]]),
+    # diag(1/(t - 1), -1/(t - 1))
+    "so-even-pole-off-marked": ("so-even", [[over_t_minus_1("1"), ZERO], [ZERO, over_t_minus_1("-1")]]),
+}
+POLE_REASON = "s_2 * d^2 is not polynomial; pole outside the allowed order/locus"
+
+
+class TestPoleOutsideAllowedOrder:
+    """A forbidden pole of the characteristic coefficients fails the spectral
+    section with its reason and exits 1, as strong-parabolic does."""
+
+    @pytest.mark.parametrize("case", sorted(POLE_FIELDS))
+    def test_default_analyze_reports_and_exits_1(self, case, tmp_path, capsys):
+        kind, matrix = POLE_FIELDS[case]
+        path = tmp_path / "pole.json"
+        path.write_text(json.dumps({"group": kind, "m": 1, "marked_points": ["0"], "matrix": matrix}))
+        code, out, err = run(capsys, "analyze", str(path), "--format", "json")
+        assert (code, err) == (1, "")
+        checks = json.loads(out)["checks"]
+        assert checks["membership"] == {"pass": True}
+        assert checks["spectral"] == {"pass": False, "reason": POLE_REASON}
+        assert not checks["strong-parabolic"]["pass"]
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, err) == (1, "")
+        assert f"\nspectral: FAIL\n  - {POLE_REASON}\n" in out
+        assert "\nstrong-parabolic: FAIL\n" in out
+        assert out.endswith("overall: FAIL\n")
 
 
 class TestReduceOdd:

@@ -47,7 +47,7 @@ class TestBuildPlaneCurve:
     def test_twist_clears_marked_pole(self):
         group = GroupSpec.sp(1)
         t, minus_t = RF(P([0, 1])), RF(P([0, -1]))
-        fld = HiggsField(
+        fld = HiggsField.from_grid(
             group, split_gram(group),
             [[t, RF(P([1]), P([0, 1]))], [t, minus_t]],
             (Q(0),),
@@ -60,7 +60,7 @@ class TestBuildPlaneCurve:
     def test_no_marked_points_identity_twist(self):
         group = GroupSpec.sp(1)
         t, minus_t = RF(P([0, 1])), RF(P([0, -1]))
-        fld = HiggsField(group, split_gram(group), [[t, t], [t, minus_t]], ())
+        fld = HiggsField.from_grid(group, split_gram(group), [[t, t], [t, minus_t]], ())
         c = build_plane_curve(fld)
         assert c.twist == UniPoly.one()
         # char poly passes through unchanged: x^2 + s_2
@@ -70,7 +70,7 @@ class TestBuildPlaneCurve:
     def test_zero_field(self):
         group = GroupSpec.so_even(2)
         z = [[RF(0)] * 4 for _ in range(4)]
-        fld = HiggsField(group, split_gram(group), z, (Q(0),))
+        fld = HiggsField.from_grid(group, split_gram(group), z, (Q(0),))
         assert build_plane_curve(fld).f == BiPoly.make(
             [UniPoly.zero()] * 4 + [UniPoly.one()]
         )
@@ -201,12 +201,20 @@ class TestSoEvenPattern:
         with pytest.raises(ValueError, match="unit times a square"):
             so_even_singularity_pattern(curve([0, 1], 0, 1), P([0, 1]), 1)
 
+    def test_twisted_pfaffian_with_a_pole_outside_the_twist_raises(self):
+        # Phi = diag(f, -f), f = 1/(t - 1): Pf(B*Phi) * t = -t / (t - 1)
+        group = GroupSpec.so_even(1)
+        f, minus_f = RF(P([1]), P([-1, 1])), RF(P([-1]), P([-1, 1]))
+        fld = HiggsField.from_grid(group, split_gram(group), [[f, RF(0)], [RF(0), minus_f]], (Q(0),))
+        with pytest.raises(PoleOrderError, match=r"Pf\(B\*Phi\) \* D\^1 is not polynomial"):
+            twisted_pfaffian(fld, P([0, 1]))
+
     def test_non_unit_constant_gram_determinant(self, tmp_path, capsys):
         # B = [[0, 2], [2, 0]], det B = -4, Phi = diag(t, -t): F(t, 0) = -t^4
         # and the twisted Pfaffian is -2 t^2, so F(t, 0) = (-1/4) Pf^2
         gram = GramForm.make([[0, 2], [2, 0]], "symmetric")
         t = P([0, 1])
-        fld = HiggsField(GroupSpec.so_even(1), gram, [[RF(t), RF(0)], [RF(0), RF(-t)]], (Q(0),))
+        fld = HiggsField.from_grid(GroupSpec.so_even(1), gram, [[RF(t), RF(0)], [RF(0), RF(-t)]], (Q(0),))
         c = build_plane_curve(fld)
         rep = so_even_singularity_pattern(c, twisted_pfaffian(fld, c.twist), gram.det.num.coeff(0))
         assert rep.passed and rep.unit == Q(-1, 4)

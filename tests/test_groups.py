@@ -37,7 +37,7 @@ def identity(n):
 
 def is_member(group, mat, gram=None):
     """Phi^T B + B Phi = 0 for the field mat, read off its cleared B*Phi."""
-    return HiggsField(group, gram or split_gram(group), mat, ()).is_member
+    return HiggsField.from_grid(group, gram or split_gram(group), mat, ()).is_member
 
 
 class TestGroupSpec:
@@ -167,9 +167,9 @@ class TestCayley:
             gram = split_gram(group)
             a = random_algebra_element(group, rng)
             q = random_group_element(group, gram, rng)
-            conj = HiggsField(group, gram, scalars(const_mat_mul(const_mat_mul(q, a), mat_inverse(q))), ())
+            conj = HiggsField.from_grid(group, gram, scalars(const_mat_mul(const_mat_mul(q, a), mat_inverse(q))), ())
             assert conj.is_member
-            char = HiggsField(group, gram, scalars(a), ()).char_data
+            char = HiggsField.from_grid(group, gram, scalars(a), ()).char_data
             assert conj.char_data.sections() == char.sections()
 
     def test_rejects_non_member(self):

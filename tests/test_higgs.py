@@ -19,7 +19,7 @@ from parahiggs.higgs import (
     so_odd_reduce,
     strong_parabolic_check,
 )
-from parahiggs.linalg import int_char_poly, scaled_integer_matrix
+from parahiggs.linalg import int_char_poly
 from parahiggs.poly import RationalFunction, UniPoly
 
 P = UniPoly.make
@@ -30,14 +30,15 @@ def scalars(rows):
     return [[RF(x) for x in row] for row in rows]
 
 
-def char_sections(mat):
-    """s_1..s_r of det(x*I - mat) as reduced rational functions."""
-    ints, d, c = scaled_integer_matrix(mat)
+def char_sections(cleared):
+    """s_1..s_r of det(x*I - Phi) as reduced rational functions, for the
+    clearing (M, d, c) of Phi."""
+    ints, d, c = cleared
     return CharData(tuple(int_char_poly(ints)), c, d).sections()
 
 
 def sp1_field(entries, marked):
-    return HiggsField(GroupSpec.sp(1), split_gram(GroupSpec.sp(1)), entries, marked)
+    return HiggsField.from_grid(GroupSpec.sp(1), split_gram(GroupSpec.sp(1)), entries, marked)
 
 
 def cross_matrix(a, b, c):
@@ -47,7 +48,7 @@ def cross_matrix(a, b, c):
 
 def so3_identity_gram_field(a, b, c, marked=()):
     gram = GramForm.make([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "symmetric")
-    return HiggsField(GroupSpec.so_odd(1), gram, cross_matrix(a, b, c), marked)
+    return HiggsField.from_grid(GroupSpec.so_odd(1), gram, cross_matrix(a, b, c), marked)
 
 
 ONE_OVER_T = RF(P([1]), P([0, 1]))
@@ -159,7 +160,7 @@ class TestStrongParabolic:
 class TestPfaffianSquare:
     def test_so2_toy(self):
         group = GroupSpec.so_even(1)
-        fld = HiggsField(group, split_gram(group), [[T, ZERO], [ZERO, MINUS_T]], ())
+        fld = HiggsField.from_grid(group, split_gram(group), [[T, ZERO], [ZERO, MINUS_T]], ())
         res = pfaffian_square_check(fld)
         assert res.passed
         assert res.pfaffian == MINUS_T
@@ -168,7 +169,7 @@ class TestPfaffianSquare:
     def test_zero_field(self):
         group = GroupSpec.so_even(2)
         z = [[ZERO] * 4 for _ in range(4)]
-        fld = HiggsField(group, split_gram(group), z, ())
+        fld = HiggsField.from_grid(group, split_gram(group), z, ())
         res = pfaffian_square_check(fld)
         assert res.passed and res.pfaffian.is_zero
 
@@ -235,7 +236,7 @@ class TestSoOddReduce:
                     red = so_odd_reduce(fld)
                 except NonGenericFieldError:
                     continue
-                full = char_sections(fld.matrix)
+                full = char_sections(fld.cleared)
                 reduced = char_sections(red.reduced)
                 # x * char(reduced) = char(full): s_i(full) = s_i(reduced), s_r(full) = 0
                 assert full[-1].is_zero
@@ -290,7 +291,7 @@ class TestSoOddReduce:
         # zero except a diagonal entry: not in so(3) for the split form
         z = [[ZERO] * 3 for _ in range(3)]
         z[0][0] = T
-        fld = HiggsField(GroupSpec.so_odd(1), split_gram(GroupSpec.so_odd(1)), z, ())
+        fld = HiggsField.from_grid(GroupSpec.so_odd(1), split_gram(GroupSpec.so_odd(1)), z, ())
         with pytest.raises(ValueError, match="not in the Lie algebra"):
             so_odd_reduce(fld)
 
@@ -298,7 +299,7 @@ class TestSoOddReduce:
         # zero matrix: kernel rank 3
         gram = GramForm.make([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "symmetric")
         z = [[ZERO] * 3 for _ in range(3)]
-        fld = HiggsField(GroupSpec.so_odd(1), gram, z, ())
+        fld = HiggsField.from_grid(GroupSpec.so_odd(1), gram, z, ())
         with pytest.raises(NonGenericFieldError):
             so_odd_reduce(fld)
 

@@ -2,10 +2,12 @@
 brute-force expansions over integer coefficient lists."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from parahiggs.bipoly import bareiss_det
 from parahiggs.linalg import (
@@ -13,10 +15,11 @@ from parahiggs.linalg import (
     const_mat_mul,
     int_char_poly,
     int_pfaffian,
+    clear_fractions,
+    entry_ints,
     mat_inverse,
-    scaled_integer_matrix,
 )
-from parahiggs.poly import RationalFunction, UniPoly
+from parahiggs.poly import RationalFunction, UniPoly, poly_gcd
 
 P = UniPoly.make
 RF = RationalFunction.make
@@ -144,13 +147,13 @@ class TestCharPoly:
 
     def test_nilpotent_with_pole_entry(self):
         # [[0, 1/t], [0, 0]] clears to M = [[0, 1], [0, 0]] over d = t: char x^2
-        ints, d, c = scaled_integer_matrix([[RF(0), RF(P([1]), P([0, 1]))], [RF(0), RF(0)]])
+        ints, d, c = clear_fractions([[entry_ints(x) for x in row] for row in [[RF(0), RF(P([1]), P([0, 1]))], [RF(0), RF(0)]]])
         assert (d, c) == (P([0, 1]), 1)
         assert int_char_poly(ints) == [(), ()]
 
     def test_single_pole_entry(self):
         # [[1/t]] clears to M = [[1]] over d = t: x - 1/t, s_1 = e_1 / t
-        ints, d, c = scaled_integer_matrix([[RF(P([1]), P([0, 1]))]])
+        ints, d, c = clear_fractions([[entry_ints(RF(P([1]), P([0, 1])))]])
         assert (ints, d, c) == ((((1,),),), P([0, 1]), 1)
         assert int_char_poly(ints) == [(-1,)]
 
@@ -221,3 +224,96 @@ class TestInverseAndKernel:
     def test_singular_detected(self):
         with pytest.raises(SingularMatrixError):
             mat_inverse([[1, 2], [2, 4]])
+
+
+# -- the clearing routine against the per-entry clearing it replaced ----------
+
+
+def per_entry_clearing(grid):
+    """The clearing before the one-pass routine, kept as its oracle: reduce
+    each entry n / delta over Q[t] to a monic denominator, take the monic lcm
+    d of the reduced denominators, and scale d * Phi by the least integer c
+    that clears its coefficients."""
+    reduced = []
+    for row in grid:
+        out = []
+        for n, delta in row:
+            num, den = P(n), P(delta)
+            if num.is_zero:
+                out.append((num, P([1])))
+                continue
+            g = poly_gcd(num, den)
+            num, den = num.exact_div(g), den.exact_div(g)
+            out.append((num * (1 / den.lc), den.monic()))
+        reduced.append(out)
+    d = P([1])
+    for row in reduced:
+        for _, den in row:
+            d = (d * den).exact_div(poly_gcd(d, den)).monic()
+    polys = [[num * d.exact_div(den) for num, den in row] for row in reduced]
+    c = math.lcm(1, *(q.denominator for row in polys for p in row for q in p.coeffs))
+    ints = tuple(tuple(tuple(int(q * c) for q in p.coeffs) for p in row) for row in polys)
+    return ints, d, c
+
+
+def strip(p):
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+small_int_polys = st.lists(st.integers(-5, 5), max_size=3).map(strip)
+nonzero_int_polys = small_int_polys.filter(bool)
+
+
+@st.composite
+def unreduced_grids(draw):
+    """Grids of integer pairs n / delta with a factor planted in numerator and
+    denominator of some entries, a factor common to every denominator, scaled
+    and sign-flipped denominators and zero entries."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    common = draw(nonzero_int_polys)
+    grid = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            num, den = draw(small_int_polys), draw(nonzero_int_polys)
+            planted = draw(nonzero_int_polys)
+            scale = draw(st.sampled_from([1, -1, 2, -3, 6]))
+            den = [scale * x for x in pmul(pmul(den, planted), common)]
+            num = pmul(num, planted) if draw(st.booleans()) else num
+            row.append((tuple(num), tuple(den)))
+        grid.append(row)
+    return grid
+
+
+class TestClearFractions:
+    @given(unreduced_grids())
+    @example([[((2,), (2,)), ((-3,), (6,))]])  # constant denominators with a content
+    @example([[((), (5,)), ((), (0, 1))]])  # zero entries only
+    @example([[((0, 2), (0, 4)), ((3,), (-6, 3))], [((1, 1), (2, 2)), ((), (7,))]])
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_entry_clearing(self, grid):
+        assert clear_fractions(grid) == per_entry_clearing(grid)
+
+    @given(unreduced_grids())
+    @settings(max_examples=40, deadline=None)
+    def test_entries_match_sympy_cancel(self, grid):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+
+        def expr(coeffs):
+            return sum(sympy.Rational(c) * t**k for k, c in enumerate(coeffs))
+
+        ints, d, c = clear_fractions(grid)
+        den = c * expr(d.coeffs)
+        for row, int_row in zip(grid, ints):
+            for (n, delta), m in zip(row, int_row):
+                assert sympy.cancel(expr(m) / den - expr(n) / expr(delta)) == 0
+                assert sympy.cancel(expr(m) / den) == sympy.cancel(expr(n) / expr(delta))
+
+    def test_generator_denominator_with_a_non_integer_root(self):
+        # 1 / (2t - 1) and t / (4t - 2): d = t - 1/2 and d * Phi = (1/2, t/4), so c = 4
+        ints, d, c = clear_fractions([[((1,), (-1, 2))], [((0, 1), (-2, 4))]])
+        assert (ints, d, c) == ((((2,),), ((0, 1),)), P([Q(-1, 2), 1]), 4)

@@ -13,6 +13,7 @@ from parahiggs.poly import (
     _int_gcd,
     _int_poly_mul_add,
     _int_prs_gcd,
+    int_fraction_from_json,
     interpolate_int_range,
     is_squarefree,
     poly_gcd,
@@ -168,6 +169,24 @@ class TestRationalFunction:
 
         assert order(a * c, b * d) == order(a, b) + order(c, d)
 
+    @pytest.mark.parametrize("text", [
+        "0", "7", "-7", "0005", "-0", "1.5", "-3/6", "+3", " 7 ", "1e3", "1_000", "-.5",
+        "3/-6", "--5", "-", "", "1/0", "0x10", "\u0663", "\u00b2", "1 / 2",
+    ])
+    def test_coefficients_parse_as_fractions_do(self, text):
+        # the entry parse takes exactly the strings q_from_str takes, with the same values
+        try:
+            want = (Q(text), None)
+        except (ValueError, ZeroDivisionError) as exc:
+            want = (None, (type(exc), str(exc)))
+        entry = {"num": [text], "den": ["1"]}
+        try:
+            n, delta = int_fraction_from_json(entry)
+            got = (Q(n[0], delta[0]) if n else Q(0), None)
+        except (ValueError, ZeroDivisionError) as exc:
+            got = (None, (type(exc), str(exc)))
+        assert got == want
+
     def test_json_roundtrip(self):
         f = RF(P([1, Q(-1, 2)]), P([0, 0, 3]))
-        assert RationalFunction.from_json(f.to_json()) == f
+        assert RationalFunction.from_ints(*int_fraction_from_json(f.to_json())) == f

@@ -30,6 +30,7 @@ TEST_ONLY_API = {
     "dimensions.sqrt_parity_check": "parity of the class whose square root the normalization takes",
     "dimensions.pardeg_identity": "parabolic degree forced by self-duality",
     "groups.GroupSpec.so_odd": "constructor beside GroupSpec.sp and GroupSpec.so_even, for tests",
+    "higgs.HiggsField.from_grid": "clears a hand-built grid of rational functions into a field, for tests",
     "higgs.semisimple_residue_control": "control field with semisimple residues, for the parabolic checks",
 }
 
