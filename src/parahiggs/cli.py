@@ -151,7 +151,6 @@ def _spectral_section(fld: HiggsField) -> dict:
             }
     try:
         curve = build_plane_curve(fld)
-        pf_twisted = twisted_pfaffian(fld, curve.twist) if group.kind == "so-even" else None
     except PoleOrderError as exc:
         return {"pass": False, "reason": str(exc)}
     try:
@@ -165,7 +164,9 @@ def _spectral_section(fld: HiggsField) -> dict:
     }
     ok = out["involution"]
     if group.kind == "so-even":
-        pattern = so_even_singularity_pattern(curve, pf_twisted, det_b.num.coeff(0))
+        pattern = so_even_singularity_pattern(
+            curve, twisted_pfaffian(fld, curve.twist), det_b.num.coeff(0)
+        )
         out["singularity_pattern"] = {
             "pass": pattern.passed,
             "count": pattern.count,

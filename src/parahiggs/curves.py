@@ -114,7 +114,10 @@ def build_plane_curve(fld: HiggsField) -> PlaneCurve:
 def twisted_pfaffian(fld: HiggsField, twist: UniPoly) -> UniPoly:
     """Pf(B*Phi) * twist^m of an so(2m) field: Pf(P) twist^m / e^m with
     B*Phi = P / e, read off the Z[t] Pfaffian.  Raises PoleOrderError when
-    the division is not exact."""
+    the division is not exact.  `analyze` never meets that case: once
+    build_plane_curve has made s_2m * D^2m polynomial and det B is constant,
+    (Pf * D^m)^2 = det B * s_2m * D^2m is polynomial, so the guard covers
+    direct callers only."""
     m = fld.group.m
     quo, rem = (UniPoly.make(fld.pfaffian) * twist**m).divmod(fld.gram_product[1] ** m)
     if not rem.is_zero:

@@ -40,7 +40,6 @@ from .groups import (
 from .linalg import (
     Cleared,
     IntMat,
-    Mat,
     QMat,
     clear_fractions,
     cleared_den,
@@ -149,11 +148,11 @@ class HiggsField:
         return HiggsField(group, gram, clear_fractions(grid), marked_points)
 
     @cached_property
-    def matrix(self) -> Mat:
+    def matrix(self) -> tuple[tuple[RationalFunction, ...], ...]:
         """Phi as reduced rational functions, for output."""
         ints, d, c = self.cleared
         q, lead = cleared_den(d, c)
-        return [[RationalFunction.from_ints(p, q, lead) for p in row] for row in ints]
+        return tuple(tuple(RationalFunction.from_ints(p, q, lead) for p in row) for row in ints)
 
     @cached_property
     def gram_product(self) -> tuple[IntMat, UniPoly]:

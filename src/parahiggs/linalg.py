@@ -31,7 +31,6 @@ from .poly import (
     interpolate_int_range,
 )
 
-Mat = list[list[RationalFunction]]
 QMat = list[list[Fraction]]
 IntMat = tuple[tuple[tuple[int, ...], ...], ...]
 IntFraction = tuple[tuple[int, ...], tuple[int, ...]]

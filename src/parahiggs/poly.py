@@ -44,13 +44,6 @@ def q_from_str(s: str) -> Fraction:
     return Fraction(s)
 
 
-def _coeff_from_str(s) -> Scalar:
-    """The value of q_from_str(s), as an int when s is a plain decimal integer."""
-    if type(s) is str and s.isascii() and (s.isdigit() or (s[:1] == "-" and s[1:].isdigit())):
-        return int(s)
-    return q_from_str(s)
-
-
 @dataclass(frozen=True)
 class UniPoly:
     """Dense univariate polynomial in t with Fraction coefficients.
@@ -556,8 +549,8 @@ def int_fraction(num: Sequence[Scalar], den: Sequence[Scalar]) -> tuple[tuple[in
 def int_fraction_from_json(data: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """`int_fraction` of an entry {"num": [...], "den": [...]} whose
     coefficient strings parse as `q_from_str` parses them."""
-    num = [_coeff_from_str(s) for s in data["num"]]
-    return int_fraction(num, [_coeff_from_str(s) for s in data["den"]])
+    num = [q_from_str(s) for s in data["num"]]
+    return int_fraction(num, [q_from_str(s) for s in data["den"]])
 
 
 @dataclass(frozen=True)

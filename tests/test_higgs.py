@@ -216,6 +216,12 @@ class TestGenerator:
         assert again.to_dict() == fld.to_dict()
         assert again.matrix == fld.matrix
 
+    def test_output_grid_is_immutable(self):
+        # the checks read ``cleared``, so an in-place edit of the output grid must fail
+        fld = random_strongly_parabolic_higgs(GroupSpec.sp(1), [0], 1, seed=3)
+        with pytest.raises(TypeError):
+            fld.matrix[0][1] = fld.matrix[0][0]
+
 
 class TestSoOddReduce:
     def test_kernel_e1(self):
