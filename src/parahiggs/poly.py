@@ -12,6 +12,13 @@ primitive PRS over Z as fallback), and the rational roots come from Loos'
 p-adic method (roots modulo a small prime, Newton-lifted and read back by
 rational reconstruction), polynomial in the coefficient bit length.
 
+Integer polynomials are ascending ``int`` lists ([] is zero), and a bivariate
+one over Z[t][x] is a list of them, ascending in x: the spectral curve of
+``curves`` is held that way, monic in X over Z[t] with one rational scale mu
+for x = mu X, and its fibres over t0 = a/b come from `_hom_eval`.  A UniPoly
+wraps an integer list only where a public function here takes one
+(`poly_gcd`, `rational_roots`).
+
 A RationalFunction is a reduced num/den pair with no arithmetic of its own.
 It is made only for JSON output, from integer polynomials by one reduction
 (`RationalFunction.from_ints`): a Higgs field is held as M / (c*d) with M
@@ -101,21 +108,6 @@ class UniPoly:
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly.make(out)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
     def __mul__(self, other: Union["UniPoly", Scalar]) -> "UniPoly":
         if isinstance(other, (int, Fraction)):
             o = _as_q(other)
@@ -175,12 +167,6 @@ class UniPoly:
                 rem[k - d + j] -= f * c
         return UniPoly.make(q), UniPoly.make(rem)
 
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return self.divmod(other)[0]
-
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return self.divmod(other)[1]
-
     def exact_div(self, other: "UniPoly") -> "UniPoly":
         q, r = self.divmod(other)
         if not r.is_zero:
@@ -212,10 +198,6 @@ class UniPoly:
 
     def to_json(self) -> list[str]:
         return [q_to_str(c) for c in self.coeffs]
-
-    @staticmethod
-    def from_json(data: Sequence[str]) -> "UniPoly":
-        return UniPoly.make(Fraction(s) for s in data)
 
     def __str__(self) -> str:
         if self.is_zero:

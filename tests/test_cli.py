@@ -3,6 +3,7 @@
 import io
 import json
 import time
+from itertools import zip_longest
 
 import pytest
 
@@ -295,7 +296,8 @@ def trace_bumped(doc: dict) -> dict:
     characteristic polynomial is not even and Phi is off the algebra."""
     rows = [list(row) for row in HiggsField.from_dict(doc).matrix]
     x = rows[0][0]
-    rows[0][0] = RationalFunction.make(x.num + UniPoly.make([0, 1]) * x.den, x.den)
+    shifted = (0, *x.den.coeffs)  # t * den
+    rows[0][0] = RationalFunction.make(UniPoly.make(map(sum, zip_longest(x.num.coeffs, shifted, fillvalue=0))), x.den)
     return {**doc, "matrix": [[y.to_json() for y in row] for row in rows]}
 
 
@@ -359,7 +361,7 @@ POLE_FIELDS = {
     # diag(1/(t - 1), -1/(t - 1))
     "so-even-pole-off-marked": ("so-even", [[over_t_minus_1("1"), ZERO], [ZERO, over_t_minus_1("-1")]]),
 }
-POLE_REASON = "s_2 * d^2 is not polynomial; pole outside the allowed order/locus"
+POLE_REASON = "s_2 * D^2 is not polynomial; pole outside the allowed order/locus"
 
 
 class TestPoleOutsideAllowedOrder:

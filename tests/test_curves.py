@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from parahiggs.bipoly import BiPoly, discriminant_x
+from parahiggs.bipoly import discriminant_x
 from parahiggs.curves import (
     FixedPointReport,
     NonReducedCurveError,
@@ -30,11 +30,27 @@ P = UniPoly.make
 RF = RationalFunction.make
 
 
-def curve(*coeffs):
-    """PlaneCurve from ascending x-coefficients (ints or t-coefficient lists)."""
-    return PlaneCurve(
-        BiPoly.make([P(c) if isinstance(c, (list, tuple)) else UniPoly.const(c) for c in coeffs])
-    )
+def trim(p):
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return tuple(p)
+
+
+def curve(*coeffs, scale=1):
+    """PlaneCurve from ascending X-coefficients (ints or integer t-coefficient
+    lists) and the scale mu of x = mu X."""
+    return PlaneCurve(tuple(trim(c if isinstance(c, (list, tuple)) else [c]) for c in coeffs), Q(scale))
+
+
+def neg(p: UniPoly) -> list[int]:
+    """-p as integer coefficients, for a UniPoly over Z."""
+    return [-int(c) for c in p.coeffs]
+
+
+def rational_coeffs(c: PlaneCurve) -> list[UniPoly]:
+    """The x-coefficients of f(t, x) = mu^r F(t, x / mu) over Q, ascending."""
+    return [P(h) * c.scale ** (c.r - i) for i, h in enumerate(c.coeffs)]
 
 
 # x^2 - (t^3 - t)
@@ -54,7 +70,7 @@ class TestBuildPlaneCurve:
         )
         c = build_plane_curve(fld)
         # s_2 = -t^2 - 1, d = t: y^2 + (-t^2 - 1) t^2 = y^2 - t^4 - t^2
-        assert c.f == BiPoly.make([P([0, 0, -1, 0, -1]), UniPoly.zero(), UniPoly.one()])
+        assert rational_coeffs(c) == [P([0, 0, -1, 0, -1]), UniPoly.zero(), UniPoly.one()]
         assert c.twist == P([0, 1])
 
     def test_no_marked_points_identity_twist(self):
@@ -65,21 +81,33 @@ class TestBuildPlaneCurve:
         assert c.twist == UniPoly.one()
         # char poly passes through unchanged: x^2 + s_2
         s_2 = fld.char_data.sections()[1]
-        assert s_2.is_polynomial and c.f.coeff(0) == s_2.num
+        assert s_2.is_polynomial and rational_coeffs(c)[0] == s_2.num
 
     def test_zero_field(self):
         group = GroupSpec.so_even(2)
         z = [[RF(0)] * 4 for _ in range(4)]
         fld = HiggsField.from_grid(group, split_gram(group), z, (Q(0),))
-        assert build_plane_curve(fld).f == BiPoly.make(
-            [UniPoly.zero()] * 4 + [UniPoly.one()]
-        )
+        assert build_plane_curve(fld).coeffs == ((),) * 4 + ((1,),)
 
     def test_pole_outside_marked_locus_rejected(self):
         # s_1 = 0, s_2 = (t - 5) / (t - 5)^2: a pole at t = 5, marked point is 0
         char = CharData(((), (-5, 1)), 1, P([-5, 1]))
-        with pytest.raises(PoleOrderError):
+        with pytest.raises(PoleOrderError, match=r"s_2 \* D\^2 is not polynomial"):
             twisted_curve(char, (Q(0),))
+
+    @pytest.mark.parametrize("kind,m", [("sp", 1), ("sp", 2), ("so-even", 2), ("so-odd", 2)])
+    def test_scaled_coefficients_are_the_twisted_sections(self, kind, m):
+        # mu^i h_i = s_i D^i over Q, with D = prod (t - a_k) and s_i reduced
+        marked = (Q(1, 2), Q(-2, 3))
+        for seed in range(3):
+            fld = random_strongly_parabolic_higgs(GroupSpec(kind, m), marked, 1, seed)
+            c = build_plane_curve(fld)
+            assert c.scale not in (1, -1)
+            assert c.twist == P([Q(-1, 2), 1]) * P([Q(2, 3), 1])
+            sections = fld.char_data.sections()[: c.r]
+            for i, s in enumerate(sections, start=1):
+                quo, rem = (s.num * c.twist**i).divmod(s.den)
+                assert rem.is_zero and rational_coeffs(c)[c.r - i] == quo
 
 
 class TestInvolution:
@@ -96,7 +124,7 @@ class TestInvolution:
 
     def test_even_curve_fx_vanishes_on_zero_section(self):
         for c in (HYPER, QUARTIC):
-            assert c.f.derivative_x().coeff(0).is_zero
+            assert not c.coeffs[1]
 
 
 class TestSmoothness:
@@ -104,7 +132,7 @@ class TestSmoothness:
         rep = smoothness_check(HYPER)
         assert rep.status == "smooth"
         assert rep.disc_squarefree
-        assert discriminant_x(HYPER.f) == P([0, -4, 0, 4])  # 4(t^3 - t)
+        assert discriminant_x(HYPER.coeffs) == P([0, -4, 0, 4])  # 4(t^3 - t)
 
     def test_node_found(self):
         rep = smoothness_check(curve([0, 0, -1], 0, 1))  # x^2 - t^2
@@ -124,7 +152,7 @@ class TestSmoothness:
     def test_inconclusive_on_irrational_singularity(self):
         # x^2 - (t^2 - 2)^2: singular only at t = +-sqrt(2)
         f = P([-2, 0, 1])
-        rep = smoothness_check(curve([c for c in (-(f * f)).coeffs], 0, 1))
+        rep = smoothness_check(curve(neg(f * f), 0, 1))
         assert rep.status == "inconclusive"
 
     def test_planted_nodes_never_reported_smooth(self):
@@ -136,7 +164,7 @@ class TestSmoothness:
                 continue
             # x^2 - (t - c0)^2 h(t): node at (c0, 0)
             branch = P([-c0, 1]) ** 2 * h
-            cur = curve([x for x in (-branch).coeffs], 0, 1)
+            cur = curve(neg(branch), 0, 1)
             rep = smoothness_check(cur)
             assert rep.status == "singular"
             assert (Q(c0), Q(0)) in rep.witnesses
@@ -145,9 +173,33 @@ class TestSmoothness:
         # x^4 + t x^2 + 1: c0 = 1 and disc_z g = t^2 - 4 are squarefree, while
         # disc_x f = 16 (t^2 - 4)^2 is not
         quartic = curve(1, 0, [0, 1], 0, 1)
-        assert not is_squarefree(discriminant_x(quartic.f))
+        assert not is_squarefree(discriminant_x(quartic.coeffs))
         rep = smoothness_check(quartic)
         assert rep.status == "smooth" and rep.disc_squarefree
+
+    @pytest.mark.parametrize("scale", [Q(3), Q(-1, 3)])
+    def test_scale_maps_witnesses_back_to_x(self, scale):
+        # F = (X^2 - 1)^2 - t^2 is singular at (0, +-1); x = mu X, sorted in x
+        rep = smoothness_check(curve([1, 0, -1], 0, -2, 0, 1, scale=scale))
+        assert rep.witnesses == tuple(sorted([(Q(0), -scale), (Q(0), scale)]))
+
+    def test_field_witnesses_off_the_zero_section(self):
+        # Phi = diag(t/2, 1/2, -t/2, -1/2) with the marked point 1/3:
+        # the twisted chart variable is x = mu X with mu = 1/(2*3), and F =
+        # (X^2 - t^2 (3t - 1)^2) (X^2 - (3t - 1)^2); the lines X = +-t(3t - 1)
+        # and X = +-(3t - 1) cross at t = +-1, off X = 0
+        half_t, half = RF(P([0, Q(1, 2)])), RF(Q(1, 2))
+        diag = [half_t, half, RF(P([0, Q(-1, 2)])), RF(Q(-1, 2))]
+        rows = [[diag[i] if i == j else RF(0) for j in range(4)] for i in range(4)]
+        fld = HiggsField.from_grid(GroupSpec.sp(2), split_gram(GroupSpec.sp(2)), rows, (Q(1, 3),))
+        c = build_plane_curve(fld)
+        assert c.scale == Q(1, 6)
+        rep = smoothness_check(c)
+        assert rep.status == "singular"
+        assert rep.witnesses == (
+            (Q(-1), Q(-2, 3)), (Q(-1), Q(2, 3)), (Q(0), Q(0)),
+            (Q(1, 3), Q(0)), (Q(1), Q(-1, 3)), (Q(1), Q(1, 3)),
+        )
 
     def test_non_symmetric_curve_rejected(self):
         # (x - t)^2 - t^3, a cusp at the origin, and x^2 + x + t, smooth
@@ -214,7 +266,7 @@ class TestSoEvenPattern:
         # and the twisted Pfaffian is -2 t^2, so F(t, 0) = (-1/4) Pf^2
         gram = GramForm.make([[0, 2], [2, 0]], "symmetric")
         t = P([0, 1])
-        fld = HiggsField.from_grid(GroupSpec.so_even(1), gram, [[RF(t), RF(0)], [RF(0), RF(-t)]], (Q(0),))
+        fld = HiggsField.from_grid(GroupSpec.so_even(1), gram, [[RF(t), RF(0)], [RF(0), RF(t * -1)]], (Q(0),))
         c = build_plane_curve(fld)
         rep = so_even_singularity_pattern(c, twisted_pfaffian(fld, c.twist), gram.det.num.coeff(0))
         assert rep.passed and rep.unit == Q(-1, 4)
@@ -255,7 +307,7 @@ class TestRamificationAndGenus:
             f = P([rng.randint(-4, 4) for _ in range(deg)] + [1])
             if not is_squarefree(f):
                 continue
-            cur = curve([c for c in (-f).coeffs], 0, 1)
+            cur = curve(neg(f), 0, 1)
             assert ramification_degree_affine(cur) == deg
             assert hyperelliptic_genus(f) == (deg - 1) // 2
 
@@ -266,8 +318,8 @@ class TestRamificationAndGenus:
             m = rng.randint(1, 3)
             g = [[rng.randint(-3, 3) for _ in range(rng.randint(0, 3))] for _ in range(m)]
             cur = curve(*(c for z in g for c in (z, 0)), 1)
-            disc = discriminant_x(cur.f)
-            c0, disc_g = cur.quotient.coeff(0), cur.quotient_discriminant
+            disc = discriminant_x(cur.coeffs)
+            c0, disc_g = P(cur.quotient[0]), cur.quotient_discriminant
             assert disc == c0 * disc_g * disc_g * (-4) ** m
             if not disc.is_zero:
                 assert ramification_degree_affine(cur) == disc.degree
@@ -277,10 +329,3 @@ class TestRamificationAndGenus:
             hyperelliptic_genus(P([1]))
         with pytest.raises(ValueError, match="squarefree"):
             hyperelliptic_genus(P([0, 0, 1]))
-
-
-class TestSerialization:
-    def test_roundtrip(self):
-        d = HYPER.to_dict()
-        assert PlaneCurve.from_dict(d).f == HYPER.f
-        assert d["r"] == 2

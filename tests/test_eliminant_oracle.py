@@ -1,11 +1,14 @@
-"""`rational_roots`, `resultant_x` and `discriminant_x` against sympy.
+"""`rational_roots`, the spectral curve and the x-eliminants against sympy.
 
 The root finder is handed integer polynomials with planted rational roots of
 multiplicity 1..3, end coefficients of at least 64 bits and an irreducible
 quadratic cofactor; its output must equal sympy's rational roots.  The
-x-eliminants are compared on spectral curves whose marked points include 1/2,
-so the curve coefficients carry denominators, and on random bivariate pairs
-whose two operands have different denominators.  sympy is a test-only oracle.
+spectral curve F over Z[t][X] with its scale mu is compared with the twisted
+characteristic polynomial sympy computes from the field's matrix, on fields
+whose marked points include 1/2, so mu is not an integer; its discriminant is
+compared with sympy's.  The Sylvester resultant is compared on random pairs
+of bivariate integer polynomials that are not monic.  sympy is a test-only
+oracle.
 """
 
 import math
@@ -14,13 +17,14 @@ from fractions import Fraction
 
 import pytest
 
-from parahiggs.bipoly import BiPoly, discriminant_x, resultant_x
+from parahiggs.bipoly import bareiss_det, discriminant_x, sylvester_matrix
 from parahiggs.curves import build_plane_curve
 from parahiggs.groups import GroupSpec
 from parahiggs.higgs import random_strongly_parabolic_higgs
 from parahiggs.poly import UniPoly, rational_roots
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 t, x = sympy.symbols("t x")
 
 
@@ -32,8 +36,31 @@ def to_sympy_t(p: UniPoly):
     return sum(sym_q(c) * t**j for j, c in enumerate(p.coeffs))
 
 
-def to_sympy(f: BiPoly):
-    return sum(to_sympy_t(p) * x**i for i, p in enumerate(f.coeffs))
+def to_sympy(f) -> sympy.Expr:
+    """A bivariate integer polynomial, ascending in x."""
+    return sum(c * t**j * x**i for i, p in enumerate(f) for j, c in enumerate(p))
+
+
+def twisted_char(fld) -> sympy.Expr:
+    """D^r char(x / D) from sympy's characteristic polynomial of the field's
+    matrix, D = prod (t - a_k); for so(2m+1), that of char / x.  With L the
+    lcm of the entry denominators and a_i the coefficients of det(x - L Phi),
+    its x^(r-i) coefficient is a_i D^i / L^i."""
+    def entry(e):
+        num, den = (sum(sympy.Rational(c) * t**j for j, c in enumerate(e[k])) for k in ("num", "den"))
+        return num / den
+
+    doc = fld.to_dict()
+    phi = sympy.Matrix([[entry(e) for e in row] for row in doc["matrix"]])
+    lcm = sympy.lcm([sympy.denom(sympy.cancel(e)) for e in phi])
+    mat = DomainMatrix.from_Matrix((lcm * phi).applyfunc(sympy.cancel))
+    coeffs = [mat.domain.to_sympy(a) for a in mat.charpoly()]
+    if doc["group"] == "so-odd":
+        assert coeffs[-1] == 0
+        coeffs = coeffs[:-1]
+    twist = sympy.Mul(*(t - sympy.Rational(a) for a in doc["marked_points"]))
+    r = len(coeffs) - 1
+    return sympy.expand(sum(sympy.cancel(a * twist**i / lcm**i) * x ** (r - i) for i, a in enumerate(coeffs)))
 
 
 def irreducible_quadratic(rng: random.Random) -> list[int]:
@@ -88,22 +115,23 @@ DISC_CASES = [
 def test_discriminant_matches_sympy(kind, m, marked, seed):
     points = tuple(Fraction(a) for a in marked.split(","))
     fld = random_strongly_parabolic_higgs(GroupSpec(kind, m), points, 1, seed)
-    f = build_plane_curve(fld).f
-    assert any(c.denominator > 1 for p in f.coeffs for c in p.coeffs)
-    want = sympy.Poly(sympy.discriminant(to_sympy(f), x), t, domain="QQ")
-    assert sympy.Poly(to_sympy_t(discriminant_x(f)), t, domain="QQ") == want
+    curve = build_plane_curve(fld)
+    assert curve.scale.denominator > 1
+    # f(t, x) = mu^r F(t, x / mu)
+    f = sympy.expand(sym_q(curve.scale) ** curve.r * to_sympy(curve.coeffs).subs(x, x / sym_q(curve.scale)))
+    assert f == twisted_char(fld)
+    want = sympy.Poly(sympy.discriminant(to_sympy(curve.coeffs), x), t, domain="ZZ")
+    assert sympy.Poly(to_sympy_t(discriminant_x(curve.coeffs)), t, domain="ZZ") == want
 
 
-def random_bipoly(rng: random.Random, deg_x: int, den: int) -> BiPoly:
-    return BiPoly.make(
-        UniPoly.make(Fraction(rng.randint(-9, 9), rng.randint(1, den)) for _ in range(3))
-        for _ in range(deg_x)
-    ) + BiPoly.make([UniPoly.zero()] * deg_x + [UniPoly.make([Fraction(1, den), 1])])
+def random_bipoly(rng: random.Random, deg_x: int) -> list[list[int]]:
+    return [[rng.randint(-9, 9) for _ in range(3)] for _ in range(deg_x)] + [[rng.randint(1, 9), 1]]
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_resultant_matches_sympy(seed):
     rng = random.Random(seed)
-    f, g = random_bipoly(rng, 3, 6), random_bipoly(rng, 2, 35)
-    want = sympy.Poly(sympy.resultant(to_sympy(f), to_sympy(g), x), t, domain="QQ")
-    assert sympy.Poly(to_sympy_t(resultant_x(f, g)), t, domain="QQ") == want
+    f, g = random_bipoly(rng, 3), random_bipoly(rng, 2)
+    want = sympy.Poly(sympy.resultant(to_sympy(f), to_sympy(g), x), t, domain="ZZ")
+    got = sum(c * t**j for j, c in enumerate(bareiss_det(sylvester_matrix(f, g))))
+    assert sympy.Poly(got, t, domain="ZZ") == want

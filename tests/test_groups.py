@@ -1,6 +1,7 @@
 """Group bookkeeping, split forms, membership, Cayley transforms."""
 
 import random
+from itertools import zip_longest
 
 import pytest
 
@@ -129,7 +130,8 @@ class TestMembership:
         assert fld.is_member
         x, lin = fld.matrix[0][1], UniPoly.linear_root(1)
         bumped = [list(row) for row in fld.matrix]
-        bumped[0][1] = RF(x.num * lin + x.den, x.den * lin)  # x + 1/(t - 1)
+        num = map(sum, zip_longest((x.num * lin).coeffs, x.den.coeffs, fillvalue=0))
+        bumped[0][1] = RF(UniPoly.make(num), x.den * lin)  # x + 1/(t - 1)
         assert not is_member(group, bumped)
 
 

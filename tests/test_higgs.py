@@ -249,7 +249,7 @@ class TestSoOddReduce:
                 assert full[:-1] == reduced
                 g = red.induced_gram.matrix
                 assert all(
-                    g[i][j].num == -g[j][i].num and g[i][j].den == g[j][i].den
+                    g[i][j].num == g[j][i].num * -1 and g[i][j].den == g[j][i].den
                     for i in range(2 * m) for j in range(2 * m)
                 )
 

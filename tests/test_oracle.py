@@ -1,14 +1,16 @@
 """The spectral smoothness verdict against an independent sympy oracle.
 
-For generated fields of every group, the twisted spectral curve f is handed
-to sympy: "smooth" must hold exactly when the Groebner basis of
+For generated fields of every group, the twisted spectral curve
+f(t, x) = mu^r F(t, x / mu), held as F over Z[t][X] and its scale mu, is
+handed to sympy: "smooth" must hold exactly when the Groebner basis of
 (f, f_x, f_t) is [1], and the reported witnesses must be exactly the
 rational solutions of f = f_x = f_t = 0, found by eliminating x and
 factoring over Q.  A curve rejected as non-reduced must have a repeated
 factor in sympy's squarefree factorisation.  Hand-built symmetric quartics
 cover the quotient certificate's branches that no generated field reaches:
-witnesses off the zero section, an irrational one, and a certified "smooth"
-at m = 2.  sympy is a test-only oracle.
+witnesses off the zero section, unscaled and with a scale mu != +-1, an
+irrational one, and a certified "smooth" at m = 2.  sympy is a test-only
+oracle.
 """
 
 import random
@@ -16,11 +18,9 @@ from fractions import Fraction
 
 import pytest
 
-from parahiggs.bipoly import BiPoly
 from parahiggs.curves import NonReducedCurveError, PlaneCurve, build_plane_curve, smoothness_check
 from parahiggs.groups import GroupSpec
 from parahiggs.higgs import random_strongly_parabolic_higgs
-from parahiggs.poly import UniPoly
 
 sympy = pytest.importorskip("sympy")
 t, x = sympy.symbols("t x")
@@ -37,12 +37,14 @@ CASES = [
 ] + [(kind, 2, 1, 0, seed) for kind in KINDS for seed in range(2)]
 
 
-def to_sympy(f):
-    return sum(
-        sympy.Rational(c.numerator, c.denominator) * t**j * x**i
-        for i, p in enumerate(f.coeffs)
-        for j, c in enumerate(p.coeffs)
-    )
+def to_sympy(curve: PlaneCurve):
+    """f(t, x) = mu^r F(t, x / mu) over Q."""
+    mu = sympy.Rational(curve.scale.numerator, curve.scale.denominator)
+    return sympy.expand(sum(
+        c * t**j * x**i * mu ** (curve.r - i)
+        for i, p in enumerate(curve.coeffs)
+        for j, c in enumerate(p)
+    ))
 
 
 def rational_roots(expr, var) -> list[Fraction]:
@@ -71,7 +73,7 @@ def rational_singular_points(basis) -> list[tuple[Fraction, Fraction]]:
 
 
 def assert_matches_oracle(curve):
-    f = to_sympy(curve.f)
+    f = to_sympy(curve)
     try:
         report = smoothness_check(curve)
     except NonReducedCurveError:
@@ -91,15 +93,20 @@ def test_smoothness_matches_groebner_oracle(kind, m, count, deg, seed):
     assert_matches_oracle(build_plane_curve(fld))
 
 
-def quartic(a, b) -> PlaneCurve:
-    """x^4 + a x^2 + b for integer t-coefficient lists a, b."""
-    return PlaneCurve(BiPoly.make([UniPoly.make(b), UniPoly.zero(), UniPoly.make(a),
-                                   UniPoly.zero(), UniPoly.one()]))
+def quartic(a, b, scale=1) -> PlaneCurve:
+    """X^4 + a X^2 + b for integer t-coefficient lists a, b, with x = scale X."""
+    return PlaneCurve((tuple(b), (), tuple(a), (), (1,)), Fraction(scale))
 
 
 def test_quotient_witnesses_off_the_zero_section():
     report = assert_matches_oracle(quartic([-2], [1, 0, -1]))  # (x^2 - 1)^2 - t^2
     assert report.witnesses == ((Fraction(0), Fraction(-1)), (Fraction(0), Fraction(1)))
+
+
+def test_scaled_witnesses_off_the_zero_section():
+    # (X^2 - 1)^2 - t^2 with x = 2X/5: f = (x^2 - 4/25)^2 - (4/25)^2 t^2
+    report = assert_matches_oracle(quartic([-2], [1, 0, -1], Fraction(2, 5)))
+    assert report.witnesses == ((Fraction(0), Fraction(-2, 5)), (Fraction(0), Fraction(2, 5)))
 
 
 def test_quotient_irrational_square_root_is_inconclusive():

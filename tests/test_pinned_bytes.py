@@ -51,7 +51,9 @@ numerator and denominator, scaled and non-monic denominators, decimal and
 unreduced fraction coefficients and a zero entry over a constant, plus the
 exit code and stderr of a zero denominator.  They were recorded on the code
 that still normalised every parsed entry as a reduced rational function
-before clearing the matrix.
+before clearing the matrix.  The "sp-scaled-witnesses" digest covers a curve
+whose singular points lie off x = 0 and whose scale mu (x = mu X) is 1/6; it
+was recorded on the code that still held the spectral curve over Q[t][x].
 """
 
 import hashlib
@@ -381,6 +383,15 @@ HAND_WRITTEN_FIELDS = {
         "matrix": [[{"num": ["2", "2"], "den": ["0", "6", "6"]}, Z5],
                    [Z5, {"num": ["-1.5"], "den": ["0", "4.5"]}]],
     },
+    # Phi = diag(t/2, 1/2, -t/2, -1/2) with the marked point 1/3: the curve is
+    # held with the scale x = X/6 and has four witnesses off x = 0, at t = +-1
+    "sp-scaled-witnesses": {
+        "group": "sp", "m": 2, "marked_points": ["1/3"],
+        "matrix": [[{"num": ["0", "1/2"], "den": ["1"]}, Z5, Z5, Z5],
+                   [Z5, {"num": ["1/2"], "den": ["1"]}, Z5, Z5],
+                   [Z5, Z5, {"num": ["0", "-1/2"], "den": ["1"]}, Z5],
+                   [Z5, Z5, Z5, {"num": ["-1/2"], "den": ["1"]}]],
+    },
     # Phi = [[2t, 0, 1/(2t)], [0, -2t, 1/2], [-1/2, -1/(2t), 0]]
     "so-odd-unreduced": {
         "group": "so-odd", "m": 1, "marked_points": ["0"],
@@ -401,6 +412,8 @@ HAND_WRITTEN_PINNED = {
         "589a6a27e64be8a163ded10746fa0ed333ad13caaeac2660bce8cc87898b4047",
     "so-odd-unreduced":
         "aa1ea40f4faadb4cc02e9b8a4a1a94e6ea55a56e9df3212bfca7493f3ac6313f",
+    "sp-scaled-witnesses":
+        "f48b4f95fdd722284ca8c6977e2452bd78c11221d5f106eb14205078344766a3",
     "so-odd-unreduced reduce-odd":
         "62763fe3bb9d279ff5671b9328e430088fdfbb30d604010f9eb96a4d45d252c5",
 }

@@ -45,8 +45,7 @@ class TestUniPolyBasics:
     def test_ring_ops(self):
         p, q = P([1, 1]), P([-1, 1])  # 1+t, -1+t
         assert p * q == P([-1, 0, 1])
-        assert p + q == P([0, 2])
-        assert (p - p).is_zero
+        assert p * 0 == P([]) and 3 * p == P([3, 3])
         assert p ** 3 == P([1, 3, 3, 1])
 
     def test_divmod(self):
