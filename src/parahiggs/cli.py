@@ -165,7 +165,7 @@ def _spectral_section(fld: HiggsField) -> dict:
     ok = out["involution"]
     if group.kind == "so-even":
         pattern = so_even_singularity_pattern(
-            curve, twisted_pfaffian(fld, curve.twist), det_b.num.coeff(0)
+            curve, twisted_pfaffian(fld), det_b.num.coeff(0)
         )
         out["singularity_pattern"] = {
             "pass": pattern.passed,

@@ -1,8 +1,9 @@
 """Affine spectral plane curves: symmetry, smoothness, fixed points.
 
 The chart twist y = D(t) x with D = prod (t - a_k) clears the marked-point
-denominators of the characteristic coefficients.  Every curve handled here is
-held over Z[t][X] with one rational scale mu: f(t, x) = mu^r F(t, x / mu) for
+denominators of the characteristic coefficients; it is formed over Z[t] where
+it is used, not stored on the curve.  Every curve handled here is held over
+Z[t][X] with one rational scale mu: f(t, x) = mu^r F(t, x / mu) for
 F = X^r + h_1 X^(r-1) + ... + h_r monic over Z[t], read off the field's
 integer characteristic data e_i and clearing c*d with no arithmetic over Q(t)
 and no division over Q.  Every certificate below is invariant under x = mu X,
@@ -51,12 +52,10 @@ class NonReducedCurveError(ValueError):
 @dataclass(frozen=True)
 class PlaneCurve:
     """f(t, x) = scale^r F(t, x / scale) for F monic in X over Z[t], given by
-    its ascending X-coefficients (ascending integer tuples), plus the chart
-    twist D the curve was built with."""
+    its ascending X-coefficients (ascending integer tuples)."""
 
     coeffs: tuple[tuple[int, ...], ...]
     scale: Fraction = Q(1)
-    twist: UniPoly = UniPoly.one()
 
     def __post_init__(self):
         if not self.coeffs or self.coeffs[-1] != (1,):
@@ -80,10 +79,19 @@ class PlaneCurve:
         return UniPoly.one() if len(g) == 2 else discriminant_x(g)
 
 
+def _chart_twist(marked_points) -> tuple[list[int], int]:
+    """(D~, prod b_k) with D~ = prod (b_k t - p_k) for the marked points
+    a_k = p_k / b_k in lowest terms, so D = prod (t - a_k) = D~ / prod b_k."""
+    twist, den = [1], 1
+    for a in map(Fraction, marked_points):
+        twist, den = _int_mul(twist, [-a.numerator, a.denominator]), den * a.denominator
+    return twist, den
+
+
 def twisted_curve(char: CharData, marked_points) -> PlaneCurve:
     """Curve y^r + sum_i s_i D^i y^(r-i), D = prod (t - a_k), from the char
-    data s_i = e_i / (c*d)^i, held over Z[t].  With a_k = p_k / b_k in lowest
-    terms, D~ = prod (b_k t - p_k), d~ the primitive clearing of d and
+    data s_i = e_i / (c*d)^i, held over Z[t].  With D~ = D prod b_k from
+    `_chart_twist`, d~ = char.d the primitive clearing of d and
     g = gcd(D~, d~): s_i D^i = mu^i h_i for h_i = e_i (D~/g)^i / (d~/g)^i over
     Z[t] and mu = lc(d~) / (c prod b_k); a field whose poles all sit at marked
     points (d | D) needs no polynomial division.
@@ -93,13 +101,9 @@ def twisted_curve(char: CharData, marked_points) -> PlaneCurve:
     the division is exact over Z[t].  A non-zero remainder raises
     PoleOrderError.
     """
-    points = [Fraction(a) for a in marked_points]
-    twist = [1]
-    for a in points:
-        twist = _int_mul(twist, [-a.numerator, a.denominator])
-    d = char.d.int_scaled()[0]
-    g = _int_gcd(twist, d)
-    up, down = _int_exact_div(twist, g), _int_exact_div(d, g)
+    twist, den = _chart_twist(marked_points)
+    g = _int_gcd(twist, char.d)
+    up, down = _int_exact_div(twist, g), _int_exact_div(char.d, g)
     r = char.r
     coeffs: list[tuple[int, ...]] = [(1,)] * (r + 1)
     up_power = down_power = [1]
@@ -112,8 +116,7 @@ def twisted_curve(char: CharData, marked_points) -> PlaneCurve:
             raise PoleOrderError(
                 f"s_{i} * D^{i} is not polynomial; pole outside the allowed order/locus"
             ) from None
-    den = math.prod(a.denominator for a in points)
-    return PlaneCurve(tuple(coeffs), Q(d[-1], char.c * den), UniPoly.make(Q(c, den) for c in twist))
+    return PlaneCurve(tuple(coeffs), Q(char.d[-1], char.c * den))
 
 
 def build_plane_curve(fld: HiggsField) -> PlaneCurve:
@@ -127,20 +130,27 @@ def build_plane_curve(fld: HiggsField) -> PlaneCurve:
     return twisted_curve(char, fld.marked_points)
 
 
-def twisted_pfaffian(fld: HiggsField, twist: UniPoly) -> UniPoly:
-    """Pf(B*Phi) * twist^m of an so(2m) field: Pf(P) twist^m / e^m with
-    B*Phi = P / e, read off the Z[t] Pfaffian.  Raises PoleOrderError when
-    the division is not exact.  `analyze` never meets that case: once
+def twisted_pfaffian(fld: HiggsField) -> UniPoly:
+    """Pf(B*Phi) * D^m of an so(2m) field: with B*Phi cleared to (P, E, k) and
+    D = D~ / prod b_k, Pf(P) D~^m / E^m times (lc(E) / (k prod b_k))^m.  E is
+    primitive, so the division is exact over Q exactly when it is over Z[t];
+    it raises PoleOrderError when it is not.  `analyze` never meets that case: once
     build_plane_curve has made s_2m * D^2m polynomial and det B is constant,
     (Pf * D^m)^2 = det B * s_2m * D^2m is polynomial, so the guard covers
     direct callers only."""
     m = fld.group.m
-    quo, rem = (UniPoly.make(fld.pfaffian) * twist**m).divmod(fld.gram_product[1] ** m)
-    if not rem.is_zero:
+    _, e, k = fld.gram_product
+    twist, den = _chart_twist(fld.marked_points)
+    num, e_power = list(fld.pfaffian), [1]
+    for _ in range(m):
+        num, e_power = _int_mul(num, twist), _int_mul(e_power, e)
+    try:
+        quo = _int_exact_div(num, e_power)
+    except ArithmeticError:
         raise PoleOrderError(
             f"Pf(B*Phi) * D^{m} is not polynomial; pole outside the allowed order/locus"
-        )
-    return quo
+        ) from None
+    return UniPoly.make(quo) * Q(e[-1], k * den) ** m
 
 
 def involution_check(curve: PlaneCurve) -> bool:

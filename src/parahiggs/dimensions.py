@@ -348,14 +348,6 @@ class DimensionReport:
             "verdict": self.chain_verdict,
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "DimensionReport":
-        return DimensionReport(
-            d["group"], d["m"], d["g"], d["n"], d["dimH"], d["dimM"], d["dimN"],
-            d["spectralGenus"], d["quotientOrDesingGenus"], d["prym"],
-            d["fixedPointsOrSingularities"], d["verdict"],
-        )
-
     def to_csv_row(self) -> str:
         return (
             f"{self.group},{self.m},{self.g},{self.n},{self.dim_hitchin},"

@@ -41,7 +41,7 @@ from .linalg import (
     entry_ints,
     mat_inverse,
 )
-from .poly import RationalFunction, int_fraction_from_json
+from .poly import RationalFunction, int_fraction_grid_from_json
 
 GROUP_KINDS = ("sp", "so-even", "so-odd")
 
@@ -99,7 +99,7 @@ class GroupSpec:
 @dataclass(frozen=True)
 class GramForm:
     """Invertible Gram matrix over Q(t), antisymmetric or symmetric, held as
-    (B', d, c) with B = B' / (c*d)."""
+    (B', D, c) with B = B' / (c*d) for d = D / lc(D)."""
 
     cleared: Cleared
     kind: str  # "symplectic" | "symmetric"
@@ -149,7 +149,7 @@ class GramForm:
 
     @staticmethod
     def from_json(data, kind: str) -> "GramForm":
-        return GramForm(clear_fractions([[int_fraction_from_json(x) for x in row] for row in data]), kind)
+        return GramForm(clear_fractions(int_fraction_grid_from_json(data)), kind)
 
 
 @functools.cache
@@ -192,7 +192,7 @@ def is_algebra_product(prod: IntMat, gram: GramForm) -> bool:
 
 def _constant_gram(gram: GramForm) -> QMat:
     b, d, c = gram.cleared
-    if d.degree > 0 or any(len(p) > 1 for row in b for p in row):
+    if len(d) > 1 or any(len(p) > 1 for row in b for p in row):
         raise GroupError("the Gram form is not constant")
     return [[Fraction(p[0] if p else 0, c) for p in row] for row in b]
 

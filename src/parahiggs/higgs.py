@@ -7,14 +7,14 @@ structural laws the three group families impose on the characteristic
 coefficients: evenness, the Pfaffian square, nilpotency of residues and the
 pole-order bounds.
 
-A field is held as its clearing Phi = M / (c*d), with M over Z[t], d monic
-and c a positive integer, made by `linalg.clear_fractions` whether the
-field is parsed from JSON, generated or reduced; B*Phi is formed once from
-M over Z[t].  Membership, the characteristic data (e_1..e_r over Z[t] with
-s_i = e_i / (c*d)^i), the residues M(a) / (c*d'(a)), the Pfaffian and the
-so(2m+1) kernel line (the Pfaffian adjugate of B*Phi) are all read off
-these two, and no check computes over Q(t): reduced rational functions are
-made only for JSON output.  The generator does its constant linear algebra
+A field Phi = M / (c*d) is held as the integer triple (M, D, c), d = D / lc(D)
+for a primitive D, made by `linalg.clear_fractions` whether the field is
+parsed from JSON, generated or reduced; B*Phi is cleared once to
+(B'M, D*D', c*c').  Membership, the characteristic data (e_1..e_r over Z[t]
+with s_i = e_i / (c*d)^i), the residues M(a) lc(D) / (c*D'(a)), the Pfaffian
+and the so(2m+1) kernel line (the Pfaffian adjugate of B*Phi) are all read
+off these two, and no check does polynomial arithmetic over Q: reduced
+rational functions are made only for JSON output.  The generator does its constant linear algebra
 (residues, Cayley elements, conjugation) over Q and assembles M over the
 integer denominator prod (b_k t - a_k) of the marked points a_k / b_k.
 """
@@ -39,14 +39,13 @@ from .groups import (
 )
 from .linalg import (
     Cleared,
-    IntMat,
     QMat,
+    _integer_rows,
     clear_fractions,
     cleared_den,
     const_mat_mul,
     entry_ints,
     int_char_poly,
-    int_mat_at,
     int_mat_mul,
     int_pfaffian,
     mat_inverse,
@@ -55,12 +54,15 @@ from .linalg import (
 from .poly import (
     RationalFunction,
     UniPoly,
+    _hom_eval,
+    _int_derivative,
     _int_exact_div,
     _int_gcd,
     _int_mul,
     _int_poly_mul_add,
     _int_trim,
-    int_fraction_from_json,
+    _strip_root,
+    int_fraction_grid_from_json,
     q_from_str,
     q_to_str,
     root_multiplicity,
@@ -79,11 +81,11 @@ class NonGenericFieldError(ArithmeticError):
 class CharData:
     """det(x*I - Phi) = x^r + s_1 x^(r-1) + ... + s_r for Phi = M / (c*d):
     s_i = e_i / (c*d)^i with e_i the i-th coefficient of det(x*I - M) over
-    Z[t] (ascending integer tuples), c a positive integer and d monic."""
+    Z[t] (ascending integer tuples), c a positive integer and d = D / lc(D)."""
 
     e: tuple[tuple[int, ...], ...]
     c: int
-    d: UniPoly
+    d: tuple[int, ...]
 
     @property
     def r(self) -> int:
@@ -109,7 +111,7 @@ class CharData:
         e_i = self.e[i - 1]
         if not e_i:
             return None
-        return i * root_multiplicity(self.d.int_scaled()[0], a) - root_multiplicity(e_i, a)
+        return i * root_multiplicity(self.d, a) - root_multiplicity(e_i, a)
 
     def same_sections(self, other: "CharData") -> bool:
         """s_i = s'_i for every i, compared over Z[t] as
@@ -122,8 +124,8 @@ class CharData:
 
 @dataclass(eq=False)
 class HiggsField:
-    """Phi = M / (c*d) with entries in Q(t), held as its clearing
-    ``cleared`` = (M, d, c); the values derived from it are computed once."""
+    """Phi = M / (c*d) with entries in Q(t), held as its clearing ``cleared``
+    = (M, D, c), d = D / lc(D); the values derived from it are computed once."""
 
     group: GroupSpec
     gram: GramForm
@@ -155,11 +157,11 @@ class HiggsField:
         return tuple(tuple(RationalFunction.from_ints(p, q, lead) for p in row) for row in ints)
 
     @cached_property
-    def gram_product(self) -> tuple[IntMat, UniPoly]:
-        """(P, e) with B*Phi = P / e: P = B'M over Z[t] for B = B' / (c'*d')."""
+    def gram_product(self) -> Cleared:
+        """The clearing (B'M, D*D', c*c') of B*Phi for B cleared to (B', D', c')."""
         ints, d, c = self.cleared
         b, d_b, c_b = self.gram.cleared
-        return int_mat_mul(b, ints), d * d_b * (c * c_b)
+        return int_mat_mul(b, ints), tuple(_int_mul(d, d_b)), c * c_b
 
     @cached_property
     def is_member(self) -> bool:
@@ -173,8 +175,8 @@ class HiggsField:
 
     @cached_property
     def pfaffian(self) -> tuple[int, ...]:
-        """Pf(P) over Z[t] of an so(2m) field in its Lie algebra, with
-        B*Phi = P / e: Pf(B*Phi) = Pf(P) / e^m."""
+        """Pf(P) over Z[t] of an so(2m) field in its Lie algebra, for B*Phi
+        cleared to (P, E, k): Pf(B*Phi) = Pf(P) (lc(E) / (k*E))^m."""
         if self.group.kind != "so-even":
             raise GroupError("Pfaffian square law applies to so-even fields only")
         if not self.is_member:
@@ -194,13 +196,13 @@ class HiggsField:
 
     @staticmethod
     def from_dict(data: dict) -> "HiggsField":
+        """The field of a JSON document; a document of the wrong shape raises ValueError."""
+        if not isinstance(data, dict) or not isinstance(data.get("marked_points", []), list):
+            raise ValueError("a field must be a JSON object with a list of marked_points")
         group = GroupSpec(data["group"], int(data["m"]))
-        if "gram" in data:
-            kind = "symplectic" if group.kind == "sp" else "symmetric"
-            gram = GramForm.from_json(data["gram"], kind)
-        else:
-            gram = split_gram(group)
-        grid = [[int_fraction_from_json(x) for x in row] for row in data["matrix"]]
+        kind = "symplectic" if group.kind == "sp" else "symmetric"
+        gram = GramForm.from_json(data["gram"], kind) if "gram" in data else split_gram(group)
+        grid = int_fraction_grid_from_json(data["matrix"])
         marked = tuple(q_from_str(s) for s in data["marked_points"])
         return HiggsField(group, gram, clear_fractions(grid), marked)
 
@@ -209,29 +211,33 @@ class HiggsField:
 
 
 def residue_at(fld: HiggsField, a) -> QMat:
-    """Residue lim (t - a) * Phi(t) = M(a) / (c*d'(a)) at a marked point.
-
-    Zero when d(a) != 0; d'(a) = 0 at a root of d means a pole of order > 1.
-    """
+    """Residue lim (t - a) * Phi(t) = M(a) / (c*d'(a)) at a marked point, with
+    d'(a) = D'(a) / lc(D), every value read off over Z.  Zero when D(a) != 0;
+    D'(a) = 0 at a root of D means a pole of order > 1."""
     a = Fraction(a)
     if a not in fld.marked_points:
         raise ValueError(f"t = {a} is not a marked point")
-    ints, d, c = fld.cleared
-    if d(a) != 0:
+    ints, big_d, c = fld.cleared
+    p, b = a.numerator, a.denominator  # b^deg f * f(a) = _hom_eval(f, p, b)
+    if _hom_eval(big_d, p, b):
         return [[Fraction(0)] * len(ints) for _ in ints]
-    slope = d.derivative()(a)
+    slope = _hom_eval(_int_derivative(big_d), p, b)
     if slope == 0:
         raise PoleOrderError(f"pole of order > 1 at t = {a}")
-    return [[x / (c * slope) for x in row] for row in int_mat_at(ints, a)]
+    num, den = big_d[-1] * b ** (len(big_d) - 2), c * slope
+    return [[Fraction(_hom_eval(q, p, b) * num, den * b ** max(len(q) - 1, 0)) for q in row]
+            for row in ints]
 
 
-def _fraction_mat_nilpotent(mat: QMat, power: int) -> bool:
-    cur = mat
+def _is_nilpotent(mat: QMat, power: int) -> bool:
+    """mat^power == 0, over the integer rows of mat: nilpotency is scale-invariant."""
+    cur, _ = _integer_rows(mat)
+    cols = list(zip(*cur))
     for _ in range(power - 1):
-        if all(x == 0 for row in cur for x in row):
-            return True
-        cur = const_mat_mul(cur, mat)
-    return all(x == 0 for row in cur for x in row)
+        if not any(map(any, cur)):
+            break
+        cur = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in cur]
+    return not any(map(any, cur))
 
 
 @dataclass(frozen=True)
@@ -248,16 +254,16 @@ def strong_parabolic_check(fld: HiggsField) -> StrongParabolicResult:
     r = fld.group.rank_size
     off = fld.cleared[1]
     for a in fld.marked_points:
-        off = off.exact_div(UniPoly.linear_root(a) ** root_multiplicity(off.int_scaled()[0], a))
-    if off.degree > 0:
-        failures.append(f"pole off the marked points: Phi has denominator factor {off}")
+        off, _ = _strip_root(off, a.numerator, a.denominator)
+    if len(off) > 1:
+        failures.append(f"pole off the marked points: Phi has denominator factor {UniPoly.make(off).monic()}")
     for a in fld.marked_points:
         try:
             res = residue_at(fld, a)
         except PoleOrderError as exc:
             failures.append(str(exc))
             continue
-        if not _fraction_mat_nilpotent(res, r):
+        if not _is_nilpotent(res, r):
             failures.append(f"residue at t = {a} is not nilpotent")
     char = fld.char_data
     for i in range(1, r + 1):
@@ -300,12 +306,13 @@ class PfaffianSquareResult:
 
 def pfaffian_square_check(fld: HiggsField) -> PfaffianSquareResult:
     """For so-even fields: s_2m * det(B) == Pf(B*Phi)^2 identically.  With
-    Phi = M / (c*d), B = B' / (c'*d') and B*Phi = B'M / e this is
+    Phi = M / (c*d), B = B' / (c'*d') and B*Phi = B'M / (c*c'*d*d') this is
     e_2m * det B' == Pf(B'M)^2 over Z[t]; the rational functions Pf(B*Phi)
     and det B are built for output only."""
     pf, gram = fld.pfaffian, fld.gram
     passed = _int_mul(fld.char_data.e[-1], gram.cleared_det) == _int_mul(pf, pf)
-    pf_rf = RationalFunction.from_ints(pf, *cleared_den(fld.gram_product[1], power=fld.group.m))
+    _, e, k = fld.gram_product
+    pf_rf = RationalFunction.from_ints(pf, *cleared_den(e, k, fld.group.m))
     return PfaffianSquareResult(passed, pf_rf, gram.det)
 
 
@@ -423,7 +430,7 @@ def so_odd_reduce(fld: HiggsField) -> SoOddReduction:
         raise GroupError("reduction applies to so-odd fields only")
     if not fld.is_member:
         raise ValueError("field is not in the Lie algebra of its Gram form")
-    prod, prod_den = fld.gram_product
+    prod, prod_d, prod_c = fld.gram_product
     w = pfaffian_adjugate(prod)
     if not any(w):
         raise NonGenericFieldError("non-generic field: kernel rank != 1")
@@ -442,7 +449,7 @@ def so_odd_reduce(fld: HiggsField) -> SoOddReduction:
             _int_poly_mul_add(num, [-lead * x for x in ints[ell][j]], v[i])
             row.append((tuple(_int_trim(num)), den))
         reduced.append(row)
-    q_e, l_e = cleared_den(prod_den)
+    q_e, l_e = cleared_den(prod_d, prod_c)
     induced = [[(tuple(l_e * x for x in prod[j][i]), q_e) for j in keep] for i in keep]
     try:
         gram = GramForm(clear_fractions(induced), "symplectic")

@@ -2,7 +2,9 @@
 
 A Higgs field or Gram form is held as one matrix over Z[t] over one common
 denominator, M / (c*d) with M an ``IntMat`` (ascending integer coefficient
-tuples), d monic and c a positive integer.  ``clear_fractions`` is the one
+tuples), d monic and c a positive integer, stored as the integer triple
+(M, D, c) with D the primitive clearing of d (lc(D) > 0, d = D / lc(D)), so
+no denominator is a polynomial over Q.  ``clear_fractions`` is the one
 routine that makes that triple, from integer numerator and denominator
 pairs, however the matrix was made (parsed, generated, reduced or built in
 a test); reduced ``RationalFunction`` entries are made from it only for
@@ -22,7 +24,6 @@ from typing import Sequence
 
 from .poly import (
     RationalFunction,
-    UniPoly,
     _int_exact_div,
     _int_gcd,
     _int_mul,
@@ -34,7 +35,7 @@ from .poly import (
 QMat = list[list[Fraction]]
 IntMat = tuple[tuple[tuple[int, ...], ...], ...]
 IntFraction = tuple[tuple[int, ...], tuple[int, ...]]
-Cleared = tuple[IntMat, UniPoly, int]  # (M, d, c) for M / (c*d)
+Cleared = tuple[IntMat, tuple[int, ...], int]  # (M, D, c) for M / (c*D/lc(D))
 
 
 class SingularMatrixError(ArithmeticError):
@@ -93,8 +94,9 @@ def entry_ints(x) -> IntFraction:
 
 
 def clear_fractions(grid: Sequence[Sequence[IntFraction]]) -> Cleared:
-    """(M, d, c) with grid[i][j] = n / delta equal to M[i][j] / (c*d): d the
-    monic lcm of the reduced denominators, c the least positive integer that
+    """(M, D, c) with grid[i][j] = n / delta equal to M[i][j] / (c*d): d the
+    monic lcm of the reduced denominators, held as its primitive clearing D
+    with lc(D) > 0 (d = D / lc(D)), and c the least positive integer that
     makes M integral.  The entries are integer coefficient tuples without
     trailing zeros, delta nonzero; they need not be reduced.
 
@@ -141,18 +143,16 @@ def clear_fractions(grid: Sequence[Sequence[IntFraction]]) -> Cleared:
     lead = big_d[-1]
     content = math.gcd(big_k * lead, *(x for row in nums for n in row for x in n))
     ints = tuple(tuple(tuple(x // content for x in n) for n in row) for row in nums)
-    return ints, UniPoly(tuple(Fraction(x, lead) for x in big_d)), big_k * lead // content
+    return ints, tuple(big_d), big_k * lead // content
 
 
-def cleared_den(d: UniPoly, c: int = 1, power: int = 1) -> tuple[tuple[int, ...], int]:
-    """(q, l) with (c*d)^power = q / l for a nonzero d: q over Z[t] and l a
-    positive integer, the least one when d is monic."""
-    ints, scale = d.int_scaled()
-    base = [c * scale.numerator * x for x in ints]
+def cleared_den(big_d: Sequence[int], c: int = 1, power: int = 1) -> tuple[tuple[int, ...], int]:
+    """(q, l) = ((c*D)^power, lc(D)^power), so (c*d)^power = q / l for d = D / lc(D)."""
+    base = [c * x for x in big_d]
     q = base
     for _ in range(power - 1):
         q = _int_mul(q, base)
-    return tuple(q), scale.denominator**power
+    return tuple(q), big_d[-1] ** power
 
 
 def int_mat_mul(a: IntMat, b: IntMat) -> IntMat:
@@ -179,7 +179,7 @@ def _eval_int_poly(coeffs: Sequence[int], t0):
 
 
 def int_mat_at(a: IntMat, t0) -> list[list]:
-    """The Z[t] matrix a evaluated at t = t0 (an int or a Fraction)."""
+    """The Z[t] matrix a evaluated at the integer t = t0."""
     return [[_eval_int_poly(p, t0) for p in row] for row in a]
 
 

@@ -71,21 +71,12 @@ class UniPoly:
         return UniPoly(tuple(lst))
 
     @staticmethod
-    def const(c: Scalar) -> "UniPoly":
-        return UniPoly.make([c])
-
-    @staticmethod
     def zero() -> "UniPoly":
         return UniPoly(())
 
     @staticmethod
     def one() -> "UniPoly":
         return UniPoly((Q(1),))
-
-    @staticmethod
-    def linear_root(a: Scalar) -> "UniPoly":
-        """The monic linear polynomial t - a."""
-        return UniPoly.make([-_as_q(a), 1])
 
     # -- basic queries ------------------------------------------------------
 
@@ -138,13 +129,7 @@ class UniPoly:
             n >>= 1
         return result
 
-    # -- evaluation / calculus ---------------------------------------------
-
-    def __call__(self, a: Scalar) -> Fraction:
-        acc = Q(0)
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-        return acc
+    # -- calculus -----------------------------------------------------------
 
     def derivative(self) -> "UniPoly":
         return UniPoly.make(i * c for i, c in enumerate(self.coeffs) if i > 0)
@@ -166,12 +151,6 @@ class UniPoly:
             for j, c in enumerate(other.coeffs):
                 rem[k - d + j] -= f * c
         return UniPoly.make(q), UniPoly.make(rem)
-
-    def exact_div(self, other: "UniPoly") -> "UniPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise ArithmeticError("inexact polynomial division")
-        return q
 
     def monic(self) -> "UniPoly":
         if self.is_zero:
@@ -530,9 +509,20 @@ def int_fraction(num: Sequence[Scalar], den: Sequence[Scalar]) -> tuple[tuple[in
 
 def int_fraction_from_json(data: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """`int_fraction` of an entry {"num": [...], "den": [...]} whose
-    coefficient strings parse as `q_from_str` parses them."""
+    coefficient strings parse as `q_from_str` parses them; raises ValueError
+    on an entry of any other shape."""
+    if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in ("num", "den")):
+        raise ValueError(f'a matrix entry must be {{"num": [...], "den": [...]}}, not {data!r}')
     num = [q_from_str(s) for s in data["num"]]
     return int_fraction(num, [q_from_str(s) for s in data["den"]])
+
+
+def int_fraction_grid_from_json(data) -> list[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """`int_fraction_from_json` of each entry of a JSON list of rows; raises
+    ValueError on a document of any other shape."""
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise ValueError(f"a matrix must be a list of rows, not {data!r}")
+    return [[int_fraction_from_json(x) for x in row] for row in data]
 
 
 @dataclass(frozen=True)
@@ -545,11 +535,11 @@ class RationalFunction:
     @staticmethod
     def make(num, den=None) -> "RationalFunction":
         if isinstance(num, (int, Fraction)):
-            num = UniPoly.const(num)
+            num = UniPoly.make([num])
         if den is None:
             den = UniPoly.one()
         elif isinstance(den, (int, Fraction)):
-            den = UniPoly.const(den)
+            den = UniPoly.make([den])
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         (n, n_scale), (d, d_scale) = num.int_scaled(), den.int_scaled()

@@ -257,6 +257,18 @@ class TestAnalyze:
         path = tmp_path / "junk.json"
         path.write_text("{not json")
         assert run(capsys, "analyze", str(path))[0] == 2
+        # JSON of the wrong shape is an input error too, on both commands
+        zero = {"num": [], "den": ["1"]}
+        field = {"group": "so-odd", "m": 1, "marked_points": ["0"], "matrix": [[zero] * 3 for _ in range(3)]}
+        one_bad_entry = [[5, zero, zero], [zero] * 3, [zero] * 3]
+        for doc in ([], "x", {**field, "matrix": 5}, {**field, "gram": 7}, {**field, "marked_points": 5},
+                    {**field, "matrix": one_bad_entry}):
+            path.write_text(json.dumps(doc))
+            for command in ("analyze", "reduce-odd"):
+                code, _, err = run(capsys, command, str(path))
+                assert (code, err.startswith("error: ")) == (2, True), (command, doc)
+        path.write_text(json.dumps(field))  # the documents above differ from a field in one place
+        assert run(capsys, "analyze", str(path), "--checks", "membership")[0] == 0
 
     def test_pfaffian_on_sp_requested_explicitly_is_usage_error(self, sp_field, capsys):
         # the full list in the default order is an explicit request too

@@ -9,6 +9,7 @@ import pytest
 from parahiggs.bipoly import discriminant_x
 from parahiggs.curves import (
     FixedPointReport,
+    _chart_twist,
     NonReducedCurveError,
     PlaneCurve,
     build_plane_curve,
@@ -24,7 +25,7 @@ from parahiggs.curves import (
 from parahiggs.cli import main
 from parahiggs.groups import GramForm, GroupSpec, split_gram
 from parahiggs.higgs import CharData, HiggsField, PoleOrderError, random_strongly_parabolic_higgs
-from parahiggs.poly import RationalFunction, UniPoly, is_squarefree
+from parahiggs.poly import RationalFunction, UniPoly, _hom_eval, is_squarefree
 
 P = UniPoly.make
 RF = RationalFunction.make
@@ -71,14 +72,14 @@ class TestBuildPlaneCurve:
         c = build_plane_curve(fld)
         # s_2 = -t^2 - 1, d = t: y^2 + (-t^2 - 1) t^2 = y^2 - t^4 - t^2
         assert rational_coeffs(c) == [P([0, 0, -1, 0, -1]), UniPoly.zero(), UniPoly.one()]
-        assert c.twist == P([0, 1])
+        assert _chart_twist(fld.marked_points) == ([0, 1], 1)
 
     def test_no_marked_points_identity_twist(self):
         group = GroupSpec.sp(1)
         t, minus_t = RF(P([0, 1])), RF(P([0, -1]))
         fld = HiggsField.from_grid(group, split_gram(group), [[t, t], [t, minus_t]], ())
         c = build_plane_curve(fld)
-        assert c.twist == UniPoly.one()
+        assert _chart_twist(fld.marked_points) == ([1], 1)
         # char poly passes through unchanged: x^2 + s_2
         s_2 = fld.char_data.sections()[1]
         assert s_2.is_polynomial and rational_coeffs(c)[0] == s_2.num
@@ -91,7 +92,7 @@ class TestBuildPlaneCurve:
 
     def test_pole_outside_marked_locus_rejected(self):
         # s_1 = 0, s_2 = (t - 5) / (t - 5)^2: a pole at t = 5, marked point is 0
-        char = CharData(((), (-5, 1)), 1, P([-5, 1]))
+        char = CharData(((), (-5, 1)), 1, (-5, 1))
         with pytest.raises(PoleOrderError, match=r"s_2 \* D\^2 is not polynomial"):
             twisted_curve(char, (Q(0),))
 
@@ -99,14 +100,15 @@ class TestBuildPlaneCurve:
     def test_scaled_coefficients_are_the_twisted_sections(self, kind, m):
         # mu^i h_i = s_i D^i over Q, with D = prod (t - a_k) and s_i reduced
         marked = (Q(1, 2), Q(-2, 3))
+        twist = P([Q(-1, 2), 1]) * P([Q(2, 3), 1])
+        assert _chart_twist(marked) == ([-2, 1, 6], 6)  # D * 6 = (2t - 1)(3t + 2)
         for seed in range(3):
             fld = random_strongly_parabolic_higgs(GroupSpec(kind, m), marked, 1, seed)
             c = build_plane_curve(fld)
             assert c.scale not in (1, -1)
-            assert c.twist == P([Q(-1, 2), 1]) * P([Q(2, 3), 1])
             sections = fld.char_data.sections()[: c.r]
             for i, s in enumerate(sections, start=1):
-                quo, rem = (s.num * c.twist**i).divmod(s.den)
+                quo, rem = (s.num * twist**i).divmod(s.den)
                 assert rem.is_zero and rational_coeffs(c)[c.r - i] == quo
 
 
@@ -160,7 +162,7 @@ class TestSmoothness:
         for _ in range(12):
             c0 = rng.randint(-3, 3)
             h = P([rng.randint(-3, 3) for _ in range(3)] + [1])
-            if not is_squarefree(h) or h(c0) == 0:
+            if not is_squarefree(h) or _hom_eval([int(x) for x in h.coeffs], c0, 1) == 0:
                 continue
             # x^2 - (t - c0)^2 h(t): node at (c0, 0)
             branch = P([-c0, 1]) ** 2 * h
@@ -259,7 +261,7 @@ class TestSoEvenPattern:
         f, minus_f = RF(P([1]), P([-1, 1])), RF(P([-1]), P([-1, 1]))
         fld = HiggsField.from_grid(group, split_gram(group), [[f, RF(0)], [RF(0), minus_f]], (Q(0),))
         with pytest.raises(PoleOrderError, match=r"Pf\(B\*Phi\) \* D\^1 is not polynomial"):
-            twisted_pfaffian(fld, P([0, 1]))
+            twisted_pfaffian(fld)
 
     def test_non_unit_constant_gram_determinant(self, tmp_path, capsys):
         # B = [[0, 2], [2, 0]], det B = -4, Phi = diag(t, -t): F(t, 0) = -t^4
@@ -268,7 +270,7 @@ class TestSoEvenPattern:
         t = P([0, 1])
         fld = HiggsField.from_grid(GroupSpec.so_even(1), gram, [[RF(t), RF(0)], [RF(0), RF(t * -1)]], (Q(0),))
         c = build_plane_curve(fld)
-        rep = so_even_singularity_pattern(c, twisted_pfaffian(fld, c.twist), gram.det.num.coeff(0))
+        rep = so_even_singularity_pattern(c, twisted_pfaffian(fld), gram.det.num.coeff(0))
         assert rep.passed and rep.unit == Q(-1, 4)
         assert rep.count == 2 and rep.witnesses == ((Q(0), Q(0)),)
         path = tmp_path / "field.json"
@@ -281,12 +283,23 @@ class TestSoEvenPattern:
 
         fld = random_strongly_parabolic_higgs(GroupSpec.so_even(2), [0], 1, seed=8)
         c = build_plane_curve(fld)
-        twisted = twisted_pfaffian(fld, c.twist)
+        twisted = twisted_pfaffian(fld)
         # the twisted Pfaffian is Pf(B*Phi) * t^m, with Pf(B*Phi) from the pfaffian check
         pf = pfaffian_square_check(fld).pfaffian
-        assert twisted * pf.den == pf.num * c.twist ** fld.group.m
+        assert twisted * pf.den == pf.num * P([0, 1]) ** fld.group.m
         rep = so_even_singularity_pattern(c, twisted, fld.gram.det.num.coeff(0))
         assert rep.passed
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_twisted_pfaffian_at_fractional_marked_points(self, seed):
+        from parahiggs.higgs import pfaffian_square_check
+
+        # D = (t - 1/2)(t + 2/3): neither the chart twist nor the field's
+        # denominator is monic over Z
+        fld = random_strongly_parabolic_higgs(GroupSpec.so_even(2), [Q(1, 2), Q(-2, 3)], 1, seed)
+        twist = P([Q(-1, 2), 1]) * P([Q(2, 3), 1])
+        pf = pfaffian_square_check(fld).pfaffian
+        assert twisted_pfaffian(fld) * pf.den == pf.num * twist**fld.group.m
 
 
 class TestRamificationAndGenus:

@@ -17,7 +17,6 @@ from parahiggs import dimensions
 from parahiggs.dimensions import (
     CSV_HEADER,
     CurveParams,
-    DimensionReport,
     IntegralityError,
     LineBundleClass,
     RegimeError,
@@ -287,10 +286,6 @@ class TestIdentitySuite:
 
     def test_so_odd_with_even_twist(self):
         assert identity_suite(GroupSpec.so_odd(2), CurveParams(3, 2, deg_m=4)).passed
-
-    def test_report_roundtrip(self):
-        rep = identity_suite(GroupSpec.so_even(3), CurveParams(4, 2))
-        assert DimensionReport.from_dict(rep.to_dict()) == rep
 
     def test_full_sweep_passes(self):
         reports = sweep_reports()

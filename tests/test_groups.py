@@ -128,7 +128,7 @@ class TestMembership:
         group = GroupSpec.so_odd(2)
         fld = random_strongly_parabolic_higgs(group, (0, 1), 1, 3)
         assert fld.is_member
-        x, lin = fld.matrix[0][1], UniPoly.linear_root(1)
+        x, lin = fld.matrix[0][1], UniPoly.make([-1, 1])
         bumped = [list(row) for row in fld.matrix]
         num = map(sum, zip_longest((x.num * lin).coeffs, x.den.coeffs, fillvalue=0))
         bumped[0][1] = RF(UniPoly.make(num), x.den * lin)  # x + 1/(t - 1)

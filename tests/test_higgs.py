@@ -83,6 +83,23 @@ class TestResidue:
         with pytest.raises(PoleOrderError):
             residue_at(fld, 0)
 
+    def test_fractional_marked_point(self):
+        # poles at a = 2/3, cleared over D = 3t - 2 (lc(D) = 3): the residue of
+        # n(t) / (k (3t - 2)) is n(2/3) / (3k)
+        third = P([-2, 3])
+        fld = sp1_field(
+            [[RF(P([0, 1]), third), RF(P([1, -2, 3]), third)],  # t/(3t-2), 1/(3t-2) + t
+             [RF(P([0, 0, 1]), third * 2), RF(P([0, -1]), third)]],  # t^2/(6t-4), -t/(3t-2)
+            (Q(2, 3),),
+        )
+        assert residue_at(fld, Q(2, 3)) == [[Q(2, 9), Q(1, 3)], [Q(2, 27), Q(-2, 9)]]
+
+    def test_double_pole_at_a_fractional_marked_point(self):
+        fld = sp1_field([[ZERO, RF(P([1]), P([4, -12, 9]))], [ZERO, ZERO]], (Q(2, 3),))  # 1/(3t-2)^2
+        with pytest.raises(PoleOrderError, match="pole of order > 1 at t = 2/3"):
+            residue_at(fld, Q(2, 3))
+        assert strong_parabolic_check(fld).failures == ("pole of order > 1 at t = 2/3",)
+
 
 class TestCharAndParity:
     def test_sl2_char(self):

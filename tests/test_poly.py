@@ -53,12 +53,10 @@ class TestUniPolyBasics:
         quo, rem = num.divmod(P([-1, 1]))
         assert quo == P([1, 1, 1])
         assert rem.is_zero
-        with pytest.raises(ArithmeticError):
-            P([1, 1, 1]).exact_div(P([-1, 1]))
 
     def test_eval_and_derivative(self):
         p = P([2, 0, 3])  # 2 + 3t^2
-        assert p(Q(1, 2)) == Q(11, 4)
+        assert poly._hom_eval([2, 0, 3], 1, 2) == 11  # 2^2 * p(1/2), p(1/2) = 11/4
         assert p.derivative() == P([0, 6])
 
 
@@ -133,8 +131,9 @@ class TestInterpolate:
     @given(small_polys(4))
     @settings(max_examples=40, deadline=None)
     def test_roundtrip(self, p):
-        got = interpolate_int_range([int(p(x)) for x in range(p.degree + 1)])
-        assert got == [int(c) for c in p.coeffs]
+        ints = [int(c) for c in p.coeffs]
+        got = interpolate_int_range([poly._hom_eval(ints, x, 1) for x in range(p.degree + 1)])
+        assert got == ints
 
 
 class TestRationalFunction:
@@ -145,15 +144,15 @@ class TestRationalFunction:
 
     def test_pole_orders(self):
         # (t+1)/t^2 at 0 -> 2, as s_2 = e_2 / d^2 with e_2 = t + 1, d = t
-        assert CharData(((), (1, 1)), 1, P([0, 1])).pole_order(2, Q(0)) == 2
+        assert CharData(((), (1, 1)), 1, (0, 1)).pole_order(2, Q(0)) == 2
         # t^2/t at 0 -> -1 (a zero of order 1)
-        assert CharData(((0, 0, 1),), 1, P([0, 1])).pole_order(1, Q(0)) == -1
+        assert CharData(((0, 0, 1),), 1, (0, 1)).pole_order(1, Q(0)) == -1
         # 1/(t^2-1) at 1 -> 1
-        assert CharData(((1,),), 1, P([-1, 0, 1])).pole_order(1, Q(1)) == 1
-        # (2t - 1)/(t - 1/2)^2 at 1/2 -> 1, over c*d = 3 (t - 1/2)
-        assert CharData(((), (-1, 2)), 3, P([Q(-1, 2), 1])).pole_order(2, Q(1, 2)) == 1
+        assert CharData(((1,),), 1, (-1, 0, 1)).pole_order(1, Q(1)) == 1
+        # (2t - 1)/(t - 1/2)^2 at 1/2 -> 1, over c*d = 3 (t - 1/2), D = 2t - 1
+        assert CharData(((), (-1, 2)), 3, (-1, 2)).pole_order(2, Q(1, 2)) == 1
         # zero section: regular everywhere
-        assert CharData(((),), 1, P([0, 1])).pole_order(1, Q(0)) is None
+        assert CharData(((),), 1, (0, 1)).pole_order(1, Q(0)) is None
 
     @given(small_polys(3), small_polys(3), small_polys(3), small_polys(3))
     @settings(max_examples=60, deadline=None)
@@ -164,7 +163,7 @@ class TestRationalFunction:
             return tuple(int(x) for x in p.coeffs)
 
         def order(num, den):
-            return CharData((ints(num),), 1, den).pole_order(1, Q(0))
+            return CharData((ints(num),), 1, ints(den)).pole_order(1, Q(0))
 
         assert order(a * c, b * d) == order(a, b) + order(c, d)
 

@@ -8,8 +8,11 @@ occur as a name in the module body or be re-exported through `__all__`; every
 module-level `def` or `class` whose name starts with `_` must occur as a name,
 an attribute or an imported name in some module of the package; every other
 module-level `def` or `class`, and every method of a module-level class that
-is not a dunder, must occur so in the package or in `scripts/`.  A method is
-matched by name alone, so one use of a name covers it in every class.
+is not a dunder, must occur so in the package or in `scripts/`.  A plain
+method is matched by name alone, so one use of a name covers it in every
+class; a `staticmethod` or `classmethod` counts as used only when it is
+referenced through its own class, as `Cls.name` anywhere or as `self.name` or
+`cls.name` inside that class, so a same-named method elsewhere cannot hide it.
 """
 
 import ast
@@ -32,6 +35,7 @@ TEST_ONLY_API = {
     "groups.GroupSpec.so_odd": "constructor beside GroupSpec.sp and GroupSpec.so_even, for tests",
     "higgs.HiggsField.from_grid": "clears a hand-built grid of rational functions into a field, for tests",
     "higgs.semisimple_residue_control": "control field with semisimple residues, for the parabolic checks",
+    "poly.RationalFunction.make": "one reduced entry from hand-written polynomials; seven test modules build fields with it",
 }
 
 
@@ -91,27 +95,53 @@ def test_no_dead_private_helpers():
     assert dead == []
 
 
+def class_bound(item: ast.FunctionDef) -> bool:
+    return any(isinstance(dec, ast.Name) and dec.id in ("staticmethod", "classmethod") for dec in item.decorator_list)
+
+
 def public_definitions(module: str, tree: ast.Module):
-    """(qualified name, name) of each public module-level def or class and of
-    each non-dunder method of a module-level class."""
+    """(qualified name, name, owner) of each public module-level def or class
+    and of each non-dunder method of a module-level class; owner is the class
+    of a staticmethod or classmethod and None otherwise."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, (*defs, ast.ClassDef)) and not node.name.startswith("_"):
-            yield f"{module}.{node.name}", node.name
+            yield f"{module}.{node.name}", node.name, None
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, defs) and not (item.name.startswith("__") and item.name.endswith("__")):
-                    yield f"{module}.{node.name}.{item.name}", item.name
+                    owner = node.name if class_bound(item) else None
+                    yield f"{module}.{node.name}.{item.name}", item.name, owner
+
+
+def class_references(tree: ast.Module) -> set[tuple[str, str]]:
+    """(class, name) for each reference Cls.name in the module, and for each
+    self.name or cls.name inside a module-level class Cls."""
+    refs = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+    }
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        refs.update(
+            (cls.name, node.attr)
+            for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in ("self", "cls")
+        )
+    return refs
 
 
 def test_no_dead_public_helpers():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
     scripts = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "scripts").glob("*.py"))]
-    referenced = set().union(*(referenced_names(tree) for tree in [*trees.values(), *scripts]))
+    everything = [*trees.values(), *scripts]
+    referenced = set().union(*(referenced_names(tree) for tree in everything))
+    through_class = set().union(*(class_references(tree) for tree in everything))
     dead = [
         qualified
         for module, tree in trees.items()
-        for qualified, name in public_definitions(module, tree)
-        if name not in referenced
+        for qualified, name, owner in public_definitions(module, tree)
+        if ((owner, name) not in through_class if owner else name not in referenced)
     ]
     assert sorted(dead) == sorted(TEST_ONLY_API)
