@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import (
@@ -43,25 +42,6 @@ ALL_CHECKS = ("membership", "charpoly", "parity", "strong-parabolic", "pfaffian"
 NON_MEMBER = "field is not in the Lie algebra of its Gram form"
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation: which tuples to sweep, seeds, and output routing."""
-
-    command: str
-    groups: tuple[str, ...] = ()
-    ms: range = range(1, 2)
-    gs: range = range(2, 3)
-    ns: range = range(1, 2)
-    deg_m: int = 0
-    seed: int = 0
-    degree_bound: int = 1
-    marked: tuple[Fraction, ...] = ()
-    checks: tuple[str, ...] | None = None  # None: every check that applies to the group
-    fmt: str = "csv"
-    inp: str = "-"
-    out: str = "-"
-
-
 def parse_range(text: str) -> range:
     """"3" -> 3..3, "1:4" -> 1..4 inclusive."""
     parts = text.split(":")
@@ -76,13 +56,11 @@ def parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _parse_marked(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(part) for part in text.split(",") if part != "")
-
-
 def _read_input(path: str) -> dict:
-    raw = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    return json.loads(raw)
+    if path == "-":
+        return json.loads(sys.stdin.read())
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _write_output(path: str, text: str) -> None:
@@ -102,32 +80,50 @@ def _dump_json(obj) -> str:
 def format_reports(reports: list[DimensionReport], fmt: str) -> str:
     if fmt == "json":
         return _dump_json([r.to_dict() for r in reports])
+    rows = [CSV_HEADER] + [r.to_csv_row() for r in reports]
     if fmt == "csv":
-        return "\n".join([CSV_HEADER] + [r.to_csv_row() for r in reports])
-    header = "| " + CSV_HEADER.replace(",", " | ") + " |"
-    rule = "|" + "---|" * 9
-    return "\n".join([header, rule] + [r.to_markdown_row() for r in reports])
+        return "\n".join(rows)
+    header, *body = ["| " + row.replace(",", " | ") + " |" for row in rows]
+    rule = "|" + "---|" * len(CSV_HEADER.split(","))
+    return "\n".join([header, rule, *body])
 
 
 # -- dims / sweep ---------------------------------------------------------------
 
 
-def _run_suite(cfg: RunConfig) -> int:
-    reports = sweep_reports(cfg.groups, cfg.ms, cfg.gs, cfg.ns, cfg.deg_m)
-    _write_output(cfg.out, format_reports(reports, cfg.fmt))
+def _run_suite(args: argparse.Namespace) -> int:
+    kinds = (args.group,) if args.command == "dims" else tuple(args.groups.split(","))
+    for kind in kinds:
+        if kind not in GROUP_KINDS:
+            raise ValueError(f"unknown group {kind!r}")
+    ms, gs, ns = parse_range(args.m), parse_range(args.g), parse_range(args.n)
+    if ms[0] < 1 or gs[0] < 2 or ns[0] < 1:
+        raise ValueError("need m >= 1, g >= 2, n >= 1")
+    reports = sweep_reports(kinds, ms, gs, ns, args.deg_m)
+    _write_output(args.output, format_reports(reports, args.format))
     return OK if all(r.passed for r in reports) else CHECK_FAILED
 
 
 # -- gen --------------------------------------------------------------------------
 
 
-def cmd_gen(cfg: RunConfig) -> int:
-    group = GroupSpec(cfg.groups[0], cfg.ms[0])
-    fld = random_strongly_parabolic_higgs(group, cfg.marked, cfg.degree_bound, cfg.seed)
+def cmd_gen(args: argparse.Namespace) -> int:
+    ms = parse_range(args.m)
+    if len(ms) != 1:
+        raise ValueError(f"gen takes a single m, not the range {args.m!r}")
+    marked = tuple(Fraction(part) for part in args.marked.split(",") if part != "")
+    if not marked:
+        raise ValueError("need at least one marked point")
+    if args.deg_bound < 0:
+        raise ValueError("degree bound must be >= 0")
+    if not 0 <= args.seed < 2**64:
+        raise ValueError("seed must fit in 64 unsigned bits")
+    group = GroupSpec(args.group, ms[0])
+    fld = random_strongly_parabolic_higgs(group, marked, args.deg_bound, args.seed)
     doc = fld.to_dict()
-    doc["seed"] = cfg.seed
-    doc["degree_bound"] = cfg.degree_bound
-    _write_output(cfg.out, _dump_json(doc))
+    doc["seed"] = args.seed
+    doc["degree_bound"] = args.deg_bound
+    _write_output(args.output, _dump_json(doc))
     return OK
 
 
@@ -209,10 +205,8 @@ def _analyze_field(fld: HiggsField, checks: tuple[str, ...]) -> dict:
                 "pfaffian": pf.pfaffian.to_json(),
                 "unit": pf.unit.to_json(),
             }
-        elif name == "spectral":
+        else:  # spectral
             section = _spectral_section(fld)
-        else:
-            raise ValueError(f"unknown check {name!r}")
         report["checks"][name] = section
     report["all_pass"] = all(sec["pass"] for sec in report["checks"].values())
     return report
@@ -232,23 +226,26 @@ def _format_analysis(report: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    fld = HiggsField.from_dict(_read_input(cfg.inp))
-    checks = cfg.checks
-    if checks is None:
+def cmd_analyze(args: argparse.Namespace) -> int:
+    checks = None if args.checks is None else tuple(args.checks.split(","))
+    bad = [c for c in checks or () if c not in ALL_CHECKS]
+    if bad:
+        raise ValueError(f"unknown checks: {','.join(bad)}")
+    fld = HiggsField.from_dict(_read_input(args.input))
+    if checks is None:  # every check that applies to the group
         checks = tuple(c for c in ALL_CHECKS if c != "pfaffian" or fld.group.kind == "so-even")
     elif "pfaffian" in checks and fld.group.kind != "so-even":
         raise GroupError("pfaffian check applies to so-even fields only")
     report = _analyze_field(fld, checks)
-    _write_output(cfg.out, _format_analysis(report, cfg.fmt))
+    _write_output(args.output, _format_analysis(report, args.format))
     return OK if report["all_pass"] else CHECK_FAILED
 
 
 # -- reduce-odd ---------------------------------------------------------------------
 
 
-def cmd_reduce_odd(cfg: RunConfig) -> int:
-    fld = HiggsField.from_dict(_read_input(cfg.inp))
+def cmd_reduce_odd(args: argparse.Namespace) -> int:
+    fld = HiggsField.from_dict(_read_input(args.input))
     if fld.group.kind != "so-odd":
         raise GroupError("wrong group: reduce-odd needs an so-odd field")
     red = so_odd_reduce(fld)
@@ -264,7 +261,7 @@ def cmd_reduce_odd(cfg: RunConfig) -> int:
         "char_identity": "PASS" if char_ok else "FAIL",
         "induced_gram_skew": "PASS",  # enforced by construction, or we'd have raised
     }
-    _write_output(cfg.out, _dump_json(doc))
+    _write_output(args.output, _dump_json(doc))
     return OK if char_ok else CHECK_FAILED
 
 
@@ -316,51 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if args.command in ("dims", "sweep"):
-        cfg.groups = (
-            (args.group,) if args.command == "dims" else tuple(args.groups.split(","))
-        )
-        for kind in cfg.groups:
-            if kind not in GROUP_KINDS:
-                raise ValueError(f"unknown group {kind!r}")
-        cfg.ms = parse_range(args.m)
-        cfg.gs = parse_range(args.g)
-        cfg.ns = parse_range(args.n)
-        if cfg.ms[0] < 1 or cfg.gs[0] < 2 or cfg.ns[0] < 1:
-            raise ValueError("need m >= 1, g >= 2, n >= 1")
-        cfg.deg_m = args.deg_m
-        cfg.fmt = args.format
-        cfg.out = args.output
-    elif args.command == "gen":
-        cfg.groups = (args.group,)
-        cfg.ms = parse_range(args.m)
-        if len(cfg.ms) != 1:
-            raise ValueError(f"gen takes a single m, not the range {args.m!r}")
-        cfg.marked = _parse_marked(args.marked)
-        if not cfg.marked:
-            raise ValueError("need at least one marked point")
-        if args.deg_bound < 0:
-            raise ValueError("degree bound must be >= 0")
-        if not 0 <= args.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        cfg.degree_bound = args.deg_bound
-        cfg.seed = args.seed
-        cfg.out = args.output
-    else:
-        cfg.inp = args.input
-        cfg.out = args.output
-        if args.command == "analyze":
-            cfg.fmt = args.format
-            if args.checks is not None:
-                cfg.checks = tuple(args.checks.split(","))
-                bad = [c for c in cfg.checks if c not in ALL_CHECKS]
-                if bad:
-                    raise ValueError(f"unknown checks: {','.join(bad)}")
-    return cfg
-
-
 _HANDLERS = {
     "dims": _run_suite,
     "sweep": _run_suite,
@@ -371,15 +323,13 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[args.command](cfg)
+        return _HANDLERS[args.command](args)
     except NonGenericFieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILED
-    except (ValueError, KeyError, OSError, ArithmeticError, PoleOrderError) as exc:
+    except (ValueError, KeyError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -354,12 +354,6 @@ class DimensionReport:
             f"{self.dim_moduli},{self.prym_dim},{self.dim_higgs_moduli},{self.chain_verdict}"
         )
 
-    def to_markdown_row(self) -> str:
-        return (
-            f"| {self.group} | {self.m} | {self.g} | {self.n} | {self.dim_hitchin} "
-            f"| {self.dim_moduli} | {self.prym_dim} | {self.dim_higgs_moduli} | {self.chain_verdict} |"
-        )
-
 
 def identity_suite(group: GroupSpec, p: CurveParams) -> DimensionReport:
     """Fill a DimensionReport and verify the four-way dimension identity."""

@@ -63,6 +63,7 @@ from .poly import (
     _int_trim,
     _strip_root,
     int_fraction_grid_from_json,
+    json_int_or_str,
     q_from_str,
     q_to_str,
     root_multiplicity,
@@ -199,7 +200,7 @@ class HiggsField:
         """The field of a JSON document; a document of the wrong shape raises ValueError."""
         if not isinstance(data, dict) or not isinstance(data.get("marked_points", []), list):
             raise ValueError("a field must be a JSON object with a list of marked_points")
-        group = GroupSpec(data["group"], int(data["m"]))
+        group = GroupSpec(data["group"], int(json_int_or_str(data["m"])))
         kind = "symplectic" if group.kind == "sp" else "symmetric"
         gram = GramForm.from_json(data["gram"], kind) if "gram" in data else split_gram(group)
         grid = int_fraction_grid_from_json(data["matrix"])

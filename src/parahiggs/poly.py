@@ -47,8 +47,16 @@ def q_to_str(x: Fraction) -> str:
     return str(x)
 
 
-def q_from_str(s: str) -> Fraction:
-    return Fraction(s)
+def json_int_or_str(x) -> int | str:
+    """x if it is a JSON integer or string; ValueError on null, a boolean or a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ValueError(f"expected a JSON integer or string, not {x!r}")
+    return x
+
+
+def q_from_str(s: int | str) -> Fraction:
+    """The rational of a "p/q" string or an integer."""
+    return Fraction(json_int_or_str(s))
 
 
 @dataclass(frozen=True)
@@ -509,8 +517,8 @@ def int_fraction(num: Sequence[Scalar], den: Sequence[Scalar]) -> tuple[tuple[in
 
 def int_fraction_from_json(data: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """`int_fraction` of an entry {"num": [...], "den": [...]} whose
-    coefficient strings parse as `q_from_str` parses them; raises ValueError
-    on an entry of any other shape."""
+    coefficients parse as `q_from_str` parses them; raises ValueError on an
+    entry of any other shape."""
     if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in ("num", "den")):
         raise ValueError(f'a matrix entry must be {{"num": [...], "den": [...]}}, not {data!r}')
     num = [q_from_str(s) for s in data["num"]]

@@ -1,8 +1,10 @@
 """CLI contract: exit codes, determinism, JSON round-trips, check filtering."""
 
+import gc
 import io
 import json
 import time
+import warnings
 from itertools import zip_longest
 
 import pytest
@@ -261,14 +263,26 @@ class TestAnalyze:
         zero = {"num": [], "den": ["1"]}
         field = {"group": "so-odd", "m": 1, "marked_points": ["0"], "matrix": [[zero] * 3 for _ in range(3)]}
         one_bad_entry = [[5, zero, zero], [zero] * 3, [zero] * 3]
+
+        def with_entry(entry):
+            return {**field, "matrix": [[entry, zero, zero], [zero] * 3, [zero] * 3]}
+
+        # JSON null, booleans and floats are no integers and no "p/q" strings
+        scalars = [{**field, "m": m} for m in (None, 1.5, True, 1.0)]
+        scalars += [{**field, "marked_points": [a]} for a in (None, 0.5, False)]
+        scalars += [with_entry({"num": [c], "den": ["1"]}) for c in (None, 0.1, True)]
+        scalars += [with_entry({"num": [], "den": [1.0]})]
+        scalars += [{**field, "gram": with_entry({"num": [None], "den": ["1"]})["matrix"]}]
         for doc in ([], "x", {**field, "matrix": 5}, {**field, "gram": 7}, {**field, "marked_points": 5},
-                    {**field, "matrix": one_bad_entry}):
+                    {**field, "matrix": one_bad_entry}, *scalars):
             path.write_text(json.dumps(doc))
             for command in ("analyze", "reduce-odd"):
                 code, _, err = run(capsys, command, str(path))
                 assert (code, err.startswith("error: ")) == (2, True), (command, doc)
-        path.write_text(json.dumps(field))  # the documents above differ from a field in one place
-        assert run(capsys, "analyze", str(path), "--checks", "membership")[0] == 0
+        # the documents above differ from a field in one place; integers and strings are read
+        for doc in (field, {**field, "m": "1", "marked_points": [0]}, with_entry({"num": [0], "den": [1]})):
+            path.write_text(json.dumps(doc))
+            assert run(capsys, "analyze", str(path), "--checks", "membership")[0] == 0
 
     def test_pfaffian_on_sp_requested_explicitly_is_usage_error(self, sp_field, capsys):
         # the full list in the default order is an explicit request too
@@ -438,6 +452,57 @@ class TestReduceOdd:
         code, _, err = run(capsys, "reduce-odd", str(path))
         assert code == 2
         assert "wrong group" in err
+
+
+GEN_SP = ("gen", "--group", "sp", "-m", "1")
+
+
+class TestArgumentErrors:
+    """Every argument error exits 2 with one `error:` line and no output.
+    Where two arguments are wrong, the message of the one checked first wins."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (("sweep", "--groups", "sp,xx"), "unknown group 'xx'"),
+        (("sweep", "-m", "1:2:3"), "bad range '1:2:3'"),
+        (("sweep", "-m", "3:1"), "empty range '3:1'"),
+        (("sweep", "-m", "x"), "invalid literal for int() with base 10: 'x'"),
+        (("dims", "--group", "sp", "-m", "1", "-g", "1", "-n", "1"), "need m >= 1, g >= 2, n >= 1"),
+        (("dims", "--group", "sp", "-m", "0", "-g", "2", "-n", "1"), "need m >= 1, g >= 2, n >= 1"),
+        (("sweep", "-n", "0"), "need m >= 1, g >= 2, n >= 1"),
+        (("sweep", "--groups", "xx", "-m", "x"), "unknown group 'xx'"),
+        (("sweep", "-m", "x", "-g", "y"), "invalid literal for int() with base 10: 'x'"),
+        (("sweep", "-g", "y", "-n", "z"), "invalid literal for int() with base 10: 'y'"),
+        (("sweep", "-m", "0", "-n", "z"), "invalid literal for int() with base 10: 'z'"),
+        (("gen", "--group", "sp", "-m", "1:3", "--marked", "0"), "gen takes a single m, not the range '1:3'"),
+        (("gen", "--group", "sp", "-m", "1:3", "--marked", ","), "gen takes a single m, not the range '1:3'"),
+        ((*GEN_SP, "--marked", ","), "need at least one marked point"),
+        ((*GEN_SP, "--marked", "1/0"), "Fraction(1, 0)"),
+        ((*GEN_SP, "--marked", ",", "--deg-bound", "-1"), "need at least one marked point"),
+        ((*GEN_SP, "--marked", "0", "--deg-bound", "-1"), "degree bound must be >= 0"),
+        ((*GEN_SP, "--marked", "0", "--deg-bound", "-1", "--seed", "-1"), "degree bound must be >= 0"),
+        ((*GEN_SP, "--marked", "0", "--seed", "-1"), "seed must fit in 64 unsigned bits"),
+        ((*GEN_SP, "--marked", "0", "--seed", str(2**64)), "seed must fit in 64 unsigned bits"),
+        (("analyze", "{missing}", "--checks", "parity,nope"), "unknown checks: nope"),
+        (("analyze", "{missing}", "--checks", "nope,parity,x"), "unknown checks: nope,x"),
+        (("reduce-odd", "{missing}"), "[Errno 2] No such file or directory: '{missing}'"),
+    ])
+    def test_message(self, argv, message, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        argv = [arg.replace("{missing}", missing) for arg in argv]
+        assert run(capsys, *argv) == (2, "", f"error: {message.replace('{missing}', missing)}\n")
+
+
+class TestInputFiles:
+    def test_input_file_is_closed(self, tmp_path, capsys):
+        path = tmp_path / "odd.json"
+        assert run(capsys, "gen", "--group", "so-odd", "-m", "1", "--marked", "0", "--seed", "9",
+                   "-o", str(path))[0] == 0
+        for argv in (("analyze", str(path), "--checks", "parity"), ("reduce-odd", str(path))):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run(capsys, *argv)[0] == 0
+                gc.collect()
+            assert [w for w in caught if issubclass(w.category, ResourceWarning)] == [], argv
 
 
 class TestRoundTrips:

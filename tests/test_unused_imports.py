@@ -9,10 +9,12 @@ module-level `def` or `class` whose name starts with `_` must occur as a name,
 an attribute or an imported name in some module of the package; every other
 module-level `def` or `class`, and every method of a module-level class that
 is not a dunder, must occur so in the package or in `scripts/`.  A plain
-method is matched by name alone, so one use of a name covers it in every
-class; a `staticmethod` or `classmethod` counts as used only when it is
-referenced through its own class, as `Cls.name` anywhere or as `self.name` or
-`cls.name` inside that class, so a same-named method elsewhere cannot hide it.
+method counts as used only when its name occurs as an attribute, `x.name`, so
+a same-named function or builtin (`divmod(...)`) cannot hide it, though one
+attribute use covers it in every class; a `staticmethod` or `classmethod`
+counts as used only when it is referenced through its own class, as
+`Cls.name` anywhere or as `self.name` or `cls.name` inside that class, so a
+same-named method elsewhere cannot hide it.
 """
 
 import ast
@@ -36,6 +38,7 @@ TEST_ONLY_API = {
     "higgs.HiggsField.from_grid": "clears a hand-built grid of rational functions into a field, for tests",
     "higgs.semisimple_residue_control": "control field with semisimple residues, for the parabolic checks",
     "poly.RationalFunction.make": "one reduced entry from hand-written polynomials; seven test modules build fields with it",
+    "poly.UniPoly.divmod": "polynomial division with remainder, the exact-division oracle of the tests",
 }
 
 
@@ -101,8 +104,9 @@ def class_bound(item: ast.FunctionDef) -> bool:
 
 def public_definitions(module: str, tree: ast.Module):
     """(qualified name, name, owner) of each public module-level def or class
-    and of each non-dunder method of a module-level class; owner is the class
-    of a staticmethod or classmethod and None otherwise."""
+    and of each non-dunder method of a module-level class; owner is None for a
+    module-level def or class, the class of a staticmethod or classmethod, and
+    "" for a plain method."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, (*defs, ast.ClassDef)) and not node.name.startswith("_"):
@@ -110,7 +114,7 @@ def public_definitions(module: str, tree: ast.Module):
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, defs) and not (item.name.startswith("__") and item.name.endswith("__")):
-                    owner = node.name if class_bound(item) else None
+                    owner = node.name if class_bound(item) else ""
                     yield f"{module}.{node.name}.{item.name}", item.name, owner
 
 
@@ -137,11 +141,18 @@ def test_no_dead_public_helpers():
     scripts = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "scripts").glob("*.py"))]
     everything = [*trees.values(), *scripts]
     referenced = set().union(*(referenced_names(tree) for tree in everything))
+    attributes = {node.attr for tree in everything for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     through_class = set().union(*(class_references(tree) for tree in everything))
+
+    def used(name: str, owner: str | None) -> bool:
+        if owner:
+            return (owner, name) in through_class
+        return name in (referenced if owner is None else attributes)
+
     dead = [
         qualified
         for module, tree in trees.items()
         for qualified, name, owner in public_definitions(module, tree)
-        if ((owner, name) not in through_class if owner else name not in referenced)
+        if not used(name, owner)
     ]
     assert sorted(dead) == sorted(TEST_ONLY_API)
