@@ -30,7 +30,9 @@ def main() -> int:
     ap.add_argument("-o", "--output", default="-")
     args = ap.parse_args()
 
-    rows = pfaffian_space_discrepancy(parse_range(args.m), parse_range(args.g), parse_range(args.n))
+    rows = pfaffian_space_discrepancy(
+        parse_range(args.m, "-m"), parse_range(args.g, "-g"), parse_range(args.n, "-n")
+    )
     lines = [
         "| m | g | n | literal K(D)^m | adopted K^m(D^(m-1)) | closed form | excess |",
         "|---|---|---|---|---|---|---|",

@@ -14,8 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from parahiggs.cli import format_reports, parse_range  # noqa: E402
-from parahiggs.dimensions import sweep_reports  # noqa: E402
+from parahiggs.cli import format_reports, run_sweep  # noqa: E402
 
 
 def main() -> int:
@@ -29,9 +28,11 @@ def main() -> int:
     args = ap.parse_args()
 
     t0 = time.perf_counter()
-    reports = sweep_reports(
-        args.groups.split(","), parse_range(args.m), parse_range(args.g), parse_range(args.n), args.deg_m
-    )
+    try:
+        reports = run_sweep(args.groups.split(","), args.m, args.g, args.n, args.deg_m)
+    except (ValueError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.perf_counter() - t0
     print(format_reports(reports, args.format))
     failed = [r for r in reports if not r.passed]

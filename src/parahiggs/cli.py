@@ -42,15 +42,16 @@ ALL_CHECKS = ("membership", "charpoly", "parity", "strong-parabolic", "pfaffian"
 NON_MEMBER = "field is not in the Lie algebra of its Gram form"
 
 
-def parse_range(text: str) -> range:
-    """"3" -> 3..3, "1:4" -> 1..4 inclusive."""
+def parse_range(text: str, flag: str) -> range:
+    """"3" -> 3..3, "1:4" -> 1..4 inclusive; `flag` names the argument in
+    the error for a bound that is not an integer."""
     parts = text.split(":")
-    if len(parts) == 1:
-        lo = hi = int(parts[0])
-    elif len(parts) == 2:
-        lo, hi = int(parts[0]), int(parts[1])
-    else:
+    if len(parts) > 2:
         raise ValueError(f"bad range {text!r}")
+    try:
+        lo, hi = int(parts[0]), int(parts[-1])
+    except ValueError:
+        raise ValueError(f"{flag}: bad range {text!r}") from None
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
     return range(lo, hi + 1)
@@ -91,15 +92,21 @@ def format_reports(reports: list[DimensionReport], fmt: str) -> str:
 # -- dims / sweep ---------------------------------------------------------------
 
 
-def _run_suite(args: argparse.Namespace) -> int:
-    kinds = (args.group,) if args.command == "dims" else tuple(args.groups.split(","))
+def run_sweep(kinds, m: str, g: str, n: str, deg_m: int) -> list[DimensionReport]:
+    """`sweep_reports` over the group kinds and the m, g and n range texts,
+    each checked first; a bad argument raises ValueError."""
     for kind in kinds:
         if kind not in GROUP_KINDS:
             raise ValueError(f"unknown group {kind!r}")
-    ms, gs, ns = parse_range(args.m), parse_range(args.g), parse_range(args.n)
+    ms, gs, ns = parse_range(m, "-m"), parse_range(g, "-g"), parse_range(n, "-n")
     if ms[0] < 1 or gs[0] < 2 or ns[0] < 1:
         raise ValueError("need m >= 1, g >= 2, n >= 1")
-    reports = sweep_reports(kinds, ms, gs, ns, args.deg_m)
+    return sweep_reports(kinds, ms, gs, ns, deg_m)
+
+
+def _run_suite(args: argparse.Namespace) -> int:
+    kinds = (args.group,) if args.command == "dims" else tuple(args.groups.split(","))
+    reports = run_sweep(kinds, args.m, args.g, args.n, args.deg_m)
     _write_output(args.output, format_reports(reports, args.format))
     return OK if all(r.passed for r in reports) else CHECK_FAILED
 
@@ -107,11 +114,18 @@ def _run_suite(args: argparse.Namespace) -> int:
 # -- gen --------------------------------------------------------------------------
 
 
+def _marked_point(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad marked point {text!r}") from None
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
-    ms = parse_range(args.m)
+    ms = parse_range(args.m, "-m")
     if len(ms) != 1:
         raise ValueError(f"gen takes a single m, not the range {args.m!r}")
-    marked = tuple(Fraction(part) for part in args.marked.split(",") if part != "")
+    marked = tuple(_marked_point(part) for part in args.marked.split(",") if part != "")
     if not marked:
         raise ValueError("need at least one marked point")
     if args.deg_bound < 0:

@@ -12,6 +12,22 @@ identity chain checked per (group, m, g, n) is
 with dim H computed twice (term-by-term section counts and the closed
 form), the spectral genus computed twice (adjunction and Riemann-Hurwitz),
 and the Prym dimension through the quotient/desingularized genus.
+
+`identity_suite` is the row kernel of `sweep`; it does each piece of work
+as seldom as its inputs allow.  Once per (group, deg M), in `_group_data`:
+the parameter check, r = 2m, dim G and dim G/B, the Hitchin section
+classes with their doubled exponents, the closed-form coefficients of dim H
+and, for so-odd, the classes of the quotient-determinant check.  Once per
+row, each exactly once: k = 2g - 2 and ell = deg K(D) = 2g - 2 + n, the
+term-by-term section sum against the closed form, the spectral genus by
+adjunction and by Riemann-Hurwitz, the fixed-point or node count, the
+quotient or desingularized genus, the Prym dimension and, for so-odd, the
+quotient-determinant degrees.  The row work runs through integer kernels
+(`_hitchin_dim`, `_adjunction_genus`, `_rh_genus`, `_quotient_genus`,
+`_prym`) that take k, n, ell or genera already computed, so nothing on a
+row is computed twice.  The public (group, p) and (m, p) forms
+(`hitchin_dim`, `spectral_genus`, `sp_quotient_genus`, `prym_dim`, ...)
+compose the same kernels, so each gives on its own what the row reports.
 """
 
 from __future__ import annotations
@@ -51,9 +67,9 @@ class CurveParams:
         return 2 * self.g - 2
 
 
-def validate_group_params(group: GroupSpec, p: CurveParams) -> None:
+def validate_group_params(group: GroupSpec, deg_m: int) -> None:
     """so-odd requires an even twist degree (a square root of M is taken)."""
-    if group.kind == "so-odd" and p.deg_m % 2 != 0:
+    if group.kind == "so-odd" and deg_m % 2 != 0:
         raise ValueError("so-odd needs even deg(M)")
 
 
@@ -106,7 +122,11 @@ class LineBundleClass:
         return LineBundleClass.from_doubled(2 * a, b)
 
     def degree(self, p: CurveParams) -> int:
-        twice = self.two_a * p.two_g_minus_2 + 2 * self.b * p.n + self.two_c * p.deg_m
+        return self.degree_at(p.two_g_minus_2, p.n, p.deg_m)
+
+    def degree_at(self, k: int, n: int, deg_m: int) -> int:
+        """The degree on a curve with 2g - 2 = k, n marked points and deg M."""
+        twice = self.two_a * k + 2 * self.b * n + self.two_c * deg_m
         if twice % 2 != 0:
             raise IntegralityError(
                 f"class K^{_half(self.two_a)}(D^{self.b})M^{_half(self.two_c)} "
@@ -133,32 +153,68 @@ def _hitchin_section_classes(group: GroupSpec) -> tuple[LineBundleClass, ...]:
     return tuple(classes)
 
 
-def hitchin_dim(group: GroupSpec, p: CurveParams) -> int:
-    """Section count of the invariant-coefficient spaces, verified against the
-    closed form.
+class _GroupData:
+    """What every row of the identity chain needs of its (group, deg M) pair;
+    `_group_data` builds it once per pair.  A plain slotted class: a
+    dataclass would cost more to define at import than it saves."""
+
+    __slots__ = (
+        "group", "deg_m", "r", "dim_group", "dim_flag", "sections", "closed_g", "closed_n", "det_classes",
+    )
+
+    def __init__(self, group: GroupSpec, deg_m: int):
+        validate_group_params(group, deg_m)
+        m = group.m
+        self.group, self.deg_m = group, deg_m
+        self.r = 2 * m  # spectral cover degree
+        self.dim_group, self.dim_flag = group.dim_group, group.dim_flag
+        self.sections = _hitchin_section_classes(group)
+        # closed form of dim H: closed_g * (g - 1) + closed_n * n
+        if group.kind == "so-even":
+            self.closed_g, self.closed_n = m * (2 * m - 1), m * (m - 1)
+        else:
+            self.closed_g, self.closed_n = m * (2 * m + 1), m * m
+        # so-odd only: det E, the kernel line E0 ~ M^(1/2)(K(D))^(-m) and
+        # K^m D^m M^m; the quotient determinant has degree
+        # deg det E - deg E0 = deg K^m D^m M^m
+        self.det_classes = None
+        if group.kind == "so-odd":
+            self.det_classes = (
+                LineBundleClass.from_doubled(0, 0, 2 * m + 1),
+                LineBundleClass.from_doubled(-2 * m, -m, 1),
+                LineBundleClass(m, m, m),
+            )
+
+
+_group_data = cache(_GroupData)
+
+
+def _hitchin_dim(data: _GroupData, g: int, n: int, k: int) -> int:
+    """Section sum over the Hitchin classes, verified against the closed form.
 
     For so-even with m = 1 the square-root class is K itself, of degree
     exactly 2g - 2; the vanishing-h1 count deg + 1 - g = g - 1 is what the
     closed form (and the identity chain) requires, so that boundary term is
     evaluated by the same formula instead of the strict h0_rr regime guard.
     """
-    validate_group_params(group, p)
-    m = group.m
     total = 0
-    for cls in _hitchin_section_classes(group):
-        deg = cls.degree(p)
-        if deg < p.two_g_minus_2:
+    for cls in data.sections:
+        deg = cls.degree_at(k, n, data.deg_m)
+        if deg < k:
             raise RegimeError("section space below the Riemann-Roch regime")
-        total += deg + 1 - p.g
-    if group.kind == "so-even":
-        closed = m * (2 * m - 1) * (p.g - 1) + m * p.n * (m - 1)
-    else:
-        closed = m * (2 * m + 1) * (p.g - 1) + m * m * p.n
+        total += deg + 1 - g
+    closed = data.closed_g * (g - 1) + data.closed_n * n
     if total != closed:
         raise ArithmeticError(
-            f"section sum {total} disagrees with closed form {closed} for {group}"
+            f"section sum {total} disagrees with closed form {closed} for {data.group}"
         )
     return total
+
+
+def hitchin_dim(group: GroupSpec, p: CurveParams) -> int:
+    """Section count of the invariant-coefficient spaces, verified against the
+    closed form."""
+    return _hitchin_dim(_group_data(group, p.deg_m), p.g, p.n, p.two_g_minus_2)
 
 
 def so_even_hitchin_dim_literal(m: int, p: CurveParams) -> int:
@@ -173,7 +229,7 @@ def so_even_hitchin_dim_literal(m: int, p: CurveParams) -> int:
 
 def moduli_dim(group: GroupSpec, p: CurveParams) -> int:
     """(g - 1) dim G + n dim(G/B) for full flags at every marked point."""
-    validate_group_params(group, p)
+    validate_group_params(group, p.deg_m)
     return (p.g - 1) * group.dim_group + p.n * group.dim_flag
 
 
@@ -181,26 +237,37 @@ def higgs_moduli_dim(group: GroupSpec, p: CurveParams) -> int:
     return 2 * moduli_dim(group, p)
 
 
-def spectral_genus(r: int, p: CurveParams) -> int:
-    """Genus of the degree-r spectral cover by adjunction:
-    (-rn + r^2(2g - 2 + n) + 2) / 2."""
+def _adjunction_genus(r: int, n: int, ell: int) -> int:
+    """(-rn + r^2 ell + 2) / 2 for a degree-r cover inside Tot K(D), deg K(D) = ell."""
     if r < 1:
         raise ValueError("cover degree must be >= 1")
-    num = -r * p.n + r * r * (p.two_g_minus_2 + p.n) + 2
+    num = -r * n + r * r * ell + 2
     if num % 2 != 0:
         raise IntegralityError("adjunction value is odd")
     return num // 2
 
 
-def rh_genus_crosscheck(r: int, p: CurveParams) -> int:
-    """Independent genus via Riemann-Hurwitz with ramification degree
-    r(r-1)(2g-2+n): solves 2g_s - 2 = r(2g-2) + r(r-1)(2g-2+n)."""
+def _rh_genus(r: int, k: int, ell: int) -> int:
+    """Solves 2g_s - 2 = rk + r(r-1)ell, with k = 2g - 2 and ell = deg K(D)."""
     if r < 1:
         raise ValueError("cover degree must be >= 1")
-    rhs = r * p.two_g_minus_2 + r * (r - 1) * (p.two_g_minus_2 + p.n)
+    rhs = r * k + r * (r - 1) * ell
     if rhs % 2 != 0:
         raise IntegralityError("Riemann-Hurwitz value is odd")
     return rhs // 2 + 1
+
+
+def spectral_genus(r: int, p: CurveParams) -> int:
+    """Genus of the degree-r spectral cover by adjunction:
+    (-rn + r^2(2g - 2 + n) + 2) / 2."""
+    return _adjunction_genus(r, p.n, p.two_g_minus_2 + p.n)
+
+
+def rh_genus_crosscheck(r: int, p: CurveParams) -> int:
+    """Independent genus via Riemann-Hurwitz with ramification degree
+    r(r-1)(2g-2+n): solves 2g_s - 2 = r(2g-2) + r(r-1)(2g-2+n)."""
+    k = p.two_g_minus_2
+    return _rh_genus(r, k, k + p.n)
 
 
 def ramification_degree(r: int, p: CurveParams) -> int:
@@ -210,19 +277,23 @@ def ramification_degree(r: int, p: CurveParams) -> int:
 
 def sp_fixed_points(m: int, p: CurveParams) -> int:
     """2m(2g - 2 + n) involution fixed points = deg K(D)^2m."""
-    return LineBundleClass.kd(2 * m, 2 * m).degree(p)
+    return 2 * m * (p.two_g_minus_2 + p.n)
 
 
-def sp_quotient_genus(m: int, p: CurveParams) -> int:
+def _quotient_genus(g_s: int, fixed: int) -> int:
     """Quotient genus from 2g_s - 2 = 2(2g_q - 2) + #fixed."""
-    g_s = spectral_genus(2 * m, p)
-    rest = 2 * g_s - 2 - sp_fixed_points(m, p)
+    rest = 2 * g_s - 2 - fixed
     if rest % 2 != 0:
         raise IntegralityError("fixed-point Riemann-Hurwitz value is odd")
     half = rest // 2  # = 2 g_q - 2
     if half % 2 != 0:
         raise IntegralityError("quotient genus is not an integer")
     return half // 2 + 1
+
+
+def sp_quotient_genus(m: int, p: CurveParams) -> int:
+    """Quotient genus from 2g_s - 2 = 2(2g_q - 2) + #fixed."""
+    return _quotient_genus(spectral_genus(2 * m, p), sp_fixed_points(m, p))
 
 
 def so_even_singularity_count(m: int, p: CurveParams) -> int:
@@ -235,18 +306,28 @@ def so_even_desing_genus(m: int, p: CurveParams) -> int:
     return spectral_genus(2 * m, p) - so_even_singularity_count(m, p)
 
 
+def _prym(kind: str, g_s: int, quot: int) -> int:
+    """g(cover) - g(quotient) from the spectral genus g_s and the quotient
+    genus, or for so-even half of (desingularized genus - 1), the genus
+    drop of its fixed-point-free double cover."""
+    if kind == "so-even":
+        if (quot - 1) % 2 != 0:
+            raise IntegralityError("desingularized genus has wrong parity")
+        return (quot - 1) // 2
+    return g_s - quot
+
+
 def prym_dim(group: GroupSpec, p: CurveParams) -> int:
     """g(cover) - g(quotient): through the fixed-point Riemann-Hurwitz for
     sp/so-odd, through the desingularized fixed-point-free double cover for
     so-even."""
-    validate_group_params(group, p)
+    validate_group_params(group, p.deg_m)
     m = group.m
     if group.kind == "so-even":
-        g_hat = so_even_desing_genus(m, p)
-        if (g_hat - 1) % 2 != 0:
-            raise IntegralityError("desingularized genus has wrong parity")
-        return (g_hat - 1) // 2
-    return spectral_genus(2 * m, p) - sp_quotient_genus(m, p)
+        quot = so_even_desing_genus(m, p)
+    else:
+        quot = sp_quotient_genus(m, p)
+    return _prym(group.kind, spectral_genus(2 * m, p), quot)
 
 
 # -- eigenline degrees ----------------------------------------------------------
@@ -357,39 +438,39 @@ class DimensionReport:
 
 def identity_suite(group: GroupSpec, p: CurveParams) -> DimensionReport:
     """Fill a DimensionReport and verify the four-way dimension identity."""
-    validate_group_params(group, p)
-    m = group.m
-    dim_h = hitchin_dim(group, p)
-    dim_mod = moduli_dim(group, p)
-    dim_higgs = higgs_moduli_dim(group, p)
-    prym = prym_dim(group, p)
-    g_s = spectral_genus(2 * m, p)
-    assert g_s == rh_genus_crosscheck(2 * m, p)
-    if group.kind == "so-even":
-        quot = so_even_desing_genus(m, p)
-        fixed = so_even_singularity_count(m, p)
+    data = _group_data(group, p.deg_m)
+    kind, m, r = group.kind, group.m, data.r
+    g, n = p.g, p.n
+    k = 2 * g - 2
+    ell = k + n
+    dim_h = _hitchin_dim(data, g, n, k)
+    dim_mod = (g - 1) * data.dim_group + n * data.dim_flag
+    dim_higgs = 2 * dim_mod
+    g_s = _adjunction_genus(r, n, ell)
+    assert g_s == _rh_genus(r, k, ell)
+    if kind == "so-even":
+        fixed = m * ell
+        quot = g_s - fixed
     else:
-        quot = sp_quotient_genus(m, p)
-        fixed = sp_fixed_points(m, p)
-    if group.kind == "so-odd":
-        # deg of the rank-2m quotient determinant, two routes: from
-        # ker(Phi) ~ M^(1/2)(K(D))^(-m) and det E = M^((2m+1)/2) on one side,
-        # directly as K^m D^m M^m on the other.
-        e0 = LineBundleClass.from_doubled(-2 * m, -m, 1)
-        det_e = LineBundleClass.from_doubled(0, 0, 2 * m + 1)
-        lhs = det_e.degree(p) - e0.degree(p)
-        rhs = LineBundleClass(m, m, m).degree(p)
+        fixed = r * ell
+        quot = _quotient_genus(g_s, fixed)
+    prym = _prym(kind, g_s, quot)
+    if data.det_classes is not None:
+        det_e, e0, direct = data.det_classes
+        lhs = det_e.degree_at(k, n, p.deg_m) - e0.degree_at(k, n, p.deg_m)
+        rhs = direct.degree_at(k, n, p.deg_m)
         if lhs != rhs:
             raise ArithmeticError(f"quotient determinant degree mismatch: {lhs} != {rhs}")
-    checks = [
-        ("dimH=dimM", dim_h == dim_mod),
-        ("dimM=prym", dim_mod == prym),
-        ("prym=dimN/2", dim_higgs == 2 * prym),
-    ]
-    bad = next((name for name, ok in checks if not ok), None)
-    verdict = "PASS" if bad is None else f"FAIL:{bad}"
+    if dim_h != dim_mod:
+        verdict = "FAIL:dimH=dimM"
+    elif dim_mod != prym:
+        verdict = "FAIL:dimM=prym"
+    elif dim_higgs != 2 * prym:
+        verdict = "FAIL:prym=dimN/2"
+    else:
+        verdict = "PASS"
     return DimensionReport(
-        group.kind, m, p.g, p.n, dim_h, dim_mod, dim_higgs,
+        kind, m, g, n, dim_h, dim_mod, dim_higgs,
         g_s, quot, prym, fixed, verdict,
     )
 
@@ -406,9 +487,10 @@ def sweep_reports(
     out = []
     for kind in sorted(groups):
         for m in ms:
+            group = GroupSpec(kind, m)
             for g in gs:
                 for n in ns:
-                    out.append(identity_suite(GroupSpec(kind, m), CurveParams(g, n, deg_m)))
+                    out.append(identity_suite(group, CurveParams(g, n, deg_m)))
     return out
 
 

@@ -366,3 +366,63 @@ class TestIdentityOracle:
         assert all(row.excess == row.n for row in pfaffian_space_discrepancy())
         with pytest.raises(IntegralityError, match="non-integral degree 7/2"):
             LineBundleClass.from_doubled(0, 0, 1).degree(CurveParams(2, 1, deg_m=7))
+
+
+class TestHoistedKernel:
+    """identity_suite computes each quantity once per row from per-group data;
+    every row must still equal the public building blocks called on their own."""
+
+    @pytest.mark.parametrize("kind,deg_ms", [
+        ("sp", (0, 2, 4, 1, 3)),
+        ("so-even", (0, 2, 4, 1, 3)),
+        ("so-odd", (0, 2, 4)),
+    ])
+    def test_rows_equal_building_blocks(self, kind, deg_ms):
+        for m in range(1, 7):
+            group = GroupSpec(kind, m)
+            for deg_m in deg_ms:
+                for g in range(2, 9):
+                    for n in range(1, 7):
+                        p = CurveParams(g, n, deg_m)
+                        if kind == "so-even":
+                            quot, fixed = so_even_desing_genus(m, p), so_even_singularity_count(m, p)
+                        else:
+                            quot, fixed = sp_quotient_genus(m, p), sp_fixed_points(m, p)
+                        want = (
+                            hitchin_dim(group, p), moduli_dim(group, p), higgs_moduli_dim(group, p),
+                            spectral_genus(2 * m, p), quot, fixed, prym_dim(group, p),
+                        )
+                        assert rh_genus_crosscheck(2 * m, p) == want[3]
+                        assert want == closed_form_row(kind, m, g, n)
+                        rep = identity_suite(group, p)
+                        got = (rep.dim_hitchin, rep.dim_moduli, rep.dim_higgs_moduli, rep.spectral_genus,
+                               rep.quotient_or_desing_genus, rep.fixed_points_or_singularities, rep.prym_dim)
+                        assert got == want, (kind, m, g, n, deg_m)
+                        assert (rep.group, rep.m, rep.g, rep.n, rep.chain_verdict) == (kind, m, g, n, "PASS")
+
+    @pytest.mark.parametrize("deg_m", [1, -3])
+    def test_odd_twist_raises_on_every_call(self, deg_m):
+        for _ in range(2):  # the per-group cache must not swallow the error
+            with pytest.raises(ValueError, match=re.escape("so-odd needs even deg(M)")):
+                identity_suite(GroupSpec.so_odd(2), CurveParams(3, 2, deg_m))
+            with pytest.raises(ValueError, match=re.escape("so-odd needs even deg(M)")):
+                sweep_reports(("so-odd",), range(1, 3), range(2, 4), range(1, 3), deg_m)
+            with pytest.raises(ValueError, match=re.escape("so-odd needs even deg(M)")):
+                sweep_reports(deg_m=deg_m)
+
+    def test_group_check_runs_once_per_group_and_twist(self, monkeypatch):
+        seen = []
+
+        def counting(group, deg_m):
+            seen.append((group, deg_m))
+
+        monkeypatch.setattr(dimensions, "validate_group_params", counting)
+        dimensions._group_data.cache_clear()
+        try:
+            for deg_m in (0, 2):
+                assert len(sweep_reports(ms=range(1, 4), gs=range(2, 6), ns=range(1, 5), deg_m=deg_m)) == 144
+        finally:
+            dimensions._group_data.cache_clear()
+        want = {(GroupSpec(kind, m), deg_m) for kind in ("sp", "so-even", "so-odd")
+                for m in range(1, 4) for deg_m in (0, 2)}
+        assert len(seen) == len(want) and set(seen) == want

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -21,6 +23,17 @@ def test_run_dimension_sweep():
     assert code == 0
     assert out.splitlines()[0] == "group,m,g,n,dimH,dimM,prym,dimN,verdict"
     assert err.strip().endswith("6 passed, 0 failed")
+
+
+@pytest.mark.parametrize("args,message", [
+    (("-g", "1:2"), "need m >= 1, g >= 2, n >= 1"),
+    (("--groups", "foo"), "unknown group 'foo'"),
+    (("-m", "x"), "-m: bad range 'x'"),
+    (("--groups", "so-odd", "--deg-m", "1"), "so-odd needs even deg(M)"),
+])
+def test_run_dimension_sweep_argument_errors(args, message):
+    """A bad argument prints one `error:` line and exits 2, as `sweep` does."""
+    assert run_script("run_dimension_sweep.py", *args) == (2, "", f"error: {message}\n")
 
 
 def test_pfaffian_space_report():

@@ -30,6 +30,8 @@ SRC = ROOT / "src" / "parahiggs"
 TEST_ONLY_API = {
     "curves.involution_fixed_points": "fixed points of x -> -x, for the spectral-cover check of ROADMAP item 4",
     "curves.hyperelliptic_genus": "genus of a hyperelliptic quotient, for the Prym check of ROADMAP item 4",
+    "dimensions.higgs_moduli_dim": "dim of the Higgs moduli on its own, an oracle for identity_suite, which doubles the moduli dim it has",
+    "dimensions.rh_genus_crosscheck": "the Riemann-Hurwitz genus on its own, an oracle for identity_suite, which calls its integer kernel",
     "dimensions.eigenline_degree_sqrt_twist": "eigenline degree under the square-root normalization",
     "dimensions.eigenline_reconciliation": "the two eigenline normalizations differ by the ramification degree",
     "dimensions.sqrt_parity_check": "parity of the class whose square root the normalization takes",
