@@ -36,6 +36,12 @@ recorded on the code that still certified every curve by the full
 x-discriminant and took a primitive PRS gcd, where the m = 4 fields took 11 s
 (so-even), 29 s (so-odd) and 64 s (sp) each on one core.
 
+The m = 4 `gen` digests cover every group at m = 4 (marked points 0, 1/2
+and -2, degree bounds 0..2) and the semisimple control at m = 3 and 4; they
+were recorded on the code that still built residues from Cayley elements
+over Q, with a second matrix inverse, and wrote every entry through a reduced
+rational function.
+
 The reduced-field digest covers `analyze` with the algebraic checks on the
 `reduce-odd` outputs of the so-odd grid: sp fields over a non-split Gram form
 over Q(t), with poles off the marked points and a common denominator that is
@@ -127,6 +133,15 @@ LARGE_M_PINNED = {
     ("so-even", 4): "d8c6fc47a4702f6be231cf215a07f58e6916f261c32833d0bec45d45da341428",
 }
 LARGE_M_BOUND_S = 10.0
+
+# group -> digest of the `gen` bytes at m = 4 (marked points 0, 1/2, -2,
+# degree bounds 0..2, seed 40 + bound) and of the semisimple control at
+# m = 3 and 4 (the same marked points, degree bound 1, seed 7)
+M4_GEN_PINNED = {
+    "sp": "d17aac527067b72d45f4d72476b4d6550ab8e1a9b7654644b69e4e172e9387db",
+    "so-even": "338832ee3e6f8525b07a214c3359d5f92879775f235703034ddd53fda27dca63",
+    "so-odd": "0a13feb7e4927319d784b3f02107071be72d67e0d8e13105e8a53cc3abb1c40e",
+}
 
 
 REDUCED_PINNED = "11b80c30a70cf2a7d77935e6394fa594b5b6ee4843706e7b7414c39cfd8c761d"
@@ -286,6 +301,28 @@ def test_large_m_analyze_is_bounded_and_pinned(kind, m, tmp_path, capsys):
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_M_PINNED[kind, m]
     assert seconds < LARGE_M_BOUND_S
+
+
+def m4_gen_digest(kind: str, workdir) -> str:
+    stream = hashlib.sha256()
+    path = workdir / "field.json"
+    for deg in range(3):
+        argv = ["gen", "--group", kind, "-m", "4", "--marked", ",".join(MARKED),
+                "--deg-bound", str(deg), "--seed", str(40 + deg), "-o", str(path)]
+        if main(argv) != 0:
+            raise AssertionError(f"gen failed: {argv}")
+        stream.update(path.read_bytes())
+    for m in (3, 4):
+        control = semisimple_residue_control(GroupSpec(kind, m), MARKED, 1, 7)
+        stream.update((json.dumps(control.to_dict(), indent=2, sort_keys=True) + "\n").encode())
+    return stream.hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(M4_GEN_PINNED))
+def test_pinned_m4_gen_bytes(kind, tmp_path, capsys):
+    got = m4_gen_digest(kind, tmp_path)
+    capsys.readouterr()
+    assert got == M4_GEN_PINNED[kind]
 
 
 BOX = ["-m", "2:9", "-g", "3:13", "-n", "2:9"]  # 8 x 11 x 8 per group
