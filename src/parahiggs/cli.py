@@ -34,7 +34,7 @@ from .higgs import (
     so_odd_reduce,
     strong_parabolic_check,
 )
-from .poly import q_to_str
+from .poly import fraction_json
 
 OK, CHECK_FAILED, USAGE_ERROR = 0, 1, 2
 
@@ -44,16 +44,14 @@ NON_MEMBER = "field is not in the Lie algebra of its Gram form"
 
 def parse_range(text: str, flag: str) -> range:
     """"3" -> 3..3, "1:4" -> 1..4 inclusive; `flag` names the argument in
-    the error for a bound that is not an integer."""
-    parts = text.split(":")
-    if len(parts) > 2:
-        raise ValueError(f"bad range {text!r}")
+    the error for a malformed or empty range."""
+    lo, sep, hi = text.partition(":")
     try:
-        lo, hi = int(parts[0]), int(parts[-1])
+        lo, hi = int(lo), int(hi if sep else lo)
     except ValueError:
         raise ValueError(f"{flag}: bad range {text!r}") from None
     if hi < lo:
-        raise ValueError(f"empty range {text!r}")
+        raise ValueError(f"{flag}: empty range {text!r}")
     return range(lo, hi + 1)
 
 
@@ -191,17 +189,15 @@ def _analyze_field(fld: HiggsField, checks: tuple[str, ...]) -> dict:
     report: dict = {
         "group": fld.group.kind,
         "m": fld.group.m,
-        "marked_points": [q_to_str(a) for a in fld.marked_points],
+        "marked_points": [str(a) for a in fld.marked_points],
         "checks": {},
     }
     for name in checks:
         if name == "membership":
             section = {"pass": fld.is_member}
         elif name == "charpoly":
-            section = {
-                "pass": True,
-                "coefficients": [s.to_json() for s in fld.char_data.sections()],
-            }
+            char = fld.char_data
+            section = {"pass": True, "coefficients": [fraction_json(e, *q) for e, q in zip(char.e, char.den_powers)]}
         elif name == "parity":
             parity = parity_classify(fld.char_data, fld.group)
             section = {"pass": parity.passed}
@@ -216,8 +212,8 @@ def _analyze_field(fld: HiggsField, checks: tuple[str, ...]) -> dict:
             pf = pfaffian_square_check(fld)
             section = {
                 "pass": pf.passed,
-                "pfaffian": pf.pfaffian.to_json(),
-                "unit": pf.unit.to_json(),
+                "pfaffian": fraction_json(*pf.pfaffian),
+                "unit": fraction_json(*pf.unit),
             }
         else:  # spectral
             section = _spectral_section(fld)
@@ -270,7 +266,7 @@ def cmd_reduce_odd(args: argparse.Namespace) -> int:
     char_ok = not full.e[-1] and full.x_cofactor().same_sections(reduced_field.char_data)
     doc = reduced_field.to_dict()
     doc["reduction_report"] = {
-        "kernel_vector": [p.to_json() for p in red.kernel_vector],
+        "kernel_vector": [[str(c) for c in p.coeffs] for p in red.kernel_vector],
         "removed_index": red.removed_index,
         "char_identity": "PASS" if char_ok else "FAIL",
         "induced_gram_skew": "PASS",  # enforced by construction, or we'd have raised

@@ -1,7 +1,7 @@
 """Exact integer engine: degrees, genera, and the dimension identity chain.
 
 Everything in this module is plain integer arithmetic; each operation
-asserts its own integrality/parities and raises rather than round.  The
+checks its own integrality/parities and raises rather than round.  The
 half-integer exponents of square-rooted line bundles are held doubled, as
 integers, so a degree is formed as twice its value and its parity is the
 integrality check; no rational number is built on the sweep path.  The
@@ -45,6 +45,10 @@ class IntegralityError(ArithmeticError):
 
 class RegimeError(ArithmeticError):
     pass
+
+
+class CrossCheckError(ArithmeticError):
+    """Two independent routes to the same number disagree."""
 
 
 @dataclass(frozen=True)
@@ -447,7 +451,9 @@ def identity_suite(group: GroupSpec, p: CurveParams) -> DimensionReport:
     dim_mod = (g - 1) * data.dim_group + n * data.dim_flag
     dim_higgs = 2 * dim_mod
     g_s = _adjunction_genus(r, n, ell)
-    assert g_s == _rh_genus(r, k, ell)
+    g_rh = _rh_genus(r, k, ell)
+    if g_s != g_rh:
+        raise CrossCheckError(f"spectral genus mismatch: adjunction {g_s} != Riemann-Hurwitz {g_rh}")
     if kind == "so-even":
         fixed = m * ell
         quot = g_s - fixed
@@ -460,7 +466,7 @@ def identity_suite(group: GroupSpec, p: CurveParams) -> DimensionReport:
         lhs = det_e.degree_at(k, n, p.deg_m) - e0.degree_at(k, n, p.deg_m)
         rhs = direct.degree_at(k, n, p.deg_m)
         if lhs != rhs:
-            raise ArithmeticError(f"quotient determinant degree mismatch: {lhs} != {rhs}")
+            raise CrossCheckError(f"quotient determinant degree mismatch: {lhs} != {rhs}")
     if dim_h != dim_mod:
         verdict = "FAIL:dimH=dimM"
     elif dim_mod != prym:

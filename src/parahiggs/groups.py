@@ -1,7 +1,8 @@
 """Classical group bookkeeping and split bilinear forms over Q.
 
-Random algebra elements, nilpotents and Cayley group elements are constant
-matrices of Fractions and live over Q.  A Gram form has entries in Q(t) and
+Random algebra elements and nilpotents are constant integer matrices, and a
+Cayley group element is one over a single integer denominator, made by one
+fraction-free inverse.  A Gram form has entries in Q(t) and
 is held as its clearing B = B' / (c*d) with B' over Z[t], made by the same
 routine that clears a Higgs field; it is checked there: B' is
 (anti)symmetric and det B' (Bareiss over Z[t]) is nonzero.  Lie algebra
@@ -26,22 +27,21 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .bipoly import bareiss_det
 from .linalg import (
     Cleared,
     IntMat,
-    QMat,
     SingularMatrixError,
+    ZMat,
     clear_fractions,
     cleared_den,
-    const_mat_mul,
     entry_ints,
-    mat_inverse,
+    zmat_inverse,
+    zmat_mul,
 )
-from .poly import RationalFunction, int_fraction_grid_from_json
+from .poly import RationalFunction
 
 GROUP_KINDS = ("sp", "so-even", "so-odd")
 
@@ -127,49 +127,27 @@ class GramForm:
         return len(self.cleared[0])
 
     @cached_property
-    def matrix(self) -> tuple[tuple[RationalFunction, ...], ...]:
-        """B as reduced rational functions, for output."""
-        b, d, c = self.cleared
-        q, lead = cleared_den(d, c)
-        return tuple(tuple(RationalFunction.from_ints(p, q, lead) for p in row) for row in b)
-
-    @cached_property
     def cleared_det(self) -> tuple[int, ...]:
         """det B' over Z[t], by Bareiss: det B = det B' / (c*d)^n."""
         return tuple(bareiss_det([[list(p) for p in row] for row in self.cleared[0]]))
 
     @cached_property
     def det(self) -> RationalFunction:
-        """det B, for output."""
+        """det B, for the spectral report."""
         _, d, c = self.cleared
         return RationalFunction.from_ints(self.cleared_det, *cleared_den(d, c, self.size))
-
-    def to_json(self) -> list[list[dict]]:
-        return [[x.to_json() for x in row] for row in self.matrix]
-
-    @staticmethod
-    def from_json(data, kind: str) -> "GramForm":
-        return GramForm(clear_fractions(int_fraction_grid_from_json(data)), kind)
 
 
 @functools.cache
 def split_gram(group: GroupSpec) -> GramForm:
     """The fixed split Gram model for the group, built once per group."""
-    m = group.m
-    if group.kind == "sp":
-        rows = [[0] * 2 * m for _ in range(2 * m)]
-        for i in range(m):
-            rows[i][m + i] = 1
-            rows[m + i][i] = -1
-        return GramForm.make(rows, "symplectic")
-    n = group.rank_size
+    m, n = group.m, group.rank_size
     rows = [[0] * n for _ in range(n)]
     for i in range(m):
-        rows[i][m + i] = 1
-        rows[m + i][i] = 1
+        rows[i][m + i], rows[m + i][i] = 1, -1 if group.kind == "sp" else 1
     if group.kind == "so-odd":
         rows[2 * m][2 * m] = 1
-    return GramForm.make(rows, "symmetric")
+    return GramForm.make(rows, "symplectic" if group.kind == "sp" else "symmetric")
 
 
 def _check_size(mat, gram: GramForm) -> int:
@@ -190,28 +168,30 @@ def is_algebra_product(prod: IntMat, gram: GramForm) -> bool:
     )
 
 
-def _constant_gram(gram: GramForm) -> QMat:
-    b, d, c = gram.cleared
+def _constant_gram(gram: GramForm) -> ZMat:
+    b, d, _ = gram.cleared
     if len(d) > 1 or any(len(p) > 1 for row in b for p in row):
         raise GroupError("the Gram form is not constant")
-    return [[Fraction(p[0] if p else 0, c) for p in row] for row in b]
+    return [[p[0] if p else 0 for p in row] for row in b]
 
 
-def cayley_group_element(a: QMat, gram: GramForm) -> QMat:
-    """Q = (I - A)(I + A)^(-1) over Q; preserves the constant Gram form exactly.
+def cayley_group_element(a: ZMat, gram: GramForm) -> tuple[ZMat, int]:
+    """(Q', delta) with Q = Q' / delta = (I - A)(I + A)^(-1) for an integer
+    matrix A, from one fraction-free inverse (I + A)^(-1) = X / delta: Q' =
+    (I - A) X.  Q preserves the constant Gram form exactly.
 
     A must lie in the algebra of the form and I + A must be invertible.
     """
     n = _check_size(a, gram)
-    b_a = const_mat_mul(_constant_gram(gram), a)
+    b_a = zmat_mul(_constant_gram(gram), a)
     sign = 1 if gram.kind == "symplectic" else -1
     if any(b_a[j][i] != sign * b_a[i][j] for i in range(n) for j in range(i, n)):
         raise GroupError("input is not in the Lie algebra of the form")
     try:
-        inv = mat_inverse([[int(i == j) + a[i][j] for j in range(n)] for i in range(n)])
+        inv, delta = zmat_inverse([[int(i == j) + a[i][j] for j in range(n)] for i in range(n)])
     except SingularMatrixError:
         raise SingularMatrixError("Cayley pole") from None
-    return const_mat_mul([[int(i == j) - a[i][j] for j in range(n)] for i in range(n)], inv)
+    return zmat_mul([[int(i == j) - a[i][j] for j in range(n)] for i in range(n)], inv), delta
 
 
 # -- random elements ----------------------------------------------------------
@@ -228,22 +208,11 @@ def cayley_group_element(a: QMat, gram: GramForm) -> QMat:
 # its draws supply the nilpotent residues of generated Higgs fields.
 
 
-def _assemble(group: GroupSpec, p, q, r, v=None, w=None) -> QMat:
+def _assemble(group: GroupSpec, p, q, r, v=None, w=None) -> ZMat:
     m = group.m
-    n = group.rank_size
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(m):
-        for j in range(m):
-            out[i][j] = Fraction(p[i][j])
-            out[i][m + j] = Fraction(q[i][j])
-            out[m + i][j] = Fraction(r[i][j])
-            out[m + i][m + j] = Fraction(-p[j][i])
+    out = [p[i] + q[i] for i in range(m)] + [r[i] + [-x for x in col] for i, col in enumerate(zip(*p))]
     if group.kind == "so-odd":
-        for i in range(m):
-            out[i][2 * m] = Fraction(v[i])
-            out[m + i][2 * m] = Fraction(w[i])
-            out[2 * m][i] = Fraction(-w[i])
-            out[2 * m][m + i] = Fraction(-v[i])
+        out = [row + [x] for row, x in zip(out, v + w)] + [[-x for x in w + v] + [0]]
     return out
 
 
@@ -259,7 +228,7 @@ def _sym_block(rng: random.Random, m: int, lo: int, hi: int, anti: bool):
     return b
 
 
-def random_algebra_element(group: GroupSpec, rng: random.Random, lo: int = -2, hi: int = 2) -> QMat:
+def random_algebra_element(group: GroupSpec, rng: random.Random, lo: int = -2, hi: int = 2) -> ZMat:
     """Seeded random element of the split-form Lie algebra (integer entries)."""
     m = group.m
     anti = group.kind != "sp"
@@ -273,7 +242,7 @@ def random_algebra_element(group: GroupSpec, rng: random.Random, lo: int = -2, h
     return _assemble(group, p, q, r, v, w)
 
 
-def random_nilpotent_element(group: GroupSpec, rng: random.Random, lo: int = -3, hi: int = 3) -> QMat:
+def random_nilpotent_element(group: GroupSpec, rng: random.Random, lo: int = -3, hi: int = 3) -> ZMat:
     """Seeded random strictly-upper-triangular member of the algebra.
 
     For so-odd with m = 1 (and so-even with m = 1) this space is zero, so
@@ -281,18 +250,13 @@ def random_nilpotent_element(group: GroupSpec, rng: random.Random, lo: int = -3,
     triangular nilpotents in the fixed split basis.
     """
     m = group.m
-    anti = group.kind != "sp"
     zero = [[0] * m for _ in range(m)]
-    q = _sym_block(rng, m, lo, hi, anti)
-    v = w = None
-    if group.kind == "so-odd":
-        v = [0] * m
-        w = [0] * m
-    return _assemble(group, zero, q, zero, v, w)
+    q = _sym_block(rng, m, lo, hi, group.kind != "sp")
+    return _assemble(group, zero, q, zero, [0] * m, [0] * m)
 
 
-def random_group_element(group: GroupSpec, gram: GramForm, rng: random.Random) -> QMat:
-    """Cayley transform of a random algebra element; retries past Cayley poles."""
+def random_group_element(group: GroupSpec, gram: GramForm, rng: random.Random) -> tuple[ZMat, int]:
+    """Cayley transform (Q', delta) of a random algebra element; retries past Cayley poles."""
     while True:
         a = random_algebra_element(group, rng, -2, 2)
         try:

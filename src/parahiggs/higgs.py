@@ -13,10 +13,11 @@ parsed from JSON, generated or reduced; B*Phi is cleared once to
 (B'M, D*D', c*c').  Membership, the characteristic data (e_1..e_r over Z[t]
 with s_i = e_i / (c*d)^i), the residues M(a) lc(D) / (c*D'(a)), the Pfaffian
 and the so(2m+1) kernel line (the Pfaffian adjugate of B*Phi) are all read
-off these two, and no check does polynomial arithmetic over Q: reduced
-rational functions are made only for JSON output.  The generator does its constant linear algebra
-(residues, Cayley elements, conjugation) over Q and assembles M over the
-integer denominator prod (b_k t - a_k) of the marked points a_k / b_k.
+off these two, no check does polynomial arithmetic over Q, and the JSON is
+written from the integers.  The generator does its constant linear algebra
+(residues, Cayley elements, conjugation) over Z, each residue over one integer
+denominator, and assembles M over the integer denominator prod (b_k t - a_k)
+of the marked points a_k / b_k.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .groups import (
     GramForm,
     GroupError,
     GroupSpec,
+    _constant_gram,
     is_algebra_product,
     random_algebra_element,
     random_group_element,
@@ -40,16 +42,16 @@ from .groups import (
 from .linalg import (
     Cleared,
     QMat,
-    _integer_rows,
+    ZMat,
     clear_fractions,
     cleared_den,
-    const_mat_mul,
+    cleared_json,
     entry_ints,
     int_char_poly,
     int_mat_mul,
     int_pfaffian,
-    mat_inverse,
     pfaffian_adjugate,
+    zmat_mul,
 )
 from .poly import (
     RationalFunction,
@@ -65,7 +67,6 @@ from .poly import (
     int_fraction_grid_from_json,
     json_int_or_str,
     q_from_str,
-    q_to_str,
     root_multiplicity,
 )
 
@@ -101,10 +102,6 @@ class CharData:
         """(q_i, l_i) with (c*d)^i = q_i / l_i over Z[t], i = 1..r: the
         denominators that e_1..e_r are divided by."""
         return tuple(cleared_den(self.d, self.c, i) for i in range(1, self.r + 1))
-
-    def sections(self) -> list[RationalFunction]:
-        """s_1..s_r as reduced rational functions, for output."""
-        return [RationalFunction.from_ints(e, q, lead) for e, (q, lead) in zip(self.e, self.den_powers)]
 
     def pole_order(self, i: int, a: Fraction) -> int | None:
         """Order of the pole of s_i at t = a, i*ord_a(d) - ord_a(e_i): positive
@@ -152,7 +149,7 @@ class HiggsField:
 
     @cached_property
     def matrix(self) -> tuple[tuple[RationalFunction, ...], ...]:
-        """Phi as reduced rational functions, for output."""
+        """Phi as reduced rational functions."""
         ints, d, c = self.cleared
         q, lead = cleared_den(d, c)
         return tuple(tuple(RationalFunction.from_ints(p, q, lead) for p in row) for row in ints)
@@ -188,11 +185,11 @@ class HiggsField:
         out = {
             "group": self.group.kind,
             "m": self.group.m,
-            "marked_points": [q_to_str(a) for a in self.marked_points],
-            "matrix": [[x.to_json() for x in row] for row in self.matrix],
+            "marked_points": [str(a) for a in self.marked_points],
+            "matrix": cleared_json(self.cleared),
         }
         if self.gram != split_gram(self.group):
-            out["gram"] = self.gram.to_json()
+            out["gram"] = cleared_json(self.gram.cleared)
         return out
 
     @staticmethod
@@ -202,7 +199,9 @@ class HiggsField:
             raise ValueError("a field must be a JSON object with a list of marked_points")
         group = GroupSpec(data["group"], int(json_int_or_str(data["m"])))
         kind = "symplectic" if group.kind == "sp" else "symmetric"
-        gram = GramForm.from_json(data["gram"], kind) if "gram" in data else split_gram(group)
+        gram = split_gram(group)
+        if "gram" in data:
+            gram = GramForm(clear_fractions(int_fraction_grid_from_json(data["gram"])), kind)
         grid = int_fraction_grid_from_json(data["matrix"])
         marked = tuple(q_from_str(s) for s in data["marked_points"])
         return HiggsField(group, gram, clear_fractions(grid), marked)
@@ -232,12 +231,12 @@ def residue_at(fld: HiggsField, a) -> QMat:
 
 def _is_nilpotent(mat: QMat, power: int) -> bool:
     """mat^power == 0, over the integer rows of mat: nilpotency is scale-invariant."""
-    cur, _ = _integer_rows(mat)
-    cols = list(zip(*cur))
+    den = math.lcm(*(x.denominator for row in mat for x in row))
+    cur = ints = [[x.numerator * (den // x.denominator) for x in row] for row in mat]
     for _ in range(power - 1):
         if not any(map(any, cur)):
             break
-        cur = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in cur]
+        cur = zmat_mul(cur, ints)
     return not any(map(any, cur))
 
 
@@ -299,22 +298,23 @@ def parity_classify(char: CharData, group: GroupSpec) -> ParityResult:
 
 @dataclass(frozen=True)
 class PfaffianSquareResult:
+    """s_2m * unit == pfaffian^2, with unit = det(B) ( = (-1)^m for the split
+    Gram); each value is held as (num, den, scale) for scale * num / den over Z[t]."""
+
     passed: bool
-    pfaffian: RationalFunction
-    unit: RationalFunction
-    """s_2m * unit == pfaffian^2, with unit = det(B) ( = (-1)^m for the split Gram)."""
+    pfaffian: tuple[tuple[int, ...], tuple[int, ...], int]
+    unit: tuple[tuple[int, ...], tuple[int, ...], int]
 
 
 def pfaffian_square_check(fld: HiggsField) -> PfaffianSquareResult:
     """For so-even fields: s_2m * det(B) == Pf(B*Phi)^2 identically.  With
     Phi = M / (c*d), B = B' / (c'*d') and B*Phi = B'M / (c*c'*d*d') this is
-    e_2m * det B' == Pf(B'M)^2 over Z[t]; the rational functions Pf(B*Phi)
-    and det B are built for output only."""
+    e_2m * det B' == Pf(B'M)^2 over Z[t]."""
     pf, gram = fld.pfaffian, fld.gram
     passed = _int_mul(fld.char_data.e[-1], gram.cleared_det) == _int_mul(pf, pf)
-    _, e, k = fld.gram_product
-    pf_rf = RationalFunction.from_ints(pf, *cleared_den(e, k, fld.group.m))
-    return PfaffianSquareResult(passed, pf_rf, gram.det)
+    (_, e, k), (_, d_b, c_b) = fld.gram_product, gram.cleared
+    unit = (gram.cleared_det, *cleared_den(d_b, c_b, gram.size))
+    return PfaffianSquareResult(passed, (pf, *cleared_den(e, k, fld.group.m)), unit)
 
 
 # -- random field generation ---------------------------------------------------
@@ -348,16 +348,22 @@ def random_strongly_parabolic_higgs(
     r = group.rank_size
     m = group.m
 
-    residues: list[QMat] = []
+    # the split Gram is a signed permutation, B e_j = s_j e_p(j) with s_j = +-1,
+    # so Q^(-1) = B^(-1) Q^T B has the entries s_i s_j Q_p(j),p(i)
+    signed = [next((p, row[j]) for p, row in enumerate(_constant_gram(gram)) if row[j]) for j in range(r)]
+    residues: list[tuple[ZMat, int]] = []  # (N', e) for N_k = N' / e
     for k in range(len(marked)):
         if k == 0 and _semisimple_first_residue:
-            diag = [Fraction(0)] * r
-            diag[0], diag[m] = Fraction(1), Fraction(-1)
-            residues.append([[diag[i] if i == j else Fraction(0) for j in range(r)] for i in range(r)])
+            diag = [0] * r
+            diag[0], diag[m] = 1, -1
+            residues.append(([[diag[i] if i == j else 0 for j in range(r)] for i in range(r)], 1))
             continue
         u = random_nilpotent_element(group, rng)
-        q = random_group_element(group, gram, rng)
-        residues.append(const_mat_mul(const_mat_mul(q, u), mat_inverse(q)))
+        q, delta = random_group_element(group, gram, rng)
+        q_inv = [[s_i * s_j * q[p_j][p_i] for p_j, s_j in signed] for p_i, s_i in signed]
+        n_k = zmat_mul(q, zmat_mul(u, q_inv))
+        g = math.gcd(delta * delta, *(x for row in n_k for x in row))
+        residues.append(([[x // g for x in row] for row in n_k], delta * delta // g))
     poly_coeffs = [random_algebra_element(group, rng, -3, 3) for _ in range(degree_bound + 1)]
 
     # Phi_ij = P_ij + sum_k N_k[i][j] b_k / (b_k t - a_k) for a_k = a/b in
@@ -368,17 +374,16 @@ def random_strongly_parabolic_higgs(
     for root in roots:
         big_d = _int_mul(big_d, root)
     cofactors = [_int_exact_div(big_d, root) for root in roots]
-    k = math.lcm(1, *(x.denominator for n_k in residues for row in n_k for x in row))
+    k = math.lcm(1, *(e for _, e in residues))
     den = tuple(k * x for x in big_d)
     grid = []
     for i in range(r):
         row = []
         for j in range(r):
-            num = _int_mul([k * int(c[i][j]) for c in poly_coeffs], big_d)
-            for (_, b), cof, n_k in zip(roots, cofactors, residues):
+            num = _int_mul([k * c[i][j] for c in poly_coeffs], big_d)
+            for (_, b_k), cof, (n_k, e) in zip(roots, cofactors, residues):
                 if n_k[i][j]:
-                    x = n_k[i][j]
-                    _int_poly_mul_add(num, [x.numerator * (k // x.denominator) * b], cof)
+                    _int_poly_mul_add(num, [n_k[i][j] * (k // e) * b_k], cof)
             row.append((tuple(_int_trim(num)), den))
         grid.append(row)
     return HiggsField(group, gram, clear_fractions(grid), marked)

@@ -7,13 +7,13 @@ tuples), d monic and c a positive integer, stored as the integer triple
 no denominator is a polynomial over Q.  ``clear_fractions`` is the one
 routine that makes that triple, from integer numerator and denominator
 pairs, however the matrix was made (parsed, generated, reduced or built in
-a test); reduced ``RationalFunction`` entries are made from it only for
-JSON output.  Every characteristic coefficient, Pfaffian and Pfaffian
-adjugate is computed from M: evaluated at integer sample points, handled
-there division-free, and interpolated back over Z[t], which keeps the heavy
-inner loops in machine integers.  A constant matrix (a residue, a Cayley
-group element) is a list of lists of Fraction and stays over Q, where
-``mat_inverse`` and ``const_mat_mul`` work.
+a test), and ``cleared_json`` writes it back as JSON entries from integers.
+Every characteristic coefficient, Pfaffian and Pfaffian adjugate is computed
+from M: evaluated at integer sample points, handled there division-free, and
+interpolated back over Z[t], which keeps the heavy inner loops in machine
+integers.  A constant matrix over Q (a residue, a Cayley group element) is
+an integer matrix ``ZMat`` over one integer denominator, multiplied by
+``zmat_mul`` and inverted fraction-free by ``zmat_inverse``.
 """
 
 from __future__ import annotations
@@ -28,11 +28,13 @@ from .poly import (
     _int_gcd,
     _int_mul,
     _int_poly_mul_add,
+    fraction_json,
     int_fraction,
     interpolate_int_range,
 )
 
 QMat = list[list[Fraction]]
+ZMat = list[list[int]]
 IntMat = tuple[tuple[tuple[int, ...], ...], ...]
 IntFraction = tuple[tuple[int, ...], tuple[int, ...]]
 Cleared = tuple[IntMat, tuple[int, ...], int]  # (M, D, c) for M / (c*D/lc(D))
@@ -42,31 +44,26 @@ class SingularMatrixError(ArithmeticError):
     pass
 
 
-def _integer_rows(a: QMat) -> tuple[list[list[int]], int]:
-    """(A', den) with a == A' / den, A' an integer matrix."""
-    den = math.lcm(*(x.denominator for row in a for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
+def zmat_mul(a: ZMat, b: ZMat) -> ZMat:
+    """Product of two constant integer matrices; zero entries of a cost nothing."""
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for x, b_row in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b_row)]
+        out.append(acc)
+    return out
 
 
-def const_mat_mul(a: QMat, b: QMat) -> QMat:
-    """Product of two constant matrices over Q, summed in integers."""
-    ia, da = _integer_rows(a)
-    ib, db = _integer_rows(b)
-    cols = list(zip(*ib))
-    return [[Fraction(sum(x * y for x, y in zip(row, col)), da * db) for col in cols] for row in ia]
-
-
-def mat_inverse(a: QMat) -> QMat:
-    """Inverse of a constant matrix over Q; raises SingularMatrixError.
-
-    Fraction-free Gauss-Jordan on the integer rows of [den*a | den*I]: each
-    elimination step cross-multiplies and divides the row by its content, so
-    the pivots end on a diagonal D and the inverse is D^(-1) times the right
-    half.
-    """
+def zmat_inverse(a: ZMat) -> tuple[ZMat, int]:
+    """(X, delta) with a^(-1) = X / delta and delta = +-det a, by Bareiss'
+    fraction-free Gauss-Jordan on [a | I]: every entry stays a minor of
+    [a | I], so each division by the last pivot is exact and the left half
+    ends as delta * I.  Raises SingularMatrixError."""
     n = len(a)
-    ia, den = _integer_rows(a)
-    work = [row + [den * int(i == j) for j in range(n)] for i, row in enumerate(ia)]
+    work = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)]
+    prev = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if work[r][col]), None)
         if piv is None:
@@ -75,12 +72,11 @@ def mat_inverse(a: QMat) -> QMat:
         prow = work[col]
         p = prow[col]
         for r in range(n):
-            f = work[r][col]
-            if r != col and f:
-                row = [p * x - f * y for x, y in zip(work[r], prow)]
-                g = math.gcd(*row)
-                work[r] = [x // g for x in row]
-    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(work)]
+            if r != col:
+                f = work[r][col]
+                work[r] = [(p * x - f * y) // prev for x, y in zip(work[r], prow)]
+        prev = p
+    return [row[n:] for row in work], prev
 
 
 # -- the common denominator ---------------------------------------------------
@@ -88,9 +84,8 @@ def mat_inverse(a: QMat) -> QMat:
 
 def entry_ints(x) -> IntFraction:
     """`int_fraction` of a RationalFunction or a rational scalar."""
-    if isinstance(x, RationalFunction):
-        return int_fraction(x.num.coeffs, x.den.coeffs)
-    return int_fraction((x,), (1,))
+    num, den = (x.num.coeffs, x.den.coeffs) if isinstance(x, RationalFunction) else ((x,), (1,))
+    return int_fraction(*([(q.numerator, q.denominator) for q in cs] for cs in (num, den)))
 
 
 def clear_fractions(grid: Sequence[Sequence[IntFraction]]) -> Cleared:
@@ -153,6 +148,13 @@ def cleared_den(big_d: Sequence[int], c: int = 1, power: int = 1) -> tuple[tuple
     for _ in range(power - 1):
         q = _int_mul(q, base)
     return tuple(q), big_d[-1] ** power
+
+
+def cleared_json(cleared: Cleared) -> list[list[dict]]:
+    """The JSON entries of M / (c*d) for (M, D, c), by `fraction_json` over c*D."""
+    ints, d, c = cleared
+    q, lead = cleared_den(d, c)
+    return [[fraction_json(p, q, lead) for p in row] for row in ints]
 
 
 def int_mat_mul(a: IntMat, b: IntMat) -> IntMat:

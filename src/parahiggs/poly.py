@@ -19,16 +19,17 @@ for x = mu X, and its fibres over t0 = a/b come from `_hom_eval`.  A UniPoly
 wraps an integer list only where a public function here takes one
 (`poly_gcd`, `rational_roots`).
 
-A RationalFunction is a reduced num/den pair with no arithmetic of its own.
-It is made only for JSON output, from integer polynomials by one reduction
-(`RationalFunction.from_ints`): a Higgs field is held as M / (c*d) with M
-over Z[t], parsed straight from its JSON coefficient strings
-(`int_fraction_from_json`), and every check runs over Z[t].
+A RationalFunction is a reduced num/den pair with no arithmetic of its own,
+made from integer polynomials by one reduction (`RationalFunction.from_ints`).
+A Higgs field is held as M / (c*d) with M over Z[t], every check runs over
+Z[t], and its JSON entries go straight between coefficient strings and ints:
+`int_fraction_from_json` parses them, `fraction_json` writes them reduced.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -36,15 +37,11 @@ from typing import Iterable, Sequence, Union
 Q = Fraction
 
 Scalar = Union[int, Fraction]
+Pair = tuple[int, int]  # (p, q) for the rational p / q, q > 0
 
 
 def _as_q(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def q_to_str(x: Fraction) -> str:
-    """Serialize a rational as "p/q", omitting "/q" when q == 1."""
-    return str(x)
 
 
 def json_int_or_str(x) -> int | str:
@@ -57,6 +54,29 @@ def json_int_or_str(x) -> int | str:
 def q_from_str(s: int | str) -> Fraction:
     """The rational of a "p/q" string or an integer."""
     return Fraction(json_int_or_str(s))
+
+
+_PLAIN_Q = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _q_pair(s) -> Pair:
+    """(p, q > 0) with p / q = q_from_str(s): JSON integers and plain "p" or
+    "p/q" strings with q != 0 straight to ints, the rest through `q_from_str`."""
+    if type(s) is int:
+        return s, 1
+    plain = type(s) is str and _PLAIN_Q.fullmatch(s)
+    q = plain and int(plain[2] or 1)
+    if q:
+        return int(plain[1]), q
+    x = q_from_str(s)
+    return x.numerator, x.denominator
+
+
+def _q_str(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q != 0, from the two ints: "p/q", or "p" when q == 1."""
+    g = math.gcd(p, q) * (1 if q > 0 else -1)
+    p, q = p // g, q // g
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 @dataclass(frozen=True)
@@ -183,9 +203,6 @@ class UniPoly:
 
     # -- serialization ------------------------------------------------------
 
-    def to_json(self) -> list[str]:
-        return [q_to_str(c) for c in self.coeffs]
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -194,7 +211,7 @@ class UniPoly:
             if c == 0:
                 continue
             if i == 0:
-                parts.append(q_to_str(c))
+                parts.append(str(c))
             else:
                 mono = "t" if i == 1 else f"t^{i}"
                 if c == 1:
@@ -202,7 +219,7 @@ class UniPoly:
                 elif c == -1:
                     parts.append(f"-{mono}")
                 else:
-                    parts.append(f"{q_to_str(c)}*{mono}")
+                    parts.append(f"{c}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
 
 
@@ -503,13 +520,13 @@ def interpolate_int_range(ys: Sequence[int]) -> list[int]:
     return out
 
 
-def int_fraction(num: Sequence[Scalar], den: Sequence[Scalar]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(n, delta) over Z[t] with n / delta = num / den, for ascending rational
-    coefficient lists; trailing zeros are dropped.  Raises ZeroDivisionError
-    on a zero denominator."""
-    scale = math.lcm(*(x.denominator for x in num), *(x.denominator for x in den))
-    n = _int_trim([x.numerator * (scale // x.denominator) for x in num])
-    delta = _int_trim([x.numerator * (scale // x.denominator) for x in den])
+def int_fraction(num: Sequence[Pair], den: Sequence[Pair]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(n, delta) over Z[t] with n / delta = num / den, for ascending lists of
+    rational coefficients held as pairs; trailing zeros are dropped.  Raises
+    ZeroDivisionError on a zero denominator."""
+    scale = math.lcm(*(q for _, q in num), *(q for _, q in den))
+    n = _int_trim([p * (scale // q) for p, q in num])
+    delta = _int_trim([p * (scale // q) for p, q in den])
     if not delta:
         raise ZeroDivisionError("zero denominator")
     return tuple(n), tuple(delta)
@@ -521,8 +538,8 @@ def int_fraction_from_json(data: dict) -> tuple[tuple[int, ...], tuple[int, ...]
     entry of any other shape."""
     if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in ("num", "den")):
         raise ValueError(f'a matrix entry must be {{"num": [...], "den": [...]}}, not {data!r}')
-    num = [q_from_str(s) for s in data["num"]]
-    return int_fraction(num, [q_from_str(s) for s in data["den"]])
+    num = [_q_pair(s) for s in data["num"]]
+    return int_fraction(num, [_q_pair(s) for s in data["den"]])
 
 
 def int_fraction_grid_from_json(data) -> list[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
@@ -531,6 +548,19 @@ def int_fraction_grid_from_json(data) -> list[list[tuple[tuple[int, ...], tuple[
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise ValueError(f"a matrix must be a list of rows, not {data!r}")
     return [[int_fraction_from_json(x) for x in row] for row in data]
+
+
+def fraction_json(num: Sequence[int], den: Sequence[int], scale: int = 1) -> dict:
+    """The JSON entry {"num": [...], "den": [...]} of `RationalFunction.from_ints`
+    (num, den, scale), reduced the same way and printed from ints."""
+    if not num:
+        return {"num": [], "den": ["1"]}
+    if len(num) > 1 and len(den) > 1:
+        g = _int_gcd(list(num), list(den))
+        if len(g) > 1:
+            num, den = _int_exact_div(num, g), _int_exact_div(den, g)
+    lead = den[-1]
+    return {"num": [_q_str(scale * c, lead) for c in num], "den": [_q_str(c, lead) for c in den]}
 
 
 @dataclass(frozen=True)
@@ -579,9 +609,6 @@ class RationalFunction:
     @property
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
-
-    def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
 
     def __str__(self) -> str:
         if self.is_polynomial:

@@ -5,6 +5,7 @@ import io
 import json
 import time
 import warnings
+from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
@@ -293,8 +294,9 @@ class TestAnalyze:
 
 
 class TestRationalFunctionsOnlyForOutput:
-    """A field is held cleared over Z[t]: the algebraic checks make no
-    RationalFunction, and `gen` makes one per entry, for its JSON."""
+    """A field is held cleared over Z[t] and its JSON is written from
+    integers: `gen`, `reduce-odd` and the algebraic checks make no
+    RationalFunction."""
 
     @pytest.mark.parametrize("kind,m", [("sp", 1), ("sp", 2), ("so-odd", 1), ("so-odd", 2)])
     def test_counts(self, kind, m, tmp_path, capsys, monkeypatch):
@@ -309,12 +311,58 @@ class TestRationalFunctionsOnlyForOutput:
         path = tmp_path / "field.json"
         code, _, _ = run(capsys, "gen", "--group", kind, "-m", str(m), "--marked", "0,1/2",
                          "--seed", "3", "-o", str(path))
-        r = 2 * m + (kind == "so-odd")
-        assert (code, len(made)) == (0, r * r)
-        made.clear()
+        assert (code, made) == (0, [])
         code, out, _ = run(capsys, "analyze", str(path), "--checks", "membership,parity,strong-parabolic")
         assert (code, made) == (0, [])
         assert out.endswith("overall: PASS\n")
+        if kind == "so-odd":
+            code, out, _ = run(capsys, "reduce-odd", str(path))
+            assert (code, made) == (0, [])
+            assert json.loads(out)["reduction_report"]["char_identity"] == "PASS"
+
+
+# JSON coefficients: strings the fast path takes, strings only Fraction takes,
+# strings nothing takes, JSON integers and the JSON values that are neither
+PARSER_CASES = ["2/4", "-0", "0/5", "-12/8", "007", "+3", " 1/2", "0.5", "1e3", "1_000", "3/-4",
+                "1/0", "1/00", "abc", "", "\u0663", 7, -3, 0, 2**70, None, True, False, 0.5, 2.0]
+
+
+def fraction_oracle(x):
+    """What Fraction makes of a JSON coefficient behind the JSON type check:
+    the value, or the error."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        return ValueError(f"expected a JSON integer or string, not {x!r}")
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        return exc
+
+
+class TestCoefficientParser:
+    """Every JSON coefficient parses as Fraction parses it: the same value, or
+    the same error, exit code and stderr from `analyze`."""
+
+    @pytest.mark.parametrize("x", PARSER_CASES, ids=repr)
+    def test_agrees_with_fraction(self, x, tmp_path, capsys):
+        want = fraction_oracle(x)
+        path = tmp_path / "field.json"
+
+        def analyze(coeff):
+            entry = {"num": [coeff], "den": ["1"]}
+            path.write_text(json.dumps({"group": "sp", "m": 1, "marked_points": ["0"],
+                                        "matrix": [[entry, ZERO], [ZERO, ZERO]]}))
+            return run(capsys, "analyze", str(path), "--checks", "charpoly", "--format", "json")
+
+        entry = {"num": [x], "den": ["1"]}
+        if isinstance(want, Exception):
+            with pytest.raises(type(want)) as info:
+                int_fraction_from_json(entry)
+            assert str(info.value) == str(want)
+            assert analyze(x) == (2, "", f"error: {want}\n")
+        else:
+            n, delta = int_fraction_from_json(entry)
+            assert (Fraction(n[0], delta[0]) if n else 0) == want
+            assert analyze(x) == analyze(str(want))
 
 
 def trace_bumped(doc: dict) -> dict:
@@ -324,7 +372,8 @@ def trace_bumped(doc: dict) -> dict:
     x = rows[0][0]
     shifted = (0, *x.den.coeffs)  # t * den
     rows[0][0] = RationalFunction.make(UniPoly.make(map(sum, zip_longest(x.num.coeffs, shifted, fillvalue=0))), x.den)
-    return {**doc, "matrix": [[y.to_json() for y in row] for row in rows]}
+    return {**doc, "matrix": [[{"num": [str(c) for c in y.num.coeffs], "den": [str(c) for c in y.den.coeffs]}
+                               for y in row] for row in rows]}
 
 
 def symmetric_so_even(m: int) -> dict:
@@ -463,8 +512,8 @@ class TestArgumentErrors:
 
     @pytest.mark.parametrize("argv,message", [
         (("sweep", "--groups", "sp,xx"), "unknown group 'xx'"),
-        (("sweep", "-m", "1:2:3"), "bad range '1:2:3'"),
-        (("sweep", "-m", "3:1"), "empty range '3:1'"),
+        (("sweep", "-m", "1:2:3"), "-m: bad range '1:2:3'"),
+        (("sweep", "-m", "3:1"), "-m: empty range '3:1'"),
         (("sweep", "-m", "x"), "-m: bad range 'x'"),
         (("dims", "--group", "sp", "-m", "1", "-g", "1", "-n", "1"), "need m >= 1, g >= 2, n >= 1"),
         (("dims", "--group", "sp", "-m", "0", "-g", "2", "-n", "1"), "need m >= 1, g >= 2, n >= 1"),

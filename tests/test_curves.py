@@ -31,6 +31,11 @@ P = UniPoly.make
 RF = RationalFunction.make
 
 
+def sections(char):
+    """s_1..s_r of the characteristic data as reduced rational functions."""
+    return [RationalFunction.from_ints(e, q, lead) for e, (q, lead) in zip(char.e, char.den_powers)]
+
+
 def trim(p):
     p = list(p)
     while p and not p[-1]:
@@ -81,7 +86,7 @@ class TestBuildPlaneCurve:
         c = build_plane_curve(fld)
         assert _chart_twist(fld.marked_points) == ([1], 1)
         # char poly passes through unchanged: x^2 + s_2
-        s_2 = fld.char_data.sections()[1]
+        s_2 = sections(fld.char_data)[1]
         assert s_2.is_polynomial and rational_coeffs(c)[0] == s_2.num
 
     def test_zero_field(self):
@@ -106,8 +111,7 @@ class TestBuildPlaneCurve:
             fld = random_strongly_parabolic_higgs(GroupSpec(kind, m), marked, 1, seed)
             c = build_plane_curve(fld)
             assert c.scale not in (1, -1)
-            sections = fld.char_data.sections()[: c.r]
-            for i, s in enumerate(sections, start=1):
+            for i, s in enumerate(sections(fld.char_data)[: c.r], start=1):
                 quo, rem = (s.num * twist**i).divmod(s.den)
                 assert rem.is_zero and rational_coeffs(c)[c.r - i] == quo
 
@@ -285,7 +289,7 @@ class TestSoEvenPattern:
         c = build_plane_curve(fld)
         twisted = twisted_pfaffian(fld)
         # the twisted Pfaffian is Pf(B*Phi) * t^m, with Pf(B*Phi) from the pfaffian check
-        pf = pfaffian_square_check(fld).pfaffian
+        pf = RationalFunction.from_ints(*pfaffian_square_check(fld).pfaffian)
         assert twisted * pf.den == pf.num * P([0, 1]) ** fld.group.m
         rep = so_even_singularity_pattern(c, twisted, fld.gram.det.num.coeff(0))
         assert rep.passed
@@ -298,7 +302,7 @@ class TestSoEvenPattern:
         # denominator is monic over Z
         fld = random_strongly_parabolic_higgs(GroupSpec.so_even(2), [Q(1, 2), Q(-2, 3)], 1, seed)
         twist = P([Q(-1, 2), 1]) * P([Q(2, 3), 1])
-        pf = pfaffian_square_check(fld).pfaffian
+        pf = RationalFunction.from_ints(*pfaffian_square_check(fld).pfaffian)
         assert twisted_pfaffian(fld) * pf.den == pf.num * twist**fld.group.m
 
 

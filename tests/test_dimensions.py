@@ -7,8 +7,12 @@ tests compare the doubled-integer degrees against a plain `Fraction`
 evaluation and the identity suite against the closed forms on random boxes.
 """
 
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -366,6 +370,30 @@ class TestIdentityOracle:
         assert all(row.excess == row.n for row in pfaffian_space_discrepancy())
         with pytest.raises(IntegralityError, match="non-integral degree 7/2"):
             LineBundleClass.from_doubled(0, 0, 1).degree(CurveParams(2, 1, deg_m=7))
+
+
+# the sp, m = 1, g = 2, n = 1 row with a wrong Riemann-Hurwitz genus, under `python -O`
+OPTIMIZED_CROSS_CHECK = """
+from parahiggs import dimensions
+from parahiggs.cli import main
+dimensions._rh_genus = lambda r, k, ell: -1
+assert False, "assertions are on"
+try:
+    dimensions.identity_suite(dimensions.GroupSpec.sp(1), dimensions.CurveParams(2, 1))
+except dimensions.CrossCheckError as exc:
+    print(type(exc).__mro__[1].__name__, exc)
+raise SystemExit(main(["dims", "--group", "sp", "-m", "1", "-g", "2", "-n", "1"]))
+"""
+
+
+def test_genus_cross_check_runs_under_python_O():
+    src = str(Path(dimensions.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CROSS_CHECK],
+                          capture_output=True, text=True, env=env, timeout=60)
+    mismatch = "spectral genus mismatch: adjunction 6 != Riemann-Hurwitz -1"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, f"ArithmeticError {mismatch}\n", f"error: {mismatch}\n")
 
 
 class TestHoistedKernel:

@@ -1,27 +1,71 @@
 """Group bookkeeping, split forms, membership, Cayley transforms."""
 
 import random
+from fractions import Fraction as Q
 from itertools import zip_longest
 
 import pytest
 
+from parahiggs import groups
 from parahiggs.groups import (
+    GROUP_KINDS,
     GramForm,
     GroupError,
     GroupSpec,
     cayley_group_element,
     random_algebra_element,
+    random_group_element,
     random_nilpotent_element,
     split_gram,
 )
-from parahiggs.higgs import HiggsField, random_strongly_parabolic_higgs
-from parahiggs.linalg import (
-    SingularMatrixError,
-    const_mat_mul,
-)
+from parahiggs.higgs import HiggsField, random_strongly_parabolic_higgs, residue_at
+from parahiggs.linalg import SingularMatrixError, cleared_den
 from parahiggs.poly import RationalFunction, UniPoly
 
 RF = RationalFunction.make
+
+
+def gram_matrix(gram):
+    """B of a Gram form as reduced rational functions."""
+    b, d, c = gram.cleared
+    q, lead = cleared_den(d, c)
+    return [[RationalFunction.from_ints(p, q, lead) for p in row] for row in b]
+
+
+def sections(char):
+    """s_1..s_r of the characteristic data as reduced rational functions."""
+    return [RationalFunction.from_ints(e, q, lead) for e, (q, lead) in zip(char.e, char.den_powers)]
+
+
+# -- constant linear algebra over Q, the oracle of the integer Cayley route ---
+
+
+def const_mat_mul(a, b):
+    return [[sum((Q(x) * y for x, y in zip(row, col)), Q(0)) for col in zip(*b)] for row in a]
+
+
+def mat_inverse(a):
+    """Gauss-Jordan over Q; raises ZeroDivisionError on a singular matrix."""
+    n = len(a)
+    work = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if work[r][col]), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        work[col], work[piv] = work[piv], work[col]
+        p = work[col][col]
+        prow = work[col] = [x / p for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], prow)]
+    return [row[n:] for row in work]
+
+
+def over(q_delta):
+    """The matrix Q' / delta over Q."""
+    q, delta = q_delta
+    return [[Q(x, delta) for x in row] for row in q]
 
 
 def scalars(rows):
@@ -80,8 +124,8 @@ class TestSplitGram:
     def test_symmetry_kind(self, kind, m):
         group = GroupSpec(kind, m)
         gram = split_gram(group)
-        assert all(x.den == UniPoly.one() for row in gram.matrix for x in row)
-        b = [[x.num.coeff(0) for x in row] for row in gram.matrix]
+        assert all(x.den == UniPoly.one() for row in gram_matrix(gram) for x in row)
+        b = [[x.num.coeff(0) for x in row] for row in gram_matrix(gram)]
         bt = transpose(b)
         if kind == "sp":
             assert gram.kind == "symplectic"
@@ -138,41 +182,38 @@ class TestMembership:
 class TestCayley:
     def test_rotation_generator(self):
         gram = GramForm.make([[1, 0], [0, 1]], "symmetric")
-        q = cayley_group_element([[0, 1], [-1, 0]], gram)
+        q = over(cayley_group_element([[0, 1], [-1, 0]], gram))
         assert q == [[0, -1], [1, 0]]
         assert const_mat_mul(transpose(q), q) == [[1, 0], [0, 1]]
 
     def test_zero_maps_to_identity(self):
         gram = split_gram(GroupSpec.sp(2))
         z = [[0] * 4 for _ in range(4)]
-        assert cayley_group_element(z, gram) == [[int(i == j) for j in range(4)] for i in range(4)]
+        assert over(cayley_group_element(z, gram)) == [[int(i == j) for j in range(4)] for i in range(4)]
 
     def test_preserves_split_symplectic_form(self):
         rng = random.Random(9)
         group = GroupSpec.sp(2)
         gram = split_gram(group)
-        j = [[x.num.coeff(0) for x in row] for row in gram.matrix]
+        j = [[x.num.coeff(0) for x in row] for row in gram_matrix(gram)]
         for _ in range(5):
             a = random_algebra_element(group, rng)
             try:
-                q = cayley_group_element(a, gram)
+                q = over(cayley_group_element(a, gram))
             except SingularMatrixError:
                 continue
             assert const_mat_mul(const_mat_mul(transpose(q), j), q) == j
 
     def test_conjugation_preserves_membership_and_char(self):
-        from parahiggs.groups import random_group_element
-        from parahiggs.linalg import mat_inverse
-
         rng = random.Random(13)
         for group in (GroupSpec.sp(2), GroupSpec.so_odd(1)):
             gram = split_gram(group)
             a = random_algebra_element(group, rng)
-            q = random_group_element(group, gram, rng)
+            q = over(random_group_element(group, gram, rng))
             conj = HiggsField.from_grid(group, gram, scalars(const_mat_mul(const_mat_mul(q, a), mat_inverse(q))), ())
             assert conj.is_member
             char = HiggsField.from_grid(group, gram, scalars(a), ()).char_data
-            assert conj.char_data.sections() == char.sections()
+            assert sections(conj.char_data) == sections(char)
 
     def test_rejects_non_member(self):
         with pytest.raises(GroupError):
@@ -192,3 +233,57 @@ class TestCayley:
         bad = [[-1, 0], [0, 1]]  # in sp(2), eigenvalue -1
         with pytest.raises(SingularMatrixError, match="Cayley pole"):
             cayley_group_element(bad, b)
+
+
+MARKED = (Q(0), Q(1, 2))
+
+
+def fraction_route(group, seed):
+    """(residues, Cayley attempts) of the generator's former route over Q,
+    replayed on its random stream: Q = (I - A)(I + A)^(-1) with a retry past
+    each Cayley pole, and the residue Q u Q^(-1) with a second inverse."""
+    rng = random.Random(seed)
+    n = group.rank_size
+    residues, attempts = [], 0
+    for _ in MARKED:
+        u = random_nilpotent_element(group, rng)
+        while True:
+            attempts += 1
+            a = random_algebra_element(group, rng, -2, 2)
+            try:
+                inv = mat_inverse([[int(i == j) + a[i][j] for j in range(n)] for i in range(n)])
+                break
+            except ZeroDivisionError:
+                continue
+        q = const_mat_mul([[int(i == j) - a[i][j] for j in range(n)] for i in range(n)], inv)
+        residues.append(const_mat_mul(const_mat_mul(q, u), mat_inverse(q)))
+    return residues, attempts
+
+
+class TestIntegerConjugation:
+    """The generator's residues, conjugated over Z with Q^(-1) = B^(-1) Q^T B,
+    equal the conjugates over Q with a second inverse, and each Cayley attempt
+    costs one integer inverse."""
+
+    @pytest.mark.parametrize("kind", GROUP_KINDS)
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_fraction_route(self, kind, m, monkeypatch):
+        group = GroupSpec(kind, m)
+        inverses = []
+        original = groups.zmat_inverse
+
+        def counting(a):
+            inverses.append(1)
+            return original(a)
+
+        monkeypatch.setattr(groups, "zmat_inverse", counting)
+        retries = 0
+        for seed in range(50):
+            want, attempts = fraction_route(group, seed)
+            inverses.clear()
+            fld = random_strongly_parabolic_higgs(group, MARKED, 0, seed)
+            assert [residue_at(fld, a) for a in MARKED] == want
+            assert len(inverses) == attempts
+            retries += attempts - len(MARKED)
+        # every group meets a Cayley pole within 50 seeds at m <= 3; at m = 4 only so-even does
+        assert retries > 0 or (m == 4 and kind != "so-even")

@@ -12,12 +12,12 @@ from hypothesis import example, given, settings, strategies as st
 from parahiggs.bipoly import bareiss_det
 from parahiggs.linalg import (
     SingularMatrixError,
-    const_mat_mul,
     int_char_poly,
     int_pfaffian,
     clear_fractions,
     entry_ints,
-    mat_inverse,
+    zmat_inverse,
+    zmat_mul,
 )
 from parahiggs.poly import RationalFunction, UniPoly, poly_gcd
 
@@ -210,20 +210,27 @@ class TestPfaffian:
 
 class TestInverseAndKernel:
     def test_inverse(self):
+        # a X = X a = delta I with delta = +-det a (the Leibniz oracle), on
+        # random integer matrices, with zero pivots among them
         rng = random.Random(5)
-        for _ in range(10):
-            m = [[Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)] for _ in range(4)]
-            try:
-                inv = mat_inverse(m)
-            except SingularMatrixError:
+        cases = [[[0, 1], [1, 0]], [[0, 0, 2], [0, 3, 0], [1, 0, 0]]]
+        cases += [[[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)] for n in (1, 2, 3, 4, 5) for _ in range(10)]
+        for m in cases:
+            n = len(m)
+            det = leibniz_det(int_matrix(m))
+            if not det:
+                with pytest.raises(SingularMatrixError):
+                    zmat_inverse(m)
                 continue
-            eye = [[int(i == j) for j in range(4)] for i in range(4)]
-            assert const_mat_mul(m, inv) == eye
-            assert const_mat_mul(inv, m) == eye
+            x, delta = zmat_inverse(m)
+            assert abs(delta) == abs(det[0])
+            eye = [[delta * int(i == j) for j in range(n)] for i in range(n)]
+            assert zmat_mul(m, x) == eye
+            assert zmat_mul(x, m) == eye
 
     def test_singular_detected(self):
         with pytest.raises(SingularMatrixError):
-            mat_inverse([[1, 2], [2, 4]])
+            zmat_inverse([[1, 2], [2, 4]])
 
 
 # -- the clearing routine against the per-entry clearing it replaced ----------

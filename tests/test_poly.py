@@ -11,8 +11,10 @@ from parahiggs.poly import (
     RationalFunction,
     UniPoly,
     _int_gcd,
+    _int_mul,
     _int_poly_mul_add,
     _int_prs_gcd,
+    fraction_json,
     int_fraction_from_json,
     interpolate_int_range,
     is_squarefree,
@@ -186,5 +188,17 @@ class TestRationalFunction:
         assert got == want
 
     def test_json_roundtrip(self):
-        f = RF(P([1, Q(-1, 2)]), P([0, 0, 3]))
-        assert RationalFunction.from_ints(*int_fraction_from_json(f.to_json())) == f
+        num, den = [2, -1], [0, 0, 6]  # (1 - t/2) / (3t^2)
+        entry = fraction_json(num, den)
+        assert entry == {"num": ["1/3", "-1/6"], "den": ["0", "0", "1"]}
+        assert RationalFunction.from_ints(*int_fraction_from_json(entry)) == RationalFunction.from_ints(num, den)
+
+    @given(small_polys(3), small_polys(3), small_polys(2), st.integers(-6, 6).filter(bool))
+    @settings(max_examples=80, deadline=None)
+    def test_writer_prints_the_reduced_function(self, num, den, common, scale):
+        # the integer writer prints the coefficients of the reduced function
+        num, den, common = ([int(c) for c in p.coeffs] for p in (num, den, common))
+        num, den = _int_mul(num, common), _int_mul(den, common)
+        rf = RationalFunction.from_ints(num, den, scale)
+        want = {"num": [str(c) for c in rf.num.coeffs], "den": [str(c) for c in rf.den.coeffs]}
+        assert fraction_json(num, den, scale) == want

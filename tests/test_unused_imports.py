@@ -38,6 +38,7 @@ TEST_ONLY_API = {
     "dimensions.pardeg_identity": "parabolic degree forced by self-duality",
     "groups.GroupSpec.so_odd": "constructor beside GroupSpec.sp and GroupSpec.so_even, for tests",
     "higgs.HiggsField.from_grid": "clears a hand-built grid of rational functions into a field, for tests",
+    "higgs.HiggsField.matrix": "Phi as reduced rational functions, for tests and the benchmark's operand-size probe",
     "higgs.semisimple_residue_control": "control field with semisimple residues, for the parabolic checks",
     "poly.RationalFunction.make": "one reduced entry from hand-written polynomials; seven test modules build fields with it",
     "poly.UniPoly.divmod": "polynomial division with remainder, the exact-division oracle of the tests",
