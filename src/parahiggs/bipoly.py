@@ -2,9 +2,10 @@
 
 A bivariate polynomial is its list of ascending x-coefficients, each an
 ascending integer coefficient list over Z[t] ([] is zero).  The spectral
-curves of ``curves`` are monic in x over Z[t] after one rational rescaling of
-x, so their discriminants need no clearing: one Bareiss fraction-free
-elimination of the Sylvester matrix, in which every division is exact.
+curves of ``curves`` are primitive over Z[t] with a constant leading
+coefficient, so their discriminants need no clearing: one Bareiss
+fraction-free elimination of the Sylvester matrix, in which every division is
+exact, and one exact division by the leading coefficient.
 """
 
 from __future__ import annotations
@@ -63,14 +64,14 @@ def sylvester_matrix(f: Sequence[list[int]], g: Sequence[list[int]]) -> list[lis
 
 
 def discriminant_x(f: Sequence[Sequence[int]]) -> UniPoly:
-    """disc(f) = (-1)^(r(r-1)/2) Res_x(f, f_x) for f monic of x-degree r >= 2
-    over Z[t], as the Bareiss determinant of the Sylvester matrix."""
+    """disc(f) = (-1)^(r(r-1)/2) Res_x(f, f_x) / lc(f) for f of x-degree
+    r >= 2 over Z[t], with the resultant the Bareiss determinant of the
+    Sylvester matrix; the division by lc(f) is exact over Z[t]."""
     r = len(f) - 1
-    if r < 2:
+    if r < 2 or not f[-1]:
         raise ValueError("discriminant needs x-degree >= 2")
-    if list(f[-1]) != [1]:
-        raise ValueError("discriminant convention requires a monic polynomial")
     f = [list(c) for c in f]
     f_x = [[i * c for c in p] for i, p in enumerate(f)][1:]
+    res = bareiss_det(sylvester_matrix(f, f_x))
     sign = (-1) ** (r * (r - 1) // 2)
-    return UniPoly.make(sign * c for c in bareiss_det(sylvester_matrix(f, f_x)))
+    return UniPoly.make(sign * c for c in _int_exact_div(res, f[-1]))

@@ -2,20 +2,20 @@
 
 The chart twist y = D(t) x with D = prod (t - a_k) clears the marked-point
 denominators of the characteristic coefficients; it is formed over Z[t] where
-it is used, not stored on the curve.  Every curve handled here is held over
-Z[t][X] with one rational scale mu: f(t, x) = mu^r F(t, x / mu) for
-F = X^r + h_1 X^(r-1) + ... + h_r monic over Z[t], read off the field's
-integer characteristic data e_i and clearing c*d with no arithmetic over Q(t)
-and no division over Q.  Every certificate below is invariant under x = mu X,
-so it runs on the integer lists h_i; witnesses map back through x0 = mu X0.
+it is used, not stored on the curve.  Every curve handled here is one integer
+polynomial H over Z[t][x]: the primitive clearing of
+f = x^r + s_1 D x^(r-1) + ... + s_r D^r, read off the field's integer
+characteristic data e_i and clearing c*d with no arithmetic over Q(t).  Its
+leading coefficient is a positive integer constant, so f = H / lc(H), and
+every certificate below is invariant under that constant factor.
 
-Only involution-symmetric curves F(t, X) = G(t, X^2) are certified, the
+Only involution-symmetric curves H(t, x) = G(t, x^2) are certified, the
 spectral curves of Sp(2m), SO(2m) and (after dividing by x) SO(2m+1)
 fields; the functions below raise on any other curve.  The certificate goes
-through the quotient G: F_X = 2X G_Z, so F is smooth exactly when
-c0 = G(t, 0) is squarefree (the points on X = 0) and G has no singular point
-with Z != 0, which a squarefree disc_Z G certifies; disc_X F =
-(-4)^m c0 (disc_Z G)^2 itself is squarefree only when disc_Z G is constant.
+through the quotient G: H_x = 2x G_Z, so H is smooth exactly when
+c0 = G(t, 0) is squarefree (the points on x = 0) and G has no singular point
+with Z != 0, which a squarefree disc_Z G certifies; disc_x H, a constant
+times c0 (disc_Z G)^2, is itself squarefree only when disc_Z G is constant.
 A zero c0 or disc_Z G means a non-reduced curve, and otherwise rational
 singular points are searched for exactly over their repeated roots; the
 honest answer is "inconclusive" when none is found.
@@ -51,23 +51,15 @@ class NonReducedCurveError(ValueError):
 
 @dataclass(frozen=True)
 class PlaneCurve:
-    """f(t, x) = scale^r F(t, x / scale) for F monic in X over Z[t], given by
-    its ascending X-coefficients (ascending integer tuples)."""
+    """H(t, x) over Z[t], primitive with a positive constant leading
+    coefficient, given by its ascending x-coefficients (ascending integer
+    tuples); the curve is f = H / lc(H)."""
 
     coeffs: tuple[tuple[int, ...], ...]
-    scale: Fraction = Q(1)
-
-    def __post_init__(self):
-        if not self.coeffs or self.coeffs[-1] != (1,):
-            raise ValueError("plane curve must be monic in x")
-
-    @property
-    def r(self) -> int:
-        return len(self.coeffs) - 1
 
     @cached_property
     def quotient(self) -> tuple[tuple[int, ...], ...] | None:
-        """G with F(t, X) = G(t, X^2) when F is involution-symmetric, else None."""
+        """G with H(t, x) = G(t, x^2) when H is involution-symmetric, else None."""
         if any(self.coeffs[1::2]):
             return None
         return self.coeffs[::2]
@@ -90,11 +82,13 @@ def _chart_twist(marked_points) -> tuple[list[int], int]:
 
 def twisted_curve(char: CharData, marked_points) -> PlaneCurve:
     """Curve y^r + sum_i s_i D^i y^(r-i), D = prod (t - a_k), from the char
-    data s_i = e_i / (c*d)^i, held over Z[t].  With D~ = D prod b_k from
-    `_chart_twist`, d~ = char.d the primitive clearing of d and
-    g = gcd(D~, d~): s_i D^i = mu^i h_i for h_i = e_i (D~/g)^i / (d~/g)^i over
-    Z[t] and mu = lc(d~) / (c prod b_k); a field whose poles all sit at marked
-    points (d | D) needs no polynomial division.
+    data s_i = e_i / (c*d)^i, held as its primitive clearing H over Z[t].
+    With D~ = D prod b_k from `_chart_twist`, d~ = char.d the primitive
+    clearing of d and g = gcd(D~, d~): s_i D^i = mu^i h_i for
+    h_i = e_i (D~/g)^i / (d~/g)^i over Z[t] and mu = lc(d~) / (c prod b_k) =
+    p / q, so H is the primitive part of sum_i p^i q^(r-i) h_i y^(r-i), with
+    lc(H) = q^r / content > 0; a field whose poles all sit at marked points
+    (d | D) needs no polynomial division.
 
     Strong parabolicity (pole order of s_i at most i - 1 < i, poles only at
     marked points) makes every h_i polynomial, and (d~/g)^i is primitive, so
@@ -104,19 +98,23 @@ def twisted_curve(char: CharData, marked_points) -> PlaneCurve:
     twist, den = _chart_twist(marked_points)
     g = _int_gcd(twist, char.d)
     up, down = _int_exact_div(twist, g), _int_exact_div(char.d, g)
+    p, q = char.d[-1], char.c * den
     r = char.r
-    coeffs: list[tuple[int, ...]] = [(1,)] * (r + 1)
+    coeffs: list[list[int]] = [[]] * r + [[q**r]]
     up_power = down_power = [1]
     for i, e_i in enumerate(char.e, start=1):
         up_power = _int_mul(up_power, up)
         down_power = _int_mul(down_power, down)
         try:
-            coeffs[r - i] = tuple(_int_exact_div(_int_mul(e_i, up_power), down_power))
+            h_i = _int_exact_div(_int_mul(e_i, up_power), down_power)
         except ArithmeticError:
             raise PoleOrderError(
                 f"s_{i} * D^{i} is not polynomial; pole outside the allowed order/locus"
             ) from None
-    return PlaneCurve(tuple(coeffs), Q(char.d[-1], char.c * den))
+        factor = p**i * q ** (r - i)
+        coeffs[r - i] = [factor * c for c in h_i]
+    content = math.gcd(*(c for h in coeffs for c in h))
+    return PlaneCurve(tuple(tuple(c // content for c in h) for h in coeffs))
 
 
 def build_plane_curve(fld: HiggsField) -> PlaneCurve:
@@ -154,7 +152,7 @@ def twisted_pfaffian(fld: HiggsField) -> UniPoly:
 
 
 def involution_check(curve: PlaneCurve) -> bool:
-    """True iff F(t, -x) = F(t, x), i.e. only even x-powers occur."""
+    """True iff H(t, -x) = H(t, x), i.e. only even x-powers occur."""
     return curve.quotient is not None
 
 
@@ -192,10 +190,11 @@ def _slice(f, a: int, b: int) -> list[int]:
 
 
 def _rational_singular_points(g, rep: UniPoly) -> list[tuple[Fraction, Fraction]]:
-    """Rational points where G = G_Z = G_t = 0 for a monic G over Z[t],
-    searched over the rational roots of rep = gcd(disc, disc') for disc the
-    Z-discriminant of G: the t of a singular point is a repeated root of disc.
-    A root Z0 of gcd(G, G_Z) over t0 is checked exactly against G_t."""
+    """Rational points where G = G_Z = G_t = 0 for G over Z[t] with a
+    constant leading coefficient, searched over the rational roots of
+    rep = gcd(disc, disc') for disc the Z-discriminant of G: the t of a
+    singular point is a repeated root of disc.  A root Z0 of gcd(G, G_Z) over
+    t0 is checked exactly against G_t."""
     g_t = [_int_derivative(h) for h in g]
     witnesses = []
     for t0, _ in rational_roots(rep):
@@ -219,34 +218,35 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
 
 
 def _quotient_witnesses(curve: PlaneCurve, rep_c0: UniPoly, rep_g: UniPoly) -> list[tuple[Fraction, Fraction]]:
-    """Rational singular points (t0, x0) of f, sorted: (t0, 0) for each
-    rational root t0 of rep_c0 = gcd(c0, c0'), where F = F_X = 0 and
-    F_t = c0' all vanish, and (t0, +-mu sqrt(Z0)) for each rational singular
-    point (t0, Z0) of G with Z0 != 0 a rational square, as F_X = 2X G_Z and
-    F_t = G_t there.  X0 is rational exactly when x0 = mu X0 is."""
+    """Rational singular points (t0, x0) of H, sorted: (t0, 0) for each
+    rational root t0 of rep_c0 = gcd(c0, c0'), where H = H_x = 0 and
+    H_t = c0' all vanish, and (t0, +-sqrt(Z0)) for each rational singular
+    point (t0, Z0) of G with Z0 != 0 a rational square, as H_x = 2x G_Z and
+    H_t = G_t there."""
     witnesses = [(t0, Q(0)) for t0, _ in rational_roots(rep_c0)]
     for t0, z0 in _rational_singular_points(curve.quotient, rep_g):
         root = _rational_sqrt(z0)
         if root:  # Z0 = 0 makes t0 a repeated root of c0, listed above
-            witnesses += [(t0, -root * curve.scale), (t0, root * curve.scale)]
+            witnesses += [(t0, -root), (t0, root)]
     return sorted(witnesses)
 
 
 def smoothness_check(curve: PlaneCurve) -> SingularReport:
-    """Certify smoothness of a symmetric affine curve F = G(t, X^2), or
+    """Certify smoothness of a symmetric affine curve H = G(t, x^2), or
     exhibit rational singular points, or answer "inconclusive".  Raises on a
     non-reduced curve and on a curve that is not involution-symmetric.
 
-    F is smooth when c0 = G(t, 0) and disc_Z G are both squarefree.  The
+    H is smooth when c0 = G(t, 0) and disc_Z G are both squarefree.  The
     witnesses are the rational singular points, each checked exactly against
     the vanishing of the polynomial and both partials.
     """
     g = _symmetric_quotient(curve)
     if len(g) < 2:
         return SingularReport("smooth", (), True)
-    # F is monic, hence primitive over Q[t], so by Gauss's lemma it has a
-    # repeated factor in Q[t, X] exactly when gcd(F, F_X) != 1 over Q(t),
-    # that is, exactly when its X-discriminant (-4)^m c0 (disc_Z G)^2 vanishes.
+    # lc(H) is a nonzero constant, so H is primitive over Q[t] and by Gauss's
+    # lemma has a repeated factor in Q[t, x] exactly when gcd(H, H_x) != 1
+    # over Q(t), that is, exactly when its x-discriminant, a constant times
+    # c0 (disc_Z G)^2, vanishes.
     c0, disc_g = UniPoly.make(g[0]), curve.quotient_discriminant
     if c0.is_zero or disc_g.is_zero:
         raise NonReducedCurveError("non-reduced curve")
@@ -290,11 +290,12 @@ def so_even_singularity_pattern(
 ) -> SingularityPatternReport:
     """Check the even-orthogonal singularity pattern for a Gram form of
     constant determinant det_b: f(t, 0) * det_b is the square of the twisted
-    Pfaffian, as f(t, 0) = Pf(B*Phi)^2 D^2m / det B, so f(t, 0) =
-    mu^r F(t, 0) is the unit 1/det_b times that square; and every rational
-    Pfaffian root gives an exact singular point on the zero section.
+    Pfaffian, as f(t, 0) = Pf(B*Phi)^2 D^2m / det B, so with f = H / lc(H),
+    H(t, 0) det_b = lc(H) Pf^2 and f(t, 0) is the unit 1/det_b times that
+    square; and every rational Pfaffian root gives an exact singular point on
+    the zero section.
 
-    F_X(t, 0) vanishes identically by evenness and F_t(t, 0) = c0', so the
+    H_x(t, 0) vanishes identically by evenness and H_t(t, 0) = c0', so the
     witness conditions c0(t0) = c0'(t0) = 0 are verified exactly.
     The returned count is deg(p), the number of pattern singularities with
     multiplicity.
@@ -302,7 +303,7 @@ def so_even_singularity_pattern(
     c0 = _symmetric_quotient(curve)[0]
     if pf_twisted.is_zero:
         raise ValueError("zero Pfaffian: the zero section is a curve component")
-    if UniPoly.make(c0) * (curve.scale**curve.r * det_b) != pf_twisted * pf_twisted:
+    if UniPoly.make(c0) * det_b != pf_twisted * pf_twisted * curve.coeffs[-1][0]:
         raise ValueError("not an SO(2m) spectral polynomial: F(t,0) is not a unit times a square")
     unit = 1 / Q(det_b)
     count = max(pf_twisted.degree, 0)
@@ -317,9 +318,9 @@ def so_even_singularity_pattern(
 
 
 def ramification_degree_affine(curve: PlaneCurve) -> int:
-    """deg_t of the X-discriminant (-4)^m c0 (disc_Z G)^2 of a symmetric
-    curve F = G(t, X^2): the affine branch count with multiplicity, read off
-    the quotient as deg c0 + 2 deg disc_Z G.  Raises on any other curve."""
+    """deg_t of the x-discriminant (a constant times c0 (disc_Z G)^2) of a
+    symmetric curve H = G(t, x^2), the affine branch count with multiplicity:
+    deg c0 + 2 deg disc_Z G, read off the quotient.  Raises on any other curve."""
     g = _symmetric_quotient(curve)
     if len(g) < 2:
         return 0

@@ -14,8 +14,8 @@ rational reconstruction), polynomial in the coefficient bit length.
 
 Integer polynomials are ascending ``int`` lists ([] is zero), and a bivariate
 one over Z[t][x] is a list of them, ascending in x: the spectral curve of
-``curves`` is held that way, monic in X over Z[t] with one rational scale mu
-for x = mu X, and its fibres over t0 = a/b come from `_hom_eval`.  A UniPoly
+``curves`` is held that way, primitive with a constant leading
+coefficient, and its fibres over t0 = a/b come from `_hom_eval`.  A UniPoly
 wraps an integer list only where a public function here takes one
 (`poly_gcd`, `rational_roots`).
 
@@ -601,10 +601,6 @@ class RationalFunction:
         return RationalFunction(
             UniPoly(tuple(factor * c for c in num)), UniPoly(tuple(Q(c, lead) for c in den))
         )
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
 
     @property
     def is_polynomial(self) -> bool:

@@ -250,7 +250,7 @@ def test_c08_so_odd_reduction():
             continue
         full = sections(fld.char_data)
         reduced = HiggsField(GroupSpec.sp(m), red.induced_gram, red.reduced, fld.marked_points)
-        assert full[-1].is_zero
+        assert full[-1].num.is_zero
         assert full[:-1] == sections(reduced.char_data)  # x * char(reduced) = char(input)
         g = gram_matrix(red.induced_gram)
         size = 2 * m

@@ -120,15 +120,20 @@ class TestDiscriminant:
         # x^2 - (t^3 - t) -> 4(t^3 - t)
         assert discriminant_x(B([0, 1, 0, -1], 0, 1)) == P([0, -4, 0, 4])
 
-    def test_rejects_low_degree_and_non_monic(self):
+    def test_rejects_low_degree(self):
         with pytest.raises(ValueError):
             discriminant_x(B(1, 1))
-        with pytest.raises(ValueError):
-            discriminant_x(B(1, 0, 2))
+
+    def test_non_monic_divides_by_the_leading_coefficient(self):
+        # 2x^2 + 1 -> -8, and t x^2 + 1 -> -4t: Res_x(f, f_x) / lc(f)
+        assert discriminant_x(B(1, 0, 2)) == P([-8])
+        f = B(1, 0, [0, 1])
+        assert naive_det(sylvester_matrix(f, B(0, [0, 2]))) == [0, 0, 4]
+        assert discriminant_x(f) == P([0, -4])
 
     @given(small_bipolys(2, 1))
     @settings(max_examples=40, deadline=None)
     def test_zero_disc_iff_repeated_factor(self, h):
-        if len(h) == 1 or h[-1] != [1]:
+        if len(h) == 1:
             return
         assert discriminant_x(bimul(h, h)).is_zero

@@ -1,6 +1,7 @@
 """Spectral plane curves: twisting, involution, smoothness, fixed points."""
 
 import json
+import math
 import random
 from fractions import Fraction as Q
 
@@ -43,10 +44,24 @@ def trim(p):
     return tuple(p)
 
 
+def primitive_clearing(coeffs) -> tuple[tuple[int, ...], ...]:
+    """The primitive integer multiple, with positive leading coefficient, of
+    a bivariate polynomial given by ascending x-coefficients, each an
+    ascending list of rationals."""
+    coeffs = [[Q(c) for c in h] for h in coeffs]
+    den = math.lcm(*(c.denominator for h in coeffs for c in h))
+    ints = [[int(c * den) for c in h] for h in coeffs]
+    content = math.gcd(*(c for h in ints for c in h)) * (1 if trim(ints[-1])[-1] > 0 else -1)
+    return tuple(trim(c // content for c in h) for h in ints)
+
+
 def curve(*coeffs, scale=1):
-    """PlaneCurve from ascending X-coefficients (ints or integer t-coefficient
-    lists) and the scale mu of x = mu X."""
-    return PlaneCurve(tuple(trim(c if isinstance(c, (list, tuple)) else [c]) for c in coeffs), Q(scale))
+    """PlaneCurve of f(t, x) = scale^r F(t, x / scale), held as its primitive
+    clearing, for F given by ascending X-coefficients (ints or integer
+    t-coefficient lists)."""
+    rows = [c if isinstance(c, (list, tuple)) else [c] for c in coeffs]
+    r = len(rows) - 1
+    return PlaneCurve(primitive_clearing([[Q(scale) ** (r - i) * c for c in h] for i, h in enumerate(rows)]))
 
 
 def neg(p: UniPoly) -> list[int]:
@@ -55,8 +70,9 @@ def neg(p: UniPoly) -> list[int]:
 
 
 def rational_coeffs(c: PlaneCurve) -> list[UniPoly]:
-    """The x-coefficients of f(t, x) = mu^r F(t, x / mu) over Q, ascending."""
-    return [P(h) * c.scale ** (c.r - i) for i, h in enumerate(c.coeffs)]
+    """The x-coefficients of f = H / lc(H) over Q, ascending."""
+    lead = c.coeffs[-1][0]
+    return [P(h) * Q(1, lead) for h in c.coeffs]
 
 
 # x^2 - (t^3 - t)
@@ -103,17 +119,47 @@ class TestBuildPlaneCurve:
 
     @pytest.mark.parametrize("kind,m", [("sp", 1), ("sp", 2), ("so-even", 2), ("so-odd", 2)])
     def test_scaled_coefficients_are_the_twisted_sections(self, kind, m):
-        # mu^i h_i = s_i D^i over Q, with D = prod (t - a_k) and s_i reduced
+        # H_(r-i) / lc(H) = s_i D^i over Q, with D = prod (t - a_k) and s_i
+        # reduced; lc(H) != 1, so the clearing is not monic
         marked = (Q(1, 2), Q(-2, 3))
         twist = P([Q(-1, 2), 1]) * P([Q(2, 3), 1])
         assert _chart_twist(marked) == ([-2, 1, 6], 6)  # D * 6 = (2t - 1)(3t + 2)
         for seed in range(3):
             fld = random_strongly_parabolic_higgs(GroupSpec(kind, m), marked, 1, seed)
             c = build_plane_curve(fld)
-            assert c.scale not in (1, -1)
-            for i, s in enumerate(sections(fld.char_data)[: c.r], start=1):
+            assert c.coeffs[-1] != (1,)
+            r = len(c.coeffs) - 1
+            for i, s in enumerate(sections(fld.char_data)[:r], start=1):
                 quo, rem = (s.num * twist**i).divmod(s.den)
-                assert rem.is_zero and rational_coeffs(c)[c.r - i] == quo
+                assert rem.is_zero and rational_coeffs(c)[r - i] == quo
+
+
+class TestPrimitiveClearing:
+    """The curve is the primitive clearing of the twisted char polynomial, so
+    its coefficients stay small where a monic rescaling x = mu X would
+    inflate them: a guard that counts bits, at m = 5 and 6 (``gen --marked
+    0,1 --deg-bound 1 --seed 0``)."""
+
+    @pytest.mark.parametrize("kind", ["sp", "so-odd", "so-even"])
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_generated_curve_is_the_primitive_clearing(self, kind, m):
+        marked = (Q(0), Q(1))
+        fld = random_strongly_parabolic_higgs(GroupSpec(kind, m), marked, 1, 0)
+        c = build_plane_curve(fld)
+        lead = c.coeffs[-1]
+        assert len(lead) == 1 and lead[0] > 0
+        assert math.gcd(*(v for h in c.coeffs for v in h)) == 1
+        # x^r + sum_i s_i D^i x^(r-i) over Q, from the char data
+        char = fld.char_data.x_cofactor() if kind == "so-odd" else fld.char_data
+        twist = P([-1, 1]) * P([0, 1])
+        f = [[1]]
+        for i, s in enumerate(sections(char), start=1):
+            quo, rem = (s.num * twist**i).divmod(s.den)
+            assert rem.is_zero
+            f.insert(0, list(quo.coeffs))
+        assert c.coeffs == primitive_clearing(f)
+        if (kind, m) == ("sp", 6):
+            assert max(abs(v).bit_length() for h in c.coeffs for v in h) <= 160
 
 
 class TestInvolution:
@@ -185,21 +231,27 @@ class TestSmoothness:
 
     @pytest.mark.parametrize("scale", [Q(3), Q(-1, 3)])
     def test_scale_maps_witnesses_back_to_x(self, scale):
-        # F = (X^2 - 1)^2 - t^2 is singular at (0, +-1); x = mu X, sorted in x
-        rep = smoothness_check(curve([1, 0, -1], 0, -2, 0, 1, scale=scale))
+        # F = (X^2 - 1)^2 - t^2 is singular at (0, +-1), so the clearing H of
+        # F(t, x / scale), with lc(H) = 81 for scale -1/3, is singular at
+        # (0, +-scale); sorted in x
+        c = curve([1, 0, -1], 0, -2, 0, 1, scale=scale)
+        assert c.coeffs[-1] == ((1,) if scale == 3 else (81,))
+        rep = smoothness_check(c)
         assert rep.witnesses == tuple(sorted([(Q(0), -scale), (Q(0), scale)]))
 
     def test_field_witnesses_off_the_zero_section(self):
         # Phi = diag(t/2, 1/2, -t/2, -1/2) with the marked point 1/3:
-        # the twisted chart variable is x = mu X with mu = 1/(2*3), and F =
-        # (X^2 - t^2 (3t - 1)^2) (X^2 - (3t - 1)^2); the lines X = +-t(3t - 1)
-        # and X = +-(3t - 1) cross at t = +-1, off X = 0
+        # f(t, x) = (1/6)^4 F(t, 6x) for F = (X^2 - t^2 (3t - 1)^2)
+        # (X^2 - (3t - 1)^2), so H = 6^4 f has lc 1296; the lines
+        # X = +-t(3t - 1) and X = +-(3t - 1) cross at t = +-1, off X = 0
         half_t, half = RF(P([0, Q(1, 2)])), RF(Q(1, 2))
         diag = [half_t, half, RF(P([0, Q(-1, 2)])), RF(Q(-1, 2))]
         rows = [[diag[i] if i == j else RF(0) for j in range(4)] for i in range(4)]
         fld = HiggsField.from_grid(GroupSpec.sp(2), split_gram(GroupSpec.sp(2)), rows, (Q(1, 3),))
         c = build_plane_curve(fld)
-        assert c.scale == Q(1, 6)
+        # F = X^4 - (3t - 1)^2 (t^2 + 1) X^2 + t^2 (3t - 1)^4
+        assert c == curve([0, 0, 1, -12, 54, -108, 81], 0, [-1, 6, -10, 6, -9], 0, 1, scale=Q(1, 6))
+        assert c.coeffs[-1] == (1296,)
         rep = smoothness_check(c)
         assert rep.status == "singular"
         assert rep.witnesses == (

@@ -3,10 +3,12 @@
 The root finder is handed integer polynomials with planted rational roots of
 multiplicity 1..3, end coefficients of at least 64 bits and an irreducible
 quadratic cofactor; its output must equal sympy's rational roots.  The
-spectral curve F over Z[t][X] with its scale mu is compared with the twisted
-characteristic polynomial sympy computes from the field's matrix, on fields
-whose marked points include 1/2, so mu is not an integer; its discriminant is
-compared with sympy's.  The Sylvester resultant is compared on random pairs
+spectral curve H over Z[t][x], the primitive clearing of the twisted
+characteristic polynomial f = H / lc(H), is compared with f as sympy computes
+it from the field's matrix, on fields whose marked points include 1/2, so
+lc(H) is not 1; its discriminant is compared with sympy's, there, on
+generated curves at m = 3 and on hand-written curves whose leading
+coefficient is not 1.  The Sylvester resultant is compared on random pairs
 of bivariate integer polynomials that are not monic.  sympy is a test-only
 oracle.
 """
@@ -108,7 +110,7 @@ DISC_CASES = [
     for m, marked in ((1, "1/2"), (1, "0,1/2,-2"), (2, "1/2"), (2, "0,1/2"))
     for seed in range(2)
     if (kind, m) != ("so-even", 1)
-]
+] + [(kind, 3, "1/2", 0) for kind in ("sp", "so-odd")]
 
 
 @pytest.mark.parametrize("kind,m,marked,seed", DISC_CASES)
@@ -116,12 +118,30 @@ def test_discriminant_matches_sympy(kind, m, marked, seed):
     points = tuple(Fraction(a) for a in marked.split(","))
     fld = random_strongly_parabolic_higgs(GroupSpec(kind, m), points, 1, seed)
     curve = build_plane_curve(fld)
-    assert curve.scale.denominator > 1
-    # f(t, x) = mu^r F(t, x / mu)
-    f = sympy.expand(sym_q(curve.scale) ** curve.r * to_sympy(curve.coeffs).subs(x, x / sym_q(curve.scale)))
-    assert f == twisted_char(fld)
-    want = sympy.Poly(sympy.discriminant(to_sympy(curve.coeffs), x), t, domain="ZZ")
-    assert sympy.Poly(to_sympy_t(discriminant_x(curve.coeffs)), t, domain="ZZ") == want
+    (lead,) = curve.coeffs[-1]
+    assert lead > 1
+    assert sympy.expand(to_sympy(curve.coeffs) / lead) == twisted_char(fld)
+    assert_discriminant_matches(curve.coeffs)
+
+
+def assert_discriminant_matches(f):
+    want = sympy.Poly(sympy.discriminant(to_sympy(f), x), t, domain="ZZ")
+    assert sympy.Poly(to_sympy_t(discriminant_x(f)), t, domain="ZZ") == want
+
+
+@pytest.mark.parametrize("f", [
+    # 2x^2 + 1, 3x^3 - t x + 1 and (2t + 1) x^2 + x - t, with no symmetry
+    [[1], [], [2]],
+    [[1], [0, -1], [], [3]],
+    [[0, -1], [1], [1, 2]],
+    # (25x^2 - 4)^2 - 16 t^2: lc 625, singular at (0, +-2/5), off x = 0
+    [[16, 0, -16], [], [-200], [], [625]],
+    # (36x^2 - t^2 (3t - 1)^2)(36x^2 - (3t - 1)^2), lc 1296: the curve of
+    # the "sp-scaled-witnesses" field, singular at (+-1, +-1/3) and (-1, +-2/3)
+    [[0, 0, 1, -12, 54, -108, 81], [], [-36, 216, -360, 216, -324], [], [1296]],
+], ids=["quadratic", "cubic", "t-leading", "quartic-625", "field-1296"])
+def test_non_monic_discriminant_matches_sympy(f):
+    assert_discriminant_matches(f)
 
 
 def random_bipoly(rng: random.Random, deg_x: int) -> list[list[int]]:

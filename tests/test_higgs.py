@@ -274,7 +274,7 @@ class TestSoOddReduce:
                 full = char_sections(fld.cleared)
                 reduced = char_sections(red.reduced)
                 # x * char(reduced) = char(full): s_i(full) = s_i(reduced), s_r(full) = 0
-                assert full[-1].is_zero
+                assert full[-1].num.is_zero
                 assert full[:-1] == reduced
                 g = gram_matrix(red.induced_gram)
                 assert all(

@@ -1,15 +1,15 @@
 """The spectral smoothness verdict against an independent sympy oracle.
 
-For generated fields of every group, the twisted spectral curve
-f(t, x) = mu^r F(t, x / mu), held as F over Z[t][X] and its scale mu, is
-handed to sympy: "smooth" must hold exactly when the Groebner basis of
-(f, f_x, f_t) is [1], and the reported witnesses must be exactly the
-rational solutions of f = f_x = f_t = 0, found by eliminating x and
-factoring over Q.  A curve rejected as non-reduced must have a repeated
-factor in sympy's squarefree factorisation.  Hand-built symmetric quartics
-cover the quotient certificate's branches that no generated field reaches:
-witnesses off the zero section, unscaled and with a scale mu != +-1, an
-irrational one, and a certified "smooth" at m = 2.  sympy is a test-only
+For generated fields of every group, the twisted spectral curve, held as
+its primitive clearing H over Z[t][x], is handed to sympy: "smooth" must hold
+exactly when the Groebner basis of (H, H_x, H_t) is [1], and the reported
+witnesses must be exactly the rational solutions of H = H_x = H_t = 0,
+found by eliminating x and factoring over Q.  A curve rejected as
+non-reduced must have a repeated factor in sympy's squarefree
+factorisation.  Hand-built symmetric quartics cover the quotient
+certificate's branches that no generated field reaches: witnesses off the
+zero section, on a monic H and on one whose leading coefficient is not 1,
+an irrational one, and a certified "smooth" at m = 2.  sympy is a test-only
 oracle.
 """
 
@@ -38,10 +38,9 @@ CASES = [
 
 
 def to_sympy(curve: PlaneCurve):
-    """f(t, x) = mu^r F(t, x / mu) over Q."""
-    mu = sympy.Rational(curve.scale.numerator, curve.scale.denominator)
+    """H(t, x) over Z."""
     return sympy.expand(sum(
-        c * t**j * x**i * mu ** (curve.r - i)
+        c * t**j * x**i
         for i, p in enumerate(curve.coeffs)
         for j, c in enumerate(p)
     ))
@@ -93,9 +92,9 @@ def test_smoothness_matches_groebner_oracle(kind, m, count, deg, seed):
     assert_matches_oracle(build_plane_curve(fld))
 
 
-def quartic(a, b, scale=1) -> PlaneCurve:
-    """X^4 + a X^2 + b for integer t-coefficient lists a, b, with x = scale X."""
-    return PlaneCurve((tuple(b), (), tuple(a), (), (1,)), Fraction(scale))
+def quartic(a, b, lead=1) -> PlaneCurve:
+    """lead x^4 + a x^2 + b for integer t-coefficient lists a, b."""
+    return PlaneCurve((tuple(b), (), tuple(a), (), (lead,)))
 
 
 def test_quotient_witnesses_off_the_zero_section():
@@ -104,8 +103,9 @@ def test_quotient_witnesses_off_the_zero_section():
 
 
 def test_scaled_witnesses_off_the_zero_section():
-    # (X^2 - 1)^2 - t^2 with x = 2X/5: f = (x^2 - 4/25)^2 - (4/25)^2 t^2
-    report = assert_matches_oracle(quartic([-2], [1, 0, -1], Fraction(2, 5)))
+    # (X^2 - 1)^2 - t^2 at X = 5x/2, cleared: H = (25x^2 - 4)^2 - 16 t^2,
+    # with lc(H) = 625
+    report = assert_matches_oracle(quartic([-200], [16, 0, -16], 625))
     assert report.witnesses == ((Fraction(0), Fraction(-2, 5)), (Fraction(0), Fraction(2, 5)))
 
 

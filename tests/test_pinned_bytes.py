@@ -58,8 +58,9 @@ unreduced fraction coefficients and a zero entry over a constant, plus the
 exit code and stderr of a zero denominator.  They were recorded on the code
 that still normalised every parsed entry as a reduced rational function
 before clearing the matrix.  The "sp-scaled-witnesses" digest covers a curve
-whose singular points lie off x = 0 and whose scale mu (x = mu X) is 1/6; it
-was recorded on the code that still held the spectral curve over Q[t][x].
+whose singular points lie off x = 0 and whose clearing H is not monic
+(lc(H) = 6^4); it was recorded on the code that still held the spectral curve
+over Q[t][x], and it held through the monic form with x = X/6.
 """
 
 import hashlib
@@ -421,7 +422,7 @@ HAND_WRITTEN_FIELDS = {
                    [Z5, {"num": ["-1.5"], "den": ["0", "4.5"]}]],
     },
     # Phi = diag(t/2, 1/2, -t/2, -1/2) with the marked point 1/3: the curve is
-    # held with the scale x = X/6 and has four witnesses off x = 0, at t = +-1
+    # held as H = 6^4 f, not monic, and has four witnesses off x = 0, at t = +-1
     "sp-scaled-witnesses": {
         "group": "sp", "m": 2, "marked_points": ["1/3"],
         "matrix": [[{"num": ["0", "1/2"], "den": ["1"]}, Z5, Z5, Z5],

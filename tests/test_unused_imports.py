@@ -8,13 +8,16 @@ occur as a name in the module body or be re-exported through `__all__`; every
 module-level `def` or `class` whose name starts with `_` must occur as a name,
 an attribute or an imported name in some module of the package; every other
 module-level `def` or `class`, and every method of a module-level class that
-is not a dunder, must occur so in the package or in `scripts/`.  A plain
-method counts as used only when its name occurs as an attribute, `x.name`, so
-a same-named function or builtin (`divmod(...)`) cannot hide it, though one
-attribute use covers it in every class; a `staticmethod` or `classmethod`
-counts as used only when it is referenced through its own class, as
-`Cls.name` anywhere or as `self.name` or `cls.name` inside that class, so a
-same-named method elsewhere cannot hide it.
+is not a dunder, must occur so in the package or in `scripts/`.  A method
+counts as used when it is referenced through its own class, as `Cls.name`
+anywhere or as `self.name` or `cls.name` inside that class.  A plain method
+also counts as used when its name occurs as an attribute, `x.name`, so a
+same-named function or builtin (`divmod(...)`) cannot hide it; but when
+another class of the package also declares that name (as a method, a
+`__slots__` entry or a dataclass field), such a use cannot tell the two
+apart, so it counts only for a method listed, with its reason, in
+`ATTRIBUTE_COLLISIONS`.  A `staticmethod` or `classmethod` counts as used only
+through its own class.
 """
 
 import ast
@@ -42,6 +45,20 @@ TEST_ONLY_API = {
     "higgs.semisimple_residue_control": "control field with semisimple residues, for the parabolic checks",
     "poly.RationalFunction.make": "one reduced entry from hand-written polynomials; seven test modules build fields with it",
     "poly.UniPoly.divmod": "polynomial division with remainder, the exact-division oracle of the tests",
+}
+
+# Plain methods used only as `x.name` where another package class declares the
+# same name, with the use that keeps each one.  An entry whose name stops
+# colliding, or that gains a use through its own class, must leave the list.
+ATTRIBUTE_COLLISIONS = {
+    "curves.SingularReport.to_dict": "cli._spectral_section writes the smoothness report as smooth.to_dict()",
+    "dimensions.DimensionReport.passed": "cli._run_suite and scripts/run_dimension_sweep.py read r.passed",
+    "dimensions.DimensionReport.to_dict": "cli.format_reports writes dims and sweep JSON as r.to_dict()",
+    "dimensions.LineBundleClass.degree": "dimensions.h0_rr reads cls.degree(p)",
+    "groups.GroupSpec.dim_flag": "dimensions.moduli_dim and _GroupData read group.dim_flag",
+    "higgs.HiggsField.pfaffian": "curves.twisted_pfaffian and higgs.pfaffian_square_check read fld.pfaffian",
+    "higgs.HiggsField.to_dict": "cli.cmd_gen and cli.cmd_reduce_odd write fields as fld.to_dict()",
+    "poly.UniPoly.degree": "curves and poly read p.degree of a UniPoly throughout",
 }
 
 
@@ -106,19 +123,42 @@ def class_bound(item: ast.FunctionDef) -> bool:
 
 
 def public_definitions(module: str, tree: ast.Module):
-    """(qualified name, name, owner) of each public module-level def or class
-    and of each non-dunder method of a module-level class; owner is None for a
-    module-level def or class, the class of a staticmethod or classmethod, and
-    "" for a plain method."""
+    """(qualified name, name, owner, bound) of each public module-level def or
+    class and of each non-dunder method of a module-level class; owner is
+    None for a module-level def or class and the class of a method, and bound
+    is True for a staticmethod or classmethod."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, (*defs, ast.ClassDef)) and not node.name.startswith("_"):
-            yield f"{module}.{node.name}", node.name, None
+            yield f"{module}.{node.name}", node.name, None, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, defs) and not (item.name.startswith("__") and item.name.endswith("__")):
-                    owner = node.name if class_bound(item) else ""
-                    yield f"{module}.{node.name}.{item.name}", item.name, owner
+                    yield f"{module}.{node.name}.{item.name}", item.name, node.name, class_bound(item)
+
+
+def is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        isinstance(dec, ast.Name) and dec.id == "dataclass"
+        or isinstance(dec, ast.Call) and isinstance(dec.func, ast.Name) and dec.func.id == "dataclass"
+        for dec in cls.decorator_list
+    )
+
+
+def declared_names(cls: ast.ClassDef) -> set[str]:
+    """Names a class declares: its methods, its `__slots__` entries and, for a
+    dataclass, its annotated fields."""
+    names = set()
+    for item in cls.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(item.name)
+        elif isinstance(item, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__slots__" for target in item.targets
+        ):
+            names.update(elt.value for elt in item.value.elts)
+        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and is_dataclass(cls):
+            names.add(item.target.id)
+    return names
 
 
 def class_references(tree: ast.Module) -> set[tuple[str, str]]:
@@ -139,23 +179,43 @@ def class_references(tree: ast.Module) -> set[tuple[str, str]]:
     return refs
 
 
-def test_no_dead_public_helpers():
+def public_use_scan() -> tuple[list[str], list[str]]:
+    """(dead, collided): the public definitions with no use, and the plain
+    methods whose only use is an attribute that another class declares."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
     scripts = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "scripts").glob("*.py"))]
     everything = [*trees.values(), *scripts]
     referenced = set().union(*(referenced_names(tree) for tree in everything))
     attributes = {node.attr for tree in everything for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     through_class = set().union(*(class_references(tree) for tree in everything))
-
-    def used(name: str, owner: str | None) -> bool:
-        if owner:
-            return (owner, name) in through_class
-        return name in (referenced if owner is None else attributes)
-
-    dead = [
-        qualified
+    declared = {
+        (module, node.name): declared_names(node)
         for module, tree in trees.items()
-        for qualified, name, owner in public_definitions(module, tree)
-        if not used(name, owner)
-    ]
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    dead, collided = [], []
+    for module, tree in trees.items():
+        for qualified, name, owner, bound in public_definitions(module, tree):
+            if owner is None:
+                if name not in referenced:
+                    dead.append(qualified)
+            elif (owner, name) in through_class:
+                continue
+            elif bound or name not in attributes:
+                dead.append(qualified)
+            elif any(name in names for cls, names in declared.items() if cls != (module, owner)):
+                collided.append(qualified)
+                if qualified not in ATTRIBUTE_COLLISIONS:
+                    dead.append(qualified)
+    return dead, collided
+
+
+def test_no_dead_public_helpers():
+    dead, _ = public_use_scan()
     assert sorted(dead) == sorted(TEST_ONLY_API)
+
+
+def test_attribute_collisions_are_listed():
+    _, collided = public_use_scan()
+    assert sorted(collided) == sorted(ATTRIBUTE_COLLISIONS)
