@@ -93,9 +93,11 @@ def format_reports(reports: list[DimensionReport], fmt: str) -> str:
 def run_sweep(kinds, m: str, g: str, n: str, deg_m: int) -> list[DimensionReport]:
     """`sweep_reports` over the group kinds and the m, g and n range texts,
     each checked first; a bad argument raises ValueError."""
-    for kind in kinds:
+    for i, kind in enumerate(kinds):
         if kind not in GROUP_KINDS:
             raise ValueError(f"unknown group {kind!r}")
+        if kind in kinds[:i]:
+            raise ValueError(f"--groups: repeated group {kind!r}")
     ms, gs, ns = parse_range(m, "-m"), parse_range(g, "-g"), parse_range(n, "-n")
     if ms[0] < 1 or gs[0] < 2 or ns[0] < 1:
         raise ValueError("need m >= 1, g >= 2, n >= 1")
@@ -197,7 +199,7 @@ def _analyze_field(fld: HiggsField, checks: tuple[str, ...]) -> dict:
             section = {"pass": fld.is_member}
         elif name == "charpoly":
             char = fld.char_data
-            section = {"pass": True, "coefficients": [fraction_json(e, *q) for e, q in zip(char.e, char.den_powers)]}
+            section = {"pass": True, "coefficients": list(map(fraction_json, char.e, char.den_powers))}
         elif name == "parity":
             parity = parity_classify(fld.char_data, fld.group)
             section = {"pass": parity.passed}

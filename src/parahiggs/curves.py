@@ -5,9 +5,9 @@ denominators of the characteristic coefficients; it is formed over Z[t] where
 it is used, not stored on the curve.  Every curve handled here is one integer
 polynomial H over Z[t][x]: the primitive clearing of
 f = x^r + s_1 D x^(r-1) + ... + s_r D^r, read off the field's integer
-characteristic data e_i and clearing c*d with no arithmetic over Q(t).  Its
-leading coefficient is a positive integer constant, so f = H / lc(H), and
-every certificate below is invariant under that constant factor.
+characteristic data e_i and denominator Delta with no arithmetic over Q(t).
+Its leading coefficient is a positive integer constant, so f = H / lc(H),
+and every certificate below is invariant under that constant factor.
 
 Only involution-symmetric curves H(t, x) = G(t, x^2) are certified, the
 spectral curves of Sp(2m), SO(2m) and (after dividing by x) SO(2m+1)
@@ -38,6 +38,7 @@ from .poly import (
     _int_exact_div,
     _int_gcd,
     _int_mul,
+    _int_pow,
     _int_trim,
     is_squarefree,
     poly_gcd,
@@ -82,23 +83,24 @@ def _chart_twist(marked_points) -> tuple[list[int], int]:
 
 def twisted_curve(char: CharData, marked_points) -> PlaneCurve:
     """Curve y^r + sum_i s_i D^i y^(r-i), D = prod (t - a_k), from the char
-    data s_i = e_i / (c*d)^i, held as its primitive clearing H over Z[t].
-    With D~ = D prod b_k from `_chart_twist`, d~ = char.d the primitive
-    clearing of d and g = gcd(D~, d~): s_i D^i = mu^i h_i for
-    h_i = e_i (D~/g)^i / (d~/g)^i over Z[t] and mu = lc(d~) / (c prod b_k) =
-    p / q, so H is the primitive part of sum_i p^i q^(r-i) h_i y^(r-i), with
-    lc(H) = q^r / content > 0; a field whose poles all sit at marked points
-    (d | D) needs no polynomial division.
+    data s_i = e_i / Delta^i, held as its primitive clearing H over Z[t].
+    With D~ = D prod b_k from `_chart_twist`, Delta = k Delta~ for k the
+    content of Delta and g = gcd(D~, Delta~): s_i D^i = mu^i h_i for
+    h_i = e_i (D~/g)^i / (Delta~/g)^i over Z[t] and mu = 1 / q,
+    q = k prod b_k, so H is the primitive part of sum_i q^(r-i) h_i y^(r-i),
+    with lc(H) = q^r / content > 0; a field whose poles all sit at marked
+    points (Delta~ | D~) needs no polynomial division.
 
     Strong parabolicity (pole order of s_i at most i - 1 < i, poles only at
-    marked points) makes every h_i polynomial, and (d~/g)^i is primitive, so
-    the division is exact over Z[t].  A non-zero remainder raises
-    PoleOrderError.
+    marked points) makes every h_i polynomial, and (Delta~/g)^i is
+    primitive, so by Gauss's lemma the division is exact over Z[t].  A
+    non-zero remainder raises PoleOrderError.
     """
     twist, den = _chart_twist(marked_points)
-    g = _int_gcd(twist, char.d)
-    up, down = _int_exact_div(twist, g), _int_exact_div(char.d, g)
-    p, q = char.d[-1], char.c * den
+    k = math.gcd(*char.delta)
+    g = _int_gcd(twist, char.delta)
+    up, down = _int_exact_div(twist, g), _int_exact_div([x // k for x in char.delta], g)
+    q = k * den
     r = char.r
     coeffs: list[list[int]] = [[]] * r + [[q**r]]
     up_power = down_power = [1]
@@ -111,7 +113,7 @@ def twisted_curve(char: CharData, marked_points) -> PlaneCurve:
             raise PoleOrderError(
                 f"s_{i} * D^{i} is not polynomial; pole outside the allowed order/locus"
             ) from None
-        factor = p**i * q ** (r - i)
+        factor = q ** (r - i)
         coeffs[r - i] = [factor * c for c in h_i]
     content = math.gcd(*(c for h in coeffs for c in h))
     return PlaneCurve(tuple(tuple(c // content for c in h) for h in coeffs))
@@ -129,26 +131,26 @@ def build_plane_curve(fld: HiggsField) -> PlaneCurve:
 
 
 def twisted_pfaffian(fld: HiggsField) -> UniPoly:
-    """Pf(B*Phi) * D^m of an so(2m) field: with B*Phi cleared to (P, E, k) and
-    D = D~ / prod b_k, Pf(P) D~^m / E^m times (lc(E) / (k prod b_k))^m.  E is
-    primitive, so the division is exact over Q exactly when it is over Z[t];
-    it raises PoleOrderError when it is not.  `analyze` never meets that case: once
+    """Pf(B*Phi) * D^m of an so(2m) field: with B*Phi = P / E, E = k E~ for k
+    the content of E, and D = D~ / prod b_k, Pf(P) D~^m / E~^m times
+    (1 / (k prod b_k))^m.  E~ is primitive, so by Gauss's lemma the division
+    is exact over Q exactly when it is over Z[t]; it raises PoleOrderError
+    when it is not.  `analyze` never meets that case: once
     build_plane_curve has made s_2m * D^2m polynomial and det B is constant,
     (Pf * D^m)^2 = det B * s_2m * D^2m is polynomial, so the guard covers
     direct callers only."""
     m = fld.group.m
-    _, e, k = fld.gram_product
+    e = fld.gram_product[1]
+    k = math.gcd(*e)
     twist, den = _chart_twist(fld.marked_points)
-    num, e_power = list(fld.pfaffian), [1]
-    for _ in range(m):
-        num, e_power = _int_mul(num, twist), _int_mul(e_power, e)
+    num = _int_mul(fld.pfaffian, _int_pow(twist, m))
     try:
-        quo = _int_exact_div(num, e_power)
+        quo = _int_exact_div(num, _int_pow([x // k for x in e], m))
     except ArithmeticError:
         raise PoleOrderError(
             f"Pf(B*Phi) * D^{m} is not polynomial; pole outside the allowed order/locus"
         ) from None
-    return UniPoly.make(quo) * Q(e[-1], k * den) ** m
+    return UniPoly.make(quo) * Q(1, k * den) ** m
 
 
 def involution_check(curve: PlaneCurve) -> bool:

@@ -348,12 +348,11 @@ def eigenline_degree_dual(deg_e_dual: int, r: int, g: int, g_s: int) -> int:
     return r * (g - 1) + (1 - g_s) - deg_e_dual
 
 
-def eigenline_degree_sqrt_twist(m: int, p: CurveParams, deg_m: int | None = None) -> int:
+def eigenline_degree_sqrt_twist(m: int, p: CurveParams) -> int:
     """deg L forced by the square-root normalization:
     -(1/2)[(2g_s - 2) - r(2g - 2)] + (1/2) r deg(M), with r = 2m."""
     r = 2 * m
-    dm = p.deg_m if deg_m is None else deg_m
-    twice = -ramification_degree(r, p) + r * dm
+    twice = -ramification_degree(r, p) + r * p.deg_m
     if twice % 2 != 0:
         raise IntegralityError("square-root parity violated")
     return twice // 2
@@ -368,23 +367,23 @@ class ReconciliationResult:
     passed: bool
 
 
-def eigenline_reconciliation(r: int, p: CurveParams, deg_m: int = 0) -> ReconciliationResult:
+def eigenline_reconciliation(r: int, p: CurveParams) -> ReconciliationResult:
     """The two eigenline normalizations differ by exactly the ramification
     degree, for any consistent push-forward degree."""
     g_s = spectral_genus(r, p)
-    deg_e = (r * deg_m) // 2 if (r * deg_m) % 2 == 0 else 0
+    deg_e = (r * p.deg_m) // 2 if (r * p.deg_m) % 2 == 0 else 0
     grr = eigenline_degree_grr(deg_e, r, p.g, g_s)
     dual = eigenline_degree_dual(-deg_e, r, p.g, g_s)
     ram = ramification_degree(r, p)
     return ReconciliationResult(grr, dual, grr - dual, ram, grr - dual == ram)
 
 
-def sqrt_parity_check(r: int, p: CurveParams, deg_m: int = 0) -> bool:
+def sqrt_parity_check(r: int, p: CurveParams) -> bool:
     """Whether the square-rooted class K_cover (x) pi^*K^(-1) (x) pi^*M^(-1)
     has even degree.  Precondition: r even, or r odd with deg(M) even."""
-    if r % 2 != 0 and deg_m % 2 != 0:
+    if r % 2 != 0 and p.deg_m % 2 != 0:
         raise ValueError("precondition violated: odd cover degree needs even deg(M)")
-    return (ramification_degree(r, p) - r * deg_m) % 2 == 0
+    return (ramification_degree(r, p) - r * p.deg_m) % 2 == 0
 
 
 def pardeg_identity(m: int, deg_m: int) -> int:

@@ -3,7 +3,7 @@
 Random algebra elements and nilpotents are constant integer matrices, and a
 Cayley group element is one over a single integer denominator, made by one
 fraction-free inverse.  A Gram form has entries in Q(t) and
-is held as its clearing B = B' / (c*d) with B' over Z[t], made by the same
+is held as its clearing B = B' / E with B' and E over Z[t], made by the same
 routine that clears a Higgs field; it is checked there: B' is
 (anti)symmetric and det B' (Bareiss over Z[t]) is nonzero.  Lie algebra
 membership of a field Phi is read off the one product B*Phi, cleared to
@@ -36,12 +36,11 @@ from .linalg import (
     SingularMatrixError,
     ZMat,
     clear_fractions,
-    cleared_den,
     entry_ints,
     zmat_inverse,
     zmat_mul,
 )
-from .poly import RationalFunction
+from .poly import RationalFunction, _int_pow
 
 GROUP_KINDS = ("sp", "so-even", "so-odd")
 
@@ -99,7 +98,7 @@ class GroupSpec:
 @dataclass(frozen=True)
 class GramForm:
     """Invertible Gram matrix over Q(t), antisymmetric or symmetric, held as
-    (B', D, c) with B = B' / (c*d) for d = D / lc(D)."""
+    (B', E) with B = B' / E."""
 
     cleared: Cleared
     kind: str  # "symplectic" | "symmetric"
@@ -128,14 +127,13 @@ class GramForm:
 
     @cached_property
     def cleared_det(self) -> tuple[int, ...]:
-        """det B' over Z[t], by Bareiss: det B = det B' / (c*d)^n."""
+        """det B' over Z[t], by Bareiss: det B = det B' / E^n."""
         return tuple(bareiss_det([[list(p) for p in row] for row in self.cleared[0]]))
 
     @cached_property
     def det(self) -> RationalFunction:
         """det B, for the spectral report."""
-        _, d, c = self.cleared
-        return RationalFunction.from_ints(self.cleared_det, *cleared_den(d, c, self.size))
+        return RationalFunction.from_ints(self.cleared_det, _int_pow(self.cleared[1], self.size))
 
 
 @functools.cache
@@ -169,7 +167,7 @@ def is_algebra_product(prod: IntMat, gram: GramForm) -> bool:
 
 
 def _constant_gram(gram: GramForm) -> ZMat:
-    b, d, _ = gram.cleared
+    b, d = gram.cleared
     if len(d) > 1 or any(len(p) > 1 for row in b for p in row):
         raise GroupError("the Gram form is not constant")
     return [[p[0] if p else 0 for p in row] for row in b]

@@ -7,17 +7,18 @@ structural laws the three group families impose on the characteristic
 coefficients: evenness, the Pfaffian square, nilpotency of residues and the
 pole-order bounds.
 
-A field Phi = M / (c*d) is held as the integer triple (M, D, c), d = D / lc(D)
-for a primitive D, made by `linalg.clear_fractions` whether the field is
-parsed from JSON, generated or reduced; B*Phi is cleared once to
-(B'M, D*D', c*c').  Membership, the characteristic data (e_1..e_r over Z[t]
-with s_i = e_i / (c*d)^i), the residues M(a) lc(D) / (c*D'(a)), the Pfaffian
-and the so(2m+1) kernel line (the Pfaffian adjugate of B*Phi) are all read
-off these two, no check does polynomial arithmetic over Q, and the JSON is
-written from the integers.  The generator does its constant linear algebra
-(residues, Cayley elements, conjugation) over Z, each residue over one integer
-denominator, and assembles M over the integer denominator prod (b_k t - a_k)
-of the marked points a_k / b_k.
+A field Phi = M / Delta is held as the integer pair (M, Delta), made by
+`linalg.clear_fractions` whether the field is parsed from JSON, generated or
+reduced; for a Gram form B = B' / E, B*Phi is held once as (B'M, E*Delta),
+over a common denominator that no check needs reduced.  Membership, the
+characteristic data (e_1..e_r over Z[t] with s_i = e_i / Delta^i), the
+residues M(a) / Delta'(a), the Pfaffian and the so(2m+1) kernel line (the
+Pfaffian adjugate of B*Phi) are all read off these two, no check does
+polynomial arithmetic over Q, and the JSON is written from the integers.
+The generator does its constant linear algebra (residues, Cayley elements,
+conjugation) over Z, each residue over one integer denominator, and
+assembles M over the integer denominator prod (b_k t - a_k) of the marked
+points a_k / b_k.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .linalg import (
     QMat,
     ZMat,
     clear_fractions,
-    cleared_den,
     cleared_json,
     entry_ints,
     int_char_poly,
@@ -62,6 +62,7 @@ from .poly import (
     _int_gcd,
     _int_mul,
     _int_poly_mul_add,
+    _int_pow,
     _int_trim,
     _strip_root,
     int_fraction_grid_from_json,
@@ -81,13 +82,12 @@ class NonGenericFieldError(ArithmeticError):
 
 @dataclass(frozen=True)
 class CharData:
-    """det(x*I - Phi) = x^r + s_1 x^(r-1) + ... + s_r for Phi = M / (c*d):
-    s_i = e_i / (c*d)^i with e_i the i-th coefficient of det(x*I - M) over
-    Z[t] (ascending integer tuples), c a positive integer and d = D / lc(D)."""
+    """det(x*I - Phi) = x^r + s_1 x^(r-1) + ... + s_r for Phi = M / Delta:
+    s_i = e_i / Delta^i with e_i the i-th coefficient of det(x*I - M) over
+    Z[t] (ascending integer tuples)."""
 
     e: tuple[tuple[int, ...], ...]
-    c: int
-    d: tuple[int, ...]
+    delta: tuple[int, ...]
 
     @property
     def r(self) -> int:
@@ -95,35 +95,34 @@ class CharData:
 
     def x_cofactor(self) -> "CharData":
         """s_1..s_(r-1): the data of char / x when s_r = 0."""
-        return CharData(self.e[:-1], self.c, self.d)
+        return CharData(self.e[:-1], self.delta)
 
     @cached_property
-    def den_powers(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """(q_i, l_i) with (c*d)^i = q_i / l_i over Z[t], i = 1..r: the
-        denominators that e_1..e_r are divided by."""
-        return tuple(cleared_den(self.d, self.c, i) for i in range(1, self.r + 1))
+    def den_powers(self) -> tuple[list[int], ...]:
+        """Delta^1..Delta^r over Z[t]: the denominators of s_1..s_r."""
+        return tuple(_int_pow(self.delta, i) for i in range(1, self.r + 1))
 
     def pole_order(self, i: int, a: Fraction) -> int | None:
-        """Order of the pole of s_i at t = a, i*ord_a(d) - ord_a(e_i): positive
-        for a pole, <= 0 otherwise, None for s_i = 0."""
+        """Order of the pole of s_i at t = a, i*ord_a(Delta) - ord_a(e_i):
+        positive for a pole, <= 0 otherwise, None for s_i = 0."""
         e_i = self.e[i - 1]
         if not e_i:
             return None
-        return i * root_multiplicity(self.d, a) - root_multiplicity(e_i, a)
+        return i * root_multiplicity(self.delta, a) - root_multiplicity(e_i, a)
 
     def same_sections(self, other: "CharData") -> bool:
         """s_i = s'_i for every i, compared over Z[t] as
-        l_i e_i q'_i == l'_i e'_i q_i with (c*d)^i = q_i / l_i."""
+        e_i Delta'^i == e'_i Delta^i."""
         return self.r == other.r and all(
-            _int_mul([lp * x for x in a], q) == _int_mul([lq * x for x in b], p)
-            for a, b, (p, lp), (q, lq) in zip(self.e, other.e, self.den_powers, other.den_powers)
+            _int_mul(a, q) == _int_mul(b, p)
+            for a, b, p, q in zip(self.e, other.e, self.den_powers, other.den_powers)
         )
 
 
 @dataclass(eq=False)
 class HiggsField:
-    """Phi = M / (c*d) with entries in Q(t), held as its clearing ``cleared``
-    = (M, D, c), d = D / lc(D); the values derived from it are computed once."""
+    """Phi = M / Delta with entries in Q(t), held as its clearing ``cleared``
+    = (M, Delta); the values derived from it are computed once."""
 
     group: GroupSpec
     gram: GramForm
@@ -150,16 +149,15 @@ class HiggsField:
     @cached_property
     def matrix(self) -> tuple[tuple[RationalFunction, ...], ...]:
         """Phi as reduced rational functions."""
-        ints, d, c = self.cleared
-        q, lead = cleared_den(d, c)
-        return tuple(tuple(RationalFunction.from_ints(p, q, lead) for p in row) for row in ints)
+        ints, d = self.cleared
+        return tuple(tuple(RationalFunction.from_ints(p, d) for p in row) for row in ints)
 
     @cached_property
     def gram_product(self) -> Cleared:
-        """The clearing (B'M, D*D', c*c') of B*Phi for B cleared to (B', D', c')."""
-        ints, d, c = self.cleared
-        b, d_b, c_b = self.gram.cleared
-        return int_mat_mul(b, ints), tuple(_int_mul(d, d_b)), c * c_b
+        """(B'M, E*Delta) with B*Phi = B'M / (E*Delta), for B cleared to (B', E)."""
+        ints, d = self.cleared
+        b, d_b = self.gram.cleared
+        return int_mat_mul(b, ints), tuple(_int_mul(d, d_b))
 
     @cached_property
     def is_member(self) -> bool:
@@ -168,13 +166,13 @@ class HiggsField:
 
     @cached_property
     def char_data(self) -> CharData:
-        ints, d, c = self.cleared
-        return CharData(tuple(int_char_poly(ints)), c, d)
+        ints, d = self.cleared
+        return CharData(tuple(int_char_poly(ints)), d)
 
     @cached_property
     def pfaffian(self) -> tuple[int, ...]:
-        """Pf(P) over Z[t] of an so(2m) field in its Lie algebra, for B*Phi
-        cleared to (P, E, k): Pf(B*Phi) = Pf(P) (lc(E) / (k*E))^m."""
+        """Pf(P) over Z[t] of an so(2m) field in its Lie algebra, for
+        B*Phi = P / E: Pf(B*Phi) = Pf(P) / E^m."""
         if self.group.kind != "so-even":
             raise GroupError("Pfaffian square law applies to so-even fields only")
         if not self.is_member:
@@ -211,21 +209,21 @@ class HiggsField:
 
 
 def residue_at(fld: HiggsField, a) -> QMat:
-    """Residue lim (t - a) * Phi(t) = M(a) / (c*d'(a)) at a marked point, with
-    d'(a) = D'(a) / lc(D), every value read off over Z.  Zero when D(a) != 0;
-    D'(a) = 0 at a root of D means a pole of order > 1."""
+    """Residue lim (t - a) * Phi(t) = M(a) / Delta'(a) at a marked point,
+    every value read off over Z.  Zero when Delta(a) != 0; Delta'(a) = 0 at a
+    root of Delta means a pole of order > 1."""
     a = Fraction(a)
     if a not in fld.marked_points:
         raise ValueError(f"t = {a} is not a marked point")
-    ints, big_d, c = fld.cleared
+    ints, delta = fld.cleared
     p, b = a.numerator, a.denominator  # b^deg f * f(a) = _hom_eval(f, p, b)
-    if _hom_eval(big_d, p, b):
+    if _hom_eval(delta, p, b):
         return [[Fraction(0)] * len(ints) for _ in ints]
-    slope = _hom_eval(_int_derivative(big_d), p, b)
+    slope = _hom_eval(_int_derivative(delta), p, b)
     if slope == 0:
         raise PoleOrderError(f"pole of order > 1 at t = {a}")
-    num, den = big_d[-1] * b ** (len(big_d) - 2), c * slope
-    return [[Fraction(_hom_eval(q, p, b) * num, den * b ** max(len(q) - 1, 0)) for q in row]
+    num = b ** (len(delta) - 2)
+    return [[Fraction(_hom_eval(q, p, b) * num, slope * b ** max(len(q) - 1, 0)) for q in row]
             for row in ints]
 
 
@@ -299,22 +297,21 @@ def parity_classify(char: CharData, group: GroupSpec) -> ParityResult:
 @dataclass(frozen=True)
 class PfaffianSquareResult:
     """s_2m * unit == pfaffian^2, with unit = det(B) ( = (-1)^m for the split
-    Gram); each value is held as (num, den, scale) for scale * num / den over Z[t]."""
+    Gram); each value is held as (num, den) for num / den over Z[t]."""
 
     passed: bool
-    pfaffian: tuple[tuple[int, ...], tuple[int, ...], int]
-    unit: tuple[tuple[int, ...], tuple[int, ...], int]
+    pfaffian: tuple[tuple[int, ...], list[int]]
+    unit: tuple[tuple[int, ...], list[int]]
 
 
 def pfaffian_square_check(fld: HiggsField) -> PfaffianSquareResult:
     """For so-even fields: s_2m * det(B) == Pf(B*Phi)^2 identically.  With
-    Phi = M / (c*d), B = B' / (c'*d') and B*Phi = B'M / (c*c'*d*d') this is
+    Phi = M / Delta, B = B' / E and B*Phi = B'M / (E*Delta) this is
     e_2m * det B' == Pf(B'M)^2 over Z[t]."""
     pf, gram = fld.pfaffian, fld.gram
     passed = _int_mul(fld.char_data.e[-1], gram.cleared_det) == _int_mul(pf, pf)
-    (_, e, k), (_, d_b, c_b) = fld.gram_product, gram.cleared
-    unit = (gram.cleared_det, *cleared_den(d_b, c_b, gram.size))
-    return PfaffianSquareResult(passed, (pf, *cleared_den(e, k, fld.group.m)), unit)
+    unit = (gram.cleared_det, _int_pow(gram.cleared[1], gram.size))
+    return PfaffianSquareResult(passed, (pf, _int_pow(fld.gram_product[1], fld.group.m)), unit)
 
 
 # -- random field generation ---------------------------------------------------
@@ -436,27 +433,25 @@ def so_odd_reduce(fld: HiggsField) -> SoOddReduction:
         raise GroupError("reduction applies to so-odd fields only")
     if not fld.is_member:
         raise ValueError("field is not in the Lie algebra of its Gram form")
-    prod, prod_d, prod_c = fld.gram_product
+    prod, prod_d = fld.gram_product
     w = pfaffian_adjugate(prod)
     if not any(w):
         raise NonGenericFieldError("non-generic field: kernel rank != 1")
     v = _primitive_kernel_vector(w)
     ell = max(range(len(v)), key=lambda i: (len(v[i]), -i))
     keep = [i for i in range(len(v)) if i != ell]
-    ints, d, c = fld.cleared
-    q, lead = cleared_den(d, c)
-    den = tuple(_int_mul(q, v[ell]))
-    # Phi_ij - Phi_ell,j * v_i / v_ell = M'_ij / (c*d*v_ell), M'_ij = m_ij v_ell - m_ell,j v_i
+    ints, d = fld.cleared
+    den = tuple(_int_mul(d, v[ell]))
+    # Phi_ij - Phi_ell,j * v_i / v_ell = M'_ij / (Delta*v_ell), M'_ij = m_ij v_ell - m_ell,j v_i
     reduced = []
     for i in keep:
         row = []
         for j in keep:
-            num = _int_mul([lead * x for x in ints[i][j]], v[ell])
-            _int_poly_mul_add(num, [-lead * x for x in ints[ell][j]], v[i])
+            num = _int_mul(ints[i][j], v[ell])
+            _int_poly_mul_add(num, [-x for x in ints[ell][j]], v[i])
             row.append((tuple(_int_trim(num)), den))
         reduced.append(row)
-    q_e, l_e = cleared_den(prod_d, prod_c)
-    induced = [[(tuple(l_e * x for x in prod[j][i]), q_e) for j in keep] for i in keep]
+    induced = [[(prod[j][i], prod_d) for j in keep] for i in keep]
     try:
         gram = GramForm(clear_fractions(induced), "symplectic")
     except ValueError as exc:

@@ -1,11 +1,11 @@
 """Matrices over Q and over Z[t].
 
 A Higgs field or Gram form is held as one matrix over Z[t] over one common
-denominator, M / (c*d) with M an ``IntMat`` (ascending integer coefficient
-tuples), d monic and c a positive integer, stored as the integer triple
-(M, D, c) with D the primitive clearing of d (lc(D) > 0, d = D / lc(D)), so
-no denominator is a polynomial over Q.  ``clear_fractions`` is the one
-routine that makes that triple, from integer numerator and denominator
+denominator, the integer pair (M, Delta) for M / Delta: M an ``IntMat``
+(ascending integer coefficient tuples) and Delta in Z[t] the lcm of the
+reduced denominators, with lc(Delta) > 0 and the coefficients of M and Delta
+together of content 1, which makes the pair unique.  ``clear_fractions`` is
+the one routine that makes it, from integer numerator and denominator
 pairs, however the matrix was made (parsed, generated, reduced or built in
 a test), and ``cleared_json`` writes it back as JSON entries from integers.
 Every characteristic coefficient, Pfaffian and Pfaffian adjugate is computed
@@ -37,7 +37,7 @@ QMat = list[list[Fraction]]
 ZMat = list[list[int]]
 IntMat = tuple[tuple[tuple[int, ...], ...], ...]
 IntFraction = tuple[tuple[int, ...], tuple[int, ...]]
-Cleared = tuple[IntMat, tuple[int, ...], int]  # (M, D, c) for M / (c*D/lc(D))
+Cleared = tuple[IntMat, tuple[int, ...]]  # (M, Delta) for M / Delta
 
 
 class SingularMatrixError(ArithmeticError):
@@ -89,18 +89,19 @@ def entry_ints(x) -> IntFraction:
 
 
 def clear_fractions(grid: Sequence[Sequence[IntFraction]]) -> Cleared:
-    """(M, D, c) with grid[i][j] = n / delta equal to M[i][j] / (c*d): d the
-    monic lcm of the reduced denominators, held as its primitive clearing D
-    with lc(D) > 0 (d = D / lc(D)), and c the least positive integer that
-    makes M integral.  The entries are integer coefficient tuples without
-    trailing zeros, delta nonzero; they need not be reduced.
+    """(M, Delta) with grid[i][j] = n / delta equal to M[i][j] / Delta: Delta
+    the lcm of the reduced denominators, lc(Delta) > 0, and the coefficients
+    of M and Delta together of content 1.  The entries are integer
+    coefficient tuples without trailing zeros, delta nonzero; they need not
+    be reduced.
 
-    Each nonzero entry is written over D, the lcm of the primitive parts of
-    the distinct denominators, times K, the lcm of their contents.  The
-    reduced denominators have lcm D / g with g = gcd(D, every numerator over
-    D), since for each prime p the largest (v_p D - v_p N_ij)+ is
-    v_p D - min(v_p D, min v_p N_ij); so one gcd chain, stopped at degree 0,
-    takes the place of a gcd per entry.
+    Each nonzero entry is written over K*D, D the lcm of the primitive parts
+    of the distinct denominators and K the lcm of their contents.  The
+    reduced denominators have primitive lcm D / g with g = gcd(D, every
+    numerator over D), since for each prime p the largest (v_p D - v_p N_ij)+
+    is v_p D - min(v_p D, min v_p N_ij); so one gcd chain, stopped at degree
+    0, takes the place of a gcd per entry.  Dividing numerators and K*D by
+    their common content, gcd(K, every numerator), leaves the pair.
     """
     parts: dict[tuple[int, ...], tuple[int, list[int]]] = {}
     big_d, big_k = [1], 1
@@ -135,26 +136,15 @@ def clear_fractions(grid: Sequence[Sequence[IntFraction]]) -> Cleared:
     if len(g) > 1:
         big_d = _int_exact_div(big_d, g)
         nums = [[_int_exact_div(n, g) if n else n for n in row] for row in nums]
-    lead = big_d[-1]
-    content = math.gcd(big_k * lead, *(x for row in nums for n in row for x in n))
+    content = math.gcd(big_k, *(x for row in nums for n in row for x in n))
     ints = tuple(tuple(tuple(x // content for x in n) for n in row) for row in nums)
-    return ints, tuple(big_d), big_k * lead // content
-
-
-def cleared_den(big_d: Sequence[int], c: int = 1, power: int = 1) -> tuple[tuple[int, ...], int]:
-    """(q, l) = ((c*D)^power, lc(D)^power), so (c*d)^power = q / l for d = D / lc(D)."""
-    base = [c * x for x in big_d]
-    q = base
-    for _ in range(power - 1):
-        q = _int_mul(q, base)
-    return tuple(q), big_d[-1] ** power
+    return ints, tuple(big_k // content * x for x in big_d)
 
 
 def cleared_json(cleared: Cleared) -> list[list[dict]]:
-    """The JSON entries of M / (c*d) for (M, D, c), by `fraction_json` over c*D."""
-    ints, d, c = cleared
-    q, lead = cleared_den(d, c)
-    return [[fraction_json(p, q, lead) for p in row] for row in ints]
+    """The JSON entries of M / Delta for (M, Delta), by `fraction_json`."""
+    ints, delta = cleared
+    return [[fraction_json(p, delta) for p in row] for row in ints]
 
 
 def int_mat_mul(a: IntMat, b: IntMat) -> IntMat:
@@ -221,8 +211,8 @@ def berkowitz_char_poly(a: list[list]) -> list:
 
 def int_char_poly(a: IntMat) -> list[tuple[int, ...]]:
     """e_1..e_r with det(x*I - a) = x^r + e_1 x^(r-1) + ... + e_r for a Z[t]
-    matrix a: Berkowitz on the samples of a.  For Phi = a / den the
-    characteristic coefficients are s_i = e_i / den^i."""
+    matrix a: Berkowitz on the samples of a.  For Phi = a / Delta the
+    characteristic coefficients are s_i = e_i / Delta^i."""
     return _interpolated(a, len(a), lambda const: berkowitz_char_poly(const)[1:])
 
 

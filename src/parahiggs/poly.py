@@ -21,9 +21,10 @@ wraps an integer list only where a public function here takes one
 
 A RationalFunction is a reduced num/den pair with no arithmetic of its own,
 made from integer polynomials by one reduction (`RationalFunction.from_ints`).
-A Higgs field is held as M / (c*d) with M over Z[t], every check runs over
-Z[t], and its JSON entries go straight between coefficient strings and ints:
-`int_fraction_from_json` parses them, `fraction_json` writes them reduced.
+A Higgs field is held as M / Delta with M and Delta over Z[t], every check
+runs over Z[t], and its JSON entries go straight between coefficient strings
+and ints: `int_fraction_from_json` parses them, `fraction_json` writes them
+reduced.
 """
 
 from __future__ import annotations
@@ -187,19 +188,15 @@ class UniPoly:
 
     # -- integer scaling ----------------------------------------------------
 
-    def int_scaled(self) -> tuple[list[int], Fraction]:
-        """Return (integer coefficient list, scale) with self == scale * ints.
-
-        The integer list is primitive (content 1, ascending) and empty for
-        the zero polynomial (scale 1).
-        """
+    def int_scaled(self) -> list[int]:
+        """The primitive integer coefficient list (content 1, ascending) that
+        self is a rational multiple of; empty for the zero polynomial."""
         if self.is_zero:
-            return [], Q(1)
+            return []
         den = math.lcm(*(c.denominator for c in self.coeffs))
         ints = [int(c * den) for c in self.coeffs]
         g = math.gcd(*ints)
-        ints = [c // g for c in ints]
-        return ints, Q(g, den)
+        return [c // g for c in ints]
 
     # -- serialization ------------------------------------------------------
 
@@ -260,6 +257,14 @@ def _int_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
     acc: list[int] = []
     _int_poly_mul_add(acc, p, q)
     return acc
+
+
+def _int_pow(p: Sequence[int], k: int) -> list[int]:
+    """p^k for an ascending integer coefficient list and k >= 0."""
+    out = [1]
+    for _ in range(k):
+        out = _int_mul(out, p)
+    return out
 
 
 def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
@@ -380,7 +385,7 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         return a.monic()
     if a.degree == 0 or b.degree == 0:
         return UniPoly.one()
-    return UniPoly.make(_int_gcd(a.int_scaled()[0], b.int_scaled()[0])).monic()
+    return UniPoly.make(_int_gcd(a.int_scaled(), b.int_scaled())).monic()
 
 
 def is_squarefree(p: UniPoly) -> bool:
@@ -465,7 +470,7 @@ def rational_roots(p: UniPoly) -> list[tuple[Fraction, int]]:
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    f, _ = p.int_scaled()
+    f = p.int_scaled()
     k = next(i for i, c in enumerate(f) if c)
     f = f[k:]
     roots = [(Q(0), k)] if k else []
@@ -550,9 +555,9 @@ def int_fraction_grid_from_json(data) -> list[list[tuple[tuple[int, ...], tuple[
     return [[int_fraction_from_json(x) for x in row] for row in data]
 
 
-def fraction_json(num: Sequence[int], den: Sequence[int], scale: int = 1) -> dict:
+def fraction_json(num: Sequence[int], den: Sequence[int]) -> dict:
     """The JSON entry {"num": [...], "den": [...]} of `RationalFunction.from_ints`
-    (num, den, scale), reduced the same way and printed from ints."""
+    (num, den), reduced the same way and printed from ints."""
     if not num:
         return {"num": [], "den": ["1"]}
     if len(num) > 1 and len(den) > 1:
@@ -560,7 +565,7 @@ def fraction_json(num: Sequence[int], den: Sequence[int], scale: int = 1) -> dic
         if len(g) > 1:
             num, den = _int_exact_div(num, g), _int_exact_div(den, g)
     lead = den[-1]
-    return {"num": [_q_str(scale * c, lead) for c in num], "den": [_q_str(c, lead) for c in den]}
+    return {"num": [_q_str(c, lead) for c in num], "den": [_q_str(c, lead) for c in den]}
 
 
 @dataclass(frozen=True)
@@ -578,16 +583,14 @@ class RationalFunction:
             den = UniPoly.one()
         elif isinstance(den, (int, Fraction)):
             den = UniPoly.make([den])
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        (n, n_scale), (d, d_scale) = num.int_scaled(), den.int_scaled()
-        return RationalFunction.from_ints(n, d, n_scale / d_scale)
+        pairs = ([(q.numerator, q.denominator) for q in p.coeffs] for p in (num, den))
+        return RationalFunction.from_ints(*int_fraction(*pairs))
 
     @staticmethod
-    def from_ints(num: Sequence[int], den: Sequence[int], scale: Scalar = 1) -> "RationalFunction":
-        """scale * num / den in lowest terms, for integer coefficient lists
-        without trailing zeros and den nonzero: one gcd, two exact divisions
-        and a monic denominator.  Every RationalFunction is reduced here."""
+    def from_ints(num: Sequence[int], den: Sequence[int]) -> "RationalFunction":
+        """num / den in lowest terms, for integer coefficient lists without
+        trailing zeros and den nonzero: one gcd, two exact divisions and a
+        monic denominator.  Every RationalFunction is reduced here."""
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
@@ -597,10 +600,7 @@ class RationalFunction:
             if len(g) > 1:
                 num, den = _int_exact_div(num, g), _int_exact_div(den, g)
         lead = den[-1]
-        factor = Q(scale) / lead
-        return RationalFunction(
-            UniPoly(tuple(factor * c for c in num)), UniPoly(tuple(Q(c, lead) for c in den))
-        )
+        return RationalFunction(UniPoly(tuple(Q(c, lead) for c in num)), UniPoly(tuple(Q(c, lead) for c in den)))
 
     @property
     def is_polynomial(self) -> bool:

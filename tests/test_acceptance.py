@@ -43,7 +43,7 @@ from parahiggs.higgs import (
     so_odd_reduce,
     strong_parabolic_check,
 )
-from parahiggs.linalg import clear_fractions, cleared_den, entry_ints, int_pfaffian
+from parahiggs.linalg import clear_fractions, entry_ints, int_pfaffian
 from parahiggs.poly import RationalFunction, UniPoly
 
 P = UniPoly.make
@@ -52,14 +52,13 @@ RF = RationalFunction.make
 
 def gram_matrix(gram):
     """B of a Gram form as reduced rational functions."""
-    b, d, c = gram.cleared
-    q, lead = cleared_den(d, c)
-    return [[RationalFunction.from_ints(p, q, lead) for p in row] for row in b]
+    b, d = gram.cleared
+    return [[RationalFunction.from_ints(p, d) for p in row] for row in b]
 
 
 def sections(char):
     """s_1..s_r of the characteristic data as reduced rational functions."""
-    return [RationalFunction.from_ints(e, q, lead) for e, (q, lead) in zip(char.e, char.den_powers)]
+    return [RationalFunction.from_ints(e, q) for e, q in zip(char.e, char.den_powers)]
 MARKED_POOL = (0, 1, -1, 2)
 
 
@@ -190,7 +189,7 @@ def test_c05_pfaffian_law():
                 a[i][j] = Q(rng.randint(-9, 9), rng.randint(1, 4))
                 a[j][i] = -a[i][j]
         # cleared to L*A over Z: Pf(L*A)^2 = L^n Pf(A)^2 and det(L*A) = L^n det(A)
-        ints, _, _ = clear_fractions([[entry_ints(x) for x in row] for row in a])
+        ints, _ = clear_fractions([[entry_ints(x) for x in row] for row in a])
         pf = int_pfaffian(ints)
         assert ([pf[0] ** 2] if pf else []) == bareiss_det([[list(p) for p in row] for row in ints])
 
@@ -218,16 +217,16 @@ def test_c07_eigenline_reconciliation():
     for r in range(1, 9):
         for g in range(2, 7):
             for n in range(1, 5):
-                p = CurveParams(g, n)
                 for dm in (-2, -1, 0, 1, 2):
-                    rec = eigenline_reconciliation(r, p, dm)
+                    p = CurveParams(g, n, dm)
+                    rec = eigenline_reconciliation(r, p)
                     assert rec.passed
                     assert rec.difference == 2 * spectral_genus(r, p) - 2 - r * (2 * g - 2)
                     if r % 2 == 0:
-                        assert sqrt_parity_check(r, p, dm)
-                        eigenline_degree_sqrt_twist(r // 2, p, dm)  # integral, or raises
+                        assert sqrt_parity_check(r, p)
+                        eigenline_degree_sqrt_twist(r // 2, p)  # integral, or raises
                     elif dm % 2 == 0:
-                        assert sqrt_parity_check(r, p, dm)
+                        assert sqrt_parity_check(r, p)
 
 
 @criterion(8, "kernel reduction on >= 50 so-odd fields; char factors exactly")

@@ -534,6 +534,8 @@ class TestArgumentErrors:
         (("analyze", "{missing}", "--checks", "parity,nope"), "unknown checks: nope"),
         (("analyze", "{missing}", "--checks", "nope,parity,x"), "unknown checks: nope,x"),
         (("reduce-odd", "{missing}"), "[Errno 2] No such file or directory: '{missing}'"),
+        (("sweep", "--groups", "sp,sp"), "--groups: repeated group 'sp'"),
+        (("sweep", "--groups", "sp,so-odd,sp,xx"), "--groups: repeated group 'sp'"),
     ])
     def test_message(self, argv, message, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")

@@ -34,7 +34,7 @@ RF = RationalFunction.make
 
 def sections(char):
     """s_1..s_r of the characteristic data as reduced rational functions."""
-    return [RationalFunction.from_ints(e, q, lead) for e, (q, lead) in zip(char.e, char.den_powers)]
+    return [RationalFunction.from_ints(e, q) for e, q in zip(char.e, char.den_powers)]
 
 
 def trim(p):
@@ -113,7 +113,7 @@ class TestBuildPlaneCurve:
 
     def test_pole_outside_marked_locus_rejected(self):
         # s_1 = 0, s_2 = (t - 5) / (t - 5)^2: a pole at t = 5, marked point is 0
-        char = CharData(((), (-5, 1)), 1, (-5, 1))
+        char = CharData(((), (-5, 1)), (-5, 1))
         with pytest.raises(PoleOrderError, match=r"s_2 \* D\^2 is not polynomial"):
             twisted_curve(char, (Q(0),))
 

@@ -229,30 +229,36 @@ class TestEigenlineDegrees:
         res = eigenline_reconciliation(2, CurveParams(3, 2))
         assert res.difference == res.ramification == 2 * spectral_genus(2, CurveParams(3, 2)) - 2 - 2 * 4
         assert eigenline_reconciliation(1, P211).difference == 0
+        # deg E = r deg(M) / 2 = 4 moves the GRR value from 6 (deg M = 0) to 10
+        res = eigenline_reconciliation(2, CurveParams(3, 2, deg_m=4))
+        assert (res.grr_value, res.dual_value) == (10, -2)
+        assert res.passed
 
     def test_reconciliation_sweep(self):
         for r in range(1, 9):
             for g in range(2, 7):
                 for n in range(1, 5):
                     for dm in (-2, 0, 2):
-                        assert eigenline_reconciliation(r, CurveParams(g, n), dm).passed
+                        assert eigenline_reconciliation(r, CurveParams(g, n, dm)).passed
 
     def test_sqrt_parity(self):
-        assert sqrt_parity_check(2, P211, 0)  # degree 6 is even
+        assert sqrt_parity_check(2, P211)  # degree 6 is even
         for m in range(1, 5):
             for g in range(2, 7):
                 for n in range(1, 5):
                     for dm in (-2, 0, 2):
-                        assert sqrt_parity_check(2 * m, CurveParams(g, n), dm)
+                        assert sqrt_parity_check(2 * m, CurveParams(g, n, dm))
         with pytest.raises(ValueError, match="precondition"):
-            sqrt_parity_check(3, P211, 1)
+            sqrt_parity_check(3, CurveParams(2, 1, 1))
+        with pytest.raises(ValueError, match="precondition"):
+            sqrt_parity_check(3, CurveParams(3, 2, deg_m=1))
 
     def test_sqrt_twist_integrality_under_precondition(self):
         for m in range(1, 5):
             for g in range(2, 7):
                 for n in range(1, 5):
                     for dm in (-2, -1, 0, 1, 2):
-                        eigenline_degree_sqrt_twist(m, CurveParams(g, n), dm)
+                        eigenline_degree_sqrt_twist(m, CurveParams(g, n, dm))
 
     def test_pardeg(self):
         assert pardeg_identity(1, 0) == 0

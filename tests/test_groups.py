@@ -19,7 +19,7 @@ from parahiggs.groups import (
     split_gram,
 )
 from parahiggs.higgs import HiggsField, random_strongly_parabolic_higgs, residue_at
-from parahiggs.linalg import SingularMatrixError, cleared_den
+from parahiggs.linalg import SingularMatrixError
 from parahiggs.poly import RationalFunction, UniPoly
 
 RF = RationalFunction.make
@@ -27,14 +27,13 @@ RF = RationalFunction.make
 
 def gram_matrix(gram):
     """B of a Gram form as reduced rational functions."""
-    b, d, c = gram.cleared
-    q, lead = cleared_den(d, c)
-    return [[RationalFunction.from_ints(p, q, lead) for p in row] for row in b]
+    b, d = gram.cleared
+    return [[RationalFunction.from_ints(p, d) for p in row] for row in b]
 
 
 def sections(char):
     """s_1..s_r of the characteristic data as reduced rational functions."""
-    return [RationalFunction.from_ints(e, q, lead) for e, (q, lead) in zip(char.e, char.den_powers)]
+    return [RationalFunction.from_ints(e, q) for e, q in zip(char.e, char.den_powers)]
 
 
 # -- constant linear algebra over Q, the oracle of the integer Cayley route ---

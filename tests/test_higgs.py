@@ -19,7 +19,7 @@ from parahiggs.higgs import (
     so_odd_reduce,
     strong_parabolic_check,
 )
-from parahiggs.linalg import cleared_den, int_char_poly
+from parahiggs.linalg import int_char_poly
 from parahiggs.poly import RationalFunction, UniPoly
 
 P = UniPoly.make
@@ -28,14 +28,13 @@ RF = RationalFunction.make
 
 def gram_matrix(gram):
     """B of a Gram form as reduced rational functions."""
-    b, d, c = gram.cleared
-    q, lead = cleared_den(d, c)
-    return [[RationalFunction.from_ints(p, q, lead) for p in row] for row in b]
+    b, d = gram.cleared
+    return [[RationalFunction.from_ints(p, d) for p in row] for row in b]
 
 
 def sections(char):
     """s_1..s_r of the characteristic data as reduced rational functions."""
-    return [RationalFunction.from_ints(e, q, lead) for e, (q, lead) in zip(char.e, char.den_powers)]
+    return [RationalFunction.from_ints(e, q) for e, q in zip(char.e, char.den_powers)]
 
 
 def scalars(rows):
@@ -44,9 +43,9 @@ def scalars(rows):
 
 def char_sections(cleared):
     """s_1..s_r of det(x*I - Phi) as reduced rational functions, for the
-    clearing (M, d, c) of Phi."""
-    ints, d, c = cleared
-    return sections(CharData(tuple(int_char_poly(ints)), c, d))
+    clearing (M, Delta) of Phi."""
+    ints, d = cleared
+    return sections(CharData(tuple(int_char_poly(ints)), d))
 
 
 def sp1_field(entries, marked):
@@ -131,13 +130,13 @@ class TestCharAndParity:
         assert sections(s.x_cofactor()) == [RF(0), RF(14)]  # x^2 + 14
 
     def test_fail_carries_first_index(self):
-        s = CharData(((1,), ()), 1, UniPoly.one())  # x^2 + x
+        s = CharData(((1,), ()), (1,))  # x^2 + x
         res = parity_classify(s, GroupSpec.sp(1))
         assert not res.passed and res.first_odd_index == 1
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError, match="degree"):
-            parity_classify(CharData(((), (1,)), 1, UniPoly.one()), GroupSpec.so_odd(1))
+            parity_classify(CharData(((), (1,)), (1,)), GroupSpec.so_odd(1))
 
 
 class TestStrongParabolic:

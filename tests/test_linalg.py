@@ -10,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from parahiggs.bipoly import bareiss_det
+from parahiggs.groups import GROUP_KINDS, GroupSpec
+from parahiggs.higgs import HiggsField, random_strongly_parabolic_higgs
 from parahiggs.linalg import (
     SingularMatrixError,
     int_char_poly,
@@ -146,15 +148,15 @@ class TestCharPoly:
         assert int_char_poly(int_matrix([[0] * 4 for _ in range(4)])) == [()] * 4
 
     def test_nilpotent_with_pole_entry(self):
-        # [[0, 1/t], [0, 0]] clears to M = [[0, 1], [0, 0]] over d = t: char x^2
-        ints, d, c = clear_fractions([[entry_ints(x) for x in row] for row in [[RF(0), RF(P([1]), P([0, 1]))], [RF(0), RF(0)]]])
-        assert (d, c) == ((0, 1), 1)
+        # [[0, 1/t], [0, 0]] clears to M = [[0, 1], [0, 0]] over Delta = t: char x^2
+        ints, d = clear_fractions([[entry_ints(x) for x in row] for row in [[RF(0), RF(P([1]), P([0, 1]))], [RF(0), RF(0)]]])
+        assert d == (0, 1)
         assert int_char_poly(ints) == [(), ()]
 
     def test_single_pole_entry(self):
-        # [[1/t]] clears to M = [[1]] over d = t: x - 1/t, s_1 = e_1 / t
-        ints, d, c = clear_fractions([[entry_ints(RF(P([1]), P([0, 1])))]])
-        assert (ints, d, c) == ((((1,),),), (0, 1), 1)
+        # [[1/t]] clears to M = [[1]] over Delta = t: x - 1/t, s_1 = e_1 / t
+        ints, d = clear_fractions([[entry_ints(RF(P([1]), P([0, 1])))]])
+        assert (ints, d) == ((((1,),),), (0, 1))
         assert int_char_poly(ints) == [(-1,)]
 
     def test_matches_leibniz_oracle(self):
@@ -239,8 +241,9 @@ class TestInverseAndKernel:
 def per_entry_clearing(grid):
     """The clearing before the one-pass routine, kept as its oracle: reduce
     each entry n / delta over Q[t] to a monic denominator, take the monic lcm
-    d of the reduced denominators, and scale d * Phi by the least integer c
-    that clears its coefficients; d is returned as its primitive clearing D."""
+    d of the reduced denominators, and scale d * Phi and d together by the
+    one positive rational that makes all their coefficients integers of
+    content 1; Delta is that multiple of d."""
 
     def exact(a, b):
         quo, rem = a.divmod(b)
@@ -264,9 +267,11 @@ def per_entry_clearing(grid):
         for _, den in row:
             d = exact(d * den, poly_gcd(d, den)).monic()
     polys = [[num * exact(d, den) for num, den in row] for row in reduced]
-    c = math.lcm(1, *(q.denominator for row in polys for p in row for q in p.coeffs))
+    coeffs = [q for row in polys for p in row for q in p.coeffs] + list(d.coeffs)
+    c = math.lcm(*(q.denominator for q in coeffs))
+    c = Q(c, math.gcd(*(int(q * c) for q in coeffs)))
     ints = tuple(tuple(tuple(int(q * c) for q in p.coeffs) for p in row) for row in polys)
-    return ints, tuple(d.int_scaled()[0]), c
+    return ints, tuple(int(q * c) for q in d.coeffs)
 
 
 def strip(p):
@@ -319,15 +324,37 @@ class TestClearFractions:
         def expr(coeffs):
             return sum(sympy.Rational(c) * t**k for k, c in enumerate(coeffs))
 
-        ints, d, c = clear_fractions(grid)
-        den = c * expr(d) / d[-1]
+        ints, d = clear_fractions(grid)
+        den = expr(d)
         for row, int_row in zip(grid, ints):
             for (n, delta), m in zip(row, int_row):
                 assert sympy.cancel(expr(m) / den - expr(n) / expr(delta)) == 0
                 assert sympy.cancel(expr(m) / den) == sympy.cancel(expr(n) / expr(delta))
 
     def test_generator_denominator_with_a_non_integer_root(self):
-        # 1 / (2t - 1) and t / (4t - 2): d = t - 1/2 = D / 2 for D = 2t - 1
-        # and d * Phi = (1/2, t/4), so c = 4
-        ints, d, c = clear_fractions([[((1,), (-1, 2))], [((0, 1), (-2, 4))]])
-        assert (ints, d, c) == ((((2,),), ((0, 1),)), (-1, 2), 4)
+        # 1 / (2t - 1) and t / (4t - 2) over Delta = 4t - 2: M = (2, t), and
+        # the content of M and Delta together is 1
+        ints, d = clear_fractions([[((1,), (-1, 2))], [((0, 1), (-2, 4))]])
+        assert (ints, d) == ((((2,),), ((0, 1),)), (-2, 4))
+
+    @given(unreduced_grids(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_pair_is_canonical(self, grid, data):
+        # lc(Delta) > 0, M and Delta together have content 1, and a factor
+        # planted in each entry's numerator and denominator changes nothing
+        ints, d = clear_fractions(grid)
+        assert d[-1] > 0
+        assert math.gcd(*d, *(x for row in ints for p in row for x in p)) == 1
+        planted = [data.draw(st.lists(nonzero_int_polys, min_size=len(row), max_size=len(row))) for row in grid]
+        grid = [
+            [(tuple(pmul(n, f)), tuple(pmul(delta, f))) for (n, delta), f in zip(row, fs)]
+            for row, fs in zip(grid, planted)
+        ]
+        assert clear_fractions(grid) == (ints, d)
+
+    @pytest.mark.parametrize("kind", GROUP_KINDS)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_json_roundtrip_keeps_the_pair(self, kind, m):
+        for seed, marked in enumerate([(Q(0),), (Q(0), Q(1, 2)), (Q(0), Q(1, 2), Q(-2))]):
+            fld = random_strongly_parabolic_higgs(GroupSpec(kind, m), marked, seed % 3, seed)
+            assert HiggsField.from_dict(fld.to_dict()).cleared == fld.cleared

@@ -30,6 +30,7 @@ def test_run_dimension_sweep():
     (("--groups", "foo"), "unknown group 'foo'"),
     (("-m", "x"), "-m: bad range 'x'"),
     (("--groups", "so-odd", "--deg-m", "1"), "so-odd needs even deg(M)"),
+    (("--groups", "so-even,so-even"), "--groups: repeated group 'so-even'"),
 ])
 def test_run_dimension_sweep_argument_errors(args, message):
     """A bad argument prints one `error:` line and exits 2, as `sweep` does."""
