@@ -28,13 +28,14 @@ from .higgs import (
     HiggsField,
     NonGenericFieldError,
     PoleOrderError,
+    marked_point,
     parity_classify,
     pfaffian_square_check,
     random_strongly_parabolic_higgs,
     so_odd_reduce,
     strong_parabolic_check,
 )
-from .poly import fraction_json
+from .poly import RationalFunction, fraction_json
 
 OK, CHECK_FAILED, USAGE_ERROR = 0, 1, 2
 
@@ -114,18 +115,11 @@ def _run_suite(args: argparse.Namespace) -> int:
 # -- gen --------------------------------------------------------------------------
 
 
-def _marked_point(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad marked point {text!r}") from None
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     ms = parse_range(args.m, "-m")
     if len(ms) != 1:
         raise ValueError(f"gen takes a single m, not the range {args.m!r}")
-    marked = tuple(_marked_point(part) for part in args.marked.split(",") if part != "")
+    marked = tuple(marked_point(part) for part in args.marked.split(",") if part != "")
     if not marked:
         raise ValueError("need at least one marked point")
     if args.deg_bound < 0:
@@ -152,13 +146,14 @@ def _spectral_section(fld: HiggsField) -> dict:
     if group.kind == "so-even":
         if not fld.is_member:
             return {"pass": False, "reason": NON_MEMBER}
-        det_b = fld.gram.det
-        if det_b.num.degree > 0 or det_b.den.degree > 0:
+        num, den = fld.gram.det
+        if [c * den[-1] for c in num] != [c * num[-1] for c in den]:  # det B' / E^n constant
             return {
                 "pass": False,
-                "reason": f"Gram determinant {det_b} is not constant; the SO(2m) singularity "
-                          "pattern needs a form that is non-degenerate at every t",
+                "reason": f"Gram determinant {RationalFunction.from_ints(num, den)} is not constant; "
+                          "the SO(2m) singularity pattern needs a form that is non-degenerate at every t",
             }
+        det_b = Fraction(num[-1], den[-1])
     try:
         curve = build_plane_curve(fld)
     except PoleOrderError as exc:
@@ -174,9 +169,7 @@ def _spectral_section(fld: HiggsField) -> dict:
     }
     ok = out["involution"]
     if group.kind == "so-even":
-        pattern = so_even_singularity_pattern(
-            curve, twisted_pfaffian(fld), det_b.num.coeff(0)
-        )
+        pattern = so_even_singularity_pattern(curve, twisted_pfaffian(fld), det_b)
         out["singularity_pattern"] = {
             "pass": pattern.passed,
             "count": pattern.count,
@@ -268,7 +261,7 @@ def cmd_reduce_odd(args: argparse.Namespace) -> int:
     char_ok = not full.e[-1] and full.x_cofactor().same_sections(reduced_field.char_data)
     doc = reduced_field.to_dict()
     doc["reduction_report"] = {
-        "kernel_vector": [[str(c) for c in p.coeffs] for p in red.kernel_vector],
+        "kernel_vector": [[str(c) for c in p] for p in red.kernel_vector],
         "removed_index": red.removed_index,
         "char_identity": "PASS" if char_ok else "FAIL",
         "induced_gram_skew": "PASS",  # enforced by construction, or we'd have raised

@@ -7,7 +7,10 @@ polynomial H over Z[t][x]: the primitive clearing of
 f = x^r + s_1 D x^(r-1) + ... + s_r D^r, read off the field's integer
 characteristic data e_i and denominator Delta with no arithmetic over Q(t).
 Its leading coefficient is a positive integer constant, so f = H / lc(H),
-and every certificate below is invariant under that constant factor.
+and every certificate below is invariant under that constant factor.  The
+twisted Pfaffian is the integer pair (P, s) for P / s; a UniPoly only wraps
+integers at the calls that take or return one (`poly_gcd`, `rational_roots`,
+`discriminant_x`).
 
 Only involution-symmetric curves H(t, x) = G(t, x^2) are certified, the
 spectral curves of Sp(2m), SO(2m) and (after dividing by x) SO(2m+1)
@@ -130,15 +133,15 @@ def build_plane_curve(fld: HiggsField) -> PlaneCurve:
     return twisted_curve(char, fld.marked_points)
 
 
-def twisted_pfaffian(fld: HiggsField) -> UniPoly:
-    """Pf(B*Phi) * D^m of an so(2m) field: with B*Phi = P / E, E = k E~ for k
-    the content of E, and D = D~ / prod b_k, Pf(P) D~^m / E~^m times
-    (1 / (k prod b_k))^m.  E~ is primitive, so by Gauss's lemma the division
-    is exact over Q exactly when it is over Z[t]; it raises PoleOrderError
-    when it is not.  `analyze` never meets that case: once
-    build_plane_curve has made s_2m * D^2m polynomial and det B is constant,
-    (Pf * D^m)^2 = det B * s_2m * D^2m is polynomial, so the guard covers
-    direct callers only."""
+def twisted_pfaffian(fld: HiggsField) -> tuple[tuple[int, ...], int]:
+    """(P, s) with Pf(B*Phi) * D^m = P / s over Z[t] for an so(2m) field:
+    with B*Phi = P' / E, E = k E~ for k the content of E, and D = D~ / prod
+    b_k, P = Pf(P') D~^m / E~^m and s = (k prod b_k)^m.  E~ is primitive, so
+    by Gauss's lemma the division is exact over Q exactly when it is over
+    Z[t]; it raises PoleOrderError when it is not.  `analyze` never meets
+    that case: once build_plane_curve has made s_2m * D^2m polynomial and
+    det B is constant, (Pf * D^m)^2 = det B * s_2m * D^2m is polynomial, so
+    the guard covers direct callers only."""
     m = fld.group.m
     e = fld.gram_product[1]
     k = math.gcd(*e)
@@ -150,7 +153,7 @@ def twisted_pfaffian(fld: HiggsField) -> UniPoly:
         raise PoleOrderError(
             f"Pf(B*Phi) * D^{m} is not polynomial; pole outside the allowed order/locus"
         ) from None
-    return UniPoly.make(quo) * Q(1, k * den) ** m
+    return tuple(quo), (k * den) ** m
 
 
 def involution_check(curve: PlaneCurve) -> bool:
@@ -283,40 +286,40 @@ def involution_fixed_points(curve: PlaneCurve) -> FixedPointReport:
 class SingularityPatternReport:
     passed: bool
     count: int
-    unit: Fraction
     witnesses: tuple[tuple[Fraction, Fraction], ...]
 
 
 def so_even_singularity_pattern(
-    curve: PlaneCurve, pf_twisted: UniPoly, det_b: Fraction
+    curve: PlaneCurve, twisted: tuple[tuple[int, ...], int], det_b: Fraction
 ) -> SingularityPatternReport:
     """Check the even-orthogonal singularity pattern for a Gram form of
-    constant determinant det_b: f(t, 0) * det_b is the square of the twisted
-    Pfaffian, as f(t, 0) = Pf(B*Phi)^2 D^2m / det B, so with f = H / lc(H),
-    H(t, 0) det_b = lc(H) Pf^2 and f(t, 0) is the unit 1/det_b times that
-    square; and every rational Pfaffian root gives an exact singular point on
-    the zero section.
+    constant determinant det_b and the twisted Pfaffian P / s = Pf(B*Phi) D^m:
+    f(t, 0) det_b = (P / s)^2, as f(t, 0) = Pf(B*Phi)^2 D^2m / det B, checked
+    over Z[t] as H(t, 0) det_b s^2 = lc(H) P^2 for f = H / lc(H) with det_b's
+    denominator cleared; and every rational root of P gives an exact
+    singular point on the zero section.
 
     H_x(t, 0) vanishes identically by evenness and H_t(t, 0) = c0', so the
     witness conditions c0(t0) = c0'(t0) = 0 are verified exactly.
-    The returned count is deg(p), the number of pattern singularities with
+    The returned count is deg(P), the number of pattern singularities with
     multiplicity.
     """
     c0 = _symmetric_quotient(curve)[0]
-    if pf_twisted.is_zero:
+    pf, s = twisted
+    if not pf:
         raise ValueError("zero Pfaffian: the zero section is a curve component")
-    if UniPoly.make(c0) * det_b != pf_twisted * pf_twisted * curve.coeffs[-1][0]:
+    num, den = det_b.numerator, det_b.denominator
+    if [c * num * s * s for c in c0] != _int_mul(pf, [c * curve.coeffs[-1][0] * den for c in pf]):
         raise ValueError("not an SO(2m) spectral polynomial: F(t,0) is not a unit times a square")
-    unit = 1 / Q(det_b)
-    count = max(pf_twisted.degree, 0)
+    count = len(pf) - 1
     dc0 = _int_derivative(c0)
     witnesses = []
-    for t0, _ in rational_roots(pf_twisted) if pf_twisted.degree >= 1 else []:
+    for t0, _ in rational_roots(UniPoly.make(pf)) if count >= 1 else []:
         a, b = t0.numerator, t0.denominator
         if _hom_eval(c0, a, b) or _hom_eval(dc0, a, b):
-            return SingularityPatternReport(False, count, unit, tuple(witnesses))
+            return SingularityPatternReport(False, count, tuple(witnesses))
         witnesses.append((t0, Q(0)))
-    return SingularityPatternReport(True, count, unit, tuple(witnesses))
+    return SingularityPatternReport(True, count, tuple(witnesses))
 
 
 def ramification_degree_affine(curve: PlaneCurve) -> int:

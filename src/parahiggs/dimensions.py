@@ -512,23 +512,13 @@ class PfaffianSpaceRow:
 
 def pfaffian_space_discrepancy(ms=range(1, 5), gs=range(2, 7), ns=range(1, 5)) -> list[PfaffianSpaceRow]:
     """so-even dim H under the literal K(D)^m Pfaffian space versus the
-    adopted K^m(D^(m-1)): the literal count exceeds the closed form by
-    exactly n on every tuple; the adopted one matches it."""
+    adopted K^m(D^(m-1)) of the `sweep_reports` rows: the literal count
+    exceeds the closed form by exactly n on every tuple; the adopted one
+    matches it."""
     rows = []
-    for m in ms:
-        for g in gs:
-            for n in ns:
-                p = CurveParams(g, n)
-                group = GroupSpec.so_even(m)
-                closed = m * (2 * m - 1) * (g - 1) + m * n * (m - 1)
-                literal = so_even_hitchin_dim_literal(m, p)
-                rows.append(
-                    PfaffianSpaceRow(
-                        m, g, n,
-                        literal,
-                        hitchin_dim(group, p),
-                        closed,
-                        literal - closed,
-                    )
-                )
+    for rep in sweep_reports(("so-even",), ms, gs, ns):
+        data = _group_data(GroupSpec.so_even(rep.m), 0)
+        closed = data.closed_g * (rep.g - 1) + data.closed_n * rep.n
+        literal = so_even_hitchin_dim_literal(rep.m, CurveParams(rep.g, rep.n))
+        rows.append(PfaffianSpaceRow(rep.m, rep.g, rep.n, literal, rep.dim_hitchin, closed, literal - closed))
     return rows

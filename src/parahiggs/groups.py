@@ -1,11 +1,12 @@
-"""Classical group bookkeeping and split bilinear forms over Q.
+"""Classical group bookkeeping and split bilinear forms, held over Z.
 
 Random algebra elements and nilpotents are constant integer matrices, and a
 Cayley group element is one over a single integer denominator, made by one
 fraction-free inverse.  A Gram form has entries in Q(t) and
 is held as its clearing B = B' / E with B' and E over Z[t], made by the same
 routine that clears a Higgs field; it is checked there: B' is
-(anti)symmetric and det B' (Bareiss over Z[t]) is nonzero.  Lie algebra
+(anti)symmetric and det B' (Bareiss over Z[t]) is nonzero.  Its determinant
+is the integer pair (det B', E^n), never a rational function.  Lie algebra
 membership of a field Phi is read off the one product B*Phi, cleared to
 Z[t]: Phi^T B + B Phi = 0 exactly when B*Phi is symmetric for a symplectic B
 and antisymmetric for a symmetric B.
@@ -40,7 +41,7 @@ from .linalg import (
     zmat_inverse,
     zmat_mul,
 )
-from .poly import RationalFunction, _int_pow
+from .poly import _int_pow
 
 GROUP_KINDS = ("sp", "so-even", "so-odd")
 
@@ -113,7 +114,7 @@ class GramForm:
         sign = -1 if self.kind == "symplectic" else 1
         if any(b[i][j] != tuple(sign * x for x in b[j][i]) for i in range(n) for j in range(i, n)):
             raise ValueError(f"Gram matrix is not {self.kind}")
-        if not self.cleared_det:
+        if not self.det[0]:
             raise ValueError("Gram matrix is degenerate")
 
     @staticmethod
@@ -126,14 +127,10 @@ class GramForm:
         return len(self.cleared[0])
 
     @cached_property
-    def cleared_det(self) -> tuple[int, ...]:
-        """det B' over Z[t], by Bareiss: det B = det B' / E^n."""
-        return tuple(bareiss_det([[list(p) for p in row] for row in self.cleared[0]]))
-
-    @cached_property
-    def det(self) -> RationalFunction:
-        """det B, for the spectral report."""
-        return RationalFunction.from_ints(self.cleared_det, _int_pow(self.cleared[1], self.size))
+    def det(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(det B', E^n) over Z[t] with det B = det B' / E^n, det B' by Bareiss."""
+        b, e = self.cleared
+        return tuple(bareiss_det([[list(p) for p in row] for row in b])), tuple(_int_pow(e, len(b)))
 
 
 @functools.cache

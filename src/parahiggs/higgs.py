@@ -12,9 +12,11 @@ A field Phi = M / Delta is held as the integer pair (M, Delta), made by
 reduced; for a Gram form B = B' / E, B*Phi is held once as (B'M, E*Delta),
 over a common denominator that no check needs reduced.  Membership, the
 characteristic data (e_1..e_r over Z[t] with s_i = e_i / Delta^i), the
-residues M(a) / Delta'(a), the Pfaffian and the so(2m+1) kernel line (the
-Pfaffian adjugate of B*Phi) are all read off these two, no check does
-polynomial arithmetic over Q, and the JSON is written from the integers.
+residues M(a) / Delta'(a) (each the integer pair (X, e) for X / e), the
+Pfaffian and the so(2m+1) kernel line (the primitive integer Pfaffian
+adjugate of B*Phi) are all read off these two: every value a check computes
+is an integer object, Q appears only in the marked points and the printed
+pole reason, and the JSON is written from the integers.
 The generator does its constant linear algebra (residues, Cayley elements,
 conjugation) over Z, each residue over one integer denominator, and
 assembles M over the integer denominator prod (b_k t - a_k) of the marked
@@ -42,7 +44,6 @@ from .groups import (
 )
 from .linalg import (
     Cleared,
-    QMat,
     ZMat,
     clear_fractions,
     cleared_json,
@@ -117,6 +118,15 @@ class CharData:
             _int_mul(a, q) == _int_mul(b, p)
             for a, b, p, q in zip(self.e, other.e, self.den_powers, other.den_powers)
         )
+
+
+def marked_point(text: int | str) -> Fraction:
+    """The rational of a marked point, a "p/q" string or an integer; a bad
+    one raises ValueError naming it."""
+    try:
+        return q_from_str(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad marked point {text!r}") from None
 
 
 @dataclass(eq=False)
@@ -195,46 +205,57 @@ class HiggsField:
         """The field of a JSON document; a document of the wrong shape raises ValueError."""
         if not isinstance(data, dict) or not isinstance(data.get("marked_points", []), list):
             raise ValueError("a field must be a JSON object with a list of marked_points")
-        group = GroupSpec(data["group"], int(json_int_or_str(data["m"])))
+        missing = next((key for key in ("group", "m", "matrix") if key not in data), None)
+        if missing:
+            raise ValueError(f"a field needs the key {missing!r}")
+        try:
+            m = int(json_int_or_str(data["m"]))
+        except ValueError:
+            raise ValueError(f"bad m {data['m']!r}") from None
+        group = GroupSpec(data["group"], m)
         kind = "symplectic" if group.kind == "sp" else "symmetric"
         gram = split_gram(group)
         if "gram" in data:
             gram = GramForm(clear_fractions(int_fraction_grid_from_json(data["gram"])), kind)
         grid = int_fraction_grid_from_json(data["matrix"])
-        marked = tuple(q_from_str(s) for s in data["marked_points"])
+        marked = tuple(map(marked_point, data["marked_points"]))
         return HiggsField(group, gram, clear_fractions(grid), marked)
 
 
 # -- residues and the strong-parabolicity law ---------------------------------
 
 
-def residue_at(fld: HiggsField, a) -> QMat:
-    """Residue lim (t - a) * Phi(t) = M(a) / Delta'(a) at a marked point,
-    every value read off over Z.  Zero when Delta(a) != 0; Delta'(a) = 0 at a
-    root of Delta means a pole of order > 1."""
+def residue_at(fld: HiggsField, a) -> tuple[ZMat, int]:
+    """(X, e) with X / e the residue lim (t - a) * Phi(t) = M(a) / Delta'(a)
+    at a marked point, unique with X integer, e > 0 and content 1: for a =
+    p / b and k = max deg M + deg Delta - 1, b^k M(a) over b^k Delta'(a), both
+    over Z.  (0, 1) when Delta(a) != 0; Delta'(a) = 0 at a root of Delta
+    means a pole of order > 1."""
     a = Fraction(a)
     if a not in fld.marked_points:
         raise ValueError(f"t = {a} is not a marked point")
     ints, delta = fld.cleared
     p, b = a.numerator, a.denominator  # b^deg f * f(a) = _hom_eval(f, p, b)
     if _hom_eval(delta, p, b):
-        return [[Fraction(0)] * len(ints) for _ in ints]
+        return [[0] * len(ints) for _ in ints], 1
     slope = _hom_eval(_int_derivative(delta), p, b)
     if slope == 0:
         raise PoleOrderError(f"pole of order > 1 at t = {a}")
-    num = b ** (len(delta) - 2)
-    return [[Fraction(_hom_eval(q, p, b) * num, slope * b ** max(len(q) - 1, 0)) for q in row]
-            for row in ints]
+    n = max(len(q) for row in ints for q in row) - 1
+    top = n + len(delta) - 1
+    x = [[_hom_eval(q, p, b) * b ** (top - len(q)) for q in row] for row in ints]
+    e = slope * b**n
+    g = math.gcd(e, *(v for row in x for v in row)) * (1 if e > 0 else -1)
+    return [[v // g for v in row] for row in x], e // g
 
 
-def _is_nilpotent(mat: QMat, power: int) -> bool:
-    """mat^power == 0, over the integer rows of mat: nilpotency is scale-invariant."""
-    den = math.lcm(*(x.denominator for row in mat for x in row))
-    cur = ints = [[x.numerator * (den // x.denominator) for x in row] for row in mat]
+def _is_nilpotent(mat: ZMat, power: int) -> bool:
+    """mat^power == 0 for an integer matrix."""
+    cur = mat
     for _ in range(power - 1):
         if not any(map(any, cur)):
             break
-        cur = zmat_mul(cur, ints)
+        cur = zmat_mul(cur, mat)
     return not any(map(any, cur))
 
 
@@ -257,7 +278,7 @@ def strong_parabolic_check(fld: HiggsField) -> StrongParabolicResult:
         failures.append(f"pole off the marked points: Phi has denominator factor {UniPoly.make(off).monic()}")
     for a in fld.marked_points:
         try:
-            res = residue_at(fld, a)
+            res, _ = residue_at(fld, a)
         except PoleOrderError as exc:
             failures.append(str(exc))
             continue
@@ -300,18 +321,17 @@ class PfaffianSquareResult:
     Gram); each value is held as (num, den) for num / den over Z[t]."""
 
     passed: bool
-    pfaffian: tuple[tuple[int, ...], list[int]]
-    unit: tuple[tuple[int, ...], list[int]]
+    pfaffian: tuple[tuple[int, ...], tuple[int, ...]]
+    unit: tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def pfaffian_square_check(fld: HiggsField) -> PfaffianSquareResult:
     """For so-even fields: s_2m * det(B) == Pf(B*Phi)^2 identically.  With
     Phi = M / Delta, B = B' / E and B*Phi = B'M / (E*Delta) this is
     e_2m * det B' == Pf(B'M)^2 over Z[t]."""
-    pf, gram = fld.pfaffian, fld.gram
-    passed = _int_mul(fld.char_data.e[-1], gram.cleared_det) == _int_mul(pf, pf)
-    unit = (gram.cleared_det, _int_pow(gram.cleared[1], gram.size))
-    return PfaffianSquareResult(passed, (pf, _int_pow(fld.gram_product[1], fld.group.m)), unit)
+    pf, unit = fld.pfaffian, fld.gram.det
+    passed = _int_mul(fld.char_data.e[-1], unit[0]) == _int_mul(pf, pf)
+    return PfaffianSquareResult(passed, (pf, tuple(_int_pow(fld.gram_product[1], fld.group.m))), unit)
 
 
 # -- random field generation ---------------------------------------------------
@@ -401,13 +421,13 @@ def semisimple_residue_control(group: GroupSpec, marked_points, degree_bound: in
 
 @dataclass(frozen=True)
 class SoOddReduction:
-    kernel_vector: tuple[UniPoly, ...]
+    kernel_vector: tuple[tuple[int, ...], ...]
     removed_index: int
     reduced: Cleared
     induced_gram: GramForm
 
 
-def _primitive_kernel_vector(polys: list[tuple[int, ...]]) -> list[list[int]]:
+def _primitive_kernel_vector(polys: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     # coprime coordinates, integer content 1, first nonzero lc > 0: unique on the line
     nonzero = [list(p) for p in polys if p]
     g = nonzero[0]
@@ -416,7 +436,7 @@ def _primitive_kernel_vector(polys: list[tuple[int, ...]]) -> list[list[int]]:
     polys = [_int_exact_div(list(p), g) if p else [] for p in polys]
     lead = next(p for p in polys if p)[-1]
     scale = math.gcd(*(c for p in polys for c in p)) * (1 if lead > 0 else -1)
-    return [[c // scale for c in p] for p in polys]
+    return [tuple(c // scale for c in p) for p in polys]
 
 
 def so_odd_reduce(fld: HiggsField) -> SoOddReduction:
@@ -456,4 +476,4 @@ def so_odd_reduce(fld: HiggsField) -> SoOddReduction:
         gram = GramForm(clear_fractions(induced), "symplectic")
     except ValueError as exc:
         raise NonGenericFieldError(f"induced form is degenerate or not skew: {exc}") from None
-    return SoOddReduction(tuple(UniPoly.make(p) for p in v), ell, clear_fractions(reduced), gram)
+    return SoOddReduction(tuple(v), ell, clear_fractions(reduced), gram)

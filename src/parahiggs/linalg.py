@@ -1,4 +1,4 @@
-"""Matrices over Q and over Z[t].
+"""Integer matrices: constant ones over Z and fields over Z[t].
 
 A Higgs field or Gram form is held as one matrix over Z[t] over one common
 denominator, the integer pair (M, Delta) for M / Delta: M an ``IntMat``
@@ -12,14 +12,14 @@ Every characteristic coefficient, Pfaffian and Pfaffian adjugate is computed
 from M: evaluated at integer sample points, handled there division-free, and
 interpolated back over Z[t], which keeps the heavy inner loops in machine
 integers.  A constant matrix over Q (a residue, a Cayley group element) is
-an integer matrix ``ZMat`` over one integer denominator, multiplied by
-``zmat_mul`` and inverted fraction-free by ``zmat_inverse``.
+the pair (X, e) of an integer matrix ``ZMat`` X over one integer denominator
+e, multiplied by ``zmat_mul`` and inverted fraction-free by ``zmat_inverse``;
+no matrix here has `Fraction` entries.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 from .poly import (
@@ -33,7 +33,6 @@ from .poly import (
     interpolate_int_range,
 )
 
-QMat = list[list[Fraction]]
 ZMat = list[list[int]]
 IntMat = tuple[tuple[tuple[int, ...], ...], ...]
 IntFraction = tuple[tuple[int, ...], tuple[int, ...]]

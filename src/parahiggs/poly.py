@@ -123,9 +123,6 @@ class UniPoly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Q(0)
-
     # -- ring operations ----------------------------------------------------
 
     def __mul__(self, other: Union["UniPoly", Scalar]) -> "UniPoly":

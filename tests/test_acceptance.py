@@ -289,7 +289,7 @@ def test_c09_plane_curves():
     srep = smoothness_check(quartic)
     assert srep.status == "singular"
     assert srep.witnesses == ((Q(0), Q(0)),)
-    pattern = so_even_singularity_pattern(quartic, P([0, 1]), 1)
+    pattern = so_even_singularity_pattern(quartic, ((0, 1), 1), 1)
     assert pattern.passed and pattern.count == 1
     assert pattern.witnesses == ((Q(0), Q(0)),)
 

@@ -542,6 +542,25 @@ class TestArgumentErrors:
         argv = [arg.replace("{missing}", missing) for arg in argv]
         assert run(capsys, *argv) == (2, "", f"error: {message.replace('{missing}', missing)}\n")
 
+    SP1 = {"group": "sp", "m": 1, "marked_points": ["0"], "matrix": [[ZERO, ZERO], [ZERO, ZERO]]}
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"group": "sp", "m": 1}, "a field needs the key 'matrix'"),
+        ({"m": 1, "matrix": []}, "a field needs the key 'group'"),
+        ({"group": "sp", "matrix": []}, "a field needs the key 'm'"),
+        ({**SP1, "m": "x"}, "bad m 'x'"),
+        ({**SP1, "m": None}, "bad m None"),
+        ({**SP1, "marked_points": ["1/0"]}, "bad marked point '1/0'"),
+        ({**SP1, "marked_points": ["0", "x"]}, "bad marked point 'x'"),
+        ({**SP1, "marked_points": [None]}, "bad marked point None"),
+    ])
+    @pytest.mark.parametrize("command", ["analyze", "reduce-odd"])
+    def test_field_document_message(self, command, doc, message, tmp_path, capsys):
+        # a field document names what it lacks and a bad marked point as gen does
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, command, str(path)) == (2, "", f"error: {message}\n")
+
 
 class TestInputFiles:
     def test_input_file_is_closed(self, tmp_path, capsys):

@@ -290,26 +290,25 @@ class TestFixedPoints:
 
 class TestSoEvenPattern:
     def test_quartic_pattern(self):
-        rep = so_even_singularity_pattern(QUARTIC, P([0, 1]), 1)  # p = t
+        rep = so_even_singularity_pattern(QUARTIC, ((0, 1), 1), 1)  # p = t
         assert rep.passed and rep.count == 1
         assert rep.witnesses == ((Q(0), Q(0)),)
-        assert rep.unit == 1
 
     def test_m1_toy(self):
-        rep = so_even_singularity_pattern(curve([0, 0, 1], 0, 1), P([0, 1]), 1)  # x^2 + t^2
-        assert rep.passed and rep.count == 1 and rep.unit == 1
+        rep = so_even_singularity_pattern(curve([0, 0, 1], 0, 1), ((0, 1), 1), 1)  # x^2 + t^2
+        assert rep.passed and rep.count == 1
 
     def test_split_gram_unit(self):
-        rep = so_even_singularity_pattern(curve([0, 0, -1], 0, 1), P([0, 1]), -1)  # x^2 - t^2
-        assert rep.passed and rep.unit == -1
+        rep = so_even_singularity_pattern(curve([0, 0, -1], 0, 1), ((0, 1), 1), -1)  # x^2 - t^2
+        assert rep.passed
 
     def test_constant_pfaffian(self):
-        rep = so_even_singularity_pattern(curve(1, 0, 1), P([1]), 1)  # x^2 + 1
+        rep = so_even_singularity_pattern(curve(1, 0, 1), ((1,), 1), 1)  # x^2 + 1
         assert rep.passed and rep.count == 0 and rep.witnesses == ()
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="unit times a square"):
-            so_even_singularity_pattern(curve([0, 1], 0, 1), P([0, 1]), 1)
+            so_even_singularity_pattern(curve([0, 1], 0, 1), ((0, 1), 1), 1)
 
     def test_twisted_pfaffian_with_a_pole_outside_the_twist_raises(self):
         # Phi = diag(f, -f), f = 1/(t - 1): Pf(B*Phi) * t = -t / (t - 1)
@@ -326,8 +325,10 @@ class TestSoEvenPattern:
         t = P([0, 1])
         fld = HiggsField.from_grid(GroupSpec.so_even(1), gram, [[RF(t), RF(0)], [RF(0), RF(t * -1)]], (Q(0),))
         c = build_plane_curve(fld)
-        rep = so_even_singularity_pattern(c, twisted_pfaffian(fld), gram.det.num.coeff(0))
-        assert rep.passed and rep.unit == Q(-1, 4)
+        assert gram.det == ((-4,), (1,))
+        assert twisted_pfaffian(fld) == ((0, 0, -2), 1)
+        rep = so_even_singularity_pattern(c, twisted_pfaffian(fld), Q(-4))
+        assert rep.passed
         assert rep.count == 2 and rep.witnesses == ((Q(0), Q(0)),)
         path = tmp_path / "field.json"
         path.write_text(json.dumps(fld.to_dict()))
@@ -340,10 +341,11 @@ class TestSoEvenPattern:
         fld = random_strongly_parabolic_higgs(GroupSpec.so_even(2), [0], 1, seed=8)
         c = build_plane_curve(fld)
         twisted = twisted_pfaffian(fld)
-        # the twisted Pfaffian is Pf(B*Phi) * t^m, with Pf(B*Phi) from the pfaffian check
+        # the twisted Pfaffian P / s is Pf(B*Phi) * t^m, with Pf(B*Phi) from the pfaffian check
         pf = RationalFunction.from_ints(*pfaffian_square_check(fld).pfaffian)
-        assert twisted * pf.den == pf.num * P([0, 1]) ** fld.group.m
-        rep = so_even_singularity_pattern(c, twisted, fld.gram.det.num.coeff(0))
+        assert P(twisted[0]) * pf.den == pf.num * twisted[1] * P([0, 1]) ** fld.group.m
+        num, den = fld.gram.det
+        rep = so_even_singularity_pattern(c, twisted, Q(num[0], den[0]))
         assert rep.passed
 
     @pytest.mark.parametrize("seed", range(3))
@@ -355,7 +357,8 @@ class TestSoEvenPattern:
         fld = random_strongly_parabolic_higgs(GroupSpec.so_even(2), [Q(1, 2), Q(-2, 3)], 1, seed)
         twist = P([Q(-1, 2), 1]) * P([Q(2, 3), 1])
         pf = RationalFunction.from_ints(*pfaffian_square_check(fld).pfaffian)
-        assert twisted_pfaffian(fld) * pf.den == pf.num * twist**fld.group.m
+        p, s = twisted_pfaffian(fld)
+        assert P(p) * pf.den == pf.num * s * twist**fld.group.m
 
 
 class TestRamificationAndGenus:

@@ -124,7 +124,7 @@ class TestSplitGram:
         group = GroupSpec(kind, m)
         gram = split_gram(group)
         assert all(x.den == UniPoly.one() for row in gram_matrix(gram) for x in row)
-        b = [[x.num.coeff(0) for x in row] for row in gram_matrix(gram)]
+        b = [[p[0] if p else 0 for p in row] for row in gram.cleared[0]]
         bt = transpose(b)
         if kind == "sp":
             assert gram.kind == "symplectic"
@@ -194,7 +194,7 @@ class TestCayley:
         rng = random.Random(9)
         group = GroupSpec.sp(2)
         gram = split_gram(group)
-        j = [[x.num.coeff(0) for x in row] for row in gram_matrix(gram)]
+        j = [[p[0] if p else 0 for p in row] for row in gram.cleared[0]]
         for _ in range(5):
             a = random_algebra_element(group, rng)
             try:
@@ -281,7 +281,7 @@ class TestIntegerConjugation:
             want, attempts = fraction_route(group, seed)
             inverses.clear()
             fld = random_strongly_parabolic_higgs(group, MARKED, 0, seed)
-            assert [residue_at(fld, a) for a in MARKED] == want
+            assert [over(residue_at(fld, a)) for a in MARKED] == want
             assert len(inverses) == attempts
             retries += attempts - len(MARKED)
         # every group meets a Cayley pole within 50 seeds at m <= 3; at m = 4 only so-even does

@@ -1,11 +1,13 @@
 """Higgs field checkers, the seeded generator, and the odd-rank reduction."""
 
 import itertools
+import math
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from parahiggs.groups import GramForm, GroupError, GroupSpec, split_gram
+from parahiggs.groups import GROUP_KINDS, GramForm, GroupError, GroupSpec, split_gram
 from parahiggs.higgs import (
     CharData,
     HiggsField,
@@ -72,16 +74,16 @@ ZERO = RF(0)
 class TestResidue:
     def test_reads_off_simple_pole(self):
         fld = sp1_field([[T, ONE_OVER_T], [T, MINUS_T]], (Q(0),))
-        assert residue_at(fld, 0) == [[Q(0), Q(1)], [Q(0), Q(0)]]
+        assert residue_at(fld, 0) == ([[0, 1], [0, 0]], 1)
 
     def test_polynomial_entries_zero_residue(self):
         fld = sp1_field([[T, RF(P([0, 0, 1]))], [RF(1), MINUS_T]], (Q(0),))
-        assert residue_at(fld, 0) == [[Q(0), Q(0)], [Q(0), Q(0)]]
+        assert residue_at(fld, 0) == ([[0, 0], [0, 0]], 1)
 
     def test_diagonal_pole(self):
         f, minus_f = RF(P([1]), P([-1, 1])), RF(P([-1]), P([-1, 1]))
         fld = sp1_field([[f, ZERO], [ZERO, minus_f]], (Q(1),))
-        assert residue_at(fld, 1) == [[Q(1), Q(0)], [Q(0), Q(-1)]]
+        assert residue_at(fld, 1) == ([[1, 0], [0, -1]], 1)
 
     def test_unmarked_point_rejected(self):
         fld = sp1_field([[T, ZERO], [ZERO, MINUS_T]], (Q(0),))
@@ -96,20 +98,43 @@ class TestResidue:
 
     def test_fractional_marked_point(self):
         # poles at a = 2/3, cleared over D = 3t - 2 (lc(D) = 3): the residue of
-        # n(t) / (k (3t - 2)) is n(2/3) / (3k)
+        # n(t) / (k (3t - 2)) is n(2/3) / (3k), here X / 27 for an integer X
         third = P([-2, 3])
         fld = sp1_field(
             [[RF(P([0, 1]), third), RF(P([1, -2, 3]), third)],  # t/(3t-2), 1/(3t-2) + t
              [RF(P([0, 0, 1]), third * 2), RF(P([0, -1]), third)]],  # t^2/(6t-4), -t/(3t-2)
             (Q(2, 3),),
         )
-        assert residue_at(fld, Q(2, 3)) == [[Q(2, 9), Q(1, 3)], [Q(2, 27), Q(-2, 9)]]
+        assert residue_at(fld, Q(2, 3)) == ([[6, 9], [2, -6]], 27)
 
     def test_double_pole_at_a_fractional_marked_point(self):
         fld = sp1_field([[ZERO, RF(P([1]), P([4, -12, 9]))], [ZERO, ZERO]], (Q(2, 3),))  # 1/(3t-2)^2
         with pytest.raises(PoleOrderError, match="pole of order > 1 at t = 2/3"):
             residue_at(fld, Q(2, 3))
         assert strong_parabolic_check(fld).failures == ("pole of order > 1 at t = 2/3",)
+
+    @given(
+        st.sampled_from(GROUP_KINDS),
+        st.integers(1, 3),
+        st.integers(0, 2),
+        st.sampled_from([Q(1, 2), Q(-2, 3), Q(3, 4)]),
+        st.lists(st.sampled_from([Q(0), Q(1), Q(-2), Q(5, 3)]), max_size=2, unique=True),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_integer_residue_matches_fraction_residue(self, kind, m, deg, fractional, others, seed):
+        # oracle: num(a) / den'(a) of each reduced entry with a simple pole at a, 0 elsewhere
+        def at(p, a):
+            return sum(c * a**k for k, c in enumerate(p.coeffs))
+
+        marked = [fractional, *others]
+        fld = random_strongly_parabolic_higgs(GroupSpec(kind, m), marked, deg, seed)
+        for a in marked:
+            x, e = residue_at(fld, a)
+            assert e > 0 and math.gcd(e, *(v for row in x for v in row)) == 1
+            want = [[at(f.num, a) / at(f.den.derivative(), a) if at(f.den, a) == 0 else 0 for f in row]
+                    for row in fld.matrix]
+            assert [[Q(v, e) for v in row] for row in x] == want
 
 
 class TestCharAndParity:
@@ -178,7 +203,7 @@ class TestStrongParabolic:
         # the quotient frame of reduce-odd is singular where v_ell vanishes
         fld = random_strongly_parabolic_higgs(GroupSpec.so_odd(2), [0], 0, seed=100)
         red = so_odd_reduce(fld)
-        v_ell = red.kernel_vector[red.removed_index]
+        v_ell = P(red.kernel_vector[red.removed_index])
         reduced = HiggsField(GroupSpec.sp(2), red.induced_gram, red.reduced, fld.marked_points)
         assert reduced.is_member
         (failure,) = strong_parabolic_check(reduced).failures
@@ -255,7 +280,7 @@ class TestSoOddReduce:
     def test_kernel_e1(self):
         fld = so3_identity_gram_field(1, 0, 0)
         red = so_odd_reduce(fld)
-        assert red.kernel_vector == (P([1]), UniPoly.zero(), UniPoly.zero())
+        assert red.kernel_vector == ((1,), (), ())
         assert char_sections(red.reduced) == [RF(0), RF(1)]  # x^2 + 1
 
     def test_cross_123(self):
@@ -293,11 +318,10 @@ class TestSoOddReduce:
         t = sympy.Symbol("t")
 
         def to_sympy(p):
-            coeffs = enumerate(p.coeffs)
-            return sum(sympy.Rational(c.numerator, c.denominator) * t**k for k, c in coeffs)
+            return sum(sympy.Rational(c) * t**k for k, c in enumerate(p))
 
         def to_sympy_rf(x):
-            return to_sympy(x.num) / to_sympy(x.den)
+            return to_sympy(x.num.coeffs) / to_sympy(x.den.coeffs)
 
         checked = 0
         for m, seed in itertools.product((1, 2), range(4)):
@@ -341,8 +365,8 @@ class TestSoOddReduce:
         fld = so3_identity_gram_field(1, 2, 3)
         red = so_odd_reduce(fld)
         # constant Phi and B = I: Phi^T B = Phi^T, entries are integers
-        phi = [[int(x.num.coeff(0)) for x in row] for row in fld.matrix]
-        b = [[int(x.num.coeff(0)) for x in row] for row in gram_matrix(fld.gram)]
+        phi = [[p[0] if p else 0 for p in row] for row in fld.cleared[0]]
+        b = [[p[0] if p else 0 for p in row] for row in fld.gram.cleared[0]]
         phi_t_b = [[sum(phi[s][i] * b[s][j] for s in range(3)) for j in range(3)] for i in range(3)]
         keep = [i for i in range(3) if i != red.removed_index]
         expect = [[RF(phi_t_b[i][j]) for j in keep] for i in keep]

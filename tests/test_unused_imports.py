@@ -4,11 +4,13 @@ one, and every named method of a class, is used in the package or its scripts
 unless it is listed as test-only API.
 
 A static scan: each module is parsed, and every name bound by an import must
-occur as a name in the module body or be re-exported through `__all__`; every
-module-level `def` or `class` whose name starts with `_` must occur as a name,
-an attribute or an imported name in some module of the package; every other
-module-level `def` or `class`, and every method of a module-level class that
-is not a dunder, must occur so in the package or in `scripts/`.  A method
+occur as a name in the module body or be re-exported through `__all__`.
+Every module-level `def` or `class` must be read as a name (`name`) or
+imported (`from m import name`): one whose name starts with `_` in some
+module of the package, any other in the package or in `scripts/`.  An
+attribute `x.name` does not count for it, so a same-named field or method
+(`report.prym_dim`) cannot hide it.  Every method of a module-level class
+that is not a dunder must be used in the package or in `scripts/`.  A method
 counts as used when it is referenced through its own class, as `Cls.name`
 anywhere or as `self.name` or `cls.name` inside that class.  A plain method
 also counts as used when its name occurs as an attribute, `x.name`, so a
@@ -33,6 +35,8 @@ SRC = ROOT / "src" / "parahiggs"
 TEST_ONLY_API = {
     "curves.involution_fixed_points": "fixed points of x -> -x, for the spectral-cover check of ROADMAP item 7",
     "curves.hyperelliptic_genus": "genus of a hyperelliptic quotient, for the Prym check of ROADMAP item 7",
+    "dimensions.hitchin_dim": "dim H of one (group, p) on its own, an oracle for identity_suite, which sums the sections per row",
+    "dimensions.prym_dim": "the Prym dimension of one (group, p) on its own, an oracle for identity_suite, which composes its kernel",
     "dimensions.higgs_moduli_dim": "dim of the Higgs moduli on its own, an oracle for identity_suite, which doubles the moduli dim it has",
     "dimensions.rh_genus_crosscheck": "the Riemann-Hurwitz genus on its own, an oracle for identity_suite, which calls its integer kernel",
     "dimensions.eigenline_degree_sqrt_twist": "eigenline degree under the square-root normalization",
@@ -92,13 +96,14 @@ def test_no_unused_imports(path):
     assert unused == []
 
 
-def referenced_names(tree: ast.Module) -> set[str]:
+def loaded_names(tree: ast.Module) -> set[str]:
+    """Names the module reads, `name`, or imports, `from m import name`; an
+    attribute `x.name` is no use of a module-level def, which a same-named
+    attribute (a dataclass field, a method) would otherwise hide."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
     return names
@@ -106,7 +111,7 @@ def referenced_names(tree: ast.Module) -> set[str]:
 
 def test_no_dead_private_helpers():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
-    referenced = set().union(*(referenced_names(tree) for tree in trees.values()))
+    referenced = set().union(*(loaded_names(tree) for tree in trees.values()))
     dead = [
         f"{module}: {node.name} (line {node.lineno})"
         for module, tree in trees.items()
@@ -185,7 +190,7 @@ def public_use_scan() -> tuple[list[str], list[str]]:
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
     scripts = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "scripts").glob("*.py"))]
     everything = [*trees.values(), *scripts]
-    referenced = set().union(*(referenced_names(tree) for tree in everything))
+    referenced = set().union(*(loaded_names(tree) for tree in everything))
     attributes = {node.attr for tree in everything for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     through_class = set().union(*(class_references(tree) for tree in everything))
     declared = {
