@@ -77,7 +77,10 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def format_reports(reports: list[DimensionReport], fmt: str) -> str:
+# -- dims / sweep ---------------------------------------------------------------
+
+
+def _format_reports(reports: list[DimensionReport], fmt: str) -> str:
     if fmt == "json":
         return _dump_json([r.to_dict() for r in reports])
     rows = [CSV_HEADER] + [r.to_csv_row() for r in reports]
@@ -88,27 +91,20 @@ def format_reports(reports: list[DimensionReport], fmt: str) -> str:
     return "\n".join([header, rule, *body])
 
 
-# -- dims / sweep ---------------------------------------------------------------
-
-
-def run_sweep(kinds, m: str, g: str, n: str, deg_m: int) -> list[DimensionReport]:
-    """`sweep_reports` over the group kinds and the m, g and n range texts,
-    each checked first; a bad argument raises ValueError."""
+def _run_suite(args: argparse.Namespace) -> int:
+    """`sweep_reports` over the group kinds and the m, g and n ranges, each
+    checked first; a bad argument raises ValueError."""
+    kinds = (args.group,) if args.command == "dims" else tuple(args.groups.split(","))
     for i, kind in enumerate(kinds):
         if kind not in GROUP_KINDS:
             raise ValueError(f"unknown group {kind!r}")
         if kind in kinds[:i]:
             raise ValueError(f"--groups: repeated group {kind!r}")
-    ms, gs, ns = parse_range(m, "-m"), parse_range(g, "-g"), parse_range(n, "-n")
+    ms, gs, ns = parse_range(args.m, "-m"), parse_range(args.g, "-g"), parse_range(args.n, "-n")
     if ms[0] < 1 or gs[0] < 2 or ns[0] < 1:
         raise ValueError("need m >= 1, g >= 2, n >= 1")
-    return sweep_reports(kinds, ms, gs, ns, deg_m)
-
-
-def _run_suite(args: argparse.Namespace) -> int:
-    kinds = (args.group,) if args.command == "dims" else tuple(args.groups.split(","))
-    reports = run_sweep(kinds, args.m, args.g, args.n, args.deg_m)
-    _write_output(args.output, format_reports(reports, args.format))
+    reports = sweep_reports(kinds, ms, gs, ns, args.deg_m)
+    _write_output(args.output, _format_reports(reports, args.format))
     return OK if all(r.passed for r in reports) else CHECK_FAILED
 
 

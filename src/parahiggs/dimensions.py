@@ -3,8 +3,10 @@
 Everything in this module is plain integer arithmetic; each operation
 checks its own integrality/parities and raises rather than round.  The
 half-integer exponents of square-rooted line bundles are held doubled, as
-integers, so a degree is formed as twice its value and its parity is the
-integrality check; no rational number is built on the sweep path.  The
+integers: the one constructor `LineBundleClass(two_a, b, two_c)` makes
+K^(two_a/2) (D^b) M^(two_c/2), and `LineBundleClass.kd(a, b)` makes
+K^a (D^b).  A degree is formed as twice its value and its parity is the
+integrality check, so the module builds no rational number.  The
 identity chain checked per (group, m, g, n) is
 
     dim H  =  dim moduli  =  dim Prym  =  dim Higgs-moduli / 2
@@ -33,7 +35,6 @@ compose the same kernels, so each gives on its own what the row reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from .groups import GroupSpec
@@ -77,53 +78,25 @@ def validate_group_params(group: GroupSpec, deg_m: int) -> None:
         raise ValueError("so-odd needs even deg(M)")
 
 
-def _doubled_exponent(x, name: str) -> int:
-    """2x for an integer or half-integer exponent x, else ValueError."""
-    if type(x) is int:
-        return 2 * x
-    twice = 2 * Fraction(x)
-    if twice.denominator != 1:
-        raise ValueError(f"{name}-exponent must be integer or half-integer")
-    return int(twice)
-
-
 def _half(twice: int) -> str:
     """twice / 2 written as `Fraction` writes it: 3, -1/2, 7/2."""
     return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class LineBundleClass:
-    """Formal class K^a (D^b) M^c; a and c may be half-integers (square
-    roots), b is an integer, and any degree actually evaluated must land in Z.
-
-    The exponents of K and M are stored doubled, two_a = 2a and two_c = 2c,
-    as integers; the constructor takes a and c themselves, as an `int` or a
-    half-integer `Fraction`.
-    """
+    """Formal class K^a (D^b) M^c, held as the integers (two_a, b, two_c) =
+    (2a, b, 2c): a and c may be half-integers (square roots), b is an
+    integer, and any degree actually evaluated must land in Z."""
 
     two_a: int
     b: int
-    two_c: int
-
-    def __init__(self, a, b: int, c=0):
-        self._set(_doubled_exponent(a, "K"), b, _doubled_exponent(c, "M"))
-
-    def _set(self, two_a: int, b: int, two_c: int) -> None:
-        object.__setattr__(self, "two_a", two_a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "two_c", two_c)
-
-    @classmethod
-    def from_doubled(cls, two_a: int, b: int, two_c: int = 0) -> "LineBundleClass":
-        """K^(two_a/2) (D^b) M^(two_c/2), built from integers alone."""
-        self = cls.__new__(cls)
-        self._set(two_a, b, two_c)
-        return self
+    two_c: int = 0
 
     @staticmethod
     def kd(a: int, b: int) -> "LineBundleClass":
-        return LineBundleClass.from_doubled(2 * a, b)
+        """K^a (D^b) for integers a and b."""
+        return LineBundleClass(2 * a, b)
 
     def degree(self, p: CurveParams) -> int:
         return self.degree_at(p.two_g_minus_2, p.n, p.deg_m)
@@ -147,7 +120,6 @@ def h0_rr(cls: LineBundleClass, p: CurveParams) -> int:
     return deg + 1 - p.g
 
 
-@cache
 def _hitchin_section_classes(group: GroupSpec) -> tuple[LineBundleClass, ...]:
     m = group.m
     classes = [LineBundleClass.kd(2 * i, 2 * i - 1) for i in range(1, m + 1)]
@@ -184,9 +156,9 @@ class _GroupData:
         self.det_classes = None
         if group.kind == "so-odd":
             self.det_classes = (
-                LineBundleClass.from_doubled(0, 0, 2 * m + 1),
-                LineBundleClass.from_doubled(-2 * m, -m, 1),
-                LineBundleClass(m, m, m),
+                LineBundleClass(0, 0, 2 * m + 1),
+                LineBundleClass(-2 * m, -m, 1),
+                LineBundleClass(2 * m, m, 2 * m),
             )
 
 

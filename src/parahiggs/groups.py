@@ -33,11 +33,11 @@ from functools import cached_property
 from .bipoly import bareiss_det
 from .linalg import (
     Cleared,
-    IntMat,
     SingularMatrixError,
     ZMat,
     clear_fractions,
     entry_ints,
+    is_symmetric,
     zmat_inverse,
     zmat_mul,
 )
@@ -111,8 +111,7 @@ class GramForm:
             raise ValueError("Gram matrix must be square")
         if self.kind not in ("symplectic", "symmetric"):
             raise ValueError(f"unknown form kind {self.kind!r}")
-        sign = -1 if self.kind == "symplectic" else 1
-        if any(b[i][j] != tuple(sign * x for x in b[j][i]) for i in range(n) for j in range(i, n)):
+        if not is_symmetric(b, -1 if self.kind == "symplectic" else 1):
             raise ValueError(f"Gram matrix is not {self.kind}")
         if not self.det[0]:
             raise ValueError("Gram matrix is degenerate")
@@ -150,17 +149,6 @@ def _check_size(mat, gram: GramForm) -> int:
     if any(len(row) != n for row in mat) or n != gram.size:
         raise ValueError("matrix size does not match the Gram form")
     return n
-
-
-def is_algebra_product(prod: IntMat, gram: GramForm) -> bool:
-    """True iff prod, a nonzero multiple of B*mat, is symmetric for a
-    symplectic B and antisymmetric for a symmetric B: with B^T = e*B,
-    mat^T B + B mat = e*(B mat)^T + B mat."""
-    sign = 1 if gram.kind == "symplectic" else -1
-    n = len(prod)
-    return all(
-        prod[j][i] == tuple(sign * x for x in prod[i][j]) for i in range(n) for j in range(i, n)
-    )
 
 
 def _constant_gram(gram: GramForm) -> ZMat:

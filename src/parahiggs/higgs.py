@@ -36,7 +36,6 @@ from .groups import (
     GroupError,
     GroupSpec,
     _constant_gram,
-    is_algebra_product,
     random_algebra_element,
     random_group_element,
     random_nilpotent_element,
@@ -51,6 +50,7 @@ from .linalg import (
     int_char_poly,
     int_mat_mul,
     int_pfaffian,
+    is_symmetric,
     pfaffian_adjugate,
     zmat_mul,
 )
@@ -129,6 +129,17 @@ def marked_point(text: int | str) -> Fraction:
         raise ValueError(f"bad marked point {text!r}") from None
 
 
+def _check_shape(group: GroupSpec, rows, gram_rows) -> None:
+    """The matrix of a field is r x r and its Gram form, if given, has r rows,
+    for the group's r; a parsed document is checked before any Gram form is
+    built."""
+    r = group.rank_size
+    if len(rows) != r or any(len(row) != r for row in rows):
+        raise ValueError(f"matrix must be {r}x{r} for {group.kind}, m={group.m}")
+    if gram_rows is not None and len(gram_rows) != r:
+        raise ValueError("Gram form size does not match the group")
+
+
 @dataclass(eq=False)
 class HiggsField:
     """Phi = M / Delta with entries in Q(t), held as its clearing ``cleared``
@@ -140,12 +151,7 @@ class HiggsField:
     marked_points: tuple[Fraction, ...]
 
     def __post_init__(self):
-        r = self.group.rank_size
-        ints = self.cleared[0]
-        if len(ints) != r or any(len(row) != r for row in ints):
-            raise ValueError(f"matrix must be {r}x{r} for {self.group.kind}, m={self.group.m}")
-        if self.gram.size != r:
-            raise ValueError("Gram form size does not match the group")
+        _check_shape(self.group, self.cleared[0], self.gram.cleared[0])
         self.marked_points = tuple(Fraction(a) for a in self.marked_points)
         if len(set(self.marked_points)) != len(self.marked_points):
             raise ValueError("duplicate marked points")
@@ -171,8 +177,10 @@ class HiggsField:
 
     @cached_property
     def is_member(self) -> bool:
-        """Phi^T B + B Phi = 0."""
-        return is_algebra_product(self.gram_product[0], self.gram)
+        """Phi^T B + B Phi = 0.  With B^T = e*B this is e*(B Phi)^T + B Phi = 0,
+        so Phi is a member iff B'M, a nonzero multiple of B*Phi, is symmetric
+        for a symplectic B (e = -1) and antisymmetric for a symmetric B (e = 1)."""
+        return is_symmetric(self.gram_product[0], 1 if self.gram.kind == "symplectic" else -1)
 
     @cached_property
     def char_data(self) -> CharData:
@@ -213,11 +221,11 @@ class HiggsField:
         except ValueError:
             raise ValueError(f"bad m {data['m']!r}") from None
         group = GroupSpec(data["group"], m)
-        kind = "symplectic" if group.kind == "sp" else "symmetric"
-        gram = split_gram(group)
-        if "gram" in data:
-            gram = GramForm(clear_fractions(int_fraction_grid_from_json(data["gram"])), kind)
+        gram_grid = int_fraction_grid_from_json(data["gram"]) if "gram" in data else None
         grid = int_fraction_grid_from_json(data["matrix"])
+        _check_shape(group, grid, gram_grid)
+        kind = "symplectic" if group.kind == "sp" else "symmetric"
+        gram = split_gram(group) if gram_grid is None else GramForm(clear_fractions(gram_grid), kind)
         marked = tuple(map(marked_point, data["marked_points"]))
         return HiggsField(group, gram, clear_fractions(grid), marked)
 

@@ -146,6 +146,13 @@ def cleared_json(cleared: Cleared) -> list[list[dict]]:
     return [[fraction_json(p, delta) for p in row] for row in ints]
 
 
+def is_symmetric(a: IntMat, sign: int) -> bool:
+    """a^T = sign * a for a square Z[t] matrix a: symmetric for sign 1,
+    antisymmetric for sign -1."""
+    n = len(a)
+    return all(a[j][i] == tuple(sign * x for x in a[i][j]) for i in range(n) for j in range(i, n))
+
+
 def int_mat_mul(a: IntMat, b: IntMat) -> IntMat:
     """Product of two matrices over Z[t]; zero entries cost nothing."""
     out = []
@@ -247,7 +254,7 @@ def int_pfaffian(a: IntMat) -> tuple[int, ...]:
     n = len(a)
     if n % 2 != 0:
         raise ValueError("Pfaffian needs even size")
-    if any(a[j][i] != tuple(-x for x in a[i][j]) for i in range(n) for j in range(i, n)):
+    if not is_symmetric(a, -1):
         raise ValueError("matrix is not antisymmetric")
     (p,) = _interpolated(a, n // 2, lambda const: _pfaffians_const(const, [(1 << n) - 1]))
     return p

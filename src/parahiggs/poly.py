@@ -552,15 +552,23 @@ def int_fraction_grid_from_json(data) -> list[list[tuple[tuple[int, ...], tuple[
     return [[int_fraction_from_json(x) for x in row] for row in data]
 
 
-def fraction_json(num: Sequence[int], den: Sequence[int]) -> dict:
-    """The JSON entry {"num": [...], "den": [...]} of `RationalFunction.from_ints`
-    (num, den), reduced the same way and printed from ints."""
-    if not num:
-        return {"num": [], "den": ["1"]}
+def _reduced(num: Sequence[int], den: Sequence[int]) -> tuple[Sequence[int], Sequence[int]]:
+    """num / den over Z[t] with their polynomial gcd divided out, for integer
+    coefficient lists without trailing zeros, num and den nonzero: one gcd
+    and two exact divisions."""
     if len(num) > 1 and len(den) > 1:
         g = _int_gcd(list(num), list(den))
         if len(g) > 1:
-            num, den = _int_exact_div(num, g), _int_exact_div(den, g)
+            return _int_exact_div(num, g), _int_exact_div(den, g)
+    return num, den
+
+
+def fraction_json(num: Sequence[int], den: Sequence[int]) -> dict:
+    """The JSON entry {"num": [...], "den": [...]} of `RationalFunction.from_ints`
+    (num, den), reduced by `_reduced` and printed from ints."""
+    if not num:
+        return {"num": [], "den": ["1"]}
+    num, den = _reduced(num, den)
     lead = den[-1]
     return {"num": [_q_str(c, lead) for c in num], "den": [_q_str(c, lead) for c in den]}
 
@@ -586,16 +594,13 @@ class RationalFunction:
     @staticmethod
     def from_ints(num: Sequence[int], den: Sequence[int]) -> "RationalFunction":
         """num / den in lowest terms, for integer coefficient lists without
-        trailing zeros and den nonzero: one gcd, two exact divisions and a
-        monic denominator.  Every RationalFunction is reduced here."""
+        trailing zeros and den nonzero: `_reduced` and a monic denominator.
+        Every RationalFunction is reduced here."""
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
             return RationalFunction(UniPoly.zero(), UniPoly.one())
-        if len(num) > 1 and len(den) > 1:
-            g = _int_gcd(list(num), list(den))
-            if len(g) > 1:
-                num, den = _int_exact_div(num, g), _int_exact_div(den, g)
+        num, den = _reduced(num, den)
         lead = den[-1]
         return RationalFunction(UniPoly(tuple(Q(c, lead) for c in num)), UniPoly(tuple(Q(c, lead) for c in den)))
 

@@ -561,6 +561,22 @@ class TestArgumentErrors:
         path.write_text(json.dumps(doc))
         assert run(capsys, command, str(path)) == (2, "", f"error: {message}\n")
 
+    HUGE = "matrix must be 2000000x2000000 for sp, m=1000000"
+
+    @pytest.mark.parametrize("doc,message", [
+        ({**SP1, "m": 10**6, "matrix": [[ZERO]]}, HUGE),
+        ({**SP1, "m": 10**6, "matrix": [[ZERO]], "gram": [[ZERO]]}, HUGE),
+        ({**SP1, "gram": [[ZERO]]}, "Gram form size does not match the group"),
+    ])
+    @pytest.mark.parametrize("command", ["analyze", "reduce-odd"])
+    def test_mis_sized_document_is_rejected_before_its_gram_form(self, command, doc, message, tmp_path, capsys):
+        # the split Gram form of m = 10^6 alone would be a 2*10^6 x 2*10^6 grid
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert run(capsys, command, str(path)) == (2, "", f"error: {message}\n")
+        assert time.perf_counter() - start < 1
+
 
 class TestInputFiles:
     def test_input_file_is_closed(self, tmp_path, capsys):

@@ -28,13 +28,10 @@ from parahiggs.groups import GramForm, GroupSpec, split_gram
 from parahiggs.higgs import CharData, HiggsField, PoleOrderError, random_strongly_parabolic_higgs
 from parahiggs.poly import RationalFunction, UniPoly, _hom_eval, is_squarefree
 
+from helpers import sections
+
 P = UniPoly.make
 RF = RationalFunction.make
-
-
-def sections(char):
-    """s_1..s_r of the characteristic data as reduced rational functions."""
-    return [RationalFunction.from_ints(e, q) for e, q in zip(char.e, char.den_powers)]
 
 
 def trim(p):

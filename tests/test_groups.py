@@ -22,18 +22,9 @@ from parahiggs.higgs import HiggsField, random_strongly_parabolic_higgs, residue
 from parahiggs.linalg import SingularMatrixError
 from parahiggs.poly import RationalFunction, UniPoly
 
+from helpers import gram_matrix, scalars, sections
+
 RF = RationalFunction.make
-
-
-def gram_matrix(gram):
-    """B of a Gram form as reduced rational functions."""
-    b, d = gram.cleared
-    return [[RationalFunction.from_ints(p, d) for p in row] for row in b]
-
-
-def sections(char):
-    """s_1..s_r of the characteristic data as reduced rational functions."""
-    return [RationalFunction.from_ints(e, q) for e, q in zip(char.e, char.den_powers)]
 
 
 # -- constant linear algebra over Q, the oracle of the integer Cayley route ---
@@ -65,10 +56,6 @@ def over(q_delta):
     """The matrix Q' / delta over Q."""
     q, delta = q_delta
     return [[Q(x, delta) for x in row] for row in q]
-
-
-def scalars(rows):
-    return [[RF(x) for x in row] for row in rows]
 
 
 def transpose(a):

@@ -24,23 +24,10 @@ from parahiggs.higgs import (
 from parahiggs.linalg import int_char_poly
 from parahiggs.poly import RationalFunction, UniPoly
 
+from helpers import gram_matrix, scalars, sections
+
 P = UniPoly.make
 RF = RationalFunction.make
-
-
-def gram_matrix(gram):
-    """B of a Gram form as reduced rational functions."""
-    b, d = gram.cleared
-    return [[RationalFunction.from_ints(p, d) for p in row] for row in b]
-
-
-def sections(char):
-    """s_1..s_r of the characteristic data as reduced rational functions."""
-    return [RationalFunction.from_ints(e, q) for e, q in zip(char.e, char.den_powers)]
-
-
-def scalars(rows):
-    return [[RF(x) for x in row] for row in rows]
 
 
 def char_sections(cleared):

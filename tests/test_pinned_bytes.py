@@ -27,7 +27,7 @@ roots by trial division of those coefficients, where each `analyze` took 10 to
 14 s on one core.
 
 The sweep digests cover the exit code, output bytes and stderr of `sweep` and
-`dims`, and the exit code and stdout of the two dimension scripts; they were
+`dims`, and the exit code and stdout of the dimension script; they were
 recorded on the code that still evaluated line-bundle degrees over `Fraction`.
 
 The m = 3 and 4 digests cover `analyze` with the default checks on one
@@ -344,7 +344,6 @@ SWEEP_CASES = {
     "dims-so-odd": ["dims", "--group", "so-odd", "-m", "1:5", "-g", "2:7", "-n", "1:5",
                     "--deg-m", "-2", "--format", "md"],
     "pfaffian-space-report": "pfaffian_space_report.py",
-    "run-dimension-sweep": "run_dimension_sweep.py",
 }
 
 SWEEP_PINNED = {
@@ -362,8 +361,6 @@ SWEEP_PINNED = {
         "f7776a2456500ae580145c0cc0995c91eb819112467513c47322e8cbe77f59fc",
     "pfaffian-space-report":
         "eb8b83c4b8dfce2f339d55a8610d74555648c0bbc7cca181ea1ca791f478d2e3",
-    "run-dimension-sweep":
-        "77d644b6b7bd93b53c8f4247579d2c7b2a2183bb02f5f7d40f5a4388a1ba2d60",
     "so-odd-odd-deg":
         "ae70eb688c64233f7fdbd56e6c698d10add38ac900c5be610aab1b7eacc2a3f0",
     "sp-so-even-deg1":

@@ -5,8 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -16,25 +14,6 @@ def run_script(name, *args):
         capture_output=True, text=True, timeout=300, cwd=ROOT, env={**os.environ, "PYTHONHASHSEED": "0"},
     )
     return proc.returncode, proc.stdout, proc.stderr
-
-
-def test_run_dimension_sweep():
-    code, out, err = run_script("run_dimension_sweep.py", "-m", "1:2", "-g", "2", "-n", "1", "--format", "csv")
-    assert code == 0
-    assert out.splitlines()[0] == "group,m,g,n,dimH,dimM,prym,dimN,verdict"
-    assert err.strip().endswith("6 passed, 0 failed")
-
-
-@pytest.mark.parametrize("args,message", [
-    (("-g", "1:2"), "need m >= 1, g >= 2, n >= 1"),
-    (("--groups", "foo"), "unknown group 'foo'"),
-    (("-m", "x"), "-m: bad range 'x'"),
-    (("--groups", "so-odd", "--deg-m", "1"), "so-odd needs even deg(M)"),
-    (("--groups", "so-even,so-even"), "--groups: repeated group 'so-even'"),
-])
-def test_run_dimension_sweep_argument_errors(args, message):
-    """A bad argument prints one `error:` line and exits 2, as `sweep` does."""
-    assert run_script("run_dimension_sweep.py", *args) == (2, "", f"error: {message}\n")
 
 
 def test_pfaffian_space_report():

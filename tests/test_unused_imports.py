@@ -1,10 +1,10 @@
-"""Every name a `parahiggs` module imports is used in that module, every
+"""Every name a `parahiggs` module or a script imports is used there, every
 private module-level helper is used somewhere in the package, and every public
 one, and every named method of a class, is used in the package or its scripts
 unless it is listed as test-only API.
 
-A static scan: each module is parsed, and every name bound by an import must
-occur as a name in the module body or be re-exported through `__all__`.
+A static scan: each module and script is parsed, and every name bound by an
+import must occur as a name in its body or be re-exported through `__all__`.
 Every module-level `def` or `class` must be read as a name (`name`) or
 imported (`from m import name`): one whose name starts with `_` in some
 module of the package, any other in the package or in `scripts/`.  An
@@ -56,8 +56,8 @@ TEST_ONLY_API = {
 # colliding, or that gains a use through its own class, must leave the list.
 ATTRIBUTE_COLLISIONS = {
     "curves.SingularReport.to_dict": "cli._spectral_section writes the smoothness report as smooth.to_dict()",
-    "dimensions.DimensionReport.passed": "cli._run_suite and scripts/run_dimension_sweep.py read r.passed",
-    "dimensions.DimensionReport.to_dict": "cli.format_reports writes dims and sweep JSON as r.to_dict()",
+    "dimensions.DimensionReport.passed": "cli._run_suite reads r.passed",
+    "dimensions.DimensionReport.to_dict": "cli._format_reports writes dims and sweep JSON as r.to_dict()",
     "dimensions.LineBundleClass.degree": "dimensions.h0_rr reads cls.degree(p)",
     "groups.GroupSpec.dim_flag": "dimensions.moduli_dim and _GroupData read group.dim_flag",
     "higgs.HiggsField.pfaffian": "curves.twisted_pfaffian and higgs.pfaffian_square_check read fld.pfaffian",
@@ -88,7 +88,8 @@ def used_names(tree: ast.Module) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = used_names(tree)
