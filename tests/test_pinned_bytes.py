@@ -61,6 +61,12 @@ before clearing the matrix.  The "sp-scaled-witnesses" digest covers a curve
 whose singular points lie off x = 0 and whose clearing H is not monic
 (lc(H) = 6^4); it was recorded on the code that still held the spectral curve
 over Q[t][x], and it held through the monic form with x = X/6.
+
+The high t-degree digest covers `analyze --checks charpoly --format json` of
+the sp(2) field diag(1 + t^400, -(1 + t^400)), whose e_2 = -(1 + t^400)^2 is
+interpolated through 801 nodes; it was recorded on the code that still
+interpolated over the common denominator 800!, where that `analyze` took 12 s
+on one core.
 """
 
 import hashlib
@@ -302,6 +308,33 @@ def test_large_m_analyze_is_bounded_and_pinned(kind, m, tmp_path, capsys):
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_M_PINNED[kind, m]
     assert seconds < LARGE_M_BOUND_S
+
+
+# t-degree of the entries +-(1 + t^N) of the high t-degree sp(2) field, and
+# the digest of its `analyze --checks charpoly --format json` bytes
+HIGH_TDEG = 400
+HIGH_TDEG_PINNED = "f5360c761e49245e3efdd2fe7e824b8b1ae46ea3145de3681cbd7373047dfc34"
+
+
+def high_tdeg_charpoly(workdir) -> tuple[bytes, float]:
+    """(exit code and bytes, wall seconds) of `analyze --checks charpoly` on
+    the sp(2) field diag(1 + t^HIGH_TDEG, -(1 + t^HIGH_TDEG))."""
+    ones = ["1", *["0"] * (HIGH_TDEG - 1), "1"]
+    plus = {"num": ones, "den": ["1"]}
+    minus = {"num": [str(-int(c)) for c in ones], "den": ["1"]}
+    zero = {"num": [], "den": ["1"]}
+    path = workdir / "field.json"
+    path.write_text(json.dumps({"group": "sp", "m": 1, "marked_points": ["0"],
+                                "matrix": [[plus, zero], [zero, minus]]}))
+    start = time.perf_counter()
+    got = _run(["analyze", str(path), "--checks", "charpoly", "--format", "json"], workdir / "out.json")
+    return got, time.perf_counter() - start
+
+
+def test_pinned_high_tdeg_charpoly_bytes(tmp_path, capsys):
+    got, _ = high_tdeg_charpoly(tmp_path)
+    capsys.readouterr()
+    assert hashlib.sha256(got).hexdigest() == HIGH_TDEG_PINNED
 
 
 def m4_gen_digest(kind: str, workdir) -> str:
