@@ -20,6 +20,7 @@ no matrix here has `Fraction` entries.
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import Sequence
 
 from .poly import (
@@ -195,22 +196,23 @@ def berkowitz_char_poly(a: list[list]) -> list:
     Returns det(x*I - a) coefficients, highest degree first (monic).  Works
     over any commutative ring (ints, Fractions).
     """
-    n = len(a)
     poly = [1]
-    for i in range(n):
-        row = a[i][:i]
-        col = [a[j][i] for j in range(i)]
+    for i, a_row in enumerate(a):
+        lead = [r[:i] for r in a[:i]]
+        row = a_row[:i]
+        v = [r[i] for r in a[:i]]
         # first column of the Toeplitz factor: 1, -a_ii, -row.col, -row.M.col, ...
-        cvec = [1, -a[i][i]]
-        v = col
-        for _ in range(i):
-            cvec.append(-sum(x * y for x, y in zip(row, v)))
-            v = [sum(a[r][s] * v[s] for s in range(i)) for r in range(i)]
-        new = [0] * (len(poly) + 1)
-        for j in range(len(new)):
-            lo = max(0, j - len(cvec) + 1)
-            for k in range(lo, min(j, len(poly) - 1) + 1):
-                new[j] += cvec[j - k] * poly[k]
+        cvec = [1, -a_row[i]]
+        for k in range(i):
+            cvec.append(-sum(map(mul, row, v)))
+            if k < i - 1:  # the last Krylov vector lead^i col is never read
+                v = [sum(map(mul, r, v)) for r in lead]
+        # the Toeplitz product: the first i + 2 coefficients of cvec * poly
+        new = [0] * (i + 2)
+        for k, p in enumerate(poly):
+            if p:
+                for j, c in enumerate(cvec[: i + 2 - k], k):
+                    new[j] += c * p
         poly = new
     return poly
 

@@ -483,40 +483,30 @@ def interpolate_int_range(ys: Sequence[int]) -> list[int]:
     """The polynomial in Z[t] taking the values ys at nodes 0, 1, ...,
     len(ys)-1, as ascending integer coefficients without trailing zeros.
 
-    All-integer forward-difference scheme over the common denominator
-    (len-1)!, divided out exactly at the end; raises ArithmeticError when the
-    interpolant is not in Z[t].
+    Newton's form in the falling factorials t(t-1)...(t-k+1): level k of the
+    forward differences, divided by k exactly, is Delta^k ys / k!, whose
+    first entry is the k-th Newton coefficient.  Every level is integral
+    exactly when the interpolant is in Z[t]; an inexact division raises
+    ArithmeticError.  Nested multiplication by (t - k) expands the form.
     """
-    n = len(ys)
-    if n == 0:
+    if not ys:
         raise ValueError("need at least one value")
-    diff = list(ys)
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            diff[i] -= diff[i - 1]
-    top = math.factorial(n - 1)
-    acc = [0] * n
-    basis = [1]  # prod_{j<k} (t - j), ascending int coefficients
-    fact = 1
-    for k in range(n):
-        if k:
-            fact *= k
-            # basis *= (t - (k-1))
-            prev = basis
-            basis = [0] * (len(prev) + 1)
-            for idx, c in enumerate(prev):
-                basis[idx + 1] += c
-                basis[idx] -= c * (k - 1)
-        if diff[k]:
-            scale = diff[k] * (top // fact)
-            for idx, c in enumerate(basis):
-                acc[idx] += scale * c
-    out = []
-    for c in acc:
-        q, rem = divmod(c, top)
-        if rem:
+    level = list(ys)
+    newton = [level[0]]
+    for k in range(1, len(level)):
+        nxt = [(b - a) // k for a, b in zip(level, level[1:])]
+        # floor division leaves remainders >= 0, so it was exact throughout
+        # iff the quotients add up to the differences' (telescoped) sum / k
+        if k * sum(nxt) != level[-1] - level[0]:
             raise ArithmeticError("interpolant is not in Z[t]")
-        out.append(q)
+        level = nxt
+        newton.append(level[0])
+        if not any(level):
+            break
+    out = [newton[-1]]
+    for k in range(len(newton) - 2, -1, -1):
+        # out * (t - k) + newton[k]
+        out = [newton[k] - k * out[0], *(a - k * b for a, b in zip(out, out[1:])), out[-1]]
     while out and not out[-1]:
         out.pop()
     return out

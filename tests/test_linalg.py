@@ -14,6 +14,7 @@ from parahiggs.groups import GROUP_KINDS, GroupSpec
 from parahiggs.higgs import HiggsField, random_strongly_parabolic_higgs
 from parahiggs.linalg import (
     SingularMatrixError,
+    berkowitz_char_poly,
     int_char_poly,
     int_pfaffian,
     clear_fractions,
@@ -165,6 +166,34 @@ class TestCharPoly:
             for _ in range(4):
                 m = random_int_matrix(rng, n)
                 assert int_char_poly(m) == naive_char_coeffs(m)
+
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_matches_determinant_off_the_nodes(self, n):
+        # field-audit runs n <= 9, past the reach of the Leibniz oracle: at
+        # points t0 off the interpolation nodes 0..2n, det(x0 I - M(t0)) must
+        # be x0^n + sum e_i(t0) x0^(n-i) at n + 1 points x0, which fixes
+        # every e_i(t0)
+        rng = random.Random(50 + n)
+        for _ in range(2):
+            m = random_int_matrix(rng, n)
+            e = int_char_poly(m)
+            for t0 in (-3, 10**6):
+                at = [[sum(c * t0**k for k, c in enumerate(p)) for p in row] for row in m]
+                e_at = [sum(c * t0**k for k, c in enumerate(p)) for p in e]
+                for x0 in range(-n // 2, n // 2 + 2):
+                    want = x0**n + sum(c * x0 ** (n - i) for i, c in enumerate(e_at, 1))
+                    shifted = [[[x0 * (i == j) - x] for j, x in enumerate(row)] for i, row in enumerate(at)]
+                    assert bareiss_det(shifted) == ([want] if want else [])
+
+    def test_berkowitz_over_fractions(self):
+        # the constant kernel works over any commutative ring: over Q it
+        # must match the Leibniz oracle on constant (degree-0) entries
+        rng = random.Random(13)
+        for n in (1, 2, 3, 4):
+            for _ in range(3):
+                a = [[Q(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+                want = naive_char_coeffs([[(x,) if x else () for x in row] for row in a])
+                assert berkowitz_char_poly(a) == [1, *(c[0] if c else 0 for c in want)]
 
     def test_det(self):
         rng = random.Random(11)

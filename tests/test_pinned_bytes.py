@@ -66,7 +66,7 @@ The high t-degree digest covers `analyze --checks charpoly --format json` of
 the sp(2) field diag(1 + t^400, -(1 + t^400)), whose e_2 = -(1 + t^400)^2 is
 interpolated through 801 nodes; it was recorded on the code that still
 interpolated over the common denominator 800!, where that `analyze` took 12 s
-on one core.
+on one core; it is bounded at HIGH_TDEG_BOUND_S.
 """
 
 import hashlib
@@ -314,6 +314,7 @@ def test_large_m_analyze_is_bounded_and_pinned(kind, m, tmp_path, capsys):
 # the digest of its `analyze --checks charpoly --format json` bytes
 HIGH_TDEG = 400
 HIGH_TDEG_PINNED = "f5360c761e49245e3efdd2fe7e824b8b1ae46ea3145de3681cbd7373047dfc34"
+HIGH_TDEG_BOUND_S = 6.0
 
 
 def high_tdeg_charpoly(workdir) -> tuple[bytes, float]:
@@ -335,6 +336,12 @@ def test_pinned_high_tdeg_charpoly_bytes(tmp_path, capsys):
     got, _ = high_tdeg_charpoly(tmp_path)
     capsys.readouterr()
     assert hashlib.sha256(got).hexdigest() == HIGH_TDEG_PINNED
+
+
+def test_high_tdeg_charpoly_is_bounded(tmp_path, capsys):
+    _, seconds = high_tdeg_charpoly(tmp_path)
+    capsys.readouterr()
+    assert seconds < HIGH_TDEG_BOUND_S
 
 
 def m4_gen_digest(kind: str, workdir) -> str:

@@ -130,12 +130,27 @@ class TestInterpolate:
         with pytest.raises(ArithmeticError, match="not in Z"):
             interpolate_int_range([1, 1, 1, 2])
 
+    @pytest.mark.parametrize("ys", [[0, 0, 1, 3], [0, 0, 1]])
+    def test_inexact_top_level(self, ys):
+        # C(t, 2) = t(t-1)/2: the differences divide by 1, then [1, 1] is not
+        # divisible by 2 at the top nonzero level
+        with pytest.raises(ArithmeticError, match="not in Z"):
+            interpolate_int_range(ys)
+
     @given(small_polys(4))
     @settings(max_examples=40, deadline=None)
     def test_roundtrip(self, p):
         ints = [int(c) for c in p.coeffs]
         got = interpolate_int_range([poly._hom_eval(ints, x, 1) for x in range(p.degree + 1)])
         assert got == ints
+
+    @given(st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=81))
+    @settings(max_examples=40, deadline=None)
+    def test_roundtrip_high_degree(self, coeffs):
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        ys = [sum(c * x**k for k, c in enumerate(coeffs)) for x in range(max(len(coeffs), 1))]
+        assert interpolate_int_range(ys) == coeffs
 
 
 class TestRationalFunction:
