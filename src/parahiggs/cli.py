@@ -229,7 +229,7 @@ def _format_analysis(report: dict, fmt: str) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     checks = None if args.checks is None else tuple(args.checks.split(","))
-    if "" in (checks or ()):
+    if checks and "" in checks:
         raise ValueError(f"--checks: empty check name in {args.checks!r}")
     bad = [c for c in checks or () if c not in ALL_CHECKS]
     if bad:

@@ -205,7 +205,7 @@ def berkowitz_char_poly(a: list[list]) -> list:
         cvec = [1, -a_row[i]]
         for k in range(i):
             cvec.append(-sum(map(mul, row, v)))
-            if k < i - 1:  # the last Krylov vector lead^i col is never read
+            if k < i - 1:  # the last Krylov vector M^i.col is never read
                 v = [sum(map(mul, r, v)) for r in lead]
         # the Toeplitz product: the first i + 2 coefficients of cvec * poly
         new = [0] * (i + 2)

@@ -501,7 +501,7 @@ def interpolate_int_range(ys: Sequence[int]) -> list[int]:
             raise ArithmeticError("interpolant is not in Z[t]")
         level = nxt
         newton.append(level[0])
-        if not any(level):
+        if not any(level):  # then every later level is zero too
             break
     out = [newton[-1]]
     for k in range(len(newton) - 2, -1, -1):

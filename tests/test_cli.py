@@ -533,11 +533,11 @@ class TestArgumentErrors:
         ((*GEN_SP, "--marked", "0", "--seed", str(2**64)), "seed must fit in 64 unsigned bits"),
         (("analyze", "{missing}", "--checks", "parity,nope"), "unknown checks: nope"),
         (("analyze", "{missing}", "--checks", "nope,parity,x"), "unknown checks: nope,x"),
-        (("analyze", "{missing}", "--checks", "membership,"), "--checks: empty check name in 'membership,'"),
-        (("analyze", "{missing}", "--checks", ""), "--checks: empty check name in ''"),
         (("reduce-odd", "{missing}"), "[Errno 2] No such file or directory: '{missing}'"),
         (("sweep", "--groups", "sp,sp"), "--groups: repeated group 'sp'"),
         (("sweep", "--groups", "sp,so-odd,sp,xx"), "--groups: repeated group 'sp'"),
+        (("analyze", "{missing}", "--checks", "membership,"), "--checks: empty check name in 'membership,'"),
+        (("analyze", "{missing}", "--checks", ""), "--checks: empty check name in ''"),
     ])
     def test_message(self, argv, message, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")

@@ -66,7 +66,7 @@ The high t-degree digest covers `analyze --checks charpoly --format json` of
 the sp(2) field diag(1 + t^400, -(1 + t^400)), whose e_2 = -(1 + t^400)^2 is
 interpolated through 801 nodes; it was recorded on the code that still
 interpolated over the common denominator 800!, where that `analyze` took 12 s
-on one core; it is bounded at HIGH_TDEG_BOUND_S.
+on one core.  The same `analyze` is bounded at HIGH_TDEG_BOUND_S.
 """
 
 import hashlib

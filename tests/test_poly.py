@@ -132,8 +132,8 @@ class TestInterpolate:
 
     @pytest.mark.parametrize("ys", [[0, 0, 1, 3], [0, 0, 1]])
     def test_inexact_top_level(self, ys):
-        # C(t, 2) = t(t-1)/2: the differences divide by 1, then [1, 1] is not
-        # divisible by 2 at the top nonzero level
+        # C(t, 2) = t(t-1)/2: level 2 of the differences, [1, 1] or [1], is
+        # its top nonzero level and is not divisible by 2
         with pytest.raises(ArithmeticError, match="not in Z"):
             interpolate_int_range(ys)
 
