@@ -95,6 +95,8 @@ def _run_suite(args: argparse.Namespace) -> int:
     """`sweep_reports` over the group kinds and the m, g and n ranges, each
     checked first; a bad argument raises ValueError."""
     kinds = (args.group,) if args.command == "dims" else tuple(args.groups.split(","))
+    if "" in kinds:  # only from --groups: argparse checks dims --group
+        raise ValueError(f"--groups: empty group name in {args.groups!r}")
     for i, kind in enumerate(kinds):
         if kind not in GROUP_KINDS:
             raise ValueError(f"unknown group {kind!r}")
@@ -115,9 +117,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
     ms = parse_range(args.m, "-m")
     if len(ms) != 1:
         raise ValueError(f"gen takes a single m, not the range {args.m!r}")
-    marked = tuple(marked_point(part) for part in args.marked.split(",") if part != "")
-    if not marked:
+    parts = args.marked.split(",")
+    if not any(parts):
         raise ValueError("need at least one marked point")
+    if "" in parts:
+        raise ValueError(f"--marked: empty marked point in {args.marked!r}")
+    marked = tuple(marked_point(part) for part in parts)
     if args.deg_bound < 0:
         raise ValueError("degree bound must be >= 0")
     if not 0 <= args.seed < 2**64:

@@ -9,11 +9,19 @@ the one routine that makes it, from integer numerator and denominator
 pairs, however the matrix was made (parsed, generated, reduced or built in
 a test), and ``cleared_json`` writes it back as JSON entries from integers.
 Every characteristic coefficient, Pfaffian and Pfaffian adjugate is computed
-from M: evaluated at integer sample points, handled there division-free, and
-interpolated back over Z[t], which keeps the heavy inner loops in machine
-integers.  A constant matrix over Q (a residue, a Cayley group element) is
-the pair (X, e) of an integer matrix ``ZMat`` X over one integer denominator
-e, multiplied by ``zmat_mul`` and inverted fraction-free by ``zmat_inverse``;
+from M by a division-free constant kernel, by one of two routes chosen by the
+size of the result (`_interpolated`).  When it is small, by Kronecker
+substitution: M is evaluated once at t = 2^B, B one more than the bit length
+of a proven bound n! * L^k on the result's coefficients (M of size n, k = n
+for the characteristic coefficients and n // 2 for Pfaffians, L the largest
+coefficient 1-norm of an entry), the kernel runs once over big integers and
+the coefficients are read back as signed base-2^B digits, exact because each
+is smaller than 2^(B-1) in absolute value.  Otherwise M is evaluated at the
+integer nodes 0, 1, ..., the kernel runs at each in small integers, and the
+results are interpolated back over Z[t].  Both routes give the same tuples.
+A constant matrix over Q (a residue, a Cayley group element) is the pair
+(X, e) of an integer matrix ``ZMat`` X over one integer denominator e,
+multiplied by ``zmat_mul`` and inverted fraction-free by ``zmat_inverse``;
 no matrix here has `Fraction` entries.
 """
 
@@ -182,11 +190,86 @@ def int_mat_at(a: IntMat, t0) -> list[list]:
     return [[_eval_int_poly(p, t0) for p in row] for row in a]
 
 
-def _interpolated(a: IntMat, factor: int, values) -> list[tuple[int, ...]]:
-    """Interpolate values(a(t0)), in Z[t] of t-degree <= factor * deg(a), from
-    the consecutive nodes t0 = 0, 1, ... so interpolation runs in pure integers."""
+# The packed size, in bits, up to which `_interpolated` takes the Kronecker
+# route.  From the crossover table in CHANGES.md: one big-integer sample
+# against the node samples read 0.96x at worst and mostly 1.3-9x up to
+# 12 kbit, 0.73-1.56x from 12 to 14.5 kbit, and lost on every input above
+# that, every m = 6 characteristic polynomial among them.
+KRONECKER_MAX_BITS = 12000
+
+
+def _packing(a: IntMat, factor: int) -> tuple[int, int]:
+    """(B, N) for a result of `_interpolated` on the n x n matrix a: its
+    N = factor * deg(a) + 1 coefficients, and B = bitlen(n! * L^factor) + 1,
+    L >= 1 the largest coefficient 1-norm of an entry, so that every
+    coefficient c has |c| <= 2^(B-1) - 1.  B * N bits is the size of the
+    result packed at t = 2^B, and picks the route.
+
+    The 1-norm of a product is at most the product of the 1-norms, and a
+    coefficient is at most the 1-norm.  e_i is a signed sum of the
+    C(n, i) * i! = n!/(n-i)! products of i entries that make up its principal
+    minors, so |coefficients| <= n! * L^i <= n! * L^n (factor n).  The
+    Pfaffian of a 2k x 2k matrix sums (2k-1)!! products of k entries, and
+    every Pfaffian of the adjugate is of size n - 1 = 2k, k = n // 2 the
+    factor, so both are bounded by (2k-1)!! * L^k <= n! * L^factor.
+    """
+    norm = max((sum(map(abs, p)) for row in a for p in row), default=0)
     maxdeg = max((len(p) - 1 for row in a for p in row if p), default=0)
-    samples = [values(int_mat_at(a, t0)) for t0 in range(factor * maxdeg + 1)]
+    bits = (math.factorial(len(a)) * max(norm, 1) ** factor).bit_length() + 1
+    return bits, factor * maxdeg + 1
+
+
+def _at_power_of_two(p: Sequence[int], bits: int) -> int:
+    """p(2^bits) for integer coefficients p, by shifts."""
+    acc = 0
+    for c in reversed(p):
+        acc = (acc << bits) + c
+    return acc
+
+
+def _signed_digits(v: int, bits: int, count: int) -> tuple[int, ...]:
+    """d_0..d_(count-1), trailing zeros dropped, for v = sum d_k 2^(k*bits)
+    with every |d_k| < 2^(bits-1).
+
+    v mod 2^bits = d_0 mod 2^bits, and d_0 is the one residue in
+    [-2^(bits-1), 2^(bits-1)), so it is read off the low bits; then
+    (v - d_0) / 2^bits = sum d_(k+1) 2^(k*bits) is exact, and equals
+    floor(v / 2^bits) plus 1 when d_0 < 0.  So the digits are exact whatever
+    their signs, and no carry is lost.
+    """
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    out = []
+    for _ in range(count):
+        d = v & mask
+        v >>= bits
+        if d >= half:
+            d -= mask + 1
+            v += 1
+        out.append(d)
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _interpolated(a: IntMat, factor: int, values) -> list[tuple[int, ...]]:
+    """values(a(t0)) for the constant kernel `values`, each in Z[t] of
+    t-degree <= N - 1 = factor * deg(a), by one of two routes.
+
+    Nodes: sample a at t0 = 0, 1, ..., N - 1 and interpolate each result
+    over Z[t] (`interpolate_int_range`), so N kernel runs in small integers.
+    Kronecker (von zur Gathen & Gerhard, Modern Computer Algebra, 8.4): with
+    B from `_packing`, evaluate a once at t = 2^B by shifts, run the
+    kernel once over big integers and read each result's coefficients as
+    its signed base-2^B digits (`_signed_digits`): every coefficient c has
+    |c| < 2^(B-1), so the digits are exactly the coefficients.  The
+    Kronecker route is taken while the packed result, B * N bits, is at most
+    KRONECKER_MAX_BITS; both routes give the same tuples.
+    """
+    bits, count = _packing(a, factor)
+    if bits * count <= KRONECKER_MAX_BITS:
+        packed = values([[_at_power_of_two(p, bits) for p in row] for row in a])
+        return [_signed_digits(v, bits, count) for v in packed]
+    samples = [values(int_mat_at(a, t0)) for t0 in range(count)]
     return [tuple(interpolate_int_range(col)) for col in zip(*samples)]
 
 

@@ -538,6 +538,13 @@ class TestArgumentErrors:
         (("sweep", "--groups", "sp,so-odd,sp,xx"), "--groups: repeated group 'sp'"),
         (("analyze", "{missing}", "--checks", "membership,"), "--checks: empty check name in 'membership,'"),
         (("analyze", "{missing}", "--checks", ""), "--checks: empty check name in ''"),
+        ((*GEN_SP, "--marked", "0,,1"), "--marked: empty marked point in '0,,1'"),
+        ((*GEN_SP, "--marked", "0,1,"), "--marked: empty marked point in '0,1,'"),
+        ((*GEN_SP, "--marked", ",0"), "--marked: empty marked point in ',0'"),
+        ((*GEN_SP, "--marked", "0,,x"), "--marked: empty marked point in '0,,x'"),
+        (("sweep", "--groups", "sp,"), "--groups: empty group name in 'sp,'"),
+        (("sweep", "--groups", ",sp,xx"), "--groups: empty group name in ',sp,xx'"),
+        (("sweep", "--groups", ""), "--groups: empty group name in ''"),
     ])
     def test_message(self, argv, message, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")

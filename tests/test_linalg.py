@@ -5,10 +5,12 @@ import itertools
 import math
 import random
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from parahiggs import linalg
 from parahiggs.bipoly import bareiss_det
 from parahiggs.groups import GROUP_KINDS, GroupSpec
 from parahiggs.higgs import HiggsField, random_strongly_parabolic_higgs
@@ -18,6 +20,7 @@ from parahiggs.linalg import (
     int_char_poly,
     int_pfaffian,
     clear_fractions,
+    pfaffian_adjugate,
     entry_ints,
     zmat_inverse,
     zmat_mul,
@@ -387,3 +390,150 @@ class TestClearFractions:
         for seed, marked in enumerate([(Q(0),), (Q(0), Q(1, 2)), (Q(0), Q(1, 2), Q(-2))]):
             fld = random_strongly_parabolic_higgs(GroupSpec(kind, m), marked, seed % 3, seed)
             assert HiggsField.from_dict(fld.to_dict()).cleared == fld.cleared
+
+
+# -- the two routes of _interpolated ------------------------------------------
+
+
+def on_route(route, fn, *args):
+    """fn(*args) with `linalg._interpolated` held to one route: "nodes" or
+    "kronecker", by the size limit it compares the packed result with."""
+    limit = {"nodes": -1, "kronecker": math.inf}[route]
+    with mock.patch.object(linalg, "KRONECKER_MAX_BITS", limit):
+        return fn(*args)
+
+
+def on_both_routes(fn, *args):
+    nodes, kronecker = (on_route(route, fn, *args) for route in ("nodes", "kronecker"))
+    assert nodes == kronecker
+    return nodes
+
+
+coefficients = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+int_polys = st.lists(coefficients, max_size=4).map(lambda p: tuple(strip(p)))
+
+
+@st.composite
+def square_int_matrices(draw):
+    n = draw(st.integers(1, 4))
+    return tuple(tuple(draw(int_polys) for _ in range(n)) for _ in range(n))
+
+
+@st.composite
+def antisymmetric_int_matrices(draw, sizes):
+    n = draw(sizes)
+    rows = [[()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = draw(int_polys)
+            rows[i][j], rows[j][i] = p, tuple(-x for x in p)
+    return tuple(tuple(row) for row in rows)
+
+
+class TestInterpolationRoutes:
+    @given(square_int_matrices())
+    @example(int_matrix([[0] * 3 for _ in range(3)]))  # zero
+    @example(int_matrix([[2, -1, 0], [5, 3, -7], [0, 1, 4]]))  # constant
+    @example(int_matrix([[1] * 4] * 4))  # L = 1, e_1 = -4: the n! of the bound is needed
+    @example(int_matrix([[[-(2**64), 0, 2**64 + 1]]]))  # 1 x 1
+    @example(int_matrix([[[1] * 51, 0], [[0] * 50 + [-3], [2, -1]]]))  # t-degree 50
+    @settings(max_examples=60, deadline=None)
+    def test_char_poly(self, m):
+        e = on_both_routes(int_char_poly, m)
+        if len(m) <= 3:
+            assert e == naive_char_coeffs(m)
+
+    @given(antisymmetric_int_matrices(st.sampled_from([2, 4, 6])))
+    @example(int_matrix([[0] * 4 for _ in range(4)]))
+    @example(int_matrix([[0, [-(2**65), 1]], [[2**65, -1], 0]]))
+    @example(int_matrix([[0, [0] * 60 + [7]], [[0] * 60 + [-7], 0]]))
+    @settings(max_examples=40, deadline=None)
+    def test_pfaffian(self, m):
+        pf = on_both_routes(int_pfaffian, m)
+        if len(m) <= 4:
+            assert pf == matching_pfaffian(m)
+
+    @given(antisymmetric_int_matrices(st.sampled_from([1, 3, 5])))
+    @example(int_matrix([[0]]))
+    @example(int_matrix([[0, 1, -2], [-1, 0, 3], [2, -3, 0]]))
+    @settings(max_examples=40, deadline=None)
+    def test_pfaffian_adjugate(self, m):
+        w = on_both_routes(pfaffian_adjugate, m)
+        # adj(m) = w w^T, so m w = 0
+        for row in m:
+            acc = []
+            for p, q in zip(row, w):
+                acc = padd(acc, pmul(list(p), list(q)))
+            assert acc == []
+
+    @given(st.integers(1, 80), st.integers(0, 3), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_digit_at_the_bound(self, k, power, negative):
+        # for [[c t^power]] with |c| = 2^k - 1 the bound B = bitlen(|c|) + 1
+        # is tight: e_1 = -c t^power is a digit of exactly +-(2^(B-1) - 1)
+        c = (2**k - 1) * (-1 if negative else 1)
+        m = ((((0,) * power + (c,)),),)
+        bits, _ = linalg._packing(m, 1)
+        assert abs(c) == 2 ** (bits - 1) - 1
+        assert on_both_routes(int_char_poly, m) == [(0,) * power + (-c,)]
+
+    @given(st.integers(2, 90).flatmap(
+        lambda bits: st.tuples(st.just(bits), st.lists(st.sampled_from([
+            -(2 ** (bits - 1) - 1), 2 ** (bits - 1) - 1, -1, 0, 1, 2 ** (bits - 2), -(2 ** (bits - 2)),
+        ]), max_size=8))))
+    @settings(max_examples=100, deadline=None)
+    def test_signed_digits_round_trip(self, bits_digits):
+        # every digit sequence inside the bound, its extremes next to each
+        # other and to zeros, is read back exactly from its packing at 2^B
+        bits, digits = bits_digits
+        packed = linalg._at_power_of_two(digits, bits)
+        assert linalg._signed_digits(packed, bits, len(digits)) == tuple(strip(digits))
+
+    @pytest.mark.parametrize("kind", GROUP_KINDS)
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_generated_fields(self, kind, m):
+        for seed, marked in enumerate([(Q(0),), (Q(0), Q(1)), (Q(0), Q(1, 2), Q(-2))]):
+            fld = random_strongly_parabolic_higgs(GroupSpec(kind, m), marked, seed % 3, seed)
+            on_both_routes(int_char_poly, fld.cleared[0])
+            prod = fld.gram_product[0]
+            if kind == "so-even":
+                on_both_routes(int_pfaffian, prod)
+            if kind == "so-odd":
+                on_both_routes(pfaffian_adjugate, prod)
+
+
+# every field `gen -m M --marked 0,1 --deg-bound 1 --seed 0`, by the route its
+# characteristic polynomial takes; its Pfaffian (so-even) and kernel line
+# (so-odd), at most 5.4 kbit packed, take the Kronecker route at every m
+CHAR_POLY_ROUTES = {
+    ("sp", 1): "kronecker", ("sp", 2): "kronecker", ("sp", 3): "kronecker", ("sp", 4): "kronecker",
+    ("sp", 5): "nodes", ("sp", 6): "nodes",
+    ("so-odd", 1): "kronecker", ("so-odd", 2): "kronecker", ("so-odd", 3): "kronecker",
+    ("so-odd", 4): "kronecker", ("so-odd", 5): "nodes", ("so-odd", 6): "nodes",
+    ("so-even", 2): "kronecker", ("so-even", 3): "kronecker", ("so-even", 4): "kronecker",
+    ("so-even", 5): "kronecker", ("so-even", 6): "nodes",
+}
+
+
+def route_taken(fn, *args):
+    """The route `_interpolated` took for fn(*args): only the node route
+    interpolates."""
+    with mock.patch.object(linalg, "interpolate_int_range", wraps=linalg.interpolate_int_range) as spy:
+        fn(*args)
+    return "nodes" if spy.called else "kronecker"
+
+
+class TestRouteSelection:
+    def test_every_m6_char_poly_takes_the_nodes(self):
+        assert len(CHAR_POLY_ROUTES) == 17
+        assert {route for (_, m), route in CHAR_POLY_ROUTES.items() if m == 6} == {"nodes"}
+
+    @pytest.mark.parametrize("kind,m", sorted(CHAR_POLY_ROUTES))
+    def test_pinned_route(self, kind, m):
+        fld = random_strongly_parabolic_higgs(GroupSpec(kind, m), (Q(0), Q(1)), 1, 0)
+        assert route_taken(int_char_poly, fld.cleared[0]) == CHAR_POLY_ROUTES[kind, m]
+        prod = fld.gram_product[0]
+        if kind == "so-even":
+            assert route_taken(int_pfaffian, prod) == "kronecker"
+        if kind == "so-odd":
+            assert route_taken(pfaffian_adjugate, prod) == "kronecker"
