@@ -7,7 +7,7 @@ the section count exceed the closed-form dim H by exactly n on every
 tuple; placing it in K^m(D^(m-1)) (forced by s_2m in K^2m(D^(2m-1)) and
 s_2m = p^2) reproduces the closed form.  This script renders that
 comparison as a table so the discrepancy stays documented instead of
-silently patched.
+silently patched.  A bad argument prints `error: <message>` and exits 2.
 """
 
 from __future__ import annotations
@@ -30,9 +30,13 @@ def main() -> int:
     ap.add_argument("-o", "--output", default="-")
     args = ap.parse_args()
 
-    rows = pfaffian_space_discrepancy(
-        parse_range(args.m, "-m"), parse_range(args.g, "-g"), parse_range(args.n, "-n")
-    )
+    try:
+        rows = pfaffian_space_discrepancy(
+            parse_range(args.m, "-m"), parse_range(args.g, "-g"), parse_range(args.n, "-n")
+        )
+    except ValueError as exc:  # a malformed range, m < 1, g < 2 or n < 1
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     lines = [
         "| m | g | n | literal K(D)^m | adopted K^m(D^(m-1)) | closed form | excess |",
         "|---|---|---|---|---|---|---|",

@@ -2,7 +2,8 @@
 """Generate seeded random fields for all three groups and tally the checkers.
 
 A quick confidence run outside the test suite; everything is exact, so any
-nonzero failure count is a bug, not noise.
+nonzero failure count is a bug, not noise.  A bad argument prints
+`error: <message>` and exits 2.
 
 Example:
     python3 scripts/random_field_audit.py --samples 30 --seed 7
@@ -34,6 +35,11 @@ def main() -> int:
     ap.add_argument("--max-m", type=int, default=2)
     ap.add_argument("--deg-bound", type=int, default=2)
     args = ap.parse_args()
+    for flag, value, low in (("--samples", args.samples, 1), ("--max-m", args.max_m, 1),
+                             ("--deg-bound", args.deg_bound, 0)):
+        if value < low:
+            print(f"error: {flag} must be >= {low}", file=sys.stderr)
+            return 2
 
     failures = 0
     for kind in ("sp", "so-even", "so-odd"):

@@ -30,12 +30,19 @@ quotient-determinant degrees.  The row work runs through integer kernels
 row is computed twice.  The public (group, p) and (m, p) forms
 (`hitchin_dim`, `spectral_genus`, `sp_quotient_genus`, `prym_dim`, ...)
 compose the same kernels, so each gives on its own what the row reports.
+
+`sweep_reports` builds the CurveParams of its (g, n) grid once per call,
+after the first GroupSpec, and still calls `identity_suite` once per row.
+A row is a `DimensionReport`, a NamedTuple: immutable and compared by value
+like a frozen dataclass, but built in one tuple allocation rather than one
+setattr per field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .groups import GroupSpec
 
@@ -369,8 +376,9 @@ def pardeg_identity(m: int, deg_m: int) -> int:
 CSV_HEADER = "group,m,g,n,dimH,dimM,prym,dimN,verdict"
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(NamedTuple):
+    """One row of the identity chain."""
+
     group: str
     m: int
     g: int
@@ -460,14 +468,18 @@ def sweep_reports(
     deg_m: int = 0,
 ) -> list[DimensionReport]:
     """Identity suite over the whole box, sorted lexicographically by
-    (group, m, g, n)."""
+    (group, m, g, n).  The CurveParams of the (g, n) grid are built once,
+    after the first GroupSpec, so a bad m is still reported before a bad g
+    or n; `identity_suite` runs once per row."""
     out = []
+    grid = None
     for kind in sorted(groups):
         for m in ms:
             group = GroupSpec(kind, m)
-            for g in gs:
-                for n in ns:
-                    out.append(identity_suite(group, CurveParams(g, n, deg_m)))
+            if grid is None:
+                grid = [CurveParams(g, n, deg_m) for g in gs for n in ns]
+            for p in grid:
+                out.append(identity_suite(group, p))
     return out
 
 

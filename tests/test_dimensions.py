@@ -14,6 +14,7 @@ import subprocess
 import sys
 from fractions import Fraction as Q
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from parahiggs import dimensions
 from parahiggs.dimensions import (
     CSV_HEADER,
     CurveParams,
+    DimensionReport,
     IntegralityError,
     LineBundleClass,
     RegimeError,
@@ -48,7 +50,7 @@ from parahiggs.dimensions import (
     sqrt_parity_check,
     sweep_reports,
 )
-from parahiggs.groups import GroupSpec
+from parahiggs.groups import GroupError, GroupSpec
 
 P211 = CurveParams(2, 1)
 KD = LineBundleClass.kd
@@ -450,3 +452,80 @@ class TestHoistedKernel:
         want = {(GroupSpec(kind, m), deg_m) for kind in ("sp", "so-even", "so-odd")
                 for m in range(1, 4) for deg_m in (0, 2)}
         assert len(seen) == len(want) and set(seen) == want
+
+
+# (groups, ms, gs, ns, deg M) -> the error sweep_reports raises, or its rows:
+# a bad m before a bad g or n, a bad g before the so-odd twist check, and an
+# empty (g, n) grid builds no row and checks no twist, but still checks m
+SWEEP_CONTRACT = [
+    ((("sp",), range(0, 1), range(1, 2), range(1, 2), 0), GroupError, "m must be >= 1"),
+    ((("so-odd",), range(1, 2), range(1, 2), range(1, 2), 1), ValueError, "genus must be >= 2"),
+    ((("so-odd",), range(1, 2), range(2, 3), range(1, 2), 1), ValueError, "so-odd needs even deg(M)"),
+    ((("so-odd",), range(1, 2), range(0), range(1, 2), 1), None, []),
+    ((("sp",), range(0, 1), range(0), range(1, 2), 0), GroupError, "m must be >= 1"),
+]
+
+ROW_FIELDS = (
+    "group", "m", "g", "n", "dim_hitchin", "dim_moduli", "dim_higgs_moduli", "spectral_genus",
+    "quotient_or_desing_genus", "prym_dim", "fixed_points_or_singularities", "chain_verdict",
+)
+
+
+class TestSweepContract:
+    @pytest.mark.parametrize("box,error,want", SWEEP_CONTRACT)
+    def test_errors_keep_their_order(self, box, error, want):
+        if error is None:
+            assert sweep_reports(*box) == want
+            return
+        with pytest.raises(error, match=re.escape(want)) as caught:
+            sweep_reports(*box)
+        assert caught.type is error
+
+    def test_one_identity_suite_per_row_and_curve_params_per_grid_point(self, monkeypatch):
+        suite = mock.Mock(wraps=dimensions.identity_suite)
+        params = mock.Mock(wraps=dimensions.CurveParams)
+        monkeypatch.setattr(dimensions, "identity_suite", suite)
+        monkeypatch.setattr(dimensions, "CurveParams", params)
+        for kinds, ms, gs, ns in [
+            (("sp", "so-even", "so-odd"), range(2, 10), range(3, 14), range(2, 10)),
+            (("so-odd",), range(1, 3), range(2, 4), range(1, 6)),
+        ]:
+            suite.reset_mock()
+            params.reset_mock()
+            reports = sweep_reports(kinds, ms, gs, ns, 2)
+            assert suite.call_count == len(reports) == len(kinds) * len(ms) * len(gs) * len(ns)
+            assert params.call_count == len(gs) * len(ns)
+            called = [(group.kind, group.m, p.g, p.n, p.deg_m) for (group, p), _ in suite.call_args_list]
+            assert called == [(r.group, r.m, r.g, r.n, 2) for r in reports]
+
+
+class TestDimensionReport:
+    def test_fields_by_name_and_position(self):
+        values = ("sp", 2, 3, 2, 28, 28, 56, 45, 17, 28, 24, "PASS")
+        rep = DimensionReport(**dict(zip(ROW_FIELDS, values)))
+        assert rep == DimensionReport(*values) == identity_suite(GroupSpec.sp(2), CurveParams(3, 2, 2))
+        assert tuple(getattr(rep, name) for name in ROW_FIELDS) == values
+
+    def test_immutable_and_compared_by_value(self):
+        rep = identity_suite(GroupSpec.so_even(3), CurveParams(3, 2))
+        for name in ROW_FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(rep, name, 0)
+        again = identity_suite(GroupSpec.so_even(3), CurveParams(3, 2))
+        assert rep is not again and rep == again and hash(rep) == hash(again)
+        assert rep != identity_suite(GroupSpec.so_even(3), CurveParams(3, 3))
+        assert rep.spectral_genus == 103
+
+    def test_to_dict_and_csv_row(self):
+        rep = identity_suite(GroupSpec.so_odd(2), CurveParams(3, 2, 2))
+        assert list(rep.to_dict().items()) == [
+            ("group", "so-odd"), ("m", 2), ("g", 3), ("n", 2), ("dimH", 28), ("dimM", 28), ("prym", 28),
+            ("dimN", 56), ("spectralGenus", 45), ("quotientOrDesingGenus", 17),
+            ("fixedPointsOrSingularities", 24), ("verdict", "PASS"),
+        ]
+        assert rep.to_csv_row() == "so-odd,2,3,2,28,28,28,56,PASS"
+        assert rep.passed
+        failed = DimensionReport(*[*(getattr(rep, name) for name in ROW_FIELDS[:-1]), "FAIL:dimM=prym"])
+        assert not failed.passed
+        assert failed.to_csv_row() == "so-odd,2,3,2,28,28,28,56,FAIL:dimM=prym"
+        assert failed.to_dict()["verdict"] == "FAIL:dimM=prym"

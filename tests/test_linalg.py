@@ -4,6 +4,7 @@ brute-force expansions over integer coefficient lists."""
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as Q
 from unittest import mock
 
@@ -523,7 +524,24 @@ def route_taken(fn, *args):
     return "nodes" if spy.called else "kronecker"
 
 
+# wall-clock bound on the characteristic polynomial of `gen --group sp -m 6
+# --marked 0,1 --deg-bound 1 --seed 0`, 34.6 kbit packed and so on the node
+# route, which takes about 0.07 s on one core
+NODE_ROUTE_BOUND_S = 2.0
+
+
 class TestRouteSelection:
+    def test_node_route_is_bounded(self):
+        a = random_strongly_parabolic_higgs(GroupSpec.sp(6), (Q(0), Q(1)), 1, 0).cleared[0]
+        bits, count = linalg._packing(a, len(a))
+        assert bits * count == 34595 > linalg.KRONECKER_MAX_BITS
+        with mock.patch.object(linalg, "interpolate_int_range", wraps=linalg.interpolate_int_range) as spy:
+            start = time.perf_counter()
+            int_char_poly(a)
+            seconds = time.perf_counter() - start
+        assert spy.called
+        assert seconds < NODE_ROUTE_BOUND_S
+
     def test_every_m6_char_poly_takes_the_nodes(self):
         assert len(CHAR_POLY_ROUTES) == 17
         assert {route for (_, m), route in CHAR_POLY_ROUTES.items() if m == 6} == {"nodes"}

@@ -63,10 +63,13 @@ whose singular points lie off x = 0 and whose clearing H is not monic
 over Q[t][x], and it held through the monic form with x = X/6.
 
 The high t-degree digest covers `analyze --checks charpoly --format json` of
-the sp(2) field diag(1 + t^400, -(1 + t^400)), whose e_2 = -(1 + t^400)^2 is
-interpolated through 801 nodes; it was recorded on the code that still
-interpolated over the common denominator 800!, where that `analyze` took 12 s
-on one core.  The same `analyze` is bounded at HIGH_TDEG_BOUND_S.
+the sp(2) field diag(1 + t^400, -(1 + t^400)), whose e_2 = -(1 + t^400)^2 has
+801 coefficients; it was recorded on the code that still interpolated over
+the common denominator 800!, where that `analyze` took 12 s on one core.  The
+same `analyze` is bounded at HIGH_TDEG_BOUND_S.  Its characteristic
+polynomial now takes the Kronecker route of `linalg._interpolated` (4.0 kbit
+packed, about 3 ms), so the bound no longer times the node route;
+`tests/test_linalg.py` bounds that route on its own.
 """
 
 import hashlib

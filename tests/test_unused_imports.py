@@ -16,13 +16,14 @@ anywhere or as `self.name` or `cls.name` inside that class.  A plain method
 also counts as used when its name occurs as an attribute, `x.name`, so a
 same-named function or builtin (`divmod(...)`) cannot hide it; but when
 another class of the package also declares that name (as a method, a
-`__slots__` entry or a dataclass field), such a use cannot tell the two
-apart, so it counts only for a method listed, with its reason, in
+`__slots__` entry or a dataclass or NamedTuple field), such a use cannot tell
+the two apart, so it counts only for a method listed, with its reason, in
 `ATTRIBUTE_COLLISIONS`.  A `staticmethod` or `classmethod` counts as used only
 through its own class.
 """
 
 import ast
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -151,9 +152,17 @@ def is_dataclass(cls: ast.ClassDef) -> bool:
     )
 
 
+def is_named_tuple(cls: ast.ClassDef) -> bool:
+    return any(
+        isinstance(base, ast.Name) and base.id == "NamedTuple"
+        or isinstance(base, ast.Attribute) and base.attr == "NamedTuple"
+        for base in cls.bases
+    )
+
+
 def declared_names(cls: ast.ClassDef) -> set[str]:
     """Names a class declares: its methods, its `__slots__` entries and, for a
-    dataclass, its annotated fields."""
+    dataclass or a NamedTuple, its annotated fields."""
     names = set()
     for item in cls.body:
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -162,7 +171,9 @@ def declared_names(cls: ast.ClassDef) -> set[str]:
             isinstance(target, ast.Name) and target.id == "__slots__" for target in item.targets
         ):
             names.update(elt.value for elt in item.value.elts)
-        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and is_dataclass(cls):
+        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and (
+            is_dataclass(cls) or is_named_tuple(cls)
+        ):
             names.add(item.target.id)
     return names
 
@@ -225,3 +236,24 @@ def test_no_dead_public_helpers():
 def test_attribute_collisions_are_listed():
     _, collided = public_use_scan()
     assert sorted(collided) == sorted(ATTRIBUTE_COLLISIONS)
+
+
+def test_declared_names_counts_record_fields():
+    tree = ast.parse(textwrap.dedent("""
+        class Row(NamedTuple):
+            prym_dim: int
+            def to_csv_row(self): ...
+        class Typed(typing.NamedTuple):
+            genus: int
+        @dataclass(frozen=True)
+        class Frozen:
+            degree: int
+        class Plain:
+            __slots__ = ("slot",)
+            hint: int
+    """))
+    got = {cls.name: declared_names(cls) for cls in tree.body}
+    assert got == {"Row": {"prym_dim", "to_csv_row"}, "Typed": {"genus"}, "Frozen": {"degree"}, "Plain": {"slot"}}
+    dims = ast.parse((SRC / "dimensions.py").read_text(encoding="utf-8"))
+    report = next(node for node in dims.body if isinstance(node, ast.ClassDef) and node.name == "DimensionReport")
+    assert {"spectral_genus", "prym_dim", "chain_verdict", "passed", "to_dict"} <= declared_names(report)
