@@ -61,6 +61,11 @@ before clearing the matrix.  The "sp-scaled-witnesses" digest covers a curve
 whose singular points lie off x = 0 and whose clearing H is not monic
 (lc(H) = 6^4); it was recorded on the code that still held the spectral curve
 over Q[t][x], and it held through the monic form with x = X/6.
+The "sp-off-divisor" digest covers charpoly coefficients e_i / Delta^i whose
+Delta has a repeated marked factor 2t - 1 and a factor t^2 + 1 off the marked
+points, and an e_2 that vanishes at t = 0 to a higher order than Delta^2; it
+was recorded on the code that still reduced every printed fraction by a
+general polynomial gcd.
 
 The high t-degree digest covers `analyze --checks charpoly --format json` of
 the sp(2) field diag(1 + t^400, -(1 + t^400)), whose e_2 = -(1 + t^400)^2 has
@@ -437,6 +442,7 @@ def test_pinned_sweep_bytes(case, tmp_path, capsys):
 
 
 Z5 = {"num": [], "den": ["5"]}
+DELTA_OFF_D = ["0", "0", "1", "-4", "5", "-4", "4"]  # t^2 (2t - 1)^2 (t^2 + 1)
 
 # fields written by hand in forms `gen` never writes; each name says what it holds
 HAND_WRITTEN_FIELDS = {
@@ -479,6 +485,16 @@ HAND_WRITTEN_FIELDS = {
                     {"num": ["-3/6", "1"], "den": ["-1", "2"]}],
                    [{"num": ["-1"], "den": ["2"]}, {"num": ["-1.5"], "den": ["0", "3"]}, Z5]],
     },
+    # Phi = [[A, 1], [C, -A]] / Delta with Delta = t^2 (2t - 1)^2 (t^2 + 1),
+    # A = t^3 (t^2 + 1)(2t - 1) and C = t^3 A: a factor t^2 + 1 off D, and
+    # e_2 / Delta^2 vanishes at t = 0 to order 7 > 2 * ord_0 Delta
+    "sp-off-divisor": {
+        "group": "sp", "m": 1, "marked_points": ["0", "1/2"],
+        "matrix": [[{"num": ["0", "0", "0", "-1", "2", "-1", "2"], "den": DELTA_OFF_D},
+                    {"num": ["1"], "den": DELTA_OFF_D}],
+                   [{"num": ["0", "0", "0", "0", "0", "0", "-1", "2", "-1", "2"], "den": DELTA_OFF_D},
+                    {"num": ["0", "0", "0", "1", "-2", "1", "-2"], "den": DELTA_OFF_D}]],
+    },
 }
 
 HAND_WRITTEN_PINNED = {
@@ -494,6 +510,8 @@ HAND_WRITTEN_PINNED = {
         "f48b4f95fdd722284ca8c6977e2452bd78c11221d5f106eb14205078344766a3",
     "so-odd-unreduced reduce-odd":
         "62763fe3bb9d279ff5671b9328e430088fdfbb30d604010f9eb96a4d45d252c5",
+    "sp-off-divisor":
+        "1353b6d2acfdf9c2d97de34198240e119df90ae7e4c6a64a16fd78b4e749d9ab",
 }
 
 # an sp(2) field with a zero denominator, written with and without a trailing zero
