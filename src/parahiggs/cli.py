@@ -3,7 +3,10 @@
 Commands: dims, sweep, gen, analyze, reduce-odd.  Exit codes are a stable
 contract: 0 all checks pass, 1 a verification failed, 2 usage/input error.
 Inputs and outputs go through paths, with "-" meaning stdin/stdout; JSON
-output is sorted and indented so identical runs are byte-identical.
+output is sorted and indented so identical runs are byte-identical.  It is
+written by `_dump_json`, which gives the bytes of json.dumps(obj, indent=2,
+sort_keys=True) without calling it: with `indent` set, Python 3.11's
+json.dumps runs the pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .curves import (
     NonReducedCurveError,
@@ -35,7 +39,7 @@ from .higgs import (
     so_odd_reduce,
     strong_parabolic_check,
 )
-from .poly import RationalFunction, fraction_json
+from .poly import RationalFunction, fraction_writer
 
 OK, CHECK_FAILED, USAGE_ERROR = 0, 1, 2
 
@@ -73,8 +77,38 @@ def _write_output(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+def _dump_json(obj, margin: str = "\n") -> str:
+    """The text of json.dumps(obj, indent=2, sort_keys=True) for a document
+    of dicts with string keys, lists, tuples, strings, ints, booleans and
+    None; any other value raises TypeError.  `margin` is the line break and
+    indentation that close the current container.  json.dumps is not called
+    because with `indent` set it runs the stdlib's pure-Python encoder, which
+    cost more than the rest of writing a field; here strings go through the
+    C escaper `encode_basestring_ascii` and each container is one join."""
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    inner = margin + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{encode_basestring_ascii(k)}: "
+            + (encode_basestring_ascii(v) if type(v) is str else _dump_json(v, inner))
+            for k, v in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + margin + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [encode_basestring_ascii(v) if type(v) is str else _dump_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + margin + "]"
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # -- dims / sweep ---------------------------------------------------------------
@@ -192,8 +226,8 @@ def _analyze_field(fld: HiggsField, checks: tuple[str, ...]) -> dict:
         if name == "membership":
             section = {"pass": fld.is_member}
         elif name == "charpoly":
-            char = fld.char_data
-            section = {"pass": True, "coefficients": list(map(fraction_json, char.e, char.den_powers))}
+            write = fraction_writer(fld.char_data.delta, fld.marked_points)
+            section = {"pass": True, "coefficients": [write(e, i) for i, e in enumerate(fld.char_data.e, 1)]}
         elif name == "parity":
             parity = parity_classify(fld.char_data, fld.group)
             section = {"pass": parity.passed}
@@ -208,8 +242,8 @@ def _analyze_field(fld: HiggsField, checks: tuple[str, ...]) -> dict:
             pf = pfaffian_square_check(fld)
             section = {
                 "pass": pf.passed,
-                "pfaffian": fraction_json(*pf.pfaffian),
-                "unit": fraction_json(*pf.unit),
+                "pfaffian": fraction_writer(pf.pfaffian[1], fld.marked_points)(pf.pfaffian[0]),
+                "unit": fraction_writer(pf.unit[1], fld.marked_points)(pf.unit[0]),
             }
         else:  # spectral
             section = _spectral_section(fld)

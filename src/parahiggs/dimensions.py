@@ -16,10 +16,11 @@ form), the spectral genus computed twice (adjunction and Riemann-Hurwitz),
 and the Prym dimension through the quotient/desingularized genus.
 
 `identity_suite` is the row kernel of `sweep`; it does each piece of work
-as seldom as its inputs allow.  Once per (group, deg M), in `_group_data`:
-the parameter check, r = 2m, dim G and dim G/B, the Hitchin section
-classes with their doubled exponents, the closed-form coefficients of dim H
-and, for so-odd, the classes of the quotient-determinant check.  Once per
+as seldom as its inputs allow.  Once per (group kind, m, deg M), in
+`_group_data`, which is keyed by those plain values: the parameter check,
+r = 2m, dim G and dim G/B, the Hitchin section classes with their doubled
+exponents, the closed-form coefficients of dim H and, for so-odd, the
+classes of the quotient-determinant check.  Once per
 row, each exactly once: k = 2g - 2 and ell = deg K(D) = 2g - 2 + n, the
 term-by-term section sum against the closed form, the spectral genus by
 adjunction and by Riemann-Hurwitz, the fixed-point or node count, the
@@ -41,7 +42,6 @@ setattr per field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import NamedTuple
 
 from .groups import GroupSpec
@@ -169,7 +169,18 @@ class _GroupData:
             )
 
 
-_group_data = cache(_GroupData)
+# keyed by plain values: a GroupSpec key would run its dataclass-generated
+# __hash__ and __eq__ on every row
+_GROUP_DATA: dict[tuple[str, int, int], _GroupData] = {}
+
+
+def _group_data(group: GroupSpec, deg_m: int) -> _GroupData:
+    """The _GroupData of (group, deg M), built once per (kind, m, deg M)."""
+    key = group.kind, group.m, deg_m
+    data = _GROUP_DATA.get(key)
+    if data is None:
+        data = _GROUP_DATA[key] = _GroupData(group, deg_m)
+    return data
 
 
 def _hitchin_dim(data: _GroupData, g: int, n: int, k: int) -> int:

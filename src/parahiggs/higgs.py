@@ -202,10 +202,10 @@ class HiggsField:
             "group": self.group.kind,
             "m": self.group.m,
             "marked_points": [str(a) for a in self.marked_points],
-            "matrix": cleared_json(self.cleared),
+            "matrix": cleared_json(self.cleared, self.marked_points),
         }
         if self.gram != split_gram(self.group):
-            out["gram"] = cleared_json(self.gram.cleared)
+            out["gram"] = cleared_json(self.gram.cleared, self.marked_points)
         return out
 
     @staticmethod

@@ -7,7 +7,8 @@ reduced denominators, with lc(Delta) > 0 and the coefficients of M and Delta
 together of content 1, which makes the pair unique.  ``clear_fractions`` is
 the one routine that makes it, from integer numerator and denominator
 pairs, however the matrix was made (parsed, generated, reduced or built in
-a test), and ``cleared_json`` writes it back as JSON entries from integers.
+a test), and ``cleared_json`` writes it back as JSON entries from integers,
+reducing each at the marked points by `poly.fraction_writer`.
 Every characteristic coefficient, Pfaffian and Pfaffian adjugate is computed
 from M by a division-free constant kernel, by one of two routes chosen by the
 size of the result (`_interpolated`).  When it is small, by Kronecker
@@ -28,6 +29,7 @@ no matrix here has `Fraction` entries.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
@@ -37,7 +39,7 @@ from .poly import (
     _int_gcd,
     _int_mul,
     _int_poly_mul_add,
-    fraction_json,
+    fraction_writer,
     int_fraction,
     interpolate_int_range,
 )
@@ -149,10 +151,12 @@ def clear_fractions(grid: Sequence[Sequence[IntFraction]]) -> Cleared:
     return ints, tuple(big_k // content * x for x in big_d)
 
 
-def cleared_json(cleared: Cleared) -> list[list[dict]]:
-    """The JSON entries of M / Delta for (M, Delta), by `fraction_json`."""
+def cleared_json(cleared: Cleared, points: Sequence[Fraction]) -> list[list[dict]]:
+    """The JSON entries of M / Delta for (M, Delta), by one `fraction_writer`
+    over the marked points."""
     ints, delta = cleared
-    return [[fraction_json(p, delta) for p in row] for row in ints]
+    write = fraction_writer(delta, points)
+    return [[write(p) for p in row] for row in ints]
 
 
 def is_symmetric(a: IntMat, sign: int) -> bool:

@@ -23,8 +23,10 @@ A RationalFunction is a reduced num/den pair with no arithmetic of its own,
 made from integer polynomials by one reduction (`RationalFunction.from_ints`).
 A Higgs field is held as M / Delta with M and Delta over Z[t], every check
 runs over Z[t], and its JSON entries go straight between coefficient strings
-and ints: `int_fraction_from_json` parses them, `fraction_json` writes them
-reduced.
+and ints: `int_fraction_from_json` parses them, reading a coefficient
+without a "/" by one `int` call, and `fraction_writer` writes each fraction
+p / Delta^i reduced, dividing out the factors of Delta at the marked points
+by evaluation and exact division, not by a general gcd.
 """
 
 from __future__ import annotations
@@ -61,10 +63,17 @@ _PLAIN_Q = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _q_pair(s) -> Pair:
-    """(p, q > 0) with p / q = q_from_str(s): JSON integers and plain "p" or
-    "p/q" strings with q != 0 straight to ints, the rest through `q_from_str`."""
+    """(p, q > 0) with p / q = q_from_str(s): JSON integers, strings without a
+    "/" that `int` reads, and plain "p/q" strings with q != 0 straight to
+    ints, the rest through `q_from_str`.  A string without a "/" that `int`
+    reads, `Fraction` reads too, to the same value."""
     if type(s) is int:
         return s, 1
+    if type(s) is str and "/" not in s:
+        try:
+            return int(s), 1
+        except ValueError:
+            pass
     plain = type(s) is str and _PLAIN_Q.fullmatch(s)
     q = plain and int(plain[2] or 1)
     if q:
@@ -391,12 +400,17 @@ def is_squarefree(p: UniPoly) -> bool:
     return p.degree < 1 or poly_gcd(p, p.derivative()).degree == 0
 
 
-def _strip_root(f: list[int], a: int, b: int) -> tuple[list[int], int]:
-    """(f / (b t - a)^k, k) for an integer polynomial f and the multiplicity k
-    of its root a/b; each division is exact over Z[t] by Gauss's lemma."""
+def _strip_root(f: Sequence[int], a: int, b: int, most: int | None = None) -> tuple[Sequence[int], int]:
+    """(f / (b t - a)^k, k) for a nonzero integer polynomial f and the
+    multiplicity k of its root a/b, or k = most when that is smaller.  Each
+    division is exact over Z[t] by Gauss's lemma, so the quotient q is read
+    off by synthetic division, f_j = b q_(j-1) - a q_j from the top."""
     k = 0
-    while _hom_eval(f, a, b) == 0:
-        f = _int_exact_div(f, [-a, b])
+    while k != most and _hom_eval(f, a, b) == 0:
+        q, c = [0] * (len(f) - 1), 0
+        for j in range(len(f) - 1, 0, -1):
+            c = q[j - 1] = (f[j] + a * c) // b
+        f = q
         k += 1
     return f, k
 
@@ -553,14 +567,59 @@ def _reduced(num: Sequence[int], den: Sequence[int]) -> tuple[Sequence[int], Seq
     return num, den
 
 
-def fraction_json(num: Sequence[int], den: Sequence[int]) -> dict:
-    """The JSON entry {"num": [...], "den": [...]} of `RationalFunction.from_ints`
-    (num, den), reduced by `_reduced` and printed from ints."""
-    if not num:
-        return {"num": [], "den": ["1"]}
-    num, den = _reduced(num, den)
-    lead = den[-1]
-    return {"num": [_q_str(c, lead) for c in num], "den": [_q_str(c, lead) for c in den]}
+def fraction_writer(delta: Sequence[int], points: Sequence[Fraction]):
+    """write(p, i=1): the JSON entry {"num": [...], "den": [...]} of the
+    reduced p / delta^i, its denominator monic and each coefficient printed
+    from ints as `str(Fraction)` prints it, for integer coefficient lists
+    without trailing zeros, delta nonzero.
+
+    Once per writer, delta = prod (b_k t - a_k)^(v_k) * R over the points
+    a_k / b_k, v_k = ord delta there.  Then gcd(p, delta^i) is the product
+    of the (b_k t - a_k)^min(ord p, i v_k), stripped from p by evaluating it
+    at a_k and dividing exactly (`_strip_root`), and of gcd(p, R^i), which
+    needs a general gcd only when R is not constant (a pole off the points,
+    as on `reduce-odd` output).  By Gauss's lemma every division is exact
+    over Z[t], and the stripped p is the numerator `RationalFunction.from_ints`
+    finds up to a constant, which printing over the leading coefficient of
+    the denominator removes.  Each denominator is printed once per pattern
+    of strips."""
+    factors = []
+    rest = list(delta)
+    for x in points:
+        rest, v = _strip_root(rest, x.numerator, x.denominator)
+        if v:
+            factors.append((x.numerator, x.denominator, v))
+    rest_powers: dict[int, list[int]] = {}
+    dens: dict[tuple, tuple[int, list[str]]] = {}
+
+    def write(p: Sequence[int], i: int = 1) -> dict:
+        if not p:
+            return {"num": [], "den": ["1"]}
+        strips = []
+        for a, b, v in factors:
+            p, s = _strip_root(p, a, b, i * v)
+            strips.append(s)
+        if i not in rest_powers:
+            rest_powers[i] = _int_pow(rest, i)
+        g: tuple[int, ...] = ()
+        if len(rest) > 1 and len(p) > 1:
+            g = tuple(_int_gcd(p, rest_powers[i]))
+            if len(g) > 1:
+                p = _int_exact_div(p, g)
+            else:
+                g = ()
+        key = i, tuple(strips), g
+        if key not in dens:
+            den = rest_powers[i]
+            for (a, b, v), s in zip(factors, strips):
+                den = _int_mul(den, _int_pow([-a, b], i * v - s))
+            if g:
+                den = _int_exact_div(den, g)
+            dens[key] = den[-1], [_q_str(c, den[-1]) for c in den]
+        lead, den_json = dens[key]
+        return {"num": [_q_str(c, lead) for c in p], "den": list(den_json)}
+
+    return write
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from parahiggs import groups, higgs, linalg
-from parahiggs.cli import ALL_CHECKS, NON_MEMBER, main
+from parahiggs.cli import ALL_CHECKS, NON_MEMBER, _dump_json, main
 from parahiggs.higgs import HiggsField
 from parahiggs.poly import RationalFunction, UniPoly, int_fraction_from_json
 
@@ -609,3 +610,30 @@ class TestRoundTrips:
         again = fld.to_dict()
         for key in ("group", "m", "marked_points", "matrix"):
             assert again[key] == doc[key]
+
+
+# strings with escapes, control and non-ASCII characters, astral ones included
+json_text = st.text(st.characters() | st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001F600'), max_size=6)
+json_scalars = st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | json_text
+json_documents = st.recursive(
+    json_scalars,
+    lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(json_text, kids, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestJsonEmitter:
+    """`_dump_json` writes the bytes of json.dumps(obj, indent=2, sort_keys=True)."""
+
+    @given(json_documents)
+    @example({"a": [], "b": {}, "c": (), "": [[]], "\u00e9": {"\"": None}})
+    @example([True, False, None, -(2**70), 0, "", ()])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_json_dumps(self, doc):
+        assert _dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [0.5, Fraction(1, 2), {1, 2}])
+    def test_other_values_raise(self, value):
+        with pytest.raises(TypeError):
+            _dump_json({"x": [value]})

@@ -443,12 +443,12 @@ class TestHoistedKernel:
             seen.append((group, deg_m))
 
         monkeypatch.setattr(dimensions, "validate_group_params", counting)
-        dimensions._group_data.cache_clear()
+        dimensions._GROUP_DATA.clear()
         try:
             for deg_m in (0, 2):
                 assert len(sweep_reports(ms=range(1, 4), gs=range(2, 6), ns=range(1, 5), deg_m=deg_m)) == 144
         finally:
-            dimensions._group_data.cache_clear()
+            dimensions._GROUP_DATA.clear()
         want = {(GroupSpec(kind, m), deg_m) for kind in ("sp", "so-even", "so-odd")
                 for m in range(1, 4) for deg_m in (0, 2)}
         assert len(seen) == len(want) and set(seen) == want

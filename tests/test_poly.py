@@ -13,8 +13,10 @@ from parahiggs.poly import (
     _int_gcd,
     _int_mul,
     _int_poly_mul_add,
+    _int_pow,
     _int_prs_gcd,
-    fraction_json,
+    _q_pair,
+    fraction_writer,
     int_fraction_from_json,
     interpolate_int_range,
     is_squarefree,
@@ -187,6 +189,7 @@ class TestRationalFunction:
     @pytest.mark.parametrize("text", [
         "0", "7", "-7", "0005", "-0", "1.5", "-3/6", "+3", " 7 ", "1e3", "1_000", "-.5",
         "3/-6", "--5", "-", "", "1/0", "0x10", "\u0663", "\u00b2", "1 / 2",
+        " 3 ", "3 /5", "3/ 5", "3/0", "1/2/3", "\u22123", "\t-4\n", "1__0", "_1", "+-3",
     ])
     def test_coefficients_parse_as_fractions_do(self, text):
         # the entry parse takes exactly the strings q_from_str takes, with the same values
@@ -204,7 +207,7 @@ class TestRationalFunction:
 
     def test_json_roundtrip(self):
         num, den = [2, -1], [0, 0, 6]  # (1 - t/2) / (3t^2)
-        entry = fraction_json(num, den)
+        entry = fraction_writer(den, ())(num)
         assert entry == {"num": ["1/3", "-1/6"], "den": ["0", "0", "1"]}
         assert RationalFunction.from_ints(*int_fraction_from_json(entry)) == RationalFunction.from_ints(num, den)
 
@@ -217,4 +220,119 @@ class TestRationalFunction:
         num = [scale * c for c in num]
         rf = RationalFunction.from_ints(num, den)
         want = {"num": [str(c) for c in rf.num.coeffs], "den": [str(c) for c in rf.den.coeffs]}
-        assert fraction_json(num, den) == want
+        assert fraction_writer(den, ())(num) == want
+
+
+def reduced_json(num, den):
+    """The JSON entry of num / den by the general gcd route: the coefficients
+    of `RationalFunction.from_ints`, whose denominator is monic."""
+    rf = RationalFunction.from_ints(num, den)
+    return {"num": [str(c) for c in rf.num.coeffs], "den": [str(c) for c in rf.den.coeffs]}
+
+
+MARKED = (Q(0), Q(1), Q(-1), Q(1, 2), Q(-2, 3), Q(3, 2))
+# the part R of Delta off the marked points: none, a linear factor, and two
+# irreducible quadratics
+OFF_D = ([1], [-5, 3], [1, 0, 1], [3, 1, 2])
+nonzero_ints = st.integers(-6, 6).filter(bool)
+
+
+def linear(a):
+    """b t - a' for the point a = a' / b."""
+    return [-a.numerator, a.denominator]
+
+
+@st.composite
+def marked_denominators(draw):
+    """(points, Delta, R) with Delta = c * prod (b_k t - a_k)^(v_k) * R over
+    0..3 points, each v_k in 0..3; so Delta may be constant."""
+    points = draw(st.lists(st.sampled_from(MARKED), max_size=3, unique=True))
+    rest = draw(st.sampled_from(OFF_D))
+    delta = _int_mul([draw(nonzero_ints)], rest)
+    orders = []
+    for a in points:
+        orders.append(draw(st.integers(0, 3)))
+        delta = _int_mul(delta, _int_pow(linear(a), orders[-1]))
+    return points, orders, delta, rest
+
+
+@st.composite
+def numerators(draw, points, orders, rest, i):
+    """Zero, a constant, or a small polynomial times factors planted at the
+    points, up to one more than the order i * v_k of Delta^i there, and
+    maybe times a power of R."""
+    kind = draw(st.sampled_from(("zero", "constant", "planted")))
+    if kind == "zero":
+        return []
+    if kind == "constant":
+        return [draw(nonzero_ints)]
+    p = [int(c) for c in draw(small_polys(2)).coeffs]
+    for a, v in zip(points, orders):
+        p = _int_mul(p, _int_pow(linear(a), draw(st.integers(0, i * v + 1))))
+    return _int_mul(p, _int_pow(rest, draw(st.integers(0, 2))))
+
+
+class TestFractionWriter:
+    """`fraction_writer` prints p / Delta^i as the general gcd route does,
+    dividing out the factors of Delta at the marked points by evaluation."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_gcd_route(self, data):
+        points, orders, delta, rest = data.draw(marked_denominators())
+        write = fraction_writer(delta, points)
+        for _ in range(3):  # one writer for several fractions, as for a matrix
+            i = data.draw(st.integers(1, 4))
+            p = data.draw(numerators(points, orders, rest, i))
+            assert write(p, i) == reduced_json(p, _int_pow(delta, i))
+
+    def test_constant_delta(self):
+        write = fraction_writer([6], [Q(0), Q(1, 2)])
+        assert write([]) == write([], 3) == {"num": [], "den": ["1"]}
+        assert write([4]) == {"num": ["2/3"], "den": ["1"]}
+        assert write([0, 9], 2) == {"num": ["0", "1/4"], "den": ["1"]}
+
+    def test_strip_is_capped_at_the_order_of_the_denominator(self):
+        # t^7 / (t^2 (2t - 1))^2 = t^3 / (2t - 1)^2 and t (2t - 1)^3 / Delta^2
+        delta = [0, 0, -1, 2]
+        write = fraction_writer(delta, [Q(0), Q(1, 2)])
+        assert write([0] * 7 + [1], 2) == {"num": ["0", "0", "0", "1/4"], "den": ["1/4", "-1", "1"]}
+        assert write(_int_mul([0, 1], _int_pow([-1, 2], 3)), 2) == {"num": ["-1", "2"], "den": ["0", "0", "0", "1"]}
+
+    @pytest.mark.parametrize("rest,gcd_calls", [([1], 0), ([7], 0), ([1, 0, 1], 2)])
+    def test_general_gcd_only_off_the_marked_points(self, rest, gcd_calls, monkeypatch):
+        # Delta = t^2 (2t - 1) R: the general gcd runs only when R is not constant
+        delta = _int_mul([0, 0, -1, 2], rest)
+        fractions = [([0, 0, 5, 5], 1), (_int_mul([1, 1], rest), 2)]
+        want = [reduced_json(p, _int_pow(delta, i)) for p, i in fractions]
+        calls = []
+        monkeypatch.setattr(poly, "_int_gcd", lambda a, b: calls.append(1) or _int_gcd(a, b))
+        write = fraction_writer(delta, [Q(0), Q(1, 2)])
+        assert [write(p, i) for p, i in fractions] == want
+        assert len(calls) == gcd_calls
+
+
+def fraction_or_error(text):
+    try:
+        return Q(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+class TestCoefficientReader:
+    """`_q_pair` reads a coefficient string as `Fraction` does: the same value
+    or the same exception type."""
+
+    @staticmethod
+    def read(text):
+        try:
+            p, q = _q_pair(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            return type(exc)
+        assert q > 0
+        return Q(p, q)
+
+    @given(st.text(st.sampled_from("0123456789+-_/ .e\t\u0663\u2212x"), max_size=7))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_fraction(self, text):
+        assert self.read(text) == fraction_or_error(text)
