@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .poly import UniPoly, _int_exact_div, _int_poly_mul_add
+from .poly import UniPoly, _int_exact_div, _int_poly_mul_add, _int_trim
 
 
 def bareiss_det(m: list[list[list[int]]]) -> list[int]:
@@ -41,8 +41,7 @@ def bareiss_det(m: list[list[list[int]]]) -> list[int]:
                 num: list[int] = []
                 _int_poly_mul_add(num, pivot, m[i][j])
                 _int_poly_mul_add(num, neg, m[k][j])
-                while num and not num[-1]:
-                    num.pop()
+                _int_trim(num)
                 m[i][j] = _int_exact_div(num, prev) if num else []
         prev = pivot
     return [sign * c for c in m[n - 1][n - 1]]

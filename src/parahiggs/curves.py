@@ -1,9 +1,9 @@
 """Affine spectral plane curves: symmetry, smoothness, fixed points.
 
 The chart twist y = D(t) x with D = prod (t - a_k) clears the marked-point
-denominators of the characteristic coefficients; it is formed over Z[t] where
-it is used, not stored on the curve.  Every curve handled here is one integer
-polynomial H over Z[t][x]: the primitive clearing of
+denominators of the characteristic coefficients; `poly._chart_twist` forms it
+over Z[t] where it is used, and it is not stored on the curve.  Every curve
+handled here is one integer polynomial H over Z[t][x]: the primitive clearing of
 f = x^r + s_1 D x^(r-1) + ... + s_r D^r, read off the field's integer
 characteristic data e_i and denominator Delta with no arithmetic over Q(t).
 Its leading coefficient is a positive integer constant, so f = H / lc(H),
@@ -36,13 +36,14 @@ from .higgs import CharData, HiggsField, PoleOrderError
 from .poly import (
     Q,
     UniPoly,
+    _chart_twist,
     _hom_eval,
     _int_derivative,
     _int_exact_div,
-    _int_gcd,
     _int_mul,
     _int_pow,
     _int_trim,
+    _split_at,
     is_squarefree,
     poly_gcd,
     rational_roots,
@@ -75,20 +76,13 @@ class PlaneCurve:
         return UniPoly.one() if len(g) == 2 else discriminant_x(g)
 
 
-def _chart_twist(marked_points) -> tuple[list[int], int]:
-    """(D~, prod b_k) with D~ = prod (b_k t - p_k) for the marked points
-    a_k = p_k / b_k in lowest terms, so D = prod (t - a_k) = D~ / prod b_k."""
-    twist, den = [1], 1
-    for a in map(Fraction, marked_points):
-        twist, den = _int_mul(twist, [-a.numerator, a.denominator]), den * a.denominator
-    return twist, den
-
-
 def twisted_curve(char: CharData, marked_points) -> PlaneCurve:
     """Curve y^r + sum_i s_i D^i y^(r-i), D = prod (t - a_k), from the char
     data s_i = e_i / Delta^i, held as its primitive clearing H over Z[t].
     With D~ = D prod b_k from `_chart_twist`, Delta = k Delta~ for k the
-    content of Delta and g = gcd(D~, Delta~): s_i D^i = mu^i h_i for
+    content of Delta and g = gcd(D~, Delta~), the product of the factors
+    b_k t - a_k of the squarefree, primitive D~ at whose points Delta
+    vanishes (`_split_at`), so no general gcd: s_i D^i = mu^i h_i for
     h_i = e_i (D~/g)^i / (Delta~/g)^i over Z[t] and mu = 1 / q,
     q = k prod b_k, so H is the primitive part of sum_i q^(r-i) h_i y^(r-i),
     with lc(H) = q^r / content > 0; a field whose poles all sit at marked
@@ -100,8 +94,9 @@ def twisted_curve(char: CharData, marked_points) -> PlaneCurve:
     non-zero remainder raises PoleOrderError.
     """
     twist, den = _chart_twist(marked_points)
+    orders, _ = _split_at(char.delta, marked_points)
+    g, _ = _chart_twist([a for a, v in zip(marked_points, orders) if v])
     k = math.gcd(*char.delta)
-    g = _int_gcd(twist, char.delta)
     up, down = _int_exact_div(twist, g), _int_exact_div([x // k for x in char.delta], g)
     q = k * den
     r = char.r

@@ -111,7 +111,7 @@ class GramForm:
             raise ValueError("Gram matrix must be square")
         if self.kind not in ("symplectic", "symmetric"):
             raise ValueError(f"unknown form kind {self.kind!r}")
-        if not is_symmetric(b, -1 if self.kind == "symplectic" else 1):
+        if not is_symmetric(b, self.sign):
             raise ValueError(f"Gram matrix is not {self.kind}")
         if not self.det[0]:
             raise ValueError("Gram matrix is degenerate")
@@ -120,6 +120,11 @@ class GramForm:
     def make(rows, kind: str) -> "GramForm":
         """The form of a grid of RationalFunctions and rational scalars."""
         return GramForm(clear_fractions([[entry_ints(x) for x in row] for row in rows]), kind)
+
+    @property
+    def sign(self) -> int:
+        """e with B^T = e*B: -1 for a symplectic form, 1 for a symmetric one."""
+        return -1 if self.kind == "symplectic" else 1
 
     @property
     def size(self) -> int:
@@ -166,9 +171,9 @@ def cayley_group_element(a: ZMat, gram: GramForm) -> tuple[ZMat, int]:
     A must lie in the algebra of the form and I + A must be invertible.
     """
     n = _check_size(a, gram)
+    # A is in the algebra iff (B A)^T = -e B A, for B^T = e B
     b_a = zmat_mul(_constant_gram(gram), a)
-    sign = 1 if gram.kind == "symplectic" else -1
-    if any(b_a[j][i] != sign * b_a[i][j] for i in range(n) for j in range(i, n)):
+    if any(b_a[j][i] != -gram.sign * b_a[i][j] for i in range(n) for j in range(i, n)):
         raise GroupError("input is not in the Lie algebra of the form")
     try:
         inv, delta = zmat_inverse([[int(i == j) + a[i][j] for j in range(n)] for i in range(n)])

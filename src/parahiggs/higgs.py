@@ -20,7 +20,7 @@ pole reason, and the JSON is written from the integers.
 The generator does its constant linear algebra (residues, Cayley elements,
 conjugation) over Z, each residue over one integer denominator, and
 assembles M over the integer denominator prod (b_k t - a_k) of the marked
-points a_k / b_k.
+points a_k / b_k (`poly._chart_twist`).
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .linalg import (
 from .poly import (
     RationalFunction,
     UniPoly,
+    _chart_twist,
     _hom_eval,
     _int_derivative,
     _int_exact_div,
@@ -65,7 +66,7 @@ from .poly import (
     _int_poly_mul_add,
     _int_pow,
     _int_trim,
-    _strip_root,
+    _split_at,
     int_fraction_grid_from_json,
     json_int_or_str,
     q_from_str,
@@ -180,7 +181,7 @@ class HiggsField:
         """Phi^T B + B Phi = 0.  With B^T = e*B this is e*(B Phi)^T + B Phi = 0,
         so Phi is a member iff B'M, a nonzero multiple of B*Phi, is symmetric
         for a symplectic B (e = -1) and antisymmetric for a symmetric B (e = 1)."""
-        return is_symmetric(self.gram_product[0], 1 if self.gram.kind == "symplectic" else -1)
+        return is_symmetric(self.gram_product[0], -self.gram.sign)
 
     @cached_property
     def char_data(self) -> CharData:
@@ -279,9 +280,7 @@ def strong_parabolic_check(fld: HiggsField) -> StrongParabolicResult:
     coefficients."""
     failures: list[str] = []
     r = fld.group.rank_size
-    off = fld.cleared[1]
-    for a in fld.marked_points:
-        off, _ = _strip_root(off, a.numerator, a.denominator)
+    orders, off = _split_at(fld.cleared[1], fld.marked_points)
     if len(off) > 1:
         failures.append(f"pole off the marked points: Phi has denominator factor {UniPoly.make(off).monic()}")
     for a in fld.marked_points:
@@ -292,11 +291,11 @@ def strong_parabolic_check(fld: HiggsField) -> StrongParabolicResult:
             continue
         if not _is_nilpotent(res, r):
             failures.append(f"residue at t = {a} is not nilpotent")
-    char = fld.char_data
-    for i in range(1, r + 1):
-        for a in fld.marked_points:
-            order = char.pole_order(i, a)
-            if order is not None and order > i - 1:
+    # ord_a(s_i) = i ord_a(Delta) - ord_a(e_i), at most 0 when ord_a(Delta) = 0
+    for i, e_i in enumerate(fld.char_data.e, start=1):
+        for a, v in zip(fld.marked_points, orders):
+            order = i * v - root_multiplicity(e_i, a) if v and e_i else 0
+            if order > i - 1:
                 failures.append(f"s_{i} has pole order {order} > {i - 1} at t = {a}")
     return StrongParabolicResult(not failures, tuple(failures))
 
@@ -366,8 +365,6 @@ def random_strongly_parabolic_higgs(
     if degree_bound < 0:
         raise ValueError("degree_bound must be >= 0")
     marked = tuple(Fraction(a) for a in marked_points)
-    if len(set(marked)) != len(marked):
-        raise ValueError("duplicate marked points")
     rng = random.Random(seed)
     gram = split_gram(group)
     r = group.rank_size
@@ -394,11 +391,8 @@ def random_strongly_parabolic_higgs(
     # Phi_ij = P_ij + sum_k N_k[i][j] b_k / (b_k t - a_k) for a_k = a/b in
     # lowest terms: every entry over k * D with D = prod (b_k t - a_k) and k
     # the lcm of the residue denominators
-    roots = [(-a.numerator, a.denominator) for a in marked]
-    big_d = [1]
-    for root in roots:
-        big_d = _int_mul(big_d, root)
-    cofactors = [_int_exact_div(big_d, root) for root in roots]
+    big_d, _ = _chart_twist(marked)
+    cofactors = [_int_exact_div(big_d, [-a.numerator, a.denominator]) for a in marked]
     k = math.lcm(1, *(e for _, e in residues))
     den = tuple(k * x for x in big_d)
     grid = []
@@ -406,9 +400,9 @@ def random_strongly_parabolic_higgs(
         row = []
         for j in range(r):
             num = _int_mul([k * c[i][j] for c in poly_coeffs], big_d)
-            for (_, b_k), cof, (n_k, e) in zip(roots, cofactors, residues):
+            for a, cof, (n_k, e) in zip(marked, cofactors, residues):
                 if n_k[i][j]:
-                    _int_poly_mul_add(num, [n_k[i][j] * (k // e) * b_k], cof)
+                    _int_poly_mul_add(num, [n_k[i][j] * (k // e) * a.denominator], cof)
             row.append((tuple(_int_trim(num)), den))
         grid.append(row)
     return HiggsField(group, gram, clear_fractions(grid), marked)

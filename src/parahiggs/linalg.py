@@ -18,8 +18,9 @@ for the characteristic coefficients and n // 2 for Pfaffians, L the largest
 coefficient 1-norm of an entry), the kernel runs once over big integers and
 the coefficients are read back as signed base-2^B digits, exact because each
 is smaller than 2^(B-1) in absolute value.  Otherwise M is evaluated at the
-integer nodes 0, 1, ..., the kernel runs at each in small integers, and the
-results are interpolated back over Z[t].  Both routes give the same tuples.
+integer nodes 0, 1, ... (by `poly._hom_eval`), the kernel runs at each in
+small integers, and the results are interpolated back over Z[t].  Both
+routes give the same tuples.
 A constant matrix over Q (a residue, a Cayley group element) is the pair
 (X, e) of an integer matrix ``ZMat`` X over one integer denominator e,
 multiplied by ``zmat_mul`` and inverted fraction-free by ``zmat_inverse``;
@@ -35,10 +36,12 @@ from typing import Sequence
 
 from .poly import (
     RationalFunction,
+    _hom_eval,
     _int_exact_div,
     _int_gcd,
     _int_mul,
     _int_poly_mul_add,
+    _int_trim,
     fraction_writer,
     int_fraction,
     interpolate_int_range,
@@ -175,23 +178,9 @@ def int_mat_mul(a: IntMat, b: IntMat) -> IntMat:
             acc: list[int] = []
             for s, p in enumerate(row):
                 _int_poly_mul_add(acc, p, b[s][j])
-            while acc and not acc[-1]:
-                acc.pop()
-            orow.append(tuple(acc))
+            orow.append(tuple(_int_trim(acc)))
         out.append(tuple(orow))
     return tuple(out)
-
-
-def _eval_int_poly(coeffs: Sequence[int], t0):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * t0 + c
-    return acc
-
-
-def int_mat_at(a: IntMat, t0) -> list[list]:
-    """The Z[t] matrix a evaluated at the integer t = t0."""
-    return [[_eval_int_poly(p, t0) for p in row] for row in a]
 
 
 # The packed size, in bits, up to which `_interpolated` takes the Kronecker
@@ -250,9 +239,7 @@ def _signed_digits(v: int, bits: int, count: int) -> tuple[int, ...]:
             d -= mask + 1
             v += 1
         out.append(d)
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+    return tuple(_int_trim(out))
 
 
 def _interpolated(a: IntMat, factor: int, values) -> list[tuple[int, ...]]:
@@ -273,7 +260,7 @@ def _interpolated(a: IntMat, factor: int, values) -> list[tuple[int, ...]]:
     if bits * count <= KRONECKER_MAX_BITS:
         packed = values([[_at_power_of_two(p, bits) for p in row] for row in a])
         return [_signed_digits(v, bits, count) for v in packed]
-    samples = [values(int_mat_at(a, t0)) for t0 in range(count)]
+    samples = [values([[_hom_eval(p, t0, 1) for p in row] for row in a]) for t0 in range(count)]
     return [tuple(interpolate_int_range(col)) for col in zip(*samples)]
 
 

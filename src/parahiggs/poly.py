@@ -15,9 +15,11 @@ rational reconstruction), polynomial in the coefficient bit length.
 Integer polynomials are ascending ``int`` lists ([] is zero), and a bivariate
 one over Z[t][x] is a list of them, ascending in x: the spectral curve of
 ``curves`` is held that way, primitive with a constant leading
-coefficient, and its fibres over t0 = a/b come from `_hom_eval`.  A UniPoly
-wraps an integer list only where a public function here takes one
-(`poly_gcd`, `rational_roots`).
+coefficient, and its fibres over t0 = a/b come from `_hom_eval`, the one
+integer evaluator.  A UniPoly wraps an integer list only where a public
+function here takes one (`poly_gcd`, `rational_roots`).  The marked points
+a_k / b_k enter through `_split_at`, which splits off their factors
+(b_k t - a_k)^(v_k), and `_chart_twist`, which builds D~ = prod (b_k t - a_k).
 
 A RationalFunction is a reduced num/den pair with no arithmetic of its own,
 made from integer polynomials by one reduction (`RationalFunction.from_ints`).
@@ -103,10 +105,7 @@ class UniPoly:
 
     @staticmethod
     def make(cs: Iterable[Scalar]) -> "UniPoly":
-        lst = [_as_q(c) for c in cs]
-        while lst and lst[-1] == 0:
-            lst.pop()
-        return UniPoly(tuple(lst))
+        return UniPoly(tuple(_int_trim([_as_q(c) for c in cs])))
 
     @staticmethod
     def zero() -> "UniPoly":
@@ -274,23 +273,18 @@ def _int_pow(p: Sequence[int], k: int) -> list[int]:
 
 
 def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of integer polynomials (ascending lists)."""
+    """lc(b)^(deg a - deg b + 1) * a mod b for integer polynomials without
+    trailing zeros, b nonzero, and a when deg a < deg b: every step scales by
+    lc(b), also when the top coefficient is already zero."""
     rem = list(a)
     db, lb = len(b) - 1, b[-1]
-    while len(rem) - 1 >= db and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < db:
-            break
-        k = len(rem) - 1 - db
-        lr = rem[-1]
+    for k in range(len(rem) - 1 - db, -1, -1):
+        lr = rem.pop()
         rem = [c * lb for c in rem]
-        for j, c in enumerate(b):
-            rem[k + j] -= lr * c
-        rem.pop()
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return rem
+        if lr:
+            for j, c in enumerate(b[:-1]):
+                rem[k + j] -= lr * c
+    return _int_trim(rem)
 
 
 def _int_prs_gcd(a: list[int], b: list[int]) -> list[int]:
@@ -415,6 +409,27 @@ def _strip_root(f: Sequence[int], a: int, b: int, most: int | None = None) -> tu
     return f, k
 
 
+def _split_at(delta: Sequence[int], points: Sequence[Fraction]) -> tuple[list[int], Sequence[int]]:
+    """(orders, rest) with delta = prod (b_k t - a_k)^(orders[k]) * rest and
+    rest(a_k) != 0, for a nonzero integer polynomial delta and distinct
+    points a_k / b_k in lowest terms: `_strip_root` at each point in turn."""
+    orders = []
+    for x in points:
+        delta, v = _strip_root(delta, x.numerator, x.denominator)
+        orders.append(v)
+    return orders, delta
+
+
+def _chart_twist(points) -> tuple[list[int], int]:
+    """(D~, prod b_k) with D~ = prod (b_k t - a_k) for the points a_k / b_k
+    in lowest terms, so D = prod (t - a_k) = D~ / prod b_k; D~ is squarefree
+    and primitive, with a positive leading coefficient, for distinct points."""
+    twist, den = [1], 1
+    for a in map(Fraction, points):
+        twist, den = _int_mul(twist, [-a.numerator, a.denominator]), den * a.denominator
+    return twist, den
+
+
 def root_multiplicity(p: Sequence[int], a: Scalar) -> int:
     """Multiplicity of the root t = a of a nonzero integer polynomial p
     (ascending coefficients); 0 if a is not a root."""
@@ -521,9 +536,7 @@ def interpolate_int_range(ys: Sequence[int]) -> list[int]:
     for k in range(len(newton) - 2, -1, -1):
         # out * (t - k) + newton[k]
         out = [newton[k] - k * out[0], *(a - k * b for a, b in zip(out, out[1:])), out[-1]]
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return _int_trim(out)
 
 
 def int_fraction(num: Sequence[Pair], den: Sequence[Pair]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -573,8 +586,8 @@ def fraction_writer(delta: Sequence[int], points: Sequence[Fraction]):
     from ints as `str(Fraction)` prints it, for integer coefficient lists
     without trailing zeros, delta nonzero.
 
-    Once per writer, delta = prod (b_k t - a_k)^(v_k) * R over the points
-    a_k / b_k, v_k = ord delta there.  Then gcd(p, delta^i) is the product
+    Once per writer, delta = prod (b_k t - a_k)^(v_k) * R by `_split_at`
+    over the points a_k / b_k.  Then gcd(p, delta^i) is the product
     of the (b_k t - a_k)^min(ord p, i v_k), stripped from p by evaluating it
     at a_k and dividing exactly (`_strip_root`), and of gcd(p, R^i), which
     needs a general gcd only when R is not constant (a pole off the points,
@@ -583,12 +596,8 @@ def fraction_writer(delta: Sequence[int], points: Sequence[Fraction]):
     finds up to a constant, which printing over the leading coefficient of
     the denominator removes.  Each denominator is printed once per pattern
     of strips."""
-    factors = []
-    rest = list(delta)
-    for x in points:
-        rest, v = _strip_root(rest, x.numerator, x.denominator)
-        if v:
-            factors.append((x.numerator, x.denominator, v))
+    orders, rest = _split_at(delta, points)
+    factors = [(x.numerator, x.denominator, v) for x, v in zip(points, orders) if v]
     rest_powers: dict[int, list[int]] = {}
     dens: dict[tuple, tuple[int, list[str]]] = {}
 

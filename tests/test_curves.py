@@ -10,7 +10,6 @@ import pytest
 from parahiggs.bipoly import discriminant_x
 from parahiggs.curves import (
     FixedPointReport,
-    _chart_twist,
     NonReducedCurveError,
     PlaneCurve,
     build_plane_curve,
@@ -26,7 +25,7 @@ from parahiggs.curves import (
 from parahiggs.cli import main
 from parahiggs.groups import GramForm, GroupSpec, split_gram
 from parahiggs.higgs import CharData, HiggsField, PoleOrderError, random_strongly_parabolic_higgs
-from parahiggs.poly import RationalFunction, UniPoly, _hom_eval, is_squarefree
+from parahiggs.poly import RationalFunction, UniPoly, _chart_twist, _hom_eval, is_squarefree
 
 from helpers import sections
 
@@ -129,6 +128,53 @@ class TestBuildPlaneCurve:
             for i, s in enumerate(sections(fld.char_data)[:r], start=1):
                 quo, rem = (s.num * twist**i).divmod(s.den)
                 assert rem.is_zero and rational_coeffs(c)[r - i] == quo
+
+
+def twisted_sections(char: CharData, marked) -> list[UniPoly]:
+    """s_i D^i over Q for D = prod (t - a_k), s_i = e_i / Delta^i, each
+    checked to be a polynomial."""
+    twist = P([1])
+    for a in marked:
+        twist = twist * P([-a, 1])
+    out = []
+    for i, e_i in enumerate(char.e, start=1):
+        quo, rem = (P(e_i) * twist**i).divmod(P(char.delta) ** i)
+        assert rem.is_zero
+        out.append(quo)
+    return out
+
+
+class TestTwistedCurve:
+    """`twisted_curve` divides out of D~ the factors at the points where Delta
+    vanishes, read off `_split_at`: checked against s_i D^i over Q."""
+
+    @pytest.mark.parametrize("e,delta,marked", [
+        # a constant Delta: nothing divides out of D~
+        (((), (6, 1)), (3,), (Q(1, 2),)),
+        (((1,), (0, 0, 2)), (-5,), (Q(0), Q(-2, 3))),
+        # Delta = (2t - 1)^2, s_2 = (t + 1) (2t - 1)^3 / Delta^2 with a simple pole at 1/2
+        (((), (-1, 5, -6, -4, 8)), (1, -4, 4), (Q(1, 2),)),
+        # Delta = 6 (3t + 2)^2 vanishes at -2/3 only: s_1 = -t (3t + 2) / Delta
+        # and s_2 = t (3t + 2)^2 / Delta^2 have poles of order 1 and 2 there
+        (((0, -2, -3), (0, 4, 12, 9)), (24, 72, 54), (Q(1, 2), Q(-2, 3))),
+    ])
+    def test_coefficients_are_the_twisted_sections(self, e, delta, marked):
+        char = CharData(e, delta)
+        c = twisted_curve(char, marked)
+        lead = c.coeffs[-1]
+        assert len(lead) == 1 and lead[0] > 0
+        assert math.gcd(*(v for h in c.coeffs for v in h)) == 1
+        assert rational_coeffs(c) == [*reversed(twisted_sections(char, marked)), UniPoly.one()]
+
+    @pytest.mark.parametrize("e,delta,marked,i", [
+        # Delta = (2t - 1)(t - 5), s_2 = (2t + 1) / ((2t - 1)^2 (t - 5)): a pole off D
+        (((), (-5, -9, 2)), (5, -11, 2), (Q(1, 2),), 2),
+        # s_1 = 1 / (2t - 1)^2: pole order 2 > 1 at the marked point 1/2
+        (((1,), ()), (1, -4, 4), (Q(1, 2),), 1),
+    ])
+    def test_pole_raises(self, e, delta, marked, i):
+        with pytest.raises(PoleOrderError, match=rf"s_{i} \* D\^{i} is not polynomial"):
+            twisted_curve(CharData(e, delta), marked)
 
 
 class TestPrimitiveClearing:

@@ -119,6 +119,9 @@ class TestSplitGram:
         else:
             assert gram.kind == "symmetric"
             assert bt == b
+        # B^T = sign * B
+        assert all(bt[i][j] == gram.sign * b[i][j] for i in range(len(b)) for j in range(len(b)))
+        assert gram.sign == (-1 if kind == "sp" else 1)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):

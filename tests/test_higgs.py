@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parahiggs import higgs
 from parahiggs.groups import GROUP_KINDS, GramForm, GroupError, GroupSpec, split_gram
 from parahiggs.higgs import (
     CharData,
@@ -22,7 +23,7 @@ from parahiggs.higgs import (
     strong_parabolic_check,
 )
 from parahiggs.linalg import int_char_poly
-from parahiggs.poly import RationalFunction, UniPoly
+from parahiggs.poly import RationalFunction, UniPoly, root_multiplicity
 
 from helpers import gram_matrix, scalars, sections
 
@@ -197,6 +198,53 @@ class TestStrongParabolic:
         assert failure == f"pole off the marked points: Phi has denominator factor {v_ell.monic()}"
 
 
+# semisimple controls, whose s_2 has a pole of order 2 at the first marked
+# point, a generated field, and a hand-built sp(1) field with s_2 = -1/t^2
+POLE_FIELDS = [
+    lambda: semisimple_residue_control(GroupSpec.sp(2), [0, 1], 1, seed=5),
+    lambda: semisimple_residue_control(GroupSpec.so_odd(2), [Q(1, 2), -1], 0, seed=2),
+    lambda: semisimple_residue_control(GroupSpec.so_even(2), [Q(1, 3), Q(-2, 5), 2], 1, seed=0),
+    lambda: semisimple_residue_control(GroupSpec.sp(1), [Q(-2, 3)], 0, seed=7),
+    lambda: random_strongly_parabolic_higgs(GroupSpec.sp(2), [0, Q(1, 2)], 1, seed=3),
+    lambda: sp1_field([[ONE_OVER_T, ZERO], [ZERO, MINUS_ONE_OVER_T]], (Q(0), Q(1))),
+]
+
+
+class TestPoleOrders:
+    """`strong_parabolic_check` reads ord_a(Delta) from one split of Delta per
+    field; `CharData.pole_order`, which finds it again for every i, is its
+    oracle."""
+
+    @pytest.mark.parametrize("make", POLE_FIELDS)
+    def test_orders_match_the_reported_failures(self, make):
+        fld = make()
+        char = fld.char_data
+        want = [
+            f"s_{i} has pole order {order} > {i - 1} at t = {a}"
+            for i in range(1, char.r + 1)
+            for a in fld.marked_points
+            if (order := char.pole_order(i, a)) is not None and order > i - 1
+        ]
+        got = [f for f in strong_parabolic_check(fld).failures if " has pole order " in f]
+        assert got == want
+
+    @pytest.mark.parametrize("make", POLE_FIELDS)
+    def test_delta_is_split_once_per_marked_point(self, make, monkeypatch):
+        # at most one root_multiplicity call on Delta per marked point and
+        # check, where reading pole_order per (i, a) makes up to r * n
+        fld = make()
+        delta = list(fld.cleared[1])
+        calls = []
+
+        def counting(p, a):
+            calls.append(list(p) == delta)
+            return root_multiplicity(p, a)
+
+        monkeypatch.setattr(higgs, "root_multiplicity", counting)
+        strong_parabolic_check(fld)
+        assert sum(calls) <= len(fld.marked_points)
+
+
 class TestPfaffianSquare:
     def test_so2_toy(self):
         group = GroupSpec.so_even(1)
@@ -241,8 +289,11 @@ class TestGenerator:
         assert a.to_dict() != c.to_dict()
 
     def test_duplicate_marked_points_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
+        # HiggsField rejects them, with the message the generator once raised itself
+        with pytest.raises(ValueError, match="^duplicate marked points$"):
             random_strongly_parabolic_higgs(GroupSpec.sp(1), [0, 0], 1, seed=1)
+        with pytest.raises(ValueError, match="^duplicate marked points$"):
+            random_strongly_parabolic_higgs(GroupSpec.so_odd(2), [Q(1, 2), 0, Q(2, 4)], 0, seed=1)
 
     def test_negative_control_flagged(self):
         fld = semisimple_residue_control(GroupSpec.sp(2), [0, 1], 1, seed=5)

@@ -15,9 +15,13 @@ from parahiggs.poly import (
     _int_poly_mul_add,
     _int_pow,
     _int_prs_gcd,
+    _int_pseudo_rem,
+    _int_trim,
     _q_pair,
+    _split_at,
     fraction_writer,
     int_fraction_from_json,
+    _hom_eval,
     interpolate_int_range,
     is_squarefree,
     poly_gcd,
@@ -27,6 +31,16 @@ from parahiggs.poly import (
 
 P = UniPoly.make
 RF = RationalFunction.make
+
+
+def assert_pseudo_remainder(a, b):
+    """`_int_pseudo_rem(a, b)` is lc(b)^(deg a - deg b + 1) a mod b, and a
+    itself when deg a < deg b, with the remainder taken by `UniPoly.divmod`."""
+    k = max(len(a) - len(b) + 1, 0)
+    want = (P(a) * b[-1] ** k).divmod(P(b))[1]
+    got = _int_pseudo_rem(a, b)
+    assert all(type(c) is int for c in got)
+    assert P(got) == want
 
 
 BIG = st.builds(lambda n, sign: sign * n, st.integers(2**63, 2**80), st.sampled_from((1, -1)))
@@ -93,6 +107,43 @@ class TestGcd:
         g = _int_gcd(prod_a, prod_b)
         assert g == _int_prs_gcd(prod_a, prod_b)
         assert len(g) >= len(c)
+
+    @given(small_polys(3, 1), small_polys(3, 1), small_polys(2, 1))
+    @settings(max_examples=100, deadline=None)
+    def test_prs_matches_heuristic_gcd_on_small_inputs(self, a, b, c):
+        # the PRS fallback itself, on products with a planted common factor c
+        a, b, c = ([int(x) for x in p.coeffs] for p in (a, b, c))
+        prod_a, prod_b = _int_mul(a, c), _int_mul(b, c)
+        g = _int_prs_gcd(prod_a, prod_b)
+        assert g == _int_gcd(prod_a, prod_b)
+        assert P(g).divmod(P(c))[1].is_zero
+
+    @given(small_polys(6), small_polys(3, 1))
+    @settings(max_examples=150, deadline=None)
+    def test_pseudo_remainder(self, a, b):
+        assert_pseudo_remainder([int(x) for x in a.coeffs], [int(x) for x in b.coeffs])
+
+    @given(small_polys(3), small_polys(3, 2).filter(lambda p: p.degree >= 2), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_pseudo_remainder_after_a_cancelling_step(self, q, b, data):
+        # a = q * b + r with deg r <= deg b - 2: after the first step the
+        # leading terms cancel by more than one degree
+        b = [int(x) for x in b.coeffs]
+        r = data.draw(st.lists(st.integers(-4, 4), max_size=len(b) - 2))
+        a = _int_mul([int(x) for x in q.coeffs], b)
+        _int_poly_mul_add(a, r, [1])
+        assert_pseudo_remainder(_int_trim(a), b)
+
+    @pytest.mark.parametrize("a,b", [
+        # after the first step the next top coefficient is already zero
+        ([1, 0, 0, 1], [1, 0, 1]),  # t^3 + 1 = t (t^2 + 1) + 1 - t
+        ([3, 2, 0, 0, 2], [1, 0, 2]),  # 2t^4 + 2t + 3 = (t^2 - 1/2)(2t^2 + 1) + 2t + 7/2
+        ([5, 0, 0, 0, 3], [0, 0, 0, 7]),  # 3t^4 + 5 over 7t^3: the remainder drops to degree 0
+        ([1, 1], [2, 0, 3]),  # deg a < deg b: a itself
+        ([], [2, 1]),
+    ])
+    def test_pseudo_remainder_examples(self, a, b):
+        assert_pseudo_remainder(a, b)
 
     def test_prs_fallback(self, monkeypatch):
         monkeypatch.setattr(poly, "_HEU_STEPS", 0)
@@ -270,6 +321,30 @@ def numerators(draw, points, orders, rest, i):
     for a, v in zip(points, orders):
         p = _int_mul(p, _int_pow(linear(a), draw(st.integers(0, i * v + 1))))
     return _int_mul(p, _int_pow(rest, draw(st.integers(0, 2))))
+
+
+class TestSplitAt:
+    """`_split_at` is the split delta = prod (b_k t - a_k)^(v_k) * rest at the
+    marked points, with v_k = ord delta there."""
+
+    @given(marked_denominators())
+    @settings(max_examples=200, deadline=None)
+    def test_split(self, drawn):
+        points, planted, delta, _ = drawn
+        orders, rest = _split_at(delta, points)
+        assert orders == planted == [root_multiplicity(delta, a) for a in points]
+        assert all(_hom_eval(list(rest), a.numerator, a.denominator) for a in points)
+        product = list(rest)
+        for a, v in zip(points, orders):
+            product = _int_mul(product, _int_pow(linear(a), v))
+        assert product == list(delta)
+
+    def test_examples(self):
+        # (2t - 1)^2 (3t + 2) (t^2 + 1) * 5 at 1/2, -2/3, 0 and 3/2
+        delta = _int_mul([5], _int_mul(_int_pow([-1, 2], 2), _int_mul([2, 3], [1, 0, 1])))
+        assert _split_at(delta, [Q(1, 2), Q(-2, 3), Q(0), Q(3, 2)]) == ([2, 1, 0, 0], [5, 0, 5])
+        assert _split_at((7,), [Q(1, 2)]) == ([0], (7,))
+        assert _split_at([0, 1], []) == ([], [0, 1])
 
 
 class TestFractionWriter:

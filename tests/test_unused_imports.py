@@ -45,6 +45,7 @@ TEST_ONLY_API = {
     "dimensions.sqrt_parity_check": "parity of the class whose square root the normalization takes",
     "dimensions.pardeg_identity": "parabolic degree forced by self-duality",
     "groups.GroupSpec.so_odd": "constructor beside GroupSpec.sp and GroupSpec.so_even, for tests",
+    "higgs.CharData.pole_order": "the pole order of one s_i at one point, the oracle of strong_parabolic_check, which splits Delta once per field",
     "higgs.HiggsField.from_grid": "clears a hand-built grid of rational functions into a field, for tests",
     "higgs.HiggsField.matrix": "Phi as reduced rational functions, for tests and the benchmark's operand-size probe",
     "higgs.semisimple_residue_control": "control field with semisimple residues, for the parabolic checks",
