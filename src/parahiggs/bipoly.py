@@ -1,76 +1,49 @@
-"""x-eliminants of bivariate integer polynomials F(t, x) over Z[t][x].
-
-A bivariate polynomial is its list of ascending x-coefficients, each an
-ascending integer coefficient list over Z[t] ([] is zero).  The spectral
-curves of ``curves`` are primitive over Z[t] with a constant leading
-coefficient, so their discriminants need no clearing: one Bareiss
-fraction-free elimination of the Sylvester matrix, in which every division is
-exact, and one exact division by the leading coefficient.
-"""
+"""x-discriminants of bivariate integer polynomials F(t, x) over Z[t][x], each
+its list of ascending x-coefficients, ascending integer lists ([] is zero).
+The discriminant is one more constant kernel of `linalg._interpolated`: the
+Sylvester resultant Res_x(f, f_x) by constant Bareiss at each sample."""
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
-from .poly import UniPoly, _int_exact_div, _int_poly_mul_add, _int_trim
+from .linalg import _interpolated, bareiss_const
+from .poly import UniPoly, _int_exact_div
 
 
-def bareiss_det(m: list[list[list[int]]]) -> list[int]:
-    """Fraction-free determinant of a matrix over Z[t] (Bareiss).
-
-    Entries are ascending integer coefficient lists, [] being zero.  Every
-    interior division is exact in Z[t] by Sylvester's identity; row swaps
-    flip the sign.  The input list is consumed.
-    """
-    n = len(m)
-    sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return []
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            neg = [-c for c in m[i][k]]
-            for j in range(k + 1, n):
-                num: list[int] = []
-                _int_poly_mul_add(num, pivot, m[i][j])
-                _int_poly_mul_add(num, neg, m[k][j])
-                _int_trim(num)
-                m[i][j] = _int_exact_div(num, prev) if num else []
-        prev = pivot
-    return [sign * c for c in m[n - 1][n - 1]]
-
-
-def sylvester_matrix(f: Sequence[list[int]], g: Sequence[list[int]]) -> list[list[list[int]]]:
-    """Sylvester matrix of two bivariate integer polynomials, given as
-    ascending x-coefficient lists."""
-    f, g = list(f), list(g)
-    p, q = len(f) - 1, len(g) - 1
-    n = p + q
-    rows = []
-    # descending coefficient order, f-rows then g-rows
-    for i in range(q):
-        rows.append([[]] * i + f[::-1] + [[]] * (n - p - 1 - i))
-    for i in range(p):
-        rows.append([[]] * i + g[::-1] + [[]] * (n - q - 1 - i))
-    return rows
+def _resultant_with_derivative(rows: list[list[int]]) -> list[int]:
+    """[Res_x(f, f_x)] for a constant f of x-degree r >= 2, the one row of
+    its x-coefficients: the Sylvester determinant, f-rows then f_x-rows."""
+    (f,) = rows
+    r = len(f) - 1
+    top, bottom = f[::-1], [i * c for i, c in enumerate(f)][:0:-1]
+    mat = [[0] * i + top + [0] * (r - 2 - i) for i in range(r - 1)]
+    mat += [[0] * i + bottom + [0] * (r - 1 - i) for i in range(r)]
+    return [bareiss_const(mat)]
 
 
 def discriminant_x(f: Sequence[Sequence[int]]) -> UniPoly:
     """disc(f) = (-1)^(r(r-1)/2) Res_x(f, f_x) / lc(f) for f of x-degree
-    r >= 2 over Z[t], with the resultant the Bareiss determinant of the
-    Sylvester matrix; the division by lc(f) is exact over Z[t]."""
+    r >= 2 over Z[t], the resultant sampled on the row of f's x-coefficients
+    a_0 .. a_r with a proven bound (B, N).
+
+    Res_x(f, f_x) is homogeneous of degree 2r - 1 in the a_i and isobaric of
+    weight r(r - 1), a_i weighing r - i, so with deg a_i <= c + (r - i) w,
+    c = deg lc(f), its t-degree is at most N - 1 = (2r - 1) c + r(r - 1) w.
+    Its coefficients are at most Hadamard's bound on the Sylvester rows with
+    each entry replaced by its coefficients' 1-norm, since |p(t)| <= |p|_1
+    on |t| = 1 and a coefficient is at most the maximum there.
+    """
     r = len(f) - 1
     if r < 2 or not f[-1]:
         raise ValueError("discriminant needs x-degree >= 2")
-    f = [list(c) for c in f]
-    f_x = [[i * c for c in p] for i, p in enumerate(f)][1:]
-    res = bareiss_det(sylvester_matrix(f, f_x))
+    c = len(f[-1]) - 1
+    w = max((-((c - len(p) + 1) // (r - i)) for i, p in enumerate(f[:-1]) if p), default=0)
+    norms = [sum(map(abs, p)) for p in f]
+    f_rows, f_x_rows = sum(n * n for n in norms), sum((i * n) ** 2 for i, n in enumerate(norms))
+    bits = (math.isqrt(f_rows ** (r - 1) * f_x_rows ** r) + 1).bit_length() + 1
+    count = max((2 * r - 1) * c + r * (r - 1) * w, 0) + 1
+    (res,) = _interpolated([f], (bits, count), _resultant_with_derivative)
     sign = (-1) ** (r * (r - 1) // 2)
-    return UniPoly.make(sign * c for c in _int_exact_div(res, f[-1]))
+    return UniPoly.make(sign * x for x in _int_exact_div(res, f[-1]))

@@ -5,7 +5,7 @@ Cayley group element is one over a single integer denominator, made by one
 fraction-free inverse.  A Gram form has entries in Q(t) and
 is held as its clearing B = B' / E with B' and E over Z[t], made by the same
 routine that clears a Higgs field; it is checked there: B' is
-(anti)symmetric and det B' (Bareiss over Z[t]) is nonzero.  Its determinant
+(anti)symmetric and det B' (`linalg.int_det`) is nonzero.  Its determinant
 is the integer pair (det B', E^n), never a rational function.  Lie algebra
 membership of a field Phi is read off the one product B*Phi, cleared to
 Z[t]: Phi^T B + B Phi = 0 exactly when B*Phi is symmetric for a symplectic B
@@ -30,13 +30,13 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bipoly import bareiss_det
 from .linalg import (
     Cleared,
     SingularMatrixError,
     ZMat,
     clear_fractions,
     entry_ints,
+    int_det,
     is_symmetric,
     zmat_inverse,
     zmat_mul,
@@ -132,9 +132,9 @@ class GramForm:
 
     @cached_property
     def det(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(det B', E^n) over Z[t] with det B = det B' / E^n, det B' by Bareiss."""
+        """(det B', E^n) over Z[t] with det B = det B' / E^n, det B' sampled by `int_det`."""
         b, e = self.cleared
-        return tuple(bareiss_det([[list(p) for p in row] for row in b])), tuple(_int_pow(e, len(b)))
+        return int_det(b), tuple(_int_pow(e, len(b)))
 
 
 @functools.cache

@@ -9,16 +9,16 @@ the one routine that makes it, from integer numerator and denominator
 pairs, however the matrix was made (parsed, generated, reduced or built in
 a test), and ``cleared_json`` writes it back as JSON entries from integers,
 reducing each at the marked points by `poly.fraction_writer`.
-Every characteristic coefficient, Pfaffian and Pfaffian adjugate is computed
-from M by a division-free constant kernel, by one of two routes chosen by the
-size of the result (`_interpolated`).  When it is small, by Kronecker
-substitution: M is evaluated once at t = 2^B, B one more than the bit length
-of a proven bound n! * L^k on the result's coefficients (M of size n, k = n
-for the characteristic coefficients and n // 2 for Pfaffians, L the largest
-coefficient 1-norm of an entry), the kernel runs once over big integers and
-the coefficients are read back as signed base-2^B digits, exact because each
-is smaller than 2^(B-1) in absolute value.  Otherwise M is evaluated at the
-integer nodes 0, 1, ... (by `poly._hom_eval`), the kernel runs at each in
+Every Z[t] eliminant, the determinant (`int_det`), the characteristic
+coefficients, the Pfaffian and Pfaffian adjugate of M and the discriminant
+of `bipoly`, is one division-free constant kernel run on the samples of a
+Z[t] grid by `_interpolated`, by one of two routes chosen by the size of the
+result, from the caller's proven bound (B, N): N coefficients, each below
+2^(B-1) in absolute value (`_packing` for the square kernels).  When it is
+small, by Kronecker substitution: the grid is evaluated once at t = 2^B, the
+kernel runs once over big integers and the coefficients are read back as
+signed base-2^B digits.  Otherwise the grid is evaluated at the integer
+nodes 0, 1, ..., N - 1 (by `poly._hom_eval`), the kernel runs at each in
 small integers, and the results are interpolated back over Z[t].  Both
 routes give the same tuples.
 A constant matrix over Q (a residue, a Cayley group element) is the pair
@@ -192,16 +192,16 @@ KRONECKER_MAX_BITS = 12000
 
 
 def _packing(a: IntMat, factor: int) -> tuple[int, int]:
-    """(B, N) for a result of `_interpolated` on the n x n matrix a: its
+    """(B, N) for a result of a square kernel on the n x n matrix a: its
     N = factor * deg(a) + 1 coefficients, and B = bitlen(n! * L^factor) + 1,
     L >= 1 the largest coefficient 1-norm of an entry, so that every
     coefficient c has |c| <= 2^(B-1) - 1.  B * N bits is the size of the
     result packed at t = 2^B, and picks the route.
 
     The 1-norm of a product is at most the product of the 1-norms, and a
-    coefficient is at most the 1-norm.  e_i is a signed sum of the
-    C(n, i) * i! = n!/(n-i)! products of i entries that make up its principal
-    minors, so |coefficients| <= n! * L^i <= n! * L^n (factor n).  The
+    coefficient is at most the 1-norm.  det sums n! products of n entries,
+    and e_i the C(n, i) * i! = n!/(n-i)! products of i entries that make up
+    its principal minors, so |coefficients| <= n! * L^n (factor n).  The
     Pfaffian of a 2k x 2k matrix sums (2k-1)!! products of k entries, and
     every Pfaffian of the adjugate is of size n - 1 = 2k, k = n // 2 the
     factor, so both are bounded by (2k-1)!! * L^k <= n! * L^factor.
@@ -242,26 +242,51 @@ def _signed_digits(v: int, bits: int, count: int) -> tuple[int, ...]:
     return tuple(_int_trim(out))
 
 
-def _interpolated(a: IntMat, factor: int, values) -> list[tuple[int, ...]]:
-    """values(a(t0)) for the constant kernel `values`, each in Z[t] of
-    t-degree <= N - 1 = factor * deg(a), by one of two routes.
+def _interpolated(grid: Sequence, bound: tuple[int, int], values) -> list[tuple[int, ...]]:
+    """values(grid(t0)) for the constant kernel `values` on a grid of Z[t]
+    entries, each result in Z[t] with at most N coefficients, all below
+    2^(B-1) in absolute value, for the caller's bound (B, N).
 
-    Nodes: sample a at t0 = 0, 1, ..., N - 1 and interpolate each result
-    over Z[t] (`interpolate_int_range`), so N kernel runs in small integers.
-    Kronecker (von zur Gathen & Gerhard, Modern Computer Algebra, 8.4): with
-    B from `_packing`, evaluate a once at t = 2^B by shifts, run the
-    kernel once over big integers and read each result's coefficients as
-    its signed base-2^B digits (`_signed_digits`): every coefficient c has
-    |c| < 2^(B-1), so the digits are exactly the coefficients.  The
-    Kronecker route is taken while the packed result, B * N bits, is at most
+    Nodes: sample the grid at t0 = 0, 1, ..., N - 1 and interpolate each
+    result over Z[t] (`interpolate_int_range`), so N kernel runs in small
+    integers.  Kronecker (von zur Gathen & Gerhard, Modern Computer Algebra,
+    8.4): evaluate the grid once at t = 2^B by shifts, run the kernel once
+    over big integers and read each result's coefficients as its signed
+    base-2^B digits (`_signed_digits`), exact by the bound.  The Kronecker
+    route is taken while the packed result, B * N bits, is at most
     KRONECKER_MAX_BITS; both routes give the same tuples.
     """
-    bits, count = _packing(a, factor)
+    bits, count = bound
     if bits * count <= KRONECKER_MAX_BITS:
-        packed = values([[_at_power_of_two(p, bits) for p in row] for row in a])
+        packed = values([[_at_power_of_two(p, bits) for p in row] for row in grid])
         return [_signed_digits(v, bits, count) for v in packed]
-    samples = [values([[_hom_eval(p, t0, 1) for p in row] for row in a]) for t0 in range(count)]
+    samples = [values([[_hom_eval(p, t0, 1) for p in row] for row in grid]) for t0 in range(count)]
     return [tuple(interpolate_int_range(col)) for col in zip(*samples)]
+
+
+def bareiss_const(a: ZMat) -> int:
+    """det a for a constant square integer matrix, by Bareiss' fraction-free
+    elimination: after step k every entry is a minor of a, so each division
+    by the last pivot is exact (Sylvester's identity), and the last pivot is
+    +-det a; a row swap flips the sign."""
+    a, sign, prev = [list(row) for row in a], 1, 1
+    for k in range(len(a)):
+        piv = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if piv is None:
+            return 0
+        a[k], a[piv], sign = a[piv], a[k], sign if piv == k else -sign
+        p, top = a[k][k], a[k][k:]
+        for row in a[k + 1 :]:
+            f = row[k]
+            row[k:] = [(p * x - f * y) // prev for x, y in zip(row[k:], top)]
+        prev = p
+    return sign * prev
+
+
+def int_det(a: IntMat) -> tuple[int, ...]:
+    """det a for a square Z[t] matrix a: Bareiss on the samples of a."""
+    (det,) = _interpolated(a, _packing(a, len(a)), lambda const: [bareiss_const(const)])
+    return det
 
 
 def berkowitz_char_poly(a: list[list]) -> list:
@@ -295,7 +320,7 @@ def int_char_poly(a: IntMat) -> list[tuple[int, ...]]:
     """e_1..e_r with det(x*I - a) = x^r + e_1 x^(r-1) + ... + e_r for a Z[t]
     matrix a: Berkowitz on the samples of a.  For Phi = a / Delta the
     characteristic coefficients are s_i = e_i / Delta^i."""
-    return _interpolated(a, len(a), lambda const: berkowitz_char_poly(const)[1:])
+    return _interpolated(a, _packing(a, len(a)), lambda const: berkowitz_char_poly(const)[1:])
 
 
 def _pfaffians_const(a: list[list], masks: list[int]) -> list:
@@ -332,7 +357,7 @@ def int_pfaffian(a: IntMat) -> tuple[int, ...]:
         raise ValueError("Pfaffian needs even size")
     if not is_symmetric(a, -1):
         raise ValueError("matrix is not antisymmetric")
-    (p,) = _interpolated(a, n // 2, lambda const: _pfaffians_const(const, [(1 << n) - 1]))
+    (p,) = _interpolated(a, _packing(a, n // 2), lambda const: _pfaffians_const(const, [2**n - 1]))
     return p
 
 
@@ -342,5 +367,5 @@ def pfaffian_adjugate(a: IntMat) -> list[tuple[int, ...]]:
     kernel when it is a line and is 0 when the kernel is larger."""
     n = len(a)
     masks = [((1 << n) - 1) & ~(1 << i) for i in range(n)]
-    polys = _interpolated(a, n // 2, lambda const: _pfaffians_const(const, masks))
+    polys = _interpolated(a, _packing(a, n // 2), lambda const: _pfaffians_const(const, masks))
     return [tuple(-x for x in p) if i % 2 else p for i, p in enumerate(polys)]

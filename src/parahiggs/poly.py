@@ -398,7 +398,10 @@ def _strip_root(f: Sequence[int], a: int, b: int, most: int | None = None) -> tu
     """(f / (b t - a)^k, k) for a nonzero integer polynomial f and the
     multiplicity k of its root a/b, or k = most when that is smaller.  Each
     division is exact over Z[t] by Gauss's lemma, so the quotient q is read
-    off by synthetic division, f_j = b q_(j-1) - a q_j from the top."""
+    off by synthetic division, f_j = b q_(j-1) - a q_j from the top.  The
+    zero polynomial, of which every point is a root, raises ValueError."""
+    if not any(f):
+        raise ValueError("zero polynomial")
     k = 0
     while k != most and _hom_eval(f, a, b) == 0:
         q, c = [0] * (len(f) - 1), 0
@@ -433,8 +436,6 @@ def _chart_twist(points) -> tuple[list[int], int]:
 def root_multiplicity(p: Sequence[int], a: Scalar) -> int:
     """Multiplicity of the root t = a of a nonzero integer polynomial p
     (ascending coefficients); 0 if a is not a root."""
-    if not any(p):
-        raise ValueError("zero polynomial")
     a = _as_q(a)
     return _strip_root(list(p), a.numerator, a.denominator)[1]
 

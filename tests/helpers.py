@@ -1,7 +1,11 @@
 """Helpers shared by the test modules: a Gram form, characteristic data and
-constant grids as reduced rational functions."""
+constant grids as reduced rational functions, and the test-only reference
+determinant over Z[t] (Bareiss with polynomial entries) with the Z[t]
+Sylvester matrix, an oracle outside `linalg._interpolated`."""
 
-from parahiggs.poly import RationalFunction
+from typing import Sequence
+
+from parahiggs.poly import RationalFunction, _int_exact_div, _int_poly_mul_add, _int_trim
 
 
 def gram_matrix(gram):
@@ -18,3 +22,50 @@ def sections(char):
 def scalars(rows):
     """A grid of rational scalars as constant rational functions."""
     return [[RationalFunction.make(x) for x in row] for row in rows]
+
+
+def bareiss_det(m: list[list[list[int]]]) -> list[int]:
+    """Fraction-free determinant of a matrix over Z[t] (Bareiss).
+
+    Entries are ascending integer coefficient lists, [] being zero.  Every
+    interior division is exact in Z[t] by Sylvester's identity; row swaps
+    flip the sign.  The input list is consumed.
+    """
+    n = len(m)
+    sign = 1
+    prev = [1]
+    for k in range(n - 1):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return []
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            neg = [-c for c in m[i][k]]
+            for j in range(k + 1, n):
+                num: list[int] = []
+                _int_poly_mul_add(num, pivot, m[i][j])
+                _int_poly_mul_add(num, neg, m[k][j])
+                _int_trim(num)
+                m[i][j] = _int_exact_div(num, prev) if num else []
+        prev = pivot
+    return [sign * c for c in m[n - 1][n - 1]]
+
+
+def sylvester_matrix(f: Sequence[list[int]], g: Sequence[list[int]]) -> list[list[list[int]]]:
+    """Sylvester matrix of two bivariate integer polynomials, given as
+    ascending x-coefficient lists."""
+    f, g = list(f), list(g)
+    p, q = len(f) - 1, len(g) - 1
+    n = p + q
+    rows = []
+    # descending coefficient order, f-rows then g-rows
+    for i in range(q):
+        rows.append([[]] * i + f[::-1] + [[]] * (n - p - 1 - i))
+    for i in range(p):
+        rows.append([[]] * i + g[::-1] + [[]] * (n - q - 1 - i))
+    return rows

@@ -21,7 +21,6 @@ from parahiggs.curves import (
     smoothness_check,
     so_even_singularity_pattern,
 )
-from parahiggs.bipoly import bareiss_det
 from parahiggs.dimensions import (
     CurveParams,
     eigenline_degree_sqrt_twist,
@@ -46,7 +45,7 @@ from parahiggs.higgs import (
 from parahiggs.linalg import clear_fractions, entry_ints, int_pfaffian
 from parahiggs.poly import RationalFunction, UniPoly
 
-from helpers import gram_matrix, sections
+from helpers import bareiss_det, gram_matrix, sections
 
 P = UniPoly.make
 RF = RationalFunction.make

@@ -4,8 +4,11 @@ naive determinant."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parahiggs.bipoly import bareiss_det, discriminant_x, sylvester_matrix
+from parahiggs.bipoly import discriminant_x
+from parahiggs.linalg import int_det
 from parahiggs.poly import UniPoly
+
+from helpers import sylvester_matrix
 
 P = UniPoly.make
 
@@ -46,8 +49,8 @@ def bimul(f, g):
 
 
 def resultant(f, g):
-    """Res_x(f, g) as the Bareiss determinant of the Sylvester matrix."""
-    return bareiss_det(sylvester_matrix(f, g))
+    """Res_x(f, g) as `linalg.int_det` of the Sylvester matrix."""
+    return list(int_det(sylvester_matrix(f, g)))
 
 
 def naive_det(m):

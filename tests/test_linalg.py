@@ -12,13 +12,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from parahiggs import linalg
-from parahiggs.bipoly import bareiss_det
+from parahiggs.bipoly import discriminant_x
 from parahiggs.groups import GROUP_KINDS, GroupSpec
 from parahiggs.higgs import HiggsField, random_strongly_parabolic_higgs
+from parahiggs.curves import build_plane_curve
 from parahiggs.linalg import (
     SingularMatrixError,
     berkowitz_char_poly,
     int_char_poly,
+    int_det,
     int_pfaffian,
     clear_fractions,
     pfaffian_adjugate,
@@ -27,6 +29,8 @@ from parahiggs.linalg import (
     zmat_mul,
 )
 from parahiggs.poly import RationalFunction, UniPoly, poly_gcd
+
+from helpers import bareiss_det, sylvester_matrix
 
 P = UniPoly.make
 RF = RationalFunction.make
@@ -204,7 +208,7 @@ class TestCharPoly:
         for n in (1, 2, 3, 4):
             for _ in range(3):
                 m = random_int_matrix(rng, n)
-                assert list(bareiss(m)) == leibniz_det(m)
+                assert list(int_det(m)) == list(bareiss(m)) == leibniz_det(m)
 
 
 class TestPfaffian:
@@ -238,7 +242,7 @@ class TestPfaffian:
                 m = random_antisymmetric(rng, n)
                 pf = list(int_pfaffian(m))
                 assert pmul(pf, pf) == leibniz_det(m)
-                assert list(bareiss(m)) == leibniz_det(m)
+                assert list(int_det(m)) == list(bareiss(m)) == leibniz_det(m)
                 if n <= 4:
                     assert tuple(pf) == matching_pfaffian(m)
 
@@ -431,6 +435,24 @@ def antisymmetric_int_matrices(draw, sizes):
     return tuple(tuple(row) for row in rows)
 
 
+@st.composite
+def bivariates(draw):
+    """f over Z[t][x] of x-degree 2..4, ascending in x, whose leading
+    coefficient has positive t-degree."""
+    r = draw(st.integers(2, 4))
+    return [list(draw(int_polys)) for _ in range(r)] + [list(draw(int_polys.filter(lambda p: len(p) > 1)))]
+
+
+def oracle_discriminant(f):
+    """(-1)^(r(r-1)/2) Res_x(f, f_x) / lc(f), the resultant by Bareiss over
+    Z[t] (`helpers.bareiss_det`) and the division by `UniPoly.divmod`."""
+    r = len(f) - 1
+    f_x = [[i * c for c in p] for i, p in enumerate(f)][1:]
+    quo, rem = P(bareiss_det(sylvester_matrix(f, f_x))).divmod(P(f[-1]))
+    assert rem.is_zero
+    return quo * (-1) ** (r * (r - 1) // 2)
+
+
 class TestInterpolationRoutes:
     @given(square_int_matrices())
     @example(int_matrix([[0] * 3 for _ in range(3)]))  # zero
@@ -466,6 +488,25 @@ class TestInterpolationRoutes:
             for p, q in zip(row, w):
                 acc = padd(acc, pmul(list(p), list(q)))
             assert acc == []
+
+    @given(square_int_matrices())
+    @example(int_matrix([[0] * 3 for _ in range(3)]))  # zero
+    @example(int_matrix([[1, 2], [2, 4]]))  # singular
+    @example(int_matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))  # a row swap flips the sign
+    @example(int_matrix([[[0, 1], 1], [1, [0, 1]]]))  # t^2 - 1, zero at the node 1
+    @settings(max_examples=60, deadline=None)
+    def test_det(self, m):
+        assert on_both_routes(int_det, m) == bareiss(m)
+
+    @given(bivariates())
+    @example([[0, -1], [1], [1, 2]])  # (2t + 1) x^2 + x - t
+    @example([[1], [], [0, 1]])  # t x^2 + 1: lc vanishes at the node 0
+    @example([[0, 0, 1], [-1], [], [0, 1]])  # t x^3 - x + t^2
+    @example([[0, 0, 2**70], [], [0, 1]])  # t x^2 + 2^70 t^2
+    @example([[], [], [1], [0, 0, 0, 0, 0, 1]])  # t^5 x^3 + x^2: the degree bound is negative, Res = 0
+    @settings(max_examples=60, deadline=None)
+    def test_discriminant(self, f):
+        assert on_both_routes(discriminant_x, f) == oracle_discriminant(f)
 
     @given(st.integers(1, 80), st.integers(0, 3), st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -524,10 +565,29 @@ def route_taken(fn, *args):
     return "nodes" if spy.called else "kronecker"
 
 
+# the route the quotient discriminant disc_Z G of `gen -m M --marked 0,1
+# --deg-bound 1 --seed 0` takes; `analyze` certifies the curve by it
+DISC_ROUTES = {
+    (kind, m): "kronecker" if m <= 3 else "nodes" for kind in GROUP_KINDS for m in range(2, 7)
+}
+
+
+def quotient(kind, m):
+    """G with H(t, x) = G(t, x^2) for the curve H of `gen --group kind -m m
+    --marked 0,1 --deg-bound 1 --seed 0`."""
+    return build_plane_curve(random_strongly_parabolic_higgs(GroupSpec(kind, m), (Q(0), Q(1)), 1, 0)).quotient
+
+
 # wall-clock bound on the characteristic polynomial of `gen --group sp -m 6
 # --marked 0,1 --deg-bound 1 --seed 0`, 34.6 kbit packed and so on the node
 # route, which takes about 0.07 s on one core
 NODE_ROUTE_BOUND_S = 2.0
+
+# wall-clock bound on disc_Z G of the quotient of `gen --group sp -m 7
+# --marked 0,1 --deg-bound 1 --seed 0`, 533 kbit packed and so on the node
+# route, which takes about 0.5 s on one core; Bareiss over Z[t], the test-side
+# reference in `helpers`, takes about 2.5 s
+DISC_NODE_ROUTE_BOUND_S = 2.0
 
 
 class TestRouteSelection:
@@ -555,3 +615,16 @@ class TestRouteSelection:
             assert route_taken(int_pfaffian, prod) == "kronecker"
         if kind == "so-odd":
             assert route_taken(pfaffian_adjugate, prod) == "kronecker"
+
+    def test_discriminant_node_route_is_bounded(self):
+        g = quotient("sp", 7)
+        with mock.patch.object(linalg, "interpolate_int_range", wraps=linalg.interpolate_int_range) as spy:
+            start = time.perf_counter()
+            discriminant_x(g)
+            seconds = time.perf_counter() - start
+        assert spy.called
+        assert seconds < DISC_NODE_ROUTE_BOUND_S
+
+    @pytest.mark.parametrize("kind,m", sorted(DISC_ROUTES))
+    def test_pinned_discriminant_route(self, kind, m):
+        assert route_taken(discriminant_x, quotient(kind, m)) == DISC_ROUTES[kind, m]

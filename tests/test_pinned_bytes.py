@@ -146,6 +146,9 @@ LARGE_M_PINNED = {
     ("so-odd", 4): "8ae7594325e3d3bd5d1543bfde6e80e9ca176b8e0c570baef9f253321329f00b",
     ("so-even", 3): "56d100db2482144f4ee690a09cbf1d67d18f4ba492a4fc3a816bcebfde6d1abc",
     ("so-even", 4): "d8c6fc47a4702f6be231cf215a07f58e6916f261c32833d0bec45d45da341428",
+    ("sp", 5): "49dec638730a093d79492c2068b3b5c09c02e74809f182a64f8357a8e0042b38",
+    ("so-odd", 5): "53249e1dc886009398e95c318049c67a876a12e16f6096bd3c732f61241686ca",
+    ("so-even", 5): "3c2e93f7376d5a8a1fac42b3054884214def9185b5332218f7a9b251d5b8fded",
 }
 LARGE_M_BOUND_S = 10.0
 

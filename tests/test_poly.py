@@ -1,6 +1,10 @@
 """Univariate core: squarefree tests, pole orders, gcd, interpolation."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -345,6 +349,25 @@ class TestSplitAt:
         assert _split_at(delta, [Q(1, 2), Q(-2, 3), Q(0), Q(3, 2)]) == ([2, 1, 0, 0], [5, 0, 5])
         assert _split_at((7,), [Q(1, 2)]) == ([0], (7,))
         assert _split_at([0, 1], []) == ([], [0, 1])
+
+    def test_zero_polynomial_raises(self):
+        # every point is a root of 0, so stripping it would never end; run in
+        # a subprocess with a timeout, so that a regression fails the test
+        # instead of hanging the suite
+        src = str(Path(poly.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", ZERO_SPLIT], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=30)
+        assert (proc.returncode, proc.stdout) == (0, "zero polynomial\n")
+
+
+ZERO_SPLIT = """
+from fractions import Fraction
+from parahiggs.poly import _split_at
+try:
+    _split_at([], [Fraction(1, 2)])
+except ValueError as exc:
+    print(exc)
+"""
 
 
 class TestFractionWriter:
