@@ -162,6 +162,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if not 0 <= args.seed < 2**64:
         raise ValueError("seed must fit in 64 unsigned bits")
     group = GroupSpec(args.group, ms[0])
+    sys.set_int_max_str_digits(0)  # input parsed: exact results may pass 4300 digits
     fld = random_strongly_parabolic_higgs(group, marked, args.deg_bound, args.seed)
     doc = fld.to_dict()
     doc["seed"] = args.seed
@@ -278,6 +279,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         checks = tuple(c for c in ALL_CHECKS if c != "pfaffian" or fld.group.kind == "so-even")
     elif "pfaffian" in checks and fld.group.kind != "so-even":
         raise GroupError("pfaffian check applies to so-even fields only")
+    sys.set_int_max_str_digits(0)  # input parsed: exact results may pass 4300 digits
     report = _analyze_field(fld, checks)
     _write_output(args.output, _format_analysis(report, args.format))
     return OK if report["all_pass"] else CHECK_FAILED
@@ -290,6 +292,7 @@ def cmd_reduce_odd(args: argparse.Namespace) -> int:
     fld = HiggsField.from_dict(_read_input(args.input))
     if fld.group.kind != "so-odd":
         raise GroupError("wrong group: reduce-odd needs an so-odd field")
+    sys.set_int_max_str_digits(0)  # input parsed: exact results may pass 4300 digits
     red = so_odd_reduce(fld)
     reduced_field = HiggsField(
         GroupSpec.sp(fld.group.m), red.induced_gram, red.reduced, fld.marked_points
@@ -366,6 +369,7 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    bound = sys.get_int_max_str_digits()  # gen, analyze and reduce-odd lift it after parsing
     try:
         return _HANDLERS[args.command](args)
     except NonGenericFieldError as exc:
@@ -374,6 +378,8 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    finally:
+        sys.set_int_max_str_digits(bound)
 
 
 if __name__ == "__main__":

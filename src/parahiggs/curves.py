@@ -38,6 +38,7 @@ from .poly import (
     UniPoly,
     _chart_twist,
     _hom_eval,
+    _hom_evals,
     _int_derivative,
     _int_exact_div,
     _int_mul,
@@ -76,29 +77,35 @@ class PlaneCurve:
         return UniPoly.one() if len(g) == 2 else discriminant_x(g)
 
 
+def _twist(delta, marked_points) -> tuple[list[int], list[int], int]:
+    """(D~/g, Delta~/g, q) with D / Delta = (D~/g) / (q Delta~/g) for
+    D = prod (t - a_k) and a nonzero Delta over Z[t]: D~ = D prod b_k from
+    `_chart_twist`, Delta = k Delta~ for k the content of Delta,
+    q = k prod b_k, and g = gcd(D~, Delta~), the product of the factors
+    b_k t - a_k of the squarefree, primitive D~ at whose points Delta
+    vanishes (`_split_at`), so no general gcd.  Delta~/g is primitive, so
+    by Gauss's lemma a division by its powers is exact over Q exactly when
+    it is over Z[t]."""
+    twist, den = _chart_twist(marked_points)
+    orders, _ = _split_at(delta, marked_points)
+    g, _ = _chart_twist([a for a, v in zip(marked_points, orders) if v])
+    k = math.gcd(*delta)
+    return _int_exact_div(twist, g), _int_exact_div([x // k for x in delta], g), k * den
+
+
 def twisted_curve(char: CharData, marked_points) -> PlaneCurve:
     """Curve y^r + sum_i s_i D^i y^(r-i), D = prod (t - a_k), from the char
     data s_i = e_i / Delta^i, held as its primitive clearing H over Z[t].
-    With D~ = D prod b_k from `_chart_twist`, Delta = k Delta~ for k the
-    content of Delta and g = gcd(D~, Delta~), the product of the factors
-    b_k t - a_k of the squarefree, primitive D~ at whose points Delta
-    vanishes (`_split_at`), so no general gcd: s_i D^i = mu^i h_i for
-    h_i = e_i (D~/g)^i / (Delta~/g)^i over Z[t] and mu = 1 / q,
-    q = k prod b_k, so H is the primitive part of sum_i q^(r-i) h_i y^(r-i),
-    with lc(H) = q^r / content > 0; a field whose poles all sit at marked
-    points (Delta~ | D~) needs no polynomial division.
+    With (up, down, q) = `_twist(Delta)`, s_i D^i = h_i / q^i for
+    h_i = e_i up^i / down^i over Z[t], so H is the primitive part of
+    sum_i q^(r-i) h_i y^(r-i), with lc(H) = q^r / content > 0; a field
+    whose poles all sit at marked points needs no polynomial division.
 
     Strong parabolicity (pole order of s_i at most i - 1 < i, poles only at
-    marked points) makes every h_i polynomial, and (Delta~/g)^i is
-    primitive, so by Gauss's lemma the division is exact over Z[t].  A
-    non-zero remainder raises PoleOrderError.
+    marked points) makes every h_i polynomial, so the division is exact
+    over Z[t].  A non-zero remainder raises PoleOrderError.
     """
-    twist, den = _chart_twist(marked_points)
-    orders, _ = _split_at(char.delta, marked_points)
-    g, _ = _chart_twist([a for a, v in zip(marked_points, orders) if v])
-    k = math.gcd(*char.delta)
-    up, down = _int_exact_div(twist, g), _int_exact_div([x // k for x in char.delta], g)
-    q = k * den
+    up, down, q = _twist(char.delta, marked_points)
     r = char.r
     coeffs: list[list[int]] = [[]] * r + [[q**r]]
     up_power = down_power = [1]
@@ -130,25 +137,20 @@ def build_plane_curve(fld: HiggsField) -> PlaneCurve:
 
 def twisted_pfaffian(fld: HiggsField) -> tuple[tuple[int, ...], int]:
     """(P, s) with Pf(B*Phi) * D^m = P / s over Z[t] for an so(2m) field:
-    with B*Phi = P' / E, E = k E~ for k the content of E, and D = D~ / prod
-    b_k, P = Pf(P') D~^m / E~^m and s = (k prod b_k)^m.  E~ is primitive, so
-    by Gauss's lemma the division is exact over Q exactly when it is over
-    Z[t]; it raises PoleOrderError when it is not.  `analyze` never meets
-    that case: once build_plane_curve has made s_2m * D^2m polynomial and
-    det B is constant, (Pf * D^m)^2 = det B * s_2m * D^2m is polynomial, so
-    the guard covers direct callers only."""
+    with B*Phi = P' / E and (up, down, q) = `_twist(E)`, P = Pf(P') up^m /
+    down^m and s = q^m.  The division raises PoleOrderError when it is not
+    exact.  `analyze` never meets that case: once build_plane_curve has made
+    s_2m * D^2m polynomial and det B is constant, (Pf * D^m)^2 = det B *
+    s_2m * D^2m is polynomial, so the guard covers direct callers only."""
     m = fld.group.m
-    e = fld.gram_product[1]
-    k = math.gcd(*e)
-    twist, den = _chart_twist(fld.marked_points)
-    num = _int_mul(fld.pfaffian, _int_pow(twist, m))
+    up, down, q = _twist(fld.gram_product[1], fld.marked_points)
     try:
-        quo = _int_exact_div(num, _int_pow([x // k for x in e], m))
+        quo = _int_exact_div(_int_mul(fld.pfaffian, _int_pow(up, m)), _int_pow(down, m))
     except ArithmeticError:
         raise PoleOrderError(
             f"Pf(B*Phi) * D^{m} is not polynomial; pole outside the allowed order/locus"
         ) from None
-    return tuple(quo), (k * den) ** m
+    return tuple(quo), q**m
 
 
 def involution_check(curve: PlaneCurve) -> bool:
@@ -185,8 +187,7 @@ def _repeated_part(p: UniPoly) -> UniPoly:
 def _slice(f, a: int, b: int) -> list[int]:
     """b^n f(a/b, X) over Z for a bivariate integer polynomial f whose
     X-coefficients have t-degree at most n."""
-    n = max(len(h) for h in f) - 1
-    return _int_trim([_hom_eval(h, a, b) * b ** (n + 1 - len(h)) for h in f])
+    return _int_trim(_hom_evals(f, a, b, max(len(h) for h in f) - 1))
 
 
 def _rational_singular_points(g, rep: UniPoly) -> list[tuple[Fraction, Fraction]]:
@@ -291,11 +292,12 @@ def so_even_singularity_pattern(
     constant determinant det_b and the twisted Pfaffian P / s = Pf(B*Phi) D^m:
     f(t, 0) det_b = (P / s)^2, as f(t, 0) = Pf(B*Phi)^2 D^2m / det B, checked
     over Z[t] as H(t, 0) det_b s^2 = lc(H) P^2 for f = H / lc(H) with det_b's
-    denominator cleared; and every rational root of P gives an exact
-    singular point on the zero section.
+    denominator cleared; a form that fails it raises ValueError.
 
-    H_x(t, 0) vanishes identically by evenness and H_t(t, 0) = c0', so the
-    witness conditions c0(t0) = c0'(t0) = 0 are verified exactly.
+    The witnesses are the points (t0, 0) over the rational roots t0 of P.
+    Each is singular: det_b, s and lc(H) are nonzero constants, so the
+    identity makes every root of P at least a double root of c0 = H(t, 0),
+    and H_x(t, 0) vanishes identically by evenness while H_t(t, 0) = c0'.
     The returned count is deg(P), the number of pattern singularities with
     multiplicity.
     """
@@ -307,14 +309,8 @@ def so_even_singularity_pattern(
     if [c * num * s * s for c in c0] != _int_mul(pf, [c * curve.coeffs[-1][0] * den for c in pf]):
         raise ValueError("not an SO(2m) spectral polynomial: F(t,0) is not a unit times a square")
     count = len(pf) - 1
-    dc0 = _int_derivative(c0)
-    witnesses = []
-    for t0, _ in rational_roots(UniPoly.make(pf)) if count >= 1 else []:
-        a, b = t0.numerator, t0.denominator
-        if _hom_eval(c0, a, b) or _hom_eval(dc0, a, b):
-            return SingularityPatternReport(False, count, tuple(witnesses))
-        witnesses.append((t0, Q(0)))
-    return SingularityPatternReport(True, count, tuple(witnesses))
+    roots = rational_roots(UniPoly.make(pf)) if count >= 1 else []
+    return SingularityPatternReport(True, count, tuple((t0, Q(0)) for t0, _ in roots))
 
 
 def ramification_degree_affine(curve: PlaneCurve) -> int:

@@ -173,7 +173,7 @@ def cayley_group_element(a: ZMat, gram: GramForm) -> tuple[ZMat, int]:
     n = _check_size(a, gram)
     # A is in the algebra iff (B A)^T = -e B A, for B^T = e B
     b_a = zmat_mul(_constant_gram(gram), a)
-    if any(b_a[j][i] != -gram.sign * b_a[i][j] for i in range(n) for j in range(i, n)):
+    if not is_symmetric([[(x,) for x in row] for row in b_a], -gram.sign):
         raise GroupError("input is not in the Lie algebra of the form")
     try:
         inv, delta = zmat_inverse([[int(i == j) + a[i][j] for j in range(n)] for i in range(n)])
@@ -230,16 +230,19 @@ def random_algebra_element(group: GroupSpec, rng: random.Random, lo: int = -2, h
     return _assemble(group, p, q, r, v, w)
 
 
-def random_nilpotent_element(group: GroupSpec, rng: random.Random, lo: int = -3, hi: int = 3) -> ZMat:
-    """Seeded random strictly-upper-triangular member of the algebra.
+def random_nilpotent_element(group: GroupSpec, rng: random.Random) -> ZMat:
+    """Seeded random member of the abelian block [[0, Q], [0, 0]] of the
+    algebra, entries of Q in -3..3: strictly upper triangular, hence
+    nilpotent, but never regular.
 
-    For so-odd with m = 1 (and so-even with m = 1) this space is zero, so
-    the draw is the zero matrix; those algebras have no strictly upper
-    triangular nilpotents in the fixed split basis.
+    For so-odd and so-even with m = 1 the block is zero (Q is 1 x 1 and
+    antisymmetric), so the draw is the zero matrix.  The nilradical of so(3)
+    is not zero: it is spanned by v, which this draw leaves out.  Regular
+    nilpotent residues are ROADMAP item 2.
     """
     m = group.m
     zero = [[0] * m for _ in range(m)]
-    q = _sym_block(rng, m, lo, hi, group.kind != "sp")
+    q = _sym_block(rng, m, -3, 3, group.kind != "sp")
     return _assemble(group, zero, q, zero, [0] * m, [0] * m)
 
 

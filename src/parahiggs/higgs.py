@@ -59,6 +59,7 @@ from .poly import (
     UniPoly,
     _chart_twist,
     _hom_eval,
+    _hom_evals,
     _int_derivative,
     _int_exact_div,
     _int_gcd,
@@ -225,8 +226,9 @@ class HiggsField:
         gram_grid = int_fraction_grid_from_json(data["gram"]) if "gram" in data else None
         grid = int_fraction_grid_from_json(data["matrix"])
         _check_shape(group, grid, gram_grid)
-        kind = "symplectic" if group.kind == "sp" else "symmetric"
-        gram = split_gram(group) if gram_grid is None else GramForm(clear_fractions(gram_grid), kind)
+        gram = split_gram(group)
+        if gram_grid is not None:
+            gram = GramForm(clear_fractions(gram_grid), gram.kind)
         marked = tuple(map(marked_point, data["marked_points"]))
         return HiggsField(group, gram, clear_fractions(grid), marked)
 
@@ -251,8 +253,7 @@ def residue_at(fld: HiggsField, a) -> tuple[ZMat, int]:
     if slope == 0:
         raise PoleOrderError(f"pole of order > 1 at t = {a}")
     n = max(len(q) for row in ints for q in row) - 1
-    top = n + len(delta) - 1
-    x = [[_hom_eval(q, p, b) * b ** (top - len(q)) for q in row] for row in ints]
+    x = [_hom_evals(row, p, b, n + len(delta) - 2) for row in ints]
     e = slope * b**n
     g = math.gcd(e, *(v for row in x for v in row)) * (1 if e > 0 else -1)
     return [[v // g for v in row] for row in x], e // g
@@ -349,8 +350,6 @@ def random_strongly_parabolic_higgs(
     marked_points,
     degree_bound: int,
     seed: int,
-    *,
-    _semisimple_first_residue: bool = False,
 ) -> HiggsField:
     """Seeded random field Phi(t) = sum_k N_k/(t - a_k) + P(t).
 
@@ -358,9 +357,6 @@ def random_strongly_parabolic_higgs(
     algebra draw (hence nilpotent and in the algebra); the polynomial part
     has algebra-valued coefficients of degree <= degree_bound.  Identical
     arguments reproduce the field bit for bit.
-
-    The keyword hook replaces the first residue by a semisimple diagonal
-    element; that negative control breaks both strong-parabolicity clauses.
     """
     if degree_bound < 0:
         raise ValueError("degree_bound must be >= 0")
@@ -368,18 +364,12 @@ def random_strongly_parabolic_higgs(
     rng = random.Random(seed)
     gram = split_gram(group)
     r = group.rank_size
-    m = group.m
 
     # the split Gram is a signed permutation, B e_j = s_j e_p(j) with s_j = +-1,
     # so Q^(-1) = B^(-1) Q^T B has the entries s_i s_j Q_p(j),p(i)
     signed = [next((p, row[j]) for p, row in enumerate(_constant_gram(gram)) if row[j]) for j in range(r)]
     residues: list[tuple[ZMat, int]] = []  # (N', e) for N_k = N' / e
-    for k in range(len(marked)):
-        if k == 0 and _semisimple_first_residue:
-            diag = [0] * r
-            diag[0], diag[m] = 1, -1
-            residues.append(([[diag[i] if i == j else 0 for j in range(r)] for i in range(r)], 1))
-            continue
+    for _ in marked:
         u = random_nilpotent_element(group, rng)
         q, delta = random_group_element(group, gram, rng)
         q_inv = [[s_i * s_j * q[p_j][p_i] for p_j, s_j in signed] for p_i, s_i in signed]
@@ -406,16 +396,6 @@ def random_strongly_parabolic_higgs(
             row.append((tuple(_int_trim(num)), den))
         grid.append(row)
     return HiggsField(group, gram, clear_fractions(grid), marked)
-
-
-def semisimple_residue_control(group: GroupSpec, marked_points, degree_bound: int, seed: int) -> HiggsField:
-    """Negative control: first residue semisimple (diag(1, -1) block), so the
-    residue is not nilpotent and s_2 picks up a pole of order 2."""
-    if not marked_points:
-        raise ValueError("control needs at least one marked point")
-    return random_strongly_parabolic_higgs(
-        group, marked_points, degree_bound, seed, _semisimple_first_residue=True
-    )
 
 
 # -- so(2m+1) reduction ---------------------------------------------------------

@@ -370,6 +370,12 @@ def _hom_eval(p: list[int], a: int, b: int) -> int:
     return acc
 
 
+def _hom_evals(polys: Sequence[Sequence[int]], a: int, b: int, n: int) -> list[int]:
+    """b^n * p(a/b) over Z for each p of a family of degree at most n: the
+    values at a/b over one common power of b."""
+    return [_hom_eval(p, a, b) * b ** (n + 1 - len(p)) for p in polys]
+
+
 def _eval_mod(p: list[int], x: int, m: int) -> int:
     acc = 0
     for c in reversed(p):

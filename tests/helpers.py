@@ -1,11 +1,15 @@
 """Helpers shared by the test modules: a Gram form, characteristic data and
-constant grids as reduced rational functions, and the test-only reference
-determinant over Z[t] (Bareiss with polynomial entries) with the Z[t]
-Sylvester matrix, an oracle outside `linalg._interpolated`."""
+constant grids as reduced rational functions, the semisimple negative control
+of the strong-parabolicity checks, and the test-only reference determinant
+over Z[t] (Bareiss with polynomial entries) with the Z[t] Sylvester matrix, an
+oracle outside `linalg._interpolated`."""
 
+from fractions import Fraction
 from typing import Sequence
 
-from parahiggs.poly import RationalFunction, _int_exact_div, _int_poly_mul_add, _int_trim
+from parahiggs.higgs import HiggsField, random_strongly_parabolic_higgs
+from parahiggs.linalg import clear_fractions
+from parahiggs.poly import RationalFunction, _int_exact_div, _int_mul, _int_poly_mul_add, _int_trim
 
 
 def gram_matrix(gram):
@@ -22,6 +26,29 @@ def sections(char):
 def scalars(rows):
     """A grid of rational scalars as constant rational functions."""
     return [[RationalFunction.make(x) for x in row] for row in rows]
+
+
+def semisimple_residue_control(group, marked_points, degree_bound: int, seed: int) -> HiggsField:
+    """Negative control: the generated field over marked_points[1:] (same seed
+    and degree bound) plus diag(1, -1) b_0 / (b_0 t - a_0), the 1 and -1 at
+    the indices 0 and m, for the first point a_0 / b_0.  The residue there is
+    semisimple, not nilpotent, and s_2 has a pole of order 2 at a_0."""
+    first, *rest = map(Fraction, marked_points)
+    fld = random_strongly_parabolic_higgs(group, rest, degree_bound, seed)
+    ints, delta = fld.cleared
+    pole = [-first.numerator, first.denominator]
+    den = tuple(_int_mul(delta, pole))
+    diag = {0: first.denominator, group.m: -first.denominator}
+    grid = []
+    for i, row in enumerate(ints):
+        out = []
+        for j, p in enumerate(row):
+            num = _int_mul(p, pole)
+            if i == j and i in diag:
+                _int_poly_mul_add(num, [diag[i]], delta)
+            out.append((tuple(_int_trim(num)), den))
+        grid.append(out)
+    return HiggsField(group, fld.gram, clear_fractions(grid), (first, *rest))
 
 
 def bareiss_det(m: list[list[list[int]]]) -> list[int]:

@@ -38,14 +38,13 @@ from parahiggs.higgs import (
     parity_classify,
     pfaffian_square_check,
     random_strongly_parabolic_higgs,
-    semisimple_residue_control,
     so_odd_reduce,
     strong_parabolic_check,
 )
 from parahiggs.linalg import clear_fractions, entry_ints, int_pfaffian
 from parahiggs.poly import RationalFunction, UniPoly
 
-from helpers import bareiss_det, gram_matrix, sections
+from helpers import bareiss_det, gram_matrix, sections, semisimple_residue_control
 
 P = UniPoly.make
 RF = RationalFunction.make

@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -599,6 +600,59 @@ class TestInputFiles:
                 assert run(capsys, *argv)[0] == 0
                 gc.collect()
             assert [w for w in caught if issubclass(w.category, ResourceWarning)] == [], argv
+
+
+def diagonal_sp1(coeff: str) -> dict:
+    """The sp m = 1 field diag(c, -c) / t marked at 0, for c the coefficient string."""
+    return {"group": "sp", "m": 1, "marked_points": ["0"], "matrix": [
+        [{"num": [coeff], "den": ["0", "1"]}, ZERO],
+        [ZERO, {"num": ["-" + coeff], "den": ["0", "1"]}],
+    ]}
+
+
+class TestBigNumbers:
+    """Exact results may have more than the 4300 digits CPython converts
+    between int and str by default; the inputs keep that bound, and `main`
+    leaves it as it found it."""
+
+    def test_analyze_prints_a_6001_digit_coefficient(self, tmp_path, capsys):
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(diagonal_sp1("1" + "0" * 3000)))
+        bound = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "analyze", str(path), "--checks", "charpoly", "--format", "json")
+        assert (code, err, sys.get_int_max_str_digits()) == (0, "", bound)
+        # det(x I - Phi) = x^2 - 10^6000 / t^2
+        assert json.loads(out)["checks"]["charpoly"]["coefficients"] == [
+            ZERO, {"num": ["-1" + "0" * 6000], "den": ["0", "0", "1"]},
+        ]
+
+    def test_gen_at_a_5001_digit_marked_point(self, capsys):
+        bound = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "gen", "--group", "sp", "-m", "1", "--marked", "1e5000")
+        assert (code, err, sys.get_int_max_str_digits()) == (0, "", bound)
+        doc = json.loads(out)
+        assert doc["marked_points"] == ["1" + "0" * 5000]
+        sys.set_int_max_str_digits(0)  # to read the field back here
+        try:
+            fld = HiggsField.from_dict(doc)
+            want = higgs.random_strongly_parabolic_higgs(groups.GroupSpec.sp(1), [10**5000], 1, 0)
+        finally:
+            sys.set_int_max_str_digits(bound)
+        assert fld.cleared == want.cleared
+        assert higgs.strong_parabolic_check(fld).passed
+
+    @pytest.mark.parametrize("command", ["analyze", "reduce-odd"])
+    def test_a_5000_digit_input_string_still_exits_2(self, command, tmp_path, capsys):
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(diagonal_sp1("1" + "0" * 4999)))
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert "Exceeds the limit (4300 digits)" in err
+
+    def test_a_5000_digit_marked_point_still_exits_2(self, capsys):
+        code, out, err = run(capsys, "gen", "--group", "sp", "-m", "1", "--marked", "1" + "0" * 4999)
+        assert (code, out) == (2, "")
+        assert "bad marked point" in err
 
 
 class TestRoundTrips:

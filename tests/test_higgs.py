@@ -18,14 +18,13 @@ from parahiggs.higgs import (
     pfaffian_square_check,
     random_strongly_parabolic_higgs,
     residue_at,
-    semisimple_residue_control,
     so_odd_reduce,
     strong_parabolic_check,
 )
 from parahiggs.linalg import int_char_poly
 from parahiggs.poly import RationalFunction, UniPoly, root_multiplicity
 
-from helpers import gram_matrix, scalars, sections
+from helpers import gram_matrix, scalars, sections, semisimple_residue_control
 
 P = UniPoly.make
 RF = RationalFunction.make

@@ -89,7 +89,8 @@ import pytest
 
 from parahiggs.cli import main
 from parahiggs.groups import GroupSpec
-from parahiggs.higgs import semisimple_residue_control
+
+from helpers import semisimple_residue_control
 
 MARKED = ("0", "1/2", "-2")
 ALGEBRAIC_CHECKS = ("membership", "charpoly", "parity", "strong-parabolic")

@@ -19,7 +19,8 @@ another class of the package also declares that name (as a method, a
 `__slots__` entry or a dataclass or NamedTuple field), such a use cannot tell
 the two apart, so it counts only for a method listed, with its reason, in
 `ATTRIBUTE_COLLISIONS`.  A `staticmethod` or `classmethod` counts as used only
-through its own class.
+through its own class.  No public function or method takes a `_`-prefixed
+parameter, the mark of a hook that only tests turn on.
 """
 
 import ast
@@ -48,7 +49,6 @@ TEST_ONLY_API = {
     "higgs.CharData.pole_order": "the pole order of one s_i at one point, the oracle of strong_parabolic_check, which splits Delta once per field",
     "higgs.HiggsField.from_grid": "clears a hand-built grid of rational functions into a field, for tests",
     "higgs.HiggsField.matrix": "Phi as reduced rational functions, for tests and the benchmark's operand-size probe",
-    "higgs.semisimple_residue_control": "control field with semisimple residues, for the parabolic checks",
     "poly.RationalFunction.make": "one reduced entry from hand-written polynomials; seven test modules build fields with it",
     "poly.UniPoly.divmod": "polynomial division with remainder, the exact-division oracle of the tests",
 }
@@ -258,3 +258,44 @@ def test_declared_names_counts_record_fields():
     dims = ast.parse((SRC / "dimensions.py").read_text(encoding="utf-8"))
     report = next(node for node in dims.body if isinstance(node, ast.ClassDef) and node.name == "DimensionReport")
     assert {"spectral_genus", "prym_dim", "chain_verdict", "passed", "to_dict"} <= declared_names(report)
+
+
+def hook_parameters(tree: ast.Module, module: str) -> list[str]:
+    """Each `_`-prefixed parameter of a public module-level function or of a
+    public method of a module-level class, as "module.function(parameter)": a
+    parameter that names itself private is a hook for callers outside the
+    package, that is, for tests."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    functions = [(node.name, node) for node in tree.body if isinstance(node, defs)]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        functions += [(f"{cls.name}.{item.name}", item) for item in cls.body if isinstance(item, defs)]
+    hooks = []
+    for qualified, fn in functions:
+        if fn.name.startswith("_"):
+            continue
+        args = fn.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        hooks += [f"{module}.{qualified}({p.arg})" for p in params if p is not None and p.arg.startswith("_")]
+    return hooks
+
+
+def test_no_test_hook_parameters():
+    hooks = [
+        hook
+        for path in sorted(SRC.glob("*.py"))
+        for hook in hook_parameters(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    ]
+    assert hooks == []
+
+
+def test_hook_parameters_finds_private_parameters():
+    tree = ast.parse(textwrap.dedent("""
+        def gen(group, seed, *, _hook=False): ...
+        def _private(_x): ...
+        class Field:
+            def make(self, _a, *_rest, **_opts): ...
+            def __init__(self, _b): ...
+    """))
+    assert hook_parameters(tree, "m") == [
+        "m.gen(_hook)", "m.Field.make(_a)", "m.Field.make(_rest)", "m.Field.make(_opts)",
+    ]
