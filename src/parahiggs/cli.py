@@ -341,7 +341,10 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a random strongly parabolic field")
     gen.add_argument("--group", required=True, choices=GROUP_KINDS)
     gen.add_argument("-m", required=True, help="group parameter m")
-    gen.add_argument("--marked", required=True, help="comma-separated rational points")
+    gen.add_argument(
+        "--marked", required=True,
+        help='comma-separated rational points; write a list that starts with "-" as --marked=-2,2/3',
+    )
     gen.add_argument("--deg-bound", type=int, default=1)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("-o", "--output", default="-")

@@ -11,26 +11,29 @@ identity chain checked per (group, m, g, n) is
 
     dim H  =  dim moduli  =  dim Prym  =  dim Higgs-moduli / 2
 
-with dim H computed twice (term-by-term section counts and the closed
-form), the spectral genus computed twice (adjunction and Riemann-Hurwitz),
-and the Prym dimension through the quotient/desingularized genus.
+with dim H the term-by-term section count, dim moduli the closed form
+(g - 1) dim G + n dim G/B for full flags, the spectral genus computed
+twice (adjunction and Riemann-Hurwitz), and the Prym dimension through
+the quotient/desingularized genus.
 
-`identity_suite` is the row kernel of `sweep`; it does each piece of work
-as seldom as its inputs allow.  Once per (group kind, m, deg M), in
-`_group_data`, which is keyed by those plain values: the parameter check,
-r = 2m, dim G and dim G/B, the Hitchin section classes with their doubled
-exponents, the closed-form coefficients of dim H and, for so-odd, the
-classes of the quotient-determinant check.  Once per
-row, each exactly once: k = 2g - 2 and ell = deg K(D) = 2g - 2 + n, the
-term-by-term section sum against the closed form, the spectral genus by
-adjunction and by Riemann-Hurwitz, the fixed-point or node count, the
-quotient or desingularized genus, the Prym dimension and, for so-odd, the
+`identity_suite` is the row kernel of `sweep` and the one implementation
+of every number on a row; it does each piece of work as seldom as its
+inputs allow.  Once per (group kind, m, deg M), in `_group_data`, which is
+keyed by those plain values: the parameter check, r = 2m, dim G and dim
+G/B (read from the GroupSpec), the Hitchin section classes with their
+doubled exponents and, for so-odd, the classes of the quotient-determinant
+check.  Once per row, each exactly once: k = 2g - 2 and ell = deg K(D) =
+2g - 2 + n, the section sum, dim moduli, the spectral genus by adjunction
+and by Riemann-Hurwitz, the fixed-point or node count, the quotient or
+desingularized genus, the Prym dimension and, for so-odd, the
 quotient-determinant degrees.  The row work runs through integer kernels
-(`_hitchin_dim`, `_adjunction_genus`, `_rh_genus`, `_quotient_genus`,
-`_prym`) that take k, n, ell or genera already computed, so nothing on a
-row is computed twice.  The public (group, p) and (m, p) forms
-(`hitchin_dim`, `spectral_genus`, `sp_quotient_genus`, `prym_dim`, ...)
-compose the same kernels, so each gives on its own what the row reports.
+(`_hitchin_dim`, `_adjunction_genus`, `_rh_genus`, `_quotient_genus`)
+that take k, n, ell or genera already computed, so nothing on a row is
+computed twice; the verdict is where the links of the chain meet.  A
+per-quantity number is read off the row.  The public forms for a free
+cover degree r (`spectral_genus`, `rh_genus_crosscheck`,
+`ramification_degree`) compose the same genus kernels for covers no row
+has.
 
 `sweep_reports` builds the CurveParams of its (g, n) grid once per call,
 after the first GroupSpec, and still calls `identity_suite` once per row.
@@ -141,22 +144,15 @@ class _GroupData:
     `_group_data` builds it once per pair.  A plain slotted class: a
     dataclass would cost more to define at import than it saves."""
 
-    __slots__ = (
-        "group", "deg_m", "r", "dim_group", "dim_flag", "sections", "closed_g", "closed_n", "det_classes",
-    )
+    __slots__ = ("deg_m", "r", "dim_group", "dim_flag", "sections", "det_classes")
 
     def __init__(self, group: GroupSpec, deg_m: int):
         validate_group_params(group, deg_m)
         m = group.m
-        self.group, self.deg_m = group, deg_m
+        self.deg_m = deg_m
         self.r = 2 * m  # spectral cover degree
         self.dim_group, self.dim_flag = group.dim_group, group.dim_flag
         self.sections = _hitchin_section_classes(group)
-        # closed form of dim H: closed_g * (g - 1) + closed_n * n
-        if group.kind == "so-even":
-            self.closed_g, self.closed_n = m * (2 * m - 1), m * (m - 1)
-        else:
-            self.closed_g, self.closed_n = m * (2 * m + 1), m * m
         # so-odd only: det E, the kernel line E0 ~ M^(1/2)(K(D))^(-m) and
         # K^m D^m M^m; the quotient determinant has degree
         # deg det E - deg E0 = deg K^m D^m M^m
@@ -184,12 +180,13 @@ def _group_data(group: GroupSpec, deg_m: int) -> _GroupData:
 
 
 def _hitchin_dim(data: _GroupData, g: int, n: int, k: int) -> int:
-    """Section sum over the Hitchin classes, verified against the closed form.
+    """dim H as the sum of h0 = deg + 1 - g over the Hitchin section classes.
 
     For so-even with m = 1 the square-root class is K itself, of degree
     exactly 2g - 2; the vanishing-h1 count deg + 1 - g = g - 1 is what the
-    closed form (and the identity chain) requires, so that boundary term is
+    identity chain requires (dim M = g - 1 there), so that boundary term is
     evaluated by the same formula instead of the strict h0_rr regime guard.
+    The row's verdict compares the sum with dim M.
     """
     total = 0
     for cls in data.sections:
@@ -197,38 +194,17 @@ def _hitchin_dim(data: _GroupData, g: int, n: int, k: int) -> int:
         if deg < k:
             raise RegimeError("section space below the Riemann-Roch regime")
         total += deg + 1 - g
-    closed = data.closed_g * (g - 1) + data.closed_n * n
-    if total != closed:
-        raise ArithmeticError(
-            f"section sum {total} disagrees with closed form {closed} for {data.group}"
-        )
     return total
-
-
-def hitchin_dim(group: GroupSpec, p: CurveParams) -> int:
-    """Section count of the invariant-coefficient spaces, verified against the
-    closed form."""
-    return _hitchin_dim(_group_data(group, p.deg_m), p.g, p.n, p.two_g_minus_2)
 
 
 def so_even_hitchin_dim_literal(m: int, p: CurveParams) -> int:
     """so-even dim H under the literal reading that the Pfaffian coefficient
-    lives in K(D)^m = K^m(D^m) rather than K^m(D^(m-1)).  Exceeds the closed
-    form by exactly n; kept as a documented discrepancy artifact."""
+    lives in K(D)^m = K^m(D^m) rather than K^m(D^(m-1)).  Exceeds dim
+    moduli by exactly n; kept as a documented discrepancy artifact."""
     total = sum(
         h0_rr(LineBundleClass.kd(2 * i, 2 * i - 1), p) for i in range(1, m)
     )
     return total + h0_rr(LineBundleClass.kd(m, m), p)
-
-
-def moduli_dim(group: GroupSpec, p: CurveParams) -> int:
-    """(g - 1) dim G + n dim(G/B) for full flags at every marked point."""
-    validate_group_params(group, p.deg_m)
-    return (p.g - 1) * group.dim_group + p.n * group.dim_flag
-
-
-def higgs_moduli_dim(group: GroupSpec, p: CurveParams) -> int:
-    return 2 * moduli_dim(group, p)
 
 
 def _adjunction_genus(r: int, n: int, ell: int) -> int:
@@ -269,11 +245,6 @@ def ramification_degree(r: int, p: CurveParams) -> int:
     return 2 * spectral_genus(r, p) - 2 - r * p.two_g_minus_2
 
 
-def sp_fixed_points(m: int, p: CurveParams) -> int:
-    """2m(2g - 2 + n) involution fixed points = deg K(D)^2m."""
-    return 2 * m * (p.two_g_minus_2 + p.n)
-
-
 def _quotient_genus(g_s: int, fixed: int) -> int:
     """Quotient genus from 2g_s - 2 = 2(2g_q - 2) + #fixed."""
     rest = 2 * g_s - 2 - fixed
@@ -283,45 +254,6 @@ def _quotient_genus(g_s: int, fixed: int) -> int:
     if half % 2 != 0:
         raise IntegralityError("quotient genus is not an integer")
     return half // 2 + 1
-
-
-def sp_quotient_genus(m: int, p: CurveParams) -> int:
-    """Quotient genus from 2g_s - 2 = 2(2g_q - 2) + #fixed."""
-    return _quotient_genus(spectral_genus(2 * m, p), sp_fixed_points(m, p))
-
-
-def so_even_singularity_count(m: int, p: CurveParams) -> int:
-    """m(2g - 2 + n) nodes, at the common zeros of x and the Pfaffian."""
-    return m * (p.two_g_minus_2 + p.n)
-
-
-def so_even_desing_genus(m: int, p: CurveParams) -> int:
-    """Virtual genus minus the number of singularities."""
-    return spectral_genus(2 * m, p) - so_even_singularity_count(m, p)
-
-
-def _prym(kind: str, g_s: int, quot: int) -> int:
-    """g(cover) - g(quotient) from the spectral genus g_s and the quotient
-    genus, or for so-even half of (desingularized genus - 1), the genus
-    drop of its fixed-point-free double cover."""
-    if kind == "so-even":
-        if (quot - 1) % 2 != 0:
-            raise IntegralityError("desingularized genus has wrong parity")
-        return (quot - 1) // 2
-    return g_s - quot
-
-
-def prym_dim(group: GroupSpec, p: CurveParams) -> int:
-    """g(cover) - g(quotient): through the fixed-point Riemann-Hurwitz for
-    sp/so-odd, through the desingularized fixed-point-free double cover for
-    so-even."""
-    validate_group_params(group, p.deg_m)
-    m = group.m
-    if group.kind == "so-even":
-        quot = so_even_desing_genus(m, p)
-    else:
-        quot = sp_quotient_genus(m, p)
-    return _prym(group.kind, spectral_genus(2 * m, p), quot)
 
 
 # -- eigenline degrees ----------------------------------------------------------
@@ -374,11 +306,6 @@ def sqrt_parity_check(r: int, p: CurveParams) -> bool:
     if r % 2 != 0 and p.deg_m % 2 != 0:
         raise ValueError("precondition violated: odd cover degree needs even deg(M)")
     return (ramification_degree(r, p) - r * p.deg_m) % 2 == 0
-
-
-def pardeg_identity(m: int, deg_m: int) -> int:
-    """Parabolic degree of the bundle forced by self-duality: m * deg(M)."""
-    return m * deg_m
 
 
 # -- the identity chain ----------------------------------------------------------
@@ -445,12 +372,18 @@ def identity_suite(group: GroupSpec, p: CurveParams) -> DimensionReport:
     if g_s != g_rh:
         raise CrossCheckError(f"spectral genus mismatch: adjunction {g_s} != Riemann-Hurwitz {g_rh}")
     if kind == "so-even":
+        # nodes at x = 0 = Pfaffian; the Prym is half the genus drop of the
+        # fixed-point-free double cover of the desingularized curve
         fixed = m * ell
         quot = g_s - fixed
+        if (quot - 1) % 2 != 0:
+            raise IntegralityError("desingularized genus has wrong parity")
+        prym = (quot - 1) // 2
     else:
+        # fixed points of x -> -x; the Prym is g(cover) - g(quotient)
         fixed = r * ell
         quot = _quotient_genus(g_s, fixed)
-    prym = _prym(kind, g_s, quot)
+        prym = g_s - quot
     if data.det_classes is not None:
         det_e, e0, direct = data.det_classes
         lhs = det_e.degree_at(k, n, p.deg_m) - e0.degree_at(k, n, p.deg_m)
@@ -459,10 +392,8 @@ def identity_suite(group: GroupSpec, p: CurveParams) -> DimensionReport:
             raise CrossCheckError(f"quotient determinant degree mismatch: {lhs} != {rhs}")
     if dim_h != dim_mod:
         verdict = "FAIL:dimH=dimM"
-    elif dim_mod != prym:
+    elif dim_mod != prym:  # then dim_higgs = 2 * dim_mod = 2 * prym as well
         verdict = "FAIL:dimM=prym"
-    elif dim_higgs != 2 * prym:
-        verdict = "FAIL:prym=dimN/2"
     else:
         verdict = "PASS"
     return DimensionReport(
@@ -507,13 +438,13 @@ class PfaffianSpaceRow:
 
 def pfaffian_space_discrepancy(ms=range(1, 5), gs=range(2, 7), ns=range(1, 5)) -> list[PfaffianSpaceRow]:
     """so-even dim H under the literal K(D)^m Pfaffian space versus the
-    adopted K^m(D^(m-1)) of the `sweep_reports` rows: the literal count
-    exceeds the closed form by exactly n on every tuple; the adopted one
-    matches it."""
+    adopted K^m(D^(m-1)) of the `sweep_reports` rows, each against the
+    row's dim moduli as the closed form: the literal count exceeds it by
+    exactly n on every tuple; the adopted one matches it."""
     rows = []
     for rep in sweep_reports(("so-even",), ms, gs, ns):
-        data = _group_data(GroupSpec.so_even(rep.m), 0)
-        closed = data.closed_g * (rep.g - 1) + data.closed_n * rep.n
         literal = so_even_hitchin_dim_literal(rep.m, CurveParams(rep.g, rep.n))
-        rows.append(PfaffianSpaceRow(rep.m, rep.g, rep.n, literal, rep.dim_hitchin, closed, literal - closed))
+        rows.append(PfaffianSpaceRow(
+            rep.m, rep.g, rep.n, literal, rep.dim_hitchin, rep.dim_moduli, literal - rep.dim_moduli,
+        ))
     return rows

@@ -215,7 +215,7 @@ class HiggsField:
         """The field of a JSON document; a document of the wrong shape raises ValueError."""
         if not isinstance(data, dict) or not isinstance(data.get("marked_points", []), list):
             raise ValueError("a field must be a JSON object with a list of marked_points")
-        missing = next((key for key in ("group", "m", "matrix") if key not in data), None)
+        missing = next((key for key in ("group", "m", "matrix", "marked_points") if key not in data), None)
         if missing:
             raise ValueError(f"a field needs the key {missing!r}")
         try:

@@ -564,6 +564,7 @@ class TestArgumentErrors:
         ({**SP1, "marked_points": ["1/0"]}, "bad marked point '1/0'"),
         ({**SP1, "marked_points": ["0", "x"]}, "bad marked point 'x'"),
         ({**SP1, "marked_points": [None]}, "bad marked point None"),
+        ({"group": "sp", "m": 1, "matrix": SP1["matrix"]}, "a field needs the key 'marked_points'"),
     ])
     @pytest.mark.parametrize("command", ["analyze", "reduce-odd"])
     def test_field_document_message(self, command, doc, message, tmp_path, capsys):

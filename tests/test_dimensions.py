@@ -32,24 +32,16 @@ from parahiggs.dimensions import (
     eigenline_degree_sqrt_twist,
     eigenline_reconciliation,
     h0_rr,
-    higgs_moduli_dim,
-    hitchin_dim,
     identity_suite,
-    moduli_dim,
-    pardeg_identity,
     pfaffian_space_discrepancy,
-    prym_dim,
     ramification_degree,
     rh_genus_crosscheck,
-    so_even_desing_genus,
     so_even_hitchin_dim_literal,
-    so_even_singularity_count,
-    sp_fixed_points,
-    sp_quotient_genus,
     spectral_genus,
     sqrt_parity_check,
     sweep_reports,
 )
+from parahiggs.cli import main
 from parahiggs.groups import GroupError, GroupSpec
 
 P211 = CurveParams(2, 1)
@@ -65,7 +57,7 @@ class TestCurveParams:
 
     def test_so_odd_needs_even_twist(self):
         with pytest.raises(ValueError, match="even deg"):
-            moduli_dim(GroupSpec.so_odd(1), CurveParams(2, 1, deg_m=1))
+            identity_suite(GroupSpec.so_odd(1), CurveParams(2, 1, deg_m=1))
 
 
 class TestLineBundleClass:
@@ -119,10 +111,10 @@ class TestH0:
 
 class TestHitchinDim:
     def test_spot_values(self):
-        assert hitchin_dim(GroupSpec.sp(1), P211) == 4
-        assert hitchin_dim(GroupSpec.sp(2), CurveParams(3, 2)) == 28
-        assert hitchin_dim(GroupSpec.so_even(2), P211) == 8
-        assert hitchin_dim(GroupSpec.so_odd(1), P211) == 4
+        assert identity_suite(GroupSpec.sp(1), P211).dim_hitchin == 4
+        assert identity_suite(GroupSpec.sp(2), CurveParams(3, 2)).dim_hitchin == 28
+        assert identity_suite(GroupSpec.so_even(2), P211).dim_hitchin == 8
+        assert identity_suite(GroupSpec.so_odd(1), P211).dim_hitchin == 4
 
     def test_sp_m2_g3_n2_term_by_term(self):
         p = CurveParams(3, 2)
@@ -138,26 +130,23 @@ class TestHitchinDim:
         # matches the closed form m(2m-1)(g-1) + mn(m-1) = g-1
         for g in range(2, 7):
             for n in range(1, 5):
-                assert hitchin_dim(GroupSpec.so_even(1), CurveParams(g, n)) == g - 1
+                assert identity_suite(GroupSpec.so_even(1), CurveParams(g, n)).dim_hitchin == g - 1
 
     def test_closed_form_equals_sum_over_sweep(self):
-        # hitchin_dim raises internally if the section sum and closed form
-        # ever disagree; sweep the whole box through it
-        for kind in ("sp", "so-even", "so-odd"):
-            for m in range(1, 5):
-                for g in range(2, 7):
-                    for n in range(1, 5):
-                        hitchin_dim(GroupSpec(kind, m), CurveParams(g, n))
+        # the section sum equals the closed form dim M on the whole box
+        reports = sweep_reports()
+        assert len(reports) == 240
+        assert all(r.dim_hitchin == r.dim_moduli for r in reports)
 
 
 class TestModuliDims:
     def test_values(self):
-        assert moduli_dim(GroupSpec.sp(1), P211) == 4  # 1*3 + 1*1
-        assert moduli_dim(GroupSpec.so_even(2), P211) == 8  # 1*6 + 1*2
-        assert moduli_dim(GroupSpec.so_odd(1), P211) == 4
-        assert higgs_moduli_dim(GroupSpec.sp(1), P211) == 8
-        assert higgs_moduli_dim(GroupSpec.sp(2), CurveParams(3, 2)) == 56
-        assert higgs_moduli_dim(GroupSpec.so_even(2), P211) == 16
+        assert identity_suite(GroupSpec.sp(1), P211).dim_moduli == 4  # 1*3 + 1*1
+        assert identity_suite(GroupSpec.so_even(2), P211).dim_moduli == 8  # 1*6 + 1*2
+        assert identity_suite(GroupSpec.so_odd(1), P211).dim_moduli == 4
+        assert identity_suite(GroupSpec.sp(1), P211).dim_higgs_moduli == 8
+        assert identity_suite(GroupSpec.sp(2), CurveParams(3, 2)).dim_higgs_moduli == 56
+        assert identity_suite(GroupSpec.so_even(2), P211).dim_higgs_moduli == 16
 
 
 class TestGenera:
@@ -180,32 +169,30 @@ class TestGenera:
                     assert spectral_genus(r, p) == rh_genus_crosscheck(r, p)
 
     def test_fixed_points(self):
-        assert sp_fixed_points(1, P211) == 6
-        assert sp_fixed_points(2, CurveParams(3, 2)) == 24
+        assert identity_suite(GroupSpec.sp(1), P211).fixed_points_or_singularities == 6
+        assert identity_suite(GroupSpec.sp(2), CurveParams(3, 2)).fixed_points_or_singularities == 24
         for m in range(1, 5):
-            assert sp_fixed_points(m, P211) == KD(2 * m, 2 * m).degree(P211)
+            assert identity_suite(GroupSpec.sp(m), P211).fixed_points_or_singularities == KD(2 * m, 2 * m).degree(P211)
 
     def test_quotient_genus(self):
-        assert sp_quotient_genus(1, P211) == 2  # 10 = 4 g_q - 4 + 6
-        assert sp_quotient_genus(2, CurveParams(3, 2)) == 17  # 88 = 4 g_q - 4 + 24
+        assert identity_suite(GroupSpec.sp(1), P211).quotient_or_desing_genus == 2  # 10 = 4 g_q - 4 + 6
+        assert identity_suite(GroupSpec.sp(2), CurveParams(3, 2)).quotient_or_desing_genus == 17  # 88 = 4 g_q - 4 + 24
 
     def test_quotient_genus_integral_over_sweep(self):
-        for m in range(1, 5):
-            for g in range(2, 7):
-                for n in range(1, 5):
-                    sp_quotient_genus(m, CurveParams(g, n))
-                    prym_dim(GroupSpec.so_even(m), CurveParams(g, n))
+        # a non-integral quotient genus or an odd desingularized genus - 1 raises
+        assert len(sweep_reports(("sp", "so-even"), range(1, 5), range(2, 7), range(1, 5))) == 160
 
     def test_so_even_singularities(self):
-        assert so_even_singularity_count(2, P211) == 6
-        assert so_even_desing_genus(2, P211) == 17  # 23 - 6
+        rep = identity_suite(GroupSpec.so_even(2), P211)
+        assert rep.fixed_points_or_singularities == 6
+        assert rep.quotient_or_desing_genus == 17  # 23 - 6
 
 
 class TestPrym:
     def test_values(self):
-        assert prym_dim(GroupSpec.sp(1), P211) == 4  # 6 - 2
-        assert prym_dim(GroupSpec.so_even(2), P211) == 8  # (17 - 1)/2
-        assert prym_dim(GroupSpec.so_odd(1), P211) == 4  # the sp(2) chain
+        assert identity_suite(GroupSpec.sp(1), P211).prym_dim == 4  # 6 - 2
+        assert identity_suite(GroupSpec.so_even(2), P211).prym_dim == 8  # (17 - 1)/2
+        assert identity_suite(GroupSpec.so_odd(1), P211).prym_dim == 4  # the sp(2) chain
 
 
 class TestEigenlineDegrees:
@@ -252,11 +239,6 @@ class TestEigenlineDegrees:
                 for n in range(1, 5):
                     for dm in (-2, -1, 0, 1, 2):
                         eigenline_degree_sqrt_twist(m, CurveParams(g, n, dm))
-
-    def test_pardeg(self):
-        assert pardeg_identity(1, 0) == 0
-        assert pardeg_identity(2, 4) == 8
-        assert pardeg_identity(3, -2) == -6
 
     def test_ramification_degree(self):
         assert ramification_degree(2, P211) == 6
@@ -311,7 +293,26 @@ class TestPfaffianSpaceDiscrepancy:
         # m=2, g=2, n=1: literal Pfaffian space K(D)^2 has h0 = 5+1-2+... = deg 6 -> 5
         p = P211
         assert so_even_hitchin_dim_literal(2, p) == 9
-        assert hitchin_dim(GroupSpec.so_even(2), p) == 8
+        assert identity_suite(GroupSpec.so_even(2), p).dim_hitchin == 8
+
+    def test_literal_section_sum_is_a_failed_row(self, monkeypatch, capsys):
+        # with the literal Pfaffian class K(D)^m the section sum exceeds dim M
+        # by n, and the row's verdict says so: a failed check, not a usage error
+        adopted = dimensions._hitchin_section_classes
+
+        def literal(group):
+            classes = adopted(group)
+            return (*classes[:-1], KD(group.m, group.m)) if group.kind == "so-even" else classes
+
+        monkeypatch.setattr(dimensions, "_hitchin_section_classes", literal)
+        dimensions._GROUP_DATA.clear()
+        try:
+            code = main(["dims", "--group", "so-even", "-m", "2", "-g", "2", "-n", "1"])
+        finally:
+            dimensions._GROUP_DATA.clear()
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, "")
+        assert "so-even,2,2,1,9,8,8,16,FAIL:dimH=dimM" in out.splitlines()
 
 
 def closed_form_row(kind: str, m: int, g: int, n: int) -> tuple:
@@ -396,7 +397,8 @@ def test_genus_cross_check_runs_under_python_O():
 
 class TestHoistedKernel:
     """identity_suite computes each quantity once per row from per-group data;
-    every row must still equal the public building blocks called on their own."""
+    every row must still equal the closed forms, and its spectral genus the
+    public genus forms at r = 2m."""
 
     @pytest.mark.parametrize("kind,deg_ms", [
         ("sp", (0, 2, 4, 1, 3)),
@@ -410,16 +412,8 @@ class TestHoistedKernel:
                 for g in range(2, 9):
                     for n in range(1, 7):
                         p = CurveParams(g, n, deg_m)
-                        if kind == "so-even":
-                            quot, fixed = so_even_desing_genus(m, p), so_even_singularity_count(m, p)
-                        else:
-                            quot, fixed = sp_quotient_genus(m, p), sp_fixed_points(m, p)
-                        want = (
-                            hitchin_dim(group, p), moduli_dim(group, p), higgs_moduli_dim(group, p),
-                            spectral_genus(2 * m, p), quot, fixed, prym_dim(group, p),
-                        )
-                        assert rh_genus_crosscheck(2 * m, p) == want[3]
-                        assert want == closed_form_row(kind, m, g, n)
+                        want = closed_form_row(kind, m, g, n)
+                        assert spectral_genus(2 * m, p) == rh_genus_crosscheck(2 * m, p) == want[3]
                         rep = identity_suite(group, p)
                         got = (rep.dim_hitchin, rep.dim_moduli, rep.dim_higgs_moduli, rep.spectral_genus,
                                rep.quotient_or_desing_genus, rep.fixed_points_or_singularities, rep.prym_dim)
