@@ -27,9 +27,9 @@ honest answer is "inconclusive" when none is found.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .bipoly import discriminant_x
 from .higgs import CharData, HiggsField, PoleOrderError
@@ -55,13 +55,21 @@ class NonReducedCurveError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class PlaneCurve:
     """H(t, x) over Z[t], primitive with a positive constant leading
     coefficient, given by its ascending x-coefficients (ascending integer
     tuples); the curve is f = H / lc(H)."""
 
-    coeffs: tuple[tuple[int, ...], ...]
+    def __init__(self, coeffs: tuple[tuple[int, ...], ...]):
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     @cached_property
     def quotient(self) -> tuple[tuple[int, ...], ...] | None:
@@ -165,8 +173,7 @@ def _symmetric_quotient(curve: PlaneCurve) -> tuple[tuple[int, ...], ...]:
     return curve.quotient
 
 
-@dataclass(frozen=True)
-class SingularReport:
+class SingularReport(NamedTuple):
     status: str  # "smooth" | "singular" | "inconclusive"
     witnesses: tuple[tuple[Fraction, Fraction], ...]
     disc_squarefree: bool  # proved smooth
@@ -258,8 +265,7 @@ def smoothness_check(curve: PlaneCurve) -> SingularReport:
     return SingularReport("singular" if witnesses else "inconclusive", witnesses, False)
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
+class FixedPointReport(NamedTuple):
     count: int
     witnesses: tuple[tuple[Fraction, int], ...]  # rational roots with multiplicity
 
@@ -278,8 +284,7 @@ def involution_fixed_points(curve: PlaneCurve) -> FixedPointReport:
     return FixedPointReport(c_r.degree, tuple(rational_roots(c_r)))
 
 
-@dataclass(frozen=True)
-class SingularityPatternReport:
+class SingularityPatternReport(NamedTuple):
     passed: bool
     count: int
     witnesses: tuple[tuple[Fraction, Fraction], ...]

@@ -37,14 +37,15 @@ has.
 
 `sweep_reports` builds the CurveParams of its (g, n) grid once per call,
 after the first GroupSpec, and still calls `identity_suite` once per row.
-A row is a `DimensionReport`, a NamedTuple: immutable and compared by value
-like a frozen dataclass, but built in one tuple allocation rather than one
-setattr per field.
+A row is a `DimensionReport`, a NamedTuple: immutable, compared by value and
+built in one tuple allocation.  `CurveParams`, `LineBundleClass` and
+`_GroupData`, whose attributes every row reads, are plain slotted classes.
+No record here is a dataclass: the decorator execs its generated methods
+at import, a cost every CLI process pays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .groups import GroupSpec
@@ -62,20 +63,26 @@ class CrossCheckError(ArithmeticError):
     """Two independent routes to the same number disagree."""
 
 
-@dataclass(frozen=True)
 class CurveParams:
     """Base-curve data: genus g >= 2, n >= 1 marked points, deg of the fixed
     line bundle twisting the bilinear form (0 = trivial)."""
 
-    g: int
-    n: int
-    deg_m: int = 0
+    __slots__ = ("g", "n", "deg_m")
 
-    def __post_init__(self):
-        if self.g < 2:
+    def __init__(self, g: int, n: int, deg_m: int = 0):
+        if g < 2:
             raise ValueError("genus must be >= 2")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("need at least one marked point")
+        self.g, self.n, self.deg_m = g, n, deg_m
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.g, self.n, self.deg_m) == (other.g, other.n, other.deg_m)
+
+    def __hash__(self):
+        return hash((self.g, self.n, self.deg_m))
 
     @property
     def two_g_minus_2(self) -> int:
@@ -93,15 +100,23 @@ def _half(twice: int) -> str:
     return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
 
 
-@dataclass(frozen=True)
 class LineBundleClass:
     """Formal class K^a (D^b) M^c, held as the integers (two_a, b, two_c) =
     (2a, b, 2c): a and c may be half-integers (square roots), b is an
     integer, and any degree actually evaluated must land in Z."""
 
-    two_a: int
-    b: int
-    two_c: int = 0
+    __slots__ = ("two_a", "b", "two_c")
+
+    def __init__(self, two_a: int, b: int, two_c: int = 0):
+        self.two_a, self.b, self.two_c = two_a, b, two_c
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.two_a, self.b, self.two_c) == (other.two_a, other.b, other.two_c)
+
+    def __hash__(self):
+        return hash((self.two_a, self.b, self.two_c))
 
     @staticmethod
     def kd(a: int, b: int) -> "LineBundleClass":
@@ -141,8 +156,8 @@ def _hitchin_section_classes(group: GroupSpec) -> tuple[LineBundleClass, ...]:
 
 class _GroupData:
     """What every row of the identity chain needs of its (group, deg M) pair;
-    `_group_data` builds it once per pair.  A plain slotted class: a
-    dataclass would cost more to define at import than it saves."""
+    `_group_data` builds it once per pair.  A plain slotted class, like
+    the CurveParams and LineBundleClass that every row reads."""
 
     __slots__ = ("deg_m", "r", "dim_group", "dim_flag", "sections", "det_classes")
 
@@ -165,8 +180,7 @@ class _GroupData:
             )
 
 
-# keyed by plain values: a GroupSpec key would run its dataclass-generated
-# __hash__ and __eq__ on every row
+# keyed by one flat tuple of plain values, hashed once per row
 _GROUP_DATA: dict[tuple[str, int, int], _GroupData] = {}
 
 
@@ -280,8 +294,7 @@ def eigenline_degree_sqrt_twist(m: int, p: CurveParams) -> int:
     return twice // 2
 
 
-@dataclass(frozen=True)
-class ReconciliationResult:
+class ReconciliationResult(NamedTuple):
     grr_value: int
     dual_value: int
     difference: int
@@ -425,8 +438,7 @@ def sweep_reports(
     return out
 
 
-@dataclass(frozen=True)
-class PfaffianSpaceRow:
+class PfaffianSpaceRow(NamedTuple):
     m: int
     g: int
     n: int

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .linalg import (
     Cleared,
@@ -50,18 +50,17 @@ class GroupError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple("GroupSpec", [("kind", str), ("m", int)])):
     """One of Sp(2m), SO(2m), SO(2m+1) with its derived dimension data."""
 
-    kind: str
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in GROUP_KINDS:
-            raise GroupError(f"unknown group kind {self.kind!r}")
-        if self.m < 1:
+    def __new__(cls, kind: str, m: int):
+        if kind not in GROUP_KINDS:
+            raise GroupError(f"unknown group kind {kind!r}")
+        if m < 1:
             raise GroupError("m must be >= 1")
+        return super().__new__(cls, kind, m)
 
     @staticmethod
     def sp(m: int) -> "GroupSpec":
@@ -96,25 +95,30 @@ class GroupSpec:
         return self.dim_group - self.dim_borel
 
 
-@dataclass(frozen=True)
 class GramForm:
     """Invertible Gram matrix over Q(t), antisymmetric or symmetric, held as
     (B', E) with B = B' / E."""
 
-    cleared: Cleared
-    kind: str  # "symplectic" | "symmetric"
-
-    def __post_init__(self):
-        b = self.cleared[0]
+    def __init__(self, cleared: Cleared, kind: str):  # kind: "symplectic" | "symmetric"
+        self.cleared, self.kind = cleared, kind
+        b = cleared[0]
         n = len(b)
         if any(len(row) != n for row in b):
             raise ValueError("Gram matrix must be square")
-        if self.kind not in ("symplectic", "symmetric"):
-            raise ValueError(f"unknown form kind {self.kind!r}")
+        if kind not in ("symplectic", "symmetric"):
+            raise ValueError(f"unknown form kind {kind!r}")
         if not is_symmetric(b, self.sign):
-            raise ValueError(f"Gram matrix is not {self.kind}")
+            raise ValueError(f"Gram matrix is not {kind}")
         if not self.det[0]:
             raise ValueError("Gram matrix is degenerate")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.cleared, self.kind) == (other.cleared, other.kind)
+
+    def __hash__(self):
+        return hash((self.cleared, self.kind))
 
     @staticmethod
     def make(rows, kind: str) -> "GramForm":

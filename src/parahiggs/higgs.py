@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .groups import (
     GramForm,
@@ -83,14 +83,21 @@ class NonGenericFieldError(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
 class CharData:
     """det(x*I - Phi) = x^r + s_1 x^(r-1) + ... + s_r for Phi = M / Delta:
     s_i = e_i / Delta^i with e_i the i-th coefficient of det(x*I - M) over
     Z[t] (ascending integer tuples)."""
 
-    e: tuple[tuple[int, ...], ...]
-    delta: tuple[int, ...]
+    def __init__(self, e: tuple[tuple[int, ...], ...], delta: tuple[int, ...]):
+        self.e, self.delta = e, delta
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.e, self.delta) == (other.e, other.delta)
+
+    def __hash__(self):
+        return hash((self.e, self.delta))
 
     @property
     def r(self) -> int:
@@ -142,19 +149,15 @@ def _check_shape(group: GroupSpec, rows, gram_rows) -> None:
         raise ValueError("Gram form size does not match the group")
 
 
-@dataclass(eq=False)
 class HiggsField:
     """Phi = M / Delta with entries in Q(t), held as its clearing ``cleared``
-    = (M, Delta); the values derived from it are computed once."""
+    = (M, Delta); the values derived from it are computed once.  Equal only
+    to itself."""
 
-    group: GroupSpec
-    gram: GramForm
-    cleared: Cleared
-    marked_points: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        _check_shape(self.group, self.cleared[0], self.gram.cleared[0])
-        self.marked_points = tuple(Fraction(a) for a in self.marked_points)
+    def __init__(self, group: GroupSpec, gram: GramForm, cleared: Cleared, marked_points):
+        _check_shape(group, cleared[0], gram.cleared[0])
+        self.group, self.gram, self.cleared = group, gram, cleared
+        self.marked_points = tuple(Fraction(a) for a in marked_points)
         if len(set(self.marked_points)) != len(self.marked_points):
             raise ValueError("duplicate marked points")
 
@@ -269,8 +272,7 @@ def _is_nilpotent(mat: ZMat, power: int) -> bool:
     return not any(map(any, cur))
 
 
-@dataclass(frozen=True)
-class StrongParabolicResult:
+class StrongParabolicResult(NamedTuple):
     passed: bool
     failures: tuple[str, ...]
 
@@ -304,8 +306,7 @@ def strong_parabolic_check(fld: HiggsField) -> StrongParabolicResult:
 # -- parity of the characteristic polynomial ----------------------------------
 
 
-@dataclass(frozen=True)
-class ParityResult:
+class ParityResult(NamedTuple):
     passed: bool
     first_odd_index: int | None
 
@@ -323,8 +324,7 @@ def parity_classify(char: CharData, group: GroupSpec) -> ParityResult:
 # -- Pfaffian square law -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PfaffianSquareResult:
+class PfaffianSquareResult(NamedTuple):
     """s_2m * unit == pfaffian^2, with unit = det(B) ( = (-1)^m for the split
     Gram); each value is held as (num, den) for num / den over Z[t]."""
 
@@ -401,8 +401,7 @@ def random_strongly_parabolic_higgs(
 # -- so(2m+1) reduction ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SoOddReduction:
+class SoOddReduction(NamedTuple):
     kernel_vector: tuple[tuple[int, ...], ...]
     removed_index: int
     reduced: Cleared

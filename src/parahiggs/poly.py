@@ -35,9 +35,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Q = Fraction
 
@@ -91,8 +90,7 @@ def _q_str(p: int, q: int) -> str:
     return str(p) if q == 1 else f"{p}/{q}"
 
 
-@dataclass(frozen=True)
-class UniPoly:
+class UniPoly(NamedTuple):
     """Dense univariate polynomial in t with Fraction coefficients.
 
     ``coeffs`` is ascending and carries no trailing zeros; the zero
@@ -638,8 +636,7 @@ def fraction_writer(delta: Sequence[int], points: Sequence[Fraction]):
     return write
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(NamedTuple):
     """Reduced fraction of UniPoly: den monic and nonzero, gcd(num, den) = 1."""
 
     num: UniPoly

@@ -3,11 +3,14 @@
 import gc
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 import warnings
 from fractions import Fraction
 from itertools import zip_longest
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +28,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_generates_no_dataclass_code():
+    # every CLI process imports the whole package; a dataclass decorator
+    # execs its generated methods at import, and `dataclasses` pulls in
+    # `inspect`.  pytest imports both itself, hence a fresh interpreter.
+    probe = "import sys, parahiggs.cli; print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(higgs.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 class TestDims:

@@ -78,6 +78,12 @@ QUARTIC = curve([0, 0, 1], 0, [-1, 1], 0, 1)
 
 
 class TestBuildPlaneCurve:
+    def test_compared_by_value(self):
+        c = curve([1, 0, 1], [], [1])
+        again = PlaneCurve(c.coeffs)
+        assert c is not again and c == again and hash(c) == hash(again)
+        assert c != curve([1, 0, 2], [], [1])
+
     def test_twist_clears_marked_pole(self):
         group = GroupSpec.sp(1)
         t, minus_t = RF(P([0, 1])), RF(P([0, -1]))

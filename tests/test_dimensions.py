@@ -59,6 +59,11 @@ class TestCurveParams:
         with pytest.raises(ValueError, match="even deg"):
             identity_suite(GroupSpec.so_odd(1), CurveParams(2, 1, deg_m=1))
 
+    def test_compared_by_value(self):
+        p = CurveParams(3, 2, 4)
+        assert p is not P211 and p == CurveParams(3, 2, deg_m=4) and hash(p) == hash(CurveParams(3, 2, 4))
+        assert P211 == CurveParams(2, 1, 0) and P211 not in (CurveParams(2, 1, 2), CurveParams(3, 1), (2, 1, 0))
+
 
 class TestLineBundleClass:
     def test_degrees(self):
@@ -71,6 +76,11 @@ class TestLineBundleClass:
         assert cls.degree(CurveParams(3, 1, deg_m=2)) == 3
         with pytest.raises(IntegralityError):
             cls.degree(CurveParams(3, 1, deg_m=1))
+
+    def test_compared_by_value(self):
+        cls = LineBundleClass(4, 3)
+        assert cls is not KD(2, 3) and cls == KD(2, 3) == LineBundleClass(4, 3, 0) and hash(cls) == hash(KD(2, 3))
+        assert cls not in (LineBundleClass(4, 3, 1), KD(2, 2), (4, 3, 0))
 
 
 def fraction_degree(a: Q, b: int, c: Q, p: CurveParams) -> int:

@@ -104,8 +104,25 @@ class TestGroupSpec:
         with pytest.raises(GroupError):
             GroupSpec("sp", 0)
 
+    def test_immutable_with_its_repr(self):
+        group = GroupSpec("sp", 2)
+        for name in ("kind", "m"):
+            with pytest.raises(AttributeError):
+                setattr(group, name, "so-odd")
+        assert repr(group) == "GroupSpec(kind='sp', m=2)"
+
 
 class TestSplitGram:
+    def test_built_once_per_group(self):
+        assert split_gram(GroupSpec("sp", 2)) is split_gram(GroupSpec("sp", 2))
+
+    def test_forms_compared_by_value(self):
+        a, b = (GramForm.make([[0, 1], [-1, 0]], "symplectic") for _ in range(2))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a == split_gram(GroupSpec.sp(1))
+        assert a != GramForm.make([[0, 2], [-2, 0]], "symplectic")
+        assert a != GramForm.make([[0, 1], [1, 0]], "symmetric")
+
     @pytest.mark.parametrize("kind,m", [("sp", 1), ("sp", 2), ("so-even", 2), ("so-odd", 2)])
     def test_symmetry_kind(self, kind, m):
         group = GroupSpec(kind, m)

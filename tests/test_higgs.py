@@ -150,6 +150,12 @@ class TestCharAndParity:
         with pytest.raises(ValueError, match="degree"):
             parity_classify(CharData(((), (1,)), (1,)), GroupSpec.so_odd(1))
 
+    def test_char_data_compared_by_value(self):
+        s = sp1_field(scalars([[1, 2], [3, -1]]), ()).char_data
+        again = CharData(((), (-7,)), (1,))
+        assert s is not again and s == again and hash(s) == hash(again)
+        assert s not in (CharData(((), (-7,)), (2,)), CharData(((), (7,)), (1,)))
+
 
 class TestStrongParabolic:
     def test_nilpotent_residue_passes(self):
@@ -286,6 +292,11 @@ class TestGenerator:
         assert a.to_dict() == b.to_dict()
         c = random_strongly_parabolic_higgs(GroupSpec.sp(2), [0, 1], 2, seed=43)
         assert a.to_dict() != c.to_dict()
+
+    def test_field_equals_only_itself(self):
+        a = random_strongly_parabolic_higgs(GroupSpec.sp(2), [0, 1], 2, seed=42)
+        b = HiggsField(a.group, a.gram, a.cleared, a.marked_points)
+        assert a == a and a != b and hash(a) != hash(b)
 
     def test_duplicate_marked_points_rejected(self):
         # HiggsField rejects them, with the message the generator once raised itself

@@ -22,11 +22,12 @@ anywhere or as `self.name` or `cls.name` inside that class.  A plain method
 also counts as used when its name occurs as an attribute, `x.name`, so a
 same-named function or builtin (`divmod(...)`) cannot hide it; but when
 another class of the package also declares that name (as a method, a
-`__slots__` entry or a dataclass or NamedTuple field), such a use cannot tell
-the two apart, so it counts only for a method listed, with its reason, in
-`ATTRIBUTE_COLLISIONS`.  A `staticmethod` or `classmethod` counts as used only
-through its own class.  No public function or method takes a `_`-prefixed
-parameter, the mark of a hook that only tests turn on.
+`__slots__` entry, an attribute its `__init__` sets on `self` or a NamedTuple
+field), such a use cannot tell the two apart, so it counts only for a method
+listed, with its reason, in `ATTRIBUTE_COLLISIONS`.  A `staticmethod` or
+`classmethod` counts as used only through its own class.  No public function
+or method takes a `_`-prefixed parameter, the mark of a hook that only tests
+turn on.
 """
 
 import ast
@@ -117,7 +118,7 @@ def test_no_unused_imports(path):
 def loaded_names(tree: ast.Module) -> set[str]:
     """Names the module reads, `name`, or imports, `from m import name`; an
     attribute `x.name` is no use of a module-level def, which a same-named
-    attribute (a dataclass field, a method) would otherwise hide."""
+    attribute (a record field, a method) would otherwise hide."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -160,36 +161,37 @@ def public_definitions(module: str, tree: ast.Module):
                     yield f"{module}.{node.name}.{item.name}", item.name, node.name, class_bound(item)
 
 
-def is_dataclass(cls: ast.ClassDef) -> bool:
-    return any(
-        isinstance(dec, ast.Name) and dec.id == "dataclass"
-        or isinstance(dec, ast.Call) and isinstance(dec.func, ast.Name) and dec.func.id == "dataclass"
-        for dec in cls.decorator_list
-    )
-
-
-def is_named_tuple(cls: ast.ClassDef) -> bool:
-    return any(
-        isinstance(base, ast.Name) and base.id == "NamedTuple"
-        or isinstance(base, ast.Attribute) and base.attr == "NamedTuple"
-        for base in cls.bases
-    )
+def is_named_tuple(node: ast.expr) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "NamedTuple"
+            or isinstance(node, ast.Attribute) and node.attr == "NamedTuple")
 
 
 def declared_names(cls: ast.ClassDef) -> set[str]:
-    """Names a class declares: its methods, its `__slots__` entries and, for a
-    dataclass or a NamedTuple, its annotated fields."""
-    names = set()
+    """Names a class declares: its methods, its `__slots__` entries, each
+    `self.name` its `__init__` assigns, the field names of a
+    `NamedTuple("Name", [(field, type), ...])` base and, for a class-syntax
+    NamedTuple, its annotated fields."""
+    names = {
+        field.elts[0].value
+        for base in cls.bases
+        if isinstance(base, ast.Call) and is_named_tuple(base.func) and len(base.args) == 2
+        for field in base.args[1].elts
+    }
+    class_syntax_named_tuple = any(is_named_tuple(base) for base in cls.bases)
     for item in cls.body:
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
             names.add(item.name)
+            if item.name == "__init__":
+                names.update(
+                    node.attr for node in ast.walk(item)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"
+                )
         elif isinstance(item, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__slots__" for target in item.targets
         ):
             names.update(elt.value for elt in item.value.elts)
-        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and (
-            is_dataclass(cls) or is_named_tuple(cls)
-        ):
+        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and class_syntax_named_tuple:
             names.add(item.target.id)
     return names
 
@@ -325,18 +327,30 @@ def test_declared_names_counts_record_fields():
             def to_csv_row(self): ...
         class Typed(typing.NamedTuple):
             genus: int
-        @dataclass(frozen=True)
-        class Frozen:
-            degree: int
         class Plain:
             __slots__ = ("slot",)
             hint: int
+        class Made:
+            def __init__(self, kind):
+                self.kind, self.size = kind, 0
+                self.seen = local = None
+            def grow(self):
+                self.later = 1
+        class Checked(NamedTuple("Checked", [("kind", str), ("m", int)])):
+            __slots__ = ()
+            def __new__(cls, kind, m): ...
     """))
     got = {cls.name: declared_names(cls) for cls in tree.body}
-    assert got == {"Row": {"prym_dim", "to_csv_row"}, "Typed": {"genus"}, "Frozen": {"degree"}, "Plain": {"slot"}}
-    dims = ast.parse((SRC / "dimensions.py").read_text(encoding="utf-8"))
-    report = next(node for node in dims.body if isinstance(node, ast.ClassDef) and node.name == "DimensionReport")
-    assert {"spectral_genus", "prym_dim", "chain_verdict", "passed", "to_dict"} <= declared_names(report)
+    assert got == {"Row": {"prym_dim", "to_csv_row"}, "Typed": {"genus"}, "Plain": {"slot"},
+                   "Made": {"__init__", "kind", "size", "seen", "grow"}, "Checked": {"kind", "m", "__new__"}}
+
+    def declared(module, name):
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        return declared_names(next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name))
+
+    assert {"spectral_genus", "prym_dim", "chain_verdict", "passed", "to_dict"} <= declared("dimensions", "DimensionReport")
+    assert {"kind", "m", "rank_size"} <= declared("groups", "GroupSpec")
+    assert {"group", "gram", "cleared", "marked_points", "matrix"} <= declared("higgs", "HiggsField")
 
 
 def test_uses_from_test_only_code_do_not_count():
