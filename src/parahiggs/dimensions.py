@@ -11,35 +11,36 @@ identity chain checked per (group, m, g, n) is
 
     dim H  =  dim moduli  =  dim Prym  =  dim Higgs-moduli / 2
 
-with dim H the term-by-term section count, dim moduli the closed form
-(g - 1) dim G + n dim G/B for full flags, the spectral genus computed
-twice (adjunction and Riemann-Hurwitz), and the Prym dimension through
-the quotient/desingularized genus.
+with dim H the sum of h0 over the Hitchin section classes, dim moduli
+the closed form (g - 1) dim G + n dim G/B for full flags, the spectral
+genus computed twice (adjunction and Riemann-Hurwitz), and the Prym
+dimension through the quotient/desingularized genus.
 
 `identity_suite` is the row kernel of `sweep` and the one implementation
 of every number on a row; it does each piece of work as seldom as its
 inputs allow.  Once per (group kind, m, deg M), in `_group_data`, which is
 keyed by those plain values: the parameter check, r = 2m, dim G and dim
-G/B (read from the GroupSpec), the Hitchin section classes with their
-doubled exponents and, for so-odd, the classes of the quotient-determinant
-check.  Once per row, each exactly once: k = 2g - 2 and ell = deg K(D) =
-2g - 2 + n, the section sum, dim moduli, the spectral genus by adjunction
-and by Riemann-Hurwitz, the fixed-point or node count, the quotient or
-desingularized genus, the Prym dimension and, for so-odd, the
-quotient-determinant degrees.  The row work runs through integer kernels
-(`_hitchin_dim`, `_adjunction_genus`, `_rh_genus`, `_quotient_genus`)
-that take k, n, ell or genera already computed, so nothing on a row is
-computed twice; the verdict is where the links of the chain meet.  A
-per-quantity number is read off the row.  The public forms for a free
-cover degree r (`spectral_genus`, `rh_genus_crosscheck`,
-`ramification_degree`) compose the same genus kernels for covers no row
-has.
+G/B (read from the GroupSpec), the sums over the Hitchin section classes
+that make dim H linear in (g - 1, n), the proofs that every class is
+integral and at or above the Riemann-Roch regime on every row, and, for
+so-odd, the proof of the quotient-determinant identity as an identity of
+classes.  Once per row, each exactly once: k = 2g - 2 and ell = deg K(D) =
+2g - 2 + n, dim H from the per-pair sums (O(1) in m), dim moduli, the
+spectral genus by adjunction and by Riemann-Hurwitz, the fixed-point or
+node count, the quotient or desingularized genus and the Prym dimension.
+The row work runs through integer kernels (`_hitchin_dim`,
+`_adjunction_genus`, `_rh_genus`, `_quotient_genus`) that take k, n, ell or
+genera already computed, so nothing on a row is computed twice; the
+verdict is where the links of the chain meet.  A per-quantity number is
+read off the row.  The public forms for a free cover degree r
+(`spectral_genus`, `rh_genus_crosscheck`, `ramification_degree`) compose
+the same genus kernels for covers no row has.
 
 `sweep_reports` builds the CurveParams of its (g, n) grid once per call,
 after the first GroupSpec, and still calls `identity_suite` once per row.
 A row is a `DimensionReport`, a NamedTuple: immutable, compared by value and
-built in one tuple allocation.  `CurveParams`, `LineBundleClass` and
-`_GroupData`, whose attributes every row reads, are plain slotted classes.
+built in one tuple allocation.  `CurveParams` and `_GroupData`, whose
+attributes every row reads, and `LineBundleClass` are plain slotted classes.
 No record here is a dataclass: the decorator execs its generated methods
 at import, a cost every CLI process pays.
 """
@@ -118,6 +119,9 @@ class LineBundleClass:
     def __hash__(self):
         return hash((self.two_a, self.b, self.two_c))
 
+    def __str__(self):
+        return f"K^{_half(self.two_a)}(D^{self.b})M^{_half(self.two_c)}"
+
     @staticmethod
     def kd(a: int, b: int) -> "LineBundleClass":
         """K^a (D^b) for integers a and b."""
@@ -130,10 +134,7 @@ class LineBundleClass:
         """The degree on a curve with 2g - 2 = k, n marked points and deg M."""
         twice = self.two_a * k + 2 * self.b * n + self.two_c * deg_m
         if twice % 2 != 0:
-            raise IntegralityError(
-                f"class K^{_half(self.two_a)}(D^{self.b})M^{_half(self.two_c)} "
-                f"has non-integral degree {twice}/2"
-            )
+            raise IntegralityError(f"class {self} has non-integral degree {twice}/2")
         return twice // 2
 
 
@@ -154,30 +155,48 @@ def _hitchin_section_classes(group: GroupSpec) -> tuple[LineBundleClass, ...]:
     return tuple(classes)
 
 
+def _quotient_det_classes(m: int) -> tuple[LineBundleClass, LineBundleClass, LineBundleClass]:
+    """so-odd: det E, the kernel line E0 ~ M^(1/2)(K(D))^(-m) and K^m D^m M^m;
+    the quotient determinant det E - E0 is the third."""
+    return LineBundleClass(0, 0, 2 * m + 1), LineBundleClass(-2 * m, -m, 1), LineBundleClass(2 * m, m, 2 * m)
+
+
 class _GroupData:
     """What every row of the identity chain needs of its (group, deg M) pair;
     `_group_data` builds it once per pair.  A plain slotted class, like
-    the CurveParams and LineBundleClass that every row reads."""
+    the CurveParams that every row reads.
 
-    __slots__ = ("deg_m", "r", "dim_group", "dim_flag", "sections", "det_classes")
+    Its checks are proofs over every row of the pair, g >= 2 and n >= 1,
+    made once.  A section class of degree two_a (g - 1) + b n + c, with
+    c = two_c deg M / 2, is integral on every row exactly when c is, and
+    lies at or above 2g - 2 on every row exactly when two_a >= 2, b >= 0
+    and it does so at g = 2, n = 1.  For so-odd, det E - E0 = K^m D^m M^m
+    as classes proves the quotient-determinant degree identity on every row.
+    """
+
+    __slots__ = ("r", "dim_group", "dim_flag", "dim_h_g", "dim_h_n", "dim_h_0")
 
     def __init__(self, group: GroupSpec, deg_m: int):
         validate_group_params(group, deg_m)
         m = group.m
-        self.deg_m = deg_m
         self.r = 2 * m  # spectral cover degree
         self.dim_group, self.dim_flag = group.dim_group, group.dim_flag
-        self.sections = _hitchin_section_classes(group)
-        # so-odd only: det E, the kernel line E0 ~ M^(1/2)(K(D))^(-m) and
-        # K^m D^m M^m; the quotient determinant has degree
-        # deg det E - deg E0 = deg K^m D^m M^m
-        self.det_classes = None
+        # dim H = sum of deg + 1 - g = dim_h_g (g - 1) + dim_h_n n + dim_h_0
+        self.dim_h_g = self.dim_h_n = self.dim_h_0 = 0
+        for cls in _hitchin_section_classes(group):
+            c = cls.degree_at(0, 0, deg_m)  # the M part; IntegralityError if it is a half
+            if cls.two_a < 2 or cls.b < 0 or cls.two_a - 2 + cls.b + c < 0:
+                raise RegimeError("section space below the Riemann-Roch regime")
+            self.dim_h_g += cls.two_a - 1
+            self.dim_h_n += cls.b
+            self.dim_h_0 += c
         if group.kind == "so-odd":
-            self.det_classes = (
-                LineBundleClass(0, 0, 2 * m + 1),
-                LineBundleClass(-2 * m, -m, 1),
-                LineBundleClass(2 * m, m, 2 * m),
-            )
+            det_e, e0, direct = _quotient_det_classes(m)
+            for cls in (det_e, e0, direct):
+                cls.degree_at(0, 0, deg_m)  # integral on every row, or IntegralityError
+            quotient = LineBundleClass(det_e.two_a - e0.two_a, det_e.b - e0.b, det_e.two_c - e0.two_c)
+            if quotient != direct:
+                raise CrossCheckError(f"quotient determinant class mismatch: det E - E0 = {quotient} != {direct}")
 
 
 # keyed by one flat tuple of plain values, hashed once per row
@@ -193,22 +212,18 @@ def _group_data(group: GroupSpec, deg_m: int) -> _GroupData:
     return data
 
 
-def _hitchin_dim(data: _GroupData, g: int, n: int, k: int) -> int:
-    """dim H as the sum of h0 = deg + 1 - g over the Hitchin section classes.
+def _hitchin_dim(data: _GroupData, g: int, n: int) -> int:
+    """dim H, the sum of h0 = deg + 1 - g over the Hitchin section classes,
+    regrouped into the per-pair sums of `_GroupData`: O(1) in m.
 
     For so-even with m = 1 the square-root class is K itself, of degree
     exactly 2g - 2; the vanishing-h1 count deg + 1 - g = g - 1 is what the
     identity chain requires (dim M = g - 1 there), so that boundary term is
-    evaluated by the same formula instead of the strict h0_rr regime guard.
-    The row's verdict compares the sum with dim M.
+    counted by the same formula, and `_GroupData` admits a class of degree
+    2g - 2 instead of applying the strict h0_rr regime guard.  The row's
+    verdict compares the sum with dim M.
     """
-    total = 0
-    for cls in data.sections:
-        deg = cls.degree_at(k, n, data.deg_m)
-        if deg < k:
-            raise RegimeError("section space below the Riemann-Roch regime")
-        total += deg + 1 - g
-    return total
+    return data.dim_h_g * (g - 1) + data.dim_h_n * n + data.dim_h_0
 
 
 def so_even_hitchin_dim_literal(m: int, p: CurveParams) -> int:
@@ -270,57 +285,6 @@ def _quotient_genus(g_s: int, fixed: int) -> int:
     return half // 2 + 1
 
 
-# -- eigenline degrees ----------------------------------------------------------
-
-
-def eigenline_degree_grr(deg_pushforward: int, r: int, g: int, g_s: int) -> int:
-    """deg L from the direct-image Euler characteristic:
-    deg(pi_* L) + r(1 - g) + (g_s - 1)."""
-    return deg_pushforward + r * (1 - g) + (g_s - 1)
-
-
-def eigenline_degree_dual(deg_e_dual: int, r: int, g: int, g_s: int) -> int:
-    """deg L from the dual sheaf sequence: r(g - 1) + (1 - g_s) - deg(E*)."""
-    return r * (g - 1) + (1 - g_s) - deg_e_dual
-
-
-def eigenline_degree_sqrt_twist(m: int, p: CurveParams) -> int:
-    """deg L forced by the square-root normalization:
-    -(1/2)[(2g_s - 2) - r(2g - 2)] + (1/2) r deg(M), with r = 2m."""
-    r = 2 * m
-    twice = -ramification_degree(r, p) + r * p.deg_m
-    if twice % 2 != 0:
-        raise IntegralityError("square-root parity violated")
-    return twice // 2
-
-
-class ReconciliationResult(NamedTuple):
-    grr_value: int
-    dual_value: int
-    difference: int
-    ramification: int
-    passed: bool
-
-
-def eigenline_reconciliation(r: int, p: CurveParams) -> ReconciliationResult:
-    """The two eigenline normalizations differ by exactly the ramification
-    degree, for any consistent push-forward degree."""
-    g_s = spectral_genus(r, p)
-    deg_e = (r * p.deg_m) // 2 if (r * p.deg_m) % 2 == 0 else 0
-    grr = eigenline_degree_grr(deg_e, r, p.g, g_s)
-    dual = eigenline_degree_dual(-deg_e, r, p.g, g_s)
-    ram = ramification_degree(r, p)
-    return ReconciliationResult(grr, dual, grr - dual, ram, grr - dual == ram)
-
-
-def sqrt_parity_check(r: int, p: CurveParams) -> bool:
-    """Whether the square-rooted class K_cover (x) pi^*K^(-1) (x) pi^*M^(-1)
-    has even degree.  Precondition: r even, or r odd with deg(M) even."""
-    if r % 2 != 0 and p.deg_m % 2 != 0:
-        raise ValueError("precondition violated: odd cover degree needs even deg(M)")
-    return (ramification_degree(r, p) - r * p.deg_m) % 2 == 0
-
-
 # -- the identity chain ----------------------------------------------------------
 
 
@@ -377,7 +341,7 @@ def identity_suite(group: GroupSpec, p: CurveParams) -> DimensionReport:
     g, n = p.g, p.n
     k = 2 * g - 2
     ell = k + n
-    dim_h = _hitchin_dim(data, g, n, k)
+    dim_h = _hitchin_dim(data, g, n)
     dim_mod = (g - 1) * data.dim_group + n * data.dim_flag
     dim_higgs = 2 * dim_mod
     g_s = _adjunction_genus(r, n, ell)
@@ -397,12 +361,6 @@ def identity_suite(group: GroupSpec, p: CurveParams) -> DimensionReport:
         fixed = r * ell
         quot = _quotient_genus(g_s, fixed)
         prym = g_s - quot
-    if data.det_classes is not None:
-        det_e, e0, direct = data.det_classes
-        lhs = det_e.degree_at(k, n, p.deg_m) - e0.degree_at(k, n, p.deg_m)
-        rhs = direct.degree_at(k, n, p.deg_m)
-        if lhs != rhs:
-            raise CrossCheckError(f"quotient determinant degree mismatch: {lhs} != {rhs}")
     if dim_h != dim_mod:
         verdict = "FAIL:dimH=dimM"
     elif dim_mod != prym:  # then dim_higgs = 2 * dim_mod = 2 * prym as well

@@ -23,13 +23,10 @@ from parahiggs.curves import (
 )
 from parahiggs.dimensions import (
     CurveParams,
-    eigenline_degree_sqrt_twist,
-    eigenline_reconciliation,
     identity_suite,
     pfaffian_space_discrepancy,
     rh_genus_crosscheck,
     spectral_genus,
-    sqrt_parity_check,
 )
 from parahiggs.groups import GroupSpec, split_gram
 from parahiggs.higgs import (
@@ -44,7 +41,15 @@ from parahiggs.higgs import (
 from parahiggs.linalg import clear_fractions, entry_ints, int_pfaffian
 from parahiggs.poly import RationalFunction, UniPoly
 
-from helpers import bareiss_det, gram_matrix, sections, semisimple_residue_control
+from helpers import (
+    bareiss_det,
+    eigenline_degree_sqrt_twist,
+    eigenline_reconciliation,
+    gram_matrix,
+    sections,
+    semisimple_residue_control,
+    sqrt_parity_check,
+)
 
 P = UniPoly.make
 RF = RationalFunction.make

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction as Q
 from pathlib import Path
 from unittest import mock
@@ -22,15 +23,12 @@ from hypothesis import given, settings, strategies as st
 from parahiggs import dimensions
 from parahiggs.dimensions import (
     CSV_HEADER,
+    CrossCheckError,
     CurveParams,
     DimensionReport,
     IntegralityError,
     LineBundleClass,
     RegimeError,
-    eigenline_degree_dual,
-    eigenline_degree_grr,
-    eigenline_degree_sqrt_twist,
-    eigenline_reconciliation,
     h0_rr,
     identity_suite,
     pfaffian_space_discrepancy,
@@ -38,11 +36,19 @@ from parahiggs.dimensions import (
     rh_genus_crosscheck,
     so_even_hitchin_dim_literal,
     spectral_genus,
-    sqrt_parity_check,
     sweep_reports,
 )
 from parahiggs.cli import main
 from parahiggs.groups import GroupError, GroupSpec
+
+from helpers import (
+    eigenline_degree_dual,
+    eigenline_degree_grr,
+    eigenline_degree_sqrt_twist,
+    eigenline_reconciliation,
+    hitchin_dim_by_class,
+    sqrt_parity_check,
+)
 
 P211 = CurveParams(2, 1)
 KD = LineBundleClass.kd
@@ -147,6 +153,17 @@ class TestHitchinDim:
         reports = sweep_reports()
         assert len(reports) == 240
         assert all(r.dim_hitchin == r.dim_moduli for r in reports)
+
+    @given(
+        st.sampled_from(["sp", "so-even", "so-odd"]), st.integers(1, 12), st.integers(2, 30),
+        st.integers(1, 30), st.integers(-15, 15), st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_regrouped_sum_equals_term_by_term_sum(self, kind, m, g, n, half_deg_m, odd):
+        # deg M odd only where the group allows it: so-odd takes a square root of M
+        deg_m = 2 * half_deg_m + (odd and kind != "so-odd")
+        group, p = GroupSpec(kind, m), CurveParams(g, n, deg_m)
+        assert identity_suite(group, p).dim_hitchin == hitchin_dim_by_class(group, p)
 
 
 class TestModuliDims:
@@ -456,6 +473,162 @@ class TestHoistedKernel:
         want = {(GroupSpec(kind, m), deg_m) for kind in ("sp", "so-even", "so-odd")
                 for m in range(1, 4) for deg_m in (0, 2)}
         assert len(seen) == len(want) and set(seen) == want
+
+
+@pytest.fixture
+def fresh_group_data():
+    """An empty per-pair cache before and after the test, so that patched class
+    builders are read and leave no pair behind."""
+    dimensions._GROUP_DATA.clear()
+    yield
+    dimensions._GROUP_DATA.clear()
+
+
+def with_section(extra):
+    """The Hitchin section classes of every group, plus one more class."""
+    adopted = dimensions._hitchin_section_classes
+    return lambda group: (*adopted(group), extra)
+
+
+def open_det_triple(m):
+    """A so-odd determinant triple whose quotient det E - E0 misses K^m D^m M^m
+    by one power of D."""
+    return LineBundleClass(0, 0, 2 * m + 1), LineBundleClass(-2 * m, -m, 1), LineBundleClass(2 * m, m - 1, 2 * m)
+
+
+class TestOncePerPairProofs:
+    """The section and determinant classes are checked when the (group, deg M)
+    pair is built, for every row of the pair, and a failed check is never
+    cached: it raises on every call, on the first row of any box."""
+
+    @pytest.mark.parametrize("extra,deg_m", [
+        (LineBundleClass(1, 1), 0),  # K^(1/2) D: below 2g - 2 once g >= n + 2
+        (KD(2, -1), 0),  # K^2 D^-1: below 2g - 2 once n > 2g - 2
+        (LineBundleClass(2, 0, -2), 2),  # K M^-1 with deg M = 2: below on every row
+    ])
+    def test_class_below_the_regime(self, fresh_group_data, monkeypatch, extra, deg_m):
+        monkeypatch.setattr(dimensions, "_hitchin_section_classes", with_section(extra))
+        for _ in range(2):
+            with pytest.raises(RegimeError, match="section space below the Riemann-Roch regime"):
+                identity_suite(GroupSpec.sp(2), CurveParams(2, 1, deg_m))
+            with pytest.raises(RegimeError, match="section space below the Riemann-Roch regime"):
+                sweep_reports(("sp",), range(1, 3), range(2, 4), range(1, 3), deg_m)
+        assert dimensions._GROUP_DATA == {}
+
+    @pytest.mark.parametrize("deg_m", [1, 3, -5])
+    def test_odd_twist_of_a_half_m_class(self, fresh_group_data, monkeypatch, deg_m):
+        monkeypatch.setattr(dimensions, "_hitchin_section_classes", with_section(LineBundleClass(4, 3, 1)))
+        want = re.escape(f"class K^2(D^3)M^1/2 has non-integral degree {deg_m}/2")
+        for _ in range(2):
+            with pytest.raises(IntegralityError, match=want):
+                identity_suite(GroupSpec.so_even(2), CurveParams(5, 4, deg_m))
+            with pytest.raises(IntegralityError, match=want):
+                sweep_reports(("sp", "so-even"), range(1, 3), range(2, 4), range(1, 3), deg_m)
+        assert dimensions._GROUP_DATA == {}
+        assert len(sweep_reports(("sp",), range(1, 3), range(2, 4), range(1, 3), 2)) == 8
+
+    def test_so_odd_determinant_that_does_not_close(self, fresh_group_data, monkeypatch):
+        monkeypatch.setattr(dimensions, "_quotient_det_classes", open_det_triple)
+        want = re.escape("quotient determinant class mismatch: det E - E0 = K^2(D^2)M^2 != K^2(D^1)M^2")
+        for _ in range(2):
+            with pytest.raises(CrossCheckError, match=want):
+                identity_suite(GroupSpec.so_odd(2), CurveParams(3, 2, 4))
+            with pytest.raises(CrossCheckError, match=want):
+                sweep_reports(("so-odd",), range(2, 3), range(2, 4), range(1, 3))
+        assert dimensions._GROUP_DATA == {}
+        assert len(sweep_reports(("sp", "so-even"), range(1, 3), range(2, 4), range(1, 3))) == 16
+
+    @given(st.integers(-2, 6), st.integers(-2, 4), st.integers(-3, 3), st.integers(-6, 6),
+           st.integers(2, 30), st.integers(1, 30))
+    @settings(max_examples=300, deadline=None)
+    def test_proof_is_exact_for_any_extra_class(self, two_a, b, two_c, deg_m, g, n):
+        # the pair fails exactly when some row fails term by term; the rows at
+        # g = 2, n = 1 and far out in g and in n decide it, deg - (2g - 2) being
+        # linear in (g - 1, n); otherwise dim H is the term-by-term sum, M part too
+        group = GroupSpec.sp(2)
+
+        def outcome(g, n):
+            try:
+                return hitchin_dim_by_class(group, CurveParams(g, n, deg_m))
+            except ArithmeticError as exc:
+                return type(exc)
+
+        with mock.patch.object(dimensions, "_hitchin_section_classes", with_section(LineBundleClass(two_a, b, two_c))):
+            dimensions._GROUP_DATA.clear()
+            try:
+                got = identity_suite(group, CurveParams(g, n, deg_m)).dim_hitchin
+            except ArithmeticError as exc:
+                got = type(exc)
+            finally:
+                dimensions._GROUP_DATA.clear()
+            rows = [outcome(g, n), outcome(2, 1), outcome(102, 1), outcome(2, 101)]
+        failed = [row for row in rows if isinstance(row, type)]
+        assert got == (failed[0] if failed else rows[0])
+
+    def test_section_work_is_per_pair_not_per_row(self, fresh_group_data, monkeypatch):
+        calls = []
+        degree_at = LineBundleClass.degree_at
+
+        def counting(cls, k, n, deg_m):
+            calls.append(cls)
+            return degree_at(cls, k, n, deg_m)
+
+        monkeypatch.setattr(LineBundleClass, "degree_at", counting)
+        box = (("sp", "so-odd"), range(3000, 3001), range(2, 22), range(1, 21))
+        for want in (3000 + 3000 + 3, 0):  # per section and so-odd determinant class, then cached
+            calls.clear()
+            assert len(sweep_reports(*box)) == 800
+            assert len(calls) == want
+        calls.clear()
+        assert len(sweep_reports(("sp", "so-odd"), range(3000, 3001), range(2, 62), range(1, 61))) == 7200
+        assert calls == []
+
+    def test_large_m_sweep_is_fast(self, fresh_group_data):
+        box = (("sp", "so-odd"), range(3000, 3001), range(2, 22), range(1, 21))
+        best = float("inf")
+        for _ in range(3):
+            dimensions._GROUP_DATA.clear()
+            start = time.perf_counter()
+            assert len(sweep_reports(*box)) == 800
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.1
+
+
+# each once-per-pair proof failing twice, under `python -O`
+OPTIMIZED_PROOFS = """
+from parahiggs import dimensions as d
+assert False, "assertions are on"
+adopted = d._hitchin_section_classes
+cases = [
+    ("_hitchin_section_classes", lambda group: (*adopted(group), d.LineBundleClass(1, 1)), "sp", 0),
+    ("_hitchin_section_classes", lambda group: (*adopted(group), d.LineBundleClass(4, 3, 1)), "sp", 1),
+    ("_quotient_det_classes", lambda m: (d.LineBundleClass(0, 0, 2 * m + 1), d.LineBundleClass(-2 * m, -m, 1),
+                                         d.LineBundleClass(2 * m, m - 1, 2 * m)), "so-odd", 0),
+]
+for name, patched, kind, deg_m in cases:
+    saved = getattr(d, name)
+    setattr(d, name, patched)
+    d._GROUP_DATA.clear()
+    for _ in range(2):
+        try:
+            d.identity_suite(d.GroupSpec(kind, 2), d.CurveParams(3, 2, deg_m))
+        except ArithmeticError as exc:
+            print(type(exc).__name__, exc)
+    setattr(d, name, saved)
+"""
+
+
+def test_once_per_pair_proofs_run_under_python_O():
+    src = str(Path(dimensions.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_PROOFS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    want = [
+        "RegimeError section space below the Riemann-Roch regime",
+        "IntegralityError class K^2(D^3)M^1/2 has non-integral degree 1/2",
+        "CrossCheckError quotient determinant class mismatch: det E - E0 = K^2(D^2)M^2 != K^2(D^1)M^2",
+    ]
+    assert (proc.returncode, proc.stdout.splitlines(), proc.stderr) == (0, [line for line in want for _ in range(2)], "")
 
 
 # (groups, ms, gs, ns, deg M) -> the error sweep_reports raises, or its rows:

@@ -45,15 +45,9 @@ TEST_ONLY_API = {
     "curves.involution_fixed_points": "fixed points of x -> -x, for the spectral-cover check of ROADMAP item 7",
     "curves.hyperelliptic_genus": "genus of a hyperelliptic quotient, for the Prym check of ROADMAP item 7",
     "curves.FixedPointReport": "the record involution_fixed_points returns (acceptance test c09)",
-    "dimensions.ReconciliationResult": "the record eigenline_reconciliation returns (acceptance test c07)",
     "dimensions.spectral_genus": "the adjunction genus of a cover of any degree r, which no row has (acceptance tests c03, c07)",
-    "dimensions.ramification_degree": "the ramification degree of a cover of any degree r, for the eigenline checks (c07)",
-    "dimensions.eigenline_degree_grr": "the eigenline degree from the direct image, for eigenline_reconciliation (c07)",
-    "dimensions.eigenline_degree_dual": "the eigenline degree from the dual sequence, for eigenline_reconciliation (c07)",
+    "dimensions.ramification_degree": "the ramification degree of a cover of any degree r, for the eigenline checks in tests/helpers.py (c07)",
     "dimensions.rh_genus_crosscheck": "the Riemann-Hurwitz genus on its own, an oracle for identity_suite, which calls its integer kernel",
-    "dimensions.eigenline_degree_sqrt_twist": "eigenline degree under the square-root normalization",
-    "dimensions.eigenline_reconciliation": "the two eigenline normalizations differ by the ramification degree",
-    "dimensions.sqrt_parity_check": "parity of the class whose square root the normalization takes",
     "groups.GroupSpec.so_even": "constructor beside GroupSpec.sp, for tests",
     "groups.GroupSpec.so_odd": "constructor beside GroupSpec.sp, for tests",
     "higgs.CharData.pole_order": "the pole order of one s_i at one point, the oracle of strong_parabolic_check, which splits Delta once per field",
