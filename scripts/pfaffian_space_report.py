@@ -15,20 +15,55 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from parahiggs.cli import parse_range  # noqa: E402
-from parahiggs.dimensions import pfaffian_space_discrepancy  # noqa: E402
+from parahiggs.dimensions import CurveParams, LineBundleClass, h0_rr, sweep_reports  # noqa: E402
 
 
-def main() -> int:
+def so_even_hitchin_dim_literal(m: int, p: CurveParams) -> int:
+    """so-even dim H under the literal reading that the Pfaffian coefficient
+    lives in K(D)^m = K^m(D^m) rather than K^m(D^(m-1)).  Exceeds dim
+    moduli by exactly n; kept as a documented discrepancy artifact."""
+    total = sum(
+        h0_rr(LineBundleClass.kd(2 * i, 2 * i - 1), p) for i in range(1, m)
+    )
+    return total + h0_rr(LineBundleClass.kd(m, m), p)
+
+
+class PfaffianSpaceRow(NamedTuple):
+    m: int
+    g: int
+    n: int
+    literal_dim: int
+    adopted_dim: int
+    closed_form: int
+    excess: int
+
+
+def pfaffian_space_discrepancy(ms=range(1, 5), gs=range(2, 7), ns=range(1, 5)) -> list[PfaffianSpaceRow]:
+    """so-even dim H under the literal K(D)^m Pfaffian space versus the
+    adopted K^m(D^(m-1)) of the `sweep_reports` rows, each against the
+    row's dim moduli as the closed form: the literal count exceeds it by
+    exactly n on every tuple; the adopted one matches it."""
+    rows = []
+    for rep in sweep_reports(("so-even",), ms, gs, ns):
+        literal = so_even_hitchin_dim_literal(rep.m, CurveParams(rep.g, rep.n))
+        rows.append(PfaffianSpaceRow(
+            rep.m, rep.g, rep.n, literal, rep.dim_hitchin, rep.dim_moduli, literal - rep.dim_moduli,
+        ))
+    return rows
+
+
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("-m", default="1:4")
     ap.add_argument("-g", default="2:6")
     ap.add_argument("-n", default="1:4")
     ap.add_argument("-o", "--output", default="-")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     try:
         rows = pfaffian_space_discrepancy(
@@ -46,19 +81,27 @@ def main() -> int:
             f"| {r.m} | {r.g} | {r.n} | {r.literal_dim} | {r.adopted_dim} "
             f"| {r.closed_form} | {r.excess} |"
         )
-    bad = [r for r in rows if r.excess != r.n or r.adopted_dim != r.closed_form]
+    adopted = sum(r.adopted_dim == r.closed_form for r in rows)
+    literal = sum(r.excess == r.n for r in rows)
+
+    def on(count: int) -> str:
+        return "all" if count == len(rows) else str(count)
+
     lines.append("")
     lines.append(
-        f"{len(rows)} tuples: adopted reading matches the closed form on all; "
-        f"literal reading exceeds it by exactly n on "
-        f"{'all' if not bad else len(rows) - len(bad)} tuples."
+        f"{len(rows)} tuples: adopted reading matches the closed form on {on(adopted)}; "
+        f"literal reading exceeds it by exactly n on {on(literal)} tuples."
     )
     text = "\n".join(lines) + "\n"
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        Path(args.output).write_text(text, encoding="utf-8")
-    return 1 if bad else 0
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:  # a missing directory, a directory, no permission
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    return 0 if adopted == literal == len(rows) else 1
 
 
 if __name__ == "__main__":

@@ -295,7 +295,7 @@ def cmd_reduce_odd(args: argparse.Namespace) -> int:
     sys.set_int_max_str_digits(0)  # input parsed: exact results may pass 4300 digits
     red = so_odd_reduce(fld)
     reduced_field = HiggsField(
-        GroupSpec.sp(fld.group.m), red.induced_gram, red.reduced, fld.marked_points
+        GroupSpec("sp", fld.group.m), red.induced_gram, red.reduced, fld.marked_points
     )
     full = fld.char_data
     char_ok = not full.e[-1] and full.x_cofactor().same_sections(reduced_field.char_data)

@@ -226,16 +226,6 @@ def _hitchin_dim(data: _GroupData, g: int, n: int) -> int:
     return data.dim_h_g * (g - 1) + data.dim_h_n * n + data.dim_h_0
 
 
-def so_even_hitchin_dim_literal(m: int, p: CurveParams) -> int:
-    """so-even dim H under the literal reading that the Pfaffian coefficient
-    lives in K(D)^m = K^m(D^m) rather than K^m(D^(m-1)).  Exceeds dim
-    moduli by exactly n; kept as a documented discrepancy artifact."""
-    total = sum(
-        h0_rr(LineBundleClass.kd(2 * i, 2 * i - 1), p) for i in range(1, m)
-    )
-    return total + h0_rr(LineBundleClass.kd(m, m), p)
-
-
 def _adjunction_genus(r: int, n: int, ell: int) -> int:
     """(-rn + r^2 ell + 2) / 2 for a degree-r cover inside Tot K(D), deg K(D) = ell."""
     if r < 1:
@@ -394,27 +384,3 @@ def sweep_reports(
             for p in grid:
                 out.append(identity_suite(group, p))
     return out
-
-
-class PfaffianSpaceRow(NamedTuple):
-    m: int
-    g: int
-    n: int
-    literal_dim: int
-    adopted_dim: int
-    closed_form: int
-    excess: int
-
-
-def pfaffian_space_discrepancy(ms=range(1, 5), gs=range(2, 7), ns=range(1, 5)) -> list[PfaffianSpaceRow]:
-    """so-even dim H under the literal K(D)^m Pfaffian space versus the
-    adopted K^m(D^(m-1)) of the `sweep_reports` rows, each against the
-    row's dim moduli as the closed form: the literal count exceeds it by
-    exactly n on every tuple; the adopted one matches it."""
-    rows = []
-    for rep in sweep_reports(("so-even",), ms, gs, ns):
-        literal = so_even_hitchin_dim_literal(rep.m, CurveParams(rep.g, rep.n))
-        rows.append(PfaffianSpaceRow(
-            rep.m, rep.g, rep.n, literal, rep.dim_hitchin, rep.dim_moduli, literal - rep.dim_moduli,
-        ))
-    return rows

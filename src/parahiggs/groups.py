@@ -2,14 +2,16 @@
 
 Random algebra elements and nilpotents are constant integer matrices, and a
 Cayley group element is one over a single integer denominator, made by one
-fraction-free inverse.  A Gram form has entries in Q(t) and
-is held as its clearing B = B' / E with B' and E over Z[t], made by the same
-routine that clears a Higgs field; it is checked there: B' is
-(anti)symmetric and det B' (`linalg.int_det`) is nonzero.  Its determinant
-is the integer pair (det B', E^n), never a rational function.  Lie algebra
-membership of a field Phi is read off the one product B*Phi, cleared to
-Z[t]: Phi^T B + B Phi = 0 exactly when B*Phi is symmetric for a symplectic B
-and antisymmetric for a symmetric B.
+fraction-free inverse.  A Gram form has entries in Q(t) and is held as its
+clearing B = B' / E with B' and E over Z[t]; it is checked there: B' is
+(anti)symmetric and det B' (`linalg.int_det`) is nonzero.  The split form is
+built over Z, as its integer B' over E = 1; only a parsed Gram form, or the
+induced form of an odd reduction, goes through `linalg.clear_fractions`, the
+routine that clears a Higgs field.  The determinant of a form is the integer
+pair (det B', E^n), never a rational function.  Lie algebra membership of a
+field Phi is read off the one product B*Phi, cleared to Z[t]: Phi^T B + B Phi
+= 0 exactly when B*Phi is symmetric for a symplectic B and antisymmetric for
+a symmetric B.
 
 The three families are tagged "sp" (Sp(2m)), "so-even" (SO(2m)) and
 "so-odd" (SO(2m+1)).  Split Gram matrices are fixed once:
@@ -34,8 +36,6 @@ from .linalg import (
     Cleared,
     SingularMatrixError,
     ZMat,
-    clear_fractions,
-    entry_ints,
     int_det,
     is_symmetric,
     zmat_inverse,
@@ -61,18 +61,6 @@ class GroupSpec(NamedTuple("GroupSpec", [("kind", str), ("m", int)])):
         if m < 1:
             raise GroupError("m must be >= 1")
         return super().__new__(cls, kind, m)
-
-    @staticmethod
-    def sp(m: int) -> "GroupSpec":
-        return GroupSpec("sp", m)
-
-    @staticmethod
-    def so_even(m: int) -> "GroupSpec":
-        return GroupSpec("so-even", m)
-
-    @staticmethod
-    def so_odd(m: int) -> "GroupSpec":
-        return GroupSpec("so-odd", m)
 
     @property
     def rank_size(self) -> int:
@@ -120,11 +108,6 @@ class GramForm:
     def __hash__(self):
         return hash((self.cleared, self.kind))
 
-    @staticmethod
-    def make(rows, kind: str) -> "GramForm":
-        """The form of a grid of RationalFunctions and rational scalars."""
-        return GramForm(clear_fractions([[entry_ints(x) for x in row] for row in rows]), kind)
-
     @property
     def sign(self) -> int:
         """e with B^T = e*B: -1 for a symplectic form, 1 for a symmetric one."""
@@ -150,7 +133,8 @@ def split_gram(group: GroupSpec) -> GramForm:
         rows[i][m + i], rows[m + i][i] = 1, -1 if group.kind == "sp" else 1
     if group.kind == "so-odd":
         rows[2 * m][2 * m] = 1
-    return GramForm.make(rows, "symplectic" if group.kind == "sp" else "symmetric")
+    cleared = (tuple(tuple((x,) if x else () for x in row) for row in rows), (1,))
+    return GramForm(cleared, "symplectic" if group.kind == "sp" else "symmetric")
 
 
 def _check_size(mat, gram: GramForm) -> int:

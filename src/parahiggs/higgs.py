@@ -46,7 +46,6 @@ from .linalg import (
     ZMat,
     clear_fractions,
     cleared_json,
-    entry_ints,
     int_char_poly,
     int_mat_mul,
     int_pfaffian,
@@ -160,12 +159,6 @@ class HiggsField:
         self.marked_points = tuple(Fraction(a) for a in marked_points)
         if len(set(self.marked_points)) != len(self.marked_points):
             raise ValueError("duplicate marked points")
-
-    @staticmethod
-    def from_grid(group: GroupSpec, gram: GramForm, rows, marked_points) -> "HiggsField":
-        """The field of a grid of RationalFunctions and rational scalars."""
-        grid = [[entry_ints(x) for x in row] for row in rows]
-        return HiggsField(group, gram, clear_fractions(grid), marked_points)
 
     @cached_property
     def matrix(self) -> tuple[tuple[RationalFunction, ...], ...]:

@@ -4,10 +4,11 @@ A Higgs field or Gram form is held as one matrix over Z[t] over one common
 denominator, the integer pair (M, Delta) for M / Delta: M an ``IntMat``
 (ascending integer coefficient tuples) and Delta in Z[t] the lcm of the
 reduced denominators, with lc(Delta) > 0 and the coefficients of M and Delta
-together of content 1, which makes the pair unique.  ``clear_fractions`` is
-the one routine that makes it, from integer numerator and denominator
-pairs, however the matrix was made (parsed, generated, reduced or built in
-a test), and ``cleared_json`` writes it back as JSON entries from integers,
+together of content 1, which makes the pair unique.  ``clear_fractions``
+makes it from integer numerator and denominator pairs, whether the matrix
+was parsed, generated, reduced or built in a test (only the split Gram form,
+already over Z, is written directly by `groups.split_gram`), and
+``cleared_json`` writes it back as JSON entries from integers,
 reducing each at the marked points by `poly.fraction_writer`.
 Every Z[t] eliminant, the determinant (`int_det`), the characteristic
 coefficients, the Pfaffian and Pfaffian adjugate of M and the discriminant
@@ -35,7 +36,6 @@ from operator import mul
 from typing import Sequence
 
 from .poly import (
-    RationalFunction,
     _hom_eval,
     _int_exact_div,
     _int_gcd,
@@ -43,7 +43,6 @@ from .poly import (
     _int_poly_mul_add,
     _int_trim,
     fraction_writer,
-    int_fraction,
     interpolate_int_range,
 )
 
@@ -93,12 +92,6 @@ def zmat_inverse(a: ZMat) -> tuple[ZMat, int]:
 
 
 # -- the common denominator ---------------------------------------------------
-
-
-def entry_ints(x) -> IntFraction:
-    """`int_fraction` of a RationalFunction or a rational scalar."""
-    num, den = (x.num.coeffs, x.den.coeffs) if isinstance(x, RationalFunction) else ((x,), (1,))
-    return int_fraction(*([(q.numerator, q.denominator) for q in cs] for cs in (num, den)))
 
 
 def clear_fractions(grid: Sequence[Sequence[IntFraction]]) -> Cleared:

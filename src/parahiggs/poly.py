@@ -643,17 +643,6 @@ class RationalFunction(NamedTuple):
     den: UniPoly
 
     @staticmethod
-    def make(num, den=None) -> "RationalFunction":
-        if isinstance(num, (int, Fraction)):
-            num = UniPoly.make([num])
-        if den is None:
-            den = UniPoly.one()
-        elif isinstance(den, (int, Fraction)):
-            den = UniPoly.make([den])
-        pairs = ([(q.numerator, q.denominator) for q in p.coeffs] for p in (num, den))
-        return RationalFunction.from_ints(*int_fraction(*pairs))
-
-    @staticmethod
     def from_ints(num: Sequence[int], den: Sequence[int]) -> "RationalFunction":
         """num / den in lowest terms, for integer coefficient lists without
         trailing zeros and den nonzero: `_reduced` and a monic denominator.

@@ -1,19 +1,68 @@
-"""Helpers shared by the test modules: a Gram form, characteristic data and
-constant grids as reduced rational functions, the semisimple negative control
-of the strong-parabolicity checks, the test-only reference determinant over
-Z[t] (Bareiss with polynomial entries) with the Z[t] Sylvester matrix, an
-oracle outside `linalg._interpolated`, the term-by-term section sum that
-`dimensions.identity_suite` regroups, and the eigenline-degree bookkeeping of
-acceptance criterion c07."""
+"""Helpers shared by the test modules: the builders from hand-written
+entries that no command needs (`entry_ints`, `rational_function`, `gram_form`
+and `field_from_grid`) and `load_script`, which imports a script of
+`scripts/`; a Gram form, characteristic data and constant grids as reduced
+rational functions; the semisimple negative control of the
+strong-parabolicity checks; the test-only reference determinant over Z[t]
+(Bareiss with polynomial entries) with the Z[t] Sylvester matrix, an oracle
+outside `linalg._interpolated`; the term-by-term section sum that
+`dimensions.identity_suite` regroups; and the eigenline-degree bookkeeping
+of acceptance criterion c07."""
 
+import functools
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from parahiggs import dimensions
 from parahiggs.dimensions import CurveParams, IntegralityError, RegimeError, ramification_degree, spectral_genus
+from parahiggs.groups import GramForm
 from parahiggs.higgs import HiggsField, random_strongly_parabolic_higgs
-from parahiggs.linalg import clear_fractions
-from parahiggs.poly import RationalFunction, _int_exact_div, _int_mul, _int_poly_mul_add, _int_trim
+from parahiggs.linalg import IntFraction, clear_fractions
+from parahiggs.poly import (
+    RationalFunction,
+    UniPoly,
+    _int_exact_div,
+    _int_mul,
+    _int_poly_mul_add,
+    _int_trim,
+    int_fraction,
+)
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def entry_ints(x) -> IntFraction:
+    """`poly.int_fraction` of a RationalFunction or a rational scalar."""
+    num, den = (x.num.coeffs, x.den.coeffs) if isinstance(x, RationalFunction) else ((x,), (1,))
+    return int_fraction(*([(q.numerator, q.denominator) for q in cs] for cs in (num, den)))
+
+
+def rational_function(num, den=1) -> RationalFunction:
+    """num / den reduced, each a UniPoly or a rational scalar."""
+    parts = (UniPoly.make([p]) if isinstance(p, (int, Fraction)) else p for p in (num, den))
+    return RationalFunction.from_ints(*entry_ints(RationalFunction(*parts)))
+
+
+def gram_form(rows, kind: str) -> GramForm:
+    """The form of a grid of RationalFunctions and rational scalars."""
+    return GramForm(clear_fractions([[entry_ints(x) for x in row] for row in rows]), kind)
+
+
+def field_from_grid(group, gram: GramForm, rows, marked_points) -> HiggsField:
+    """The field of a grid of RationalFunctions and rational scalars."""
+    return HiggsField(group, gram, clear_fractions([[entry_ints(x) for x in row] for row in rows]), marked_points)
+
+
+@functools.cache
+def load_script(name: str):
+    """scripts/<name>.py imported as a module, once per name; its `main` is
+    not run."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def gram_matrix(gram):
@@ -29,7 +78,7 @@ def sections(char):
 
 def scalars(rows):
     """A grid of rational scalars as constant rational functions."""
-    return [[RationalFunction.make(x) for x in row] for row in rows]
+    return [[rational_function(x) for x in row] for row in rows]
 
 
 def semisimple_residue_control(group, marked_points, degree_bound: int, seed: int) -> HiggsField:

@@ -11,10 +11,7 @@ import random
 import time
 from fractions import Fraction as Q
 
-import pytest
-
 from parahiggs.curves import (
-    build_plane_curve,
     hyperelliptic_genus,
     involution_check,
     involution_fixed_points,
@@ -24,11 +21,10 @@ from parahiggs.curves import (
 from parahiggs.dimensions import (
     CurveParams,
     identity_suite,
-    pfaffian_space_discrepancy,
     rh_genus_crosscheck,
     spectral_genus,
 )
-from parahiggs.groups import GroupSpec, split_gram
+from parahiggs.groups import GroupSpec
 from parahiggs.higgs import (
     HiggsField,
     NonGenericFieldError,
@@ -38,21 +34,26 @@ from parahiggs.higgs import (
     so_odd_reduce,
     strong_parabolic_check,
 )
-from parahiggs.linalg import clear_fractions, entry_ints, int_pfaffian
+from parahiggs.linalg import clear_fractions, int_pfaffian
 from parahiggs.poly import RationalFunction, UniPoly
 
 from helpers import (
     bareiss_det,
     eigenline_degree_sqrt_twist,
     eigenline_reconciliation,
+    entry_ints,
+    field_from_grid,
+    gram_form,
     gram_matrix,
+    load_script,
+    rational_function,
     sections,
     semisimple_residue_control,
     sqrt_parity_check,
 )
 
 P = UniPoly.make
-RF = RationalFunction.make
+RF = rational_function
 
 
 MARKED_POOL = (0, 1, -1, 2)
@@ -116,22 +117,22 @@ def test_c02_spot_values():
         return g_s - g_q
 
     # Sp(2), g=2, n=1
-    rep = identity_suite(GroupSpec.sp(1), CurveParams(2, 1))
+    rep = identity_suite(GroupSpec("sp", 1), CurveParams(2, 1))
     assert rep.dim_hitchin == rr_sum("sp", 1, 2, 1) == 4
     assert rep.prym_dim == sp_prym(1, 2, 1) == 4
     # Sp(4), g=3, n=2
-    rep = identity_suite(GroupSpec.sp(2), CurveParams(3, 2))
+    rep = identity_suite(GroupSpec("sp", 2), CurveParams(3, 2))
     assert rep.dim_hitchin == rr_sum("sp", 2, 3, 2) == 28
     assert rep.prym_dim == sp_prym(2, 3, 2) == 28
     # SO(4), g=2, n=1: virtual genus 23, 6 nodes, desingularized genus 17
-    rep = identity_suite(GroupSpec.so_even(2), CurveParams(2, 1))
+    rep = identity_suite(GroupSpec("so-even", 2), CurveParams(2, 1))
     assert rep.dim_hitchin == rr_sum("so-even", 2, 2, 1) == 8
     assert rep.spectral_genus == rh_genus(4, 2, 1) == 23
     assert rep.fixed_points_or_singularities == 2 * (2 * 2 - 2 + 1) == 6
     assert rep.quotient_or_desing_genus == 23 - 6 == 17
     assert rep.prym_dim == (17 - 1) // 2 == 8
     # SO(3), g=2, n=1 rides the Sp(2) chain
-    rep = identity_suite(GroupSpec.so_odd(1), CurveParams(2, 1))
+    rep = identity_suite(GroupSpec("so-odd", 1), CurveParams(2, 1))
     assert rep.dim_hitchin == rr_sum("so-odd", 1, 2, 1) == 4
     assert rep.prym_dim == sp_prym(1, 2, 1) == 4
 
@@ -171,7 +172,7 @@ def test_c05_pfaffian_law():
         bound = rng.choice([0, 1, 1, 2])
         k = rng.choice([1, 1, 2])
         fld = random_strongly_parabolic_higgs(
-            GroupSpec.so_even(m), list(MARKED_POOL[:k]), bound, seed=2000 + sample
+            GroupSpec("so-even", m), list(MARKED_POOL[:k]), bound, seed=2000 + sample
         )
         res = pfaffian_square_check(fld)
         assert res.passed
@@ -237,14 +238,14 @@ def test_c08_so_odd_reduction():
         bound = rng.choice([0, 1, 1, 2])
         k = rng.choice([1, 2])
         fld = random_strongly_parabolic_higgs(
-            GroupSpec.so_odd(m), list(MARKED_POOL[:k]), bound, seed=4000 + sample
+            GroupSpec("so-odd", m), list(MARKED_POOL[:k]), bound, seed=4000 + sample
         )
         try:
             red = so_odd_reduce(fld)
         except NonGenericFieldError:
             continue
         full = sections(fld.char_data)
-        reduced = HiggsField(GroupSpec.sp(m), red.induced_gram, red.reduced, fld.marked_points)
+        reduced = HiggsField(GroupSpec("sp", m), red.induced_gram, red.reduced, fld.marked_points)
         assert full[-1].num.is_zero
         assert full[:-1] == sections(reduced.char_data)  # x * char(reduced) = char(input)
         g = gram_matrix(red.induced_gram)
@@ -255,15 +256,13 @@ def test_c08_so_odd_reduction():
         )
         done += 1
     # the worked 3x3 instance: cross matrix of (1,2,3) reduces to x^2 + 14
-    from parahiggs.groups import GramForm
-
-    gram = GramForm.make([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "symmetric")
-    fld = HiggsField.from_grid(
-        GroupSpec.so_odd(1), gram,
+    gram = gram_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "symmetric")
+    fld = field_from_grid(
+        GroupSpec("so-odd", 1), gram,
         [[RF(x) for x in row] for row in [[0, -3, 2], [3, 0, -1], [-2, 1, 0]]], (),
     )
     red = so_odd_reduce(fld)
-    reduced = HiggsField(GroupSpec.sp(1), red.induced_gram, red.reduced, ())
+    reduced = HiggsField(GroupSpec("sp", 1), red.induced_gram, red.reduced, ())
     assert sections(reduced.char_data) == [RF(0), RF(14)]
 
 
@@ -292,7 +291,7 @@ def test_c09_plane_curves():
 
 @criterion(10, "documented discrepancy: literal Pfaffian space exceeds dim H by n")
 def test_c10_pfaffian_space_report():
-    rows = pfaffian_space_discrepancy()
+    rows = load_script("pfaffian_space_report").pfaffian_space_discrepancy()
     assert len(rows) == 80
     for row in rows:
         assert row.adopted_dim == row.closed_form

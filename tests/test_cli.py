@@ -20,6 +20,8 @@ from parahiggs.cli import ALL_CHECKS, NON_MEMBER, _dump_json, main
 from parahiggs.higgs import HiggsField
 from parahiggs.poly import RationalFunction, UniPoly, int_fraction_from_json
 
+from helpers import rational_function
+
 ZERO = {"num": [], "den": ["1"]}
 ONE = {"num": ["1"], "den": ["1"]}
 
@@ -185,7 +187,7 @@ class TestAnalyze:
             cleared.append(a)
             return original(a)
 
-        for module in (linalg, groups, higgs):
+        for module in (linalg, higgs):
             monkeypatch.setattr(module, "clear_fractions", counting)
         code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
         assert code == 0
@@ -387,7 +389,7 @@ def trace_bumped(doc: dict) -> dict:
     rows = [list(row) for row in HiggsField.from_dict(doc).matrix]
     x = rows[0][0]
     shifted = (0, *x.den.coeffs)  # t * den
-    rows[0][0] = RationalFunction.make(UniPoly.make(map(sum, zip_longest(x.num.coeffs, shifted, fillvalue=0))), x.den)
+    rows[0][0] = rational_function(UniPoly.make(map(sum, zip_longest(x.num.coeffs, shifted, fillvalue=0))), x.den)
     return {**doc, "matrix": [[{"num": [str(c) for c in y.num.coeffs], "den": [str(c) for c in y.den.coeffs]}
                                for y in row] for row in rows]}
 
@@ -650,7 +652,7 @@ class TestBigNumbers:
         sys.set_int_max_str_digits(0)  # to read the field back here
         try:
             fld = HiggsField.from_dict(doc)
-            want = higgs.random_strongly_parabolic_higgs(groups.GroupSpec.sp(1), [10**5000], 1, 0)
+            want = higgs.random_strongly_parabolic_higgs(groups.GroupSpec("sp", 1), [10**5000], 1, 0)
         finally:
             sys.set_int_max_str_digits(bound)
         assert fld.cleared == want.cleared

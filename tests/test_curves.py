@@ -23,14 +23,14 @@ from parahiggs.curves import (
     twisted_pfaffian,
 )
 from parahiggs.cli import main
-from parahiggs.groups import GramForm, GroupSpec, split_gram
-from parahiggs.higgs import CharData, HiggsField, PoleOrderError, random_strongly_parabolic_higgs
+from parahiggs.groups import GroupSpec, split_gram
+from parahiggs.higgs import CharData, PoleOrderError, random_strongly_parabolic_higgs
 from parahiggs.poly import RationalFunction, UniPoly, _chart_twist, _hom_eval, is_squarefree
 
-from helpers import sections
+from helpers import field_from_grid, gram_form, rational_function, sections
 
 P = UniPoly.make
-RF = RationalFunction.make
+RF = rational_function
 
 
 def trim(p):
@@ -85,9 +85,9 @@ class TestBuildPlaneCurve:
         assert c != curve([1, 0, 2], [], [1])
 
     def test_twist_clears_marked_pole(self):
-        group = GroupSpec.sp(1)
+        group = GroupSpec("sp", 1)
         t, minus_t = RF(P([0, 1])), RF(P([0, -1]))
-        fld = HiggsField.from_grid(
+        fld = field_from_grid(
             group, split_gram(group),
             [[t, RF(P([1]), P([0, 1]))], [t, minus_t]],
             (Q(0),),
@@ -98,9 +98,9 @@ class TestBuildPlaneCurve:
         assert _chart_twist(fld.marked_points) == ([0, 1], 1)
 
     def test_no_marked_points_identity_twist(self):
-        group = GroupSpec.sp(1)
+        group = GroupSpec("sp", 1)
         t, minus_t = RF(P([0, 1])), RF(P([0, -1]))
-        fld = HiggsField.from_grid(group, split_gram(group), [[t, t], [t, minus_t]], ())
+        fld = field_from_grid(group, split_gram(group), [[t, t], [t, minus_t]], ())
         c = build_plane_curve(fld)
         assert _chart_twist(fld.marked_points) == ([1], 1)
         # char poly passes through unchanged: x^2 + s_2
@@ -108,9 +108,9 @@ class TestBuildPlaneCurve:
         assert s_2.is_polynomial and rational_coeffs(c)[0] == s_2.num
 
     def test_zero_field(self):
-        group = GroupSpec.so_even(2)
+        group = GroupSpec("so-even", 2)
         z = [[RF(0)] * 4 for _ in range(4)]
-        fld = HiggsField.from_grid(group, split_gram(group), z, (Q(0),))
+        fld = field_from_grid(group, split_gram(group), z, (Q(0),))
         assert build_plane_curve(fld).coeffs == ((),) * 4 + ((1,),)
 
     def test_pole_outside_marked_locus_rejected(self):
@@ -220,7 +220,7 @@ class TestInvolution:
 
     def test_generated_sp_curves_pass(self):
         for seed in range(4):
-            fld = random_strongly_parabolic_higgs(GroupSpec.sp(2), [0, 1], 1, seed)
+            fld = random_strongly_parabolic_higgs(GroupSpec("sp", 2), [0, 1], 1, seed)
             assert involution_check(build_plane_curve(fld))
 
     def test_even_curve_fx_vanishes_on_zero_section(self):
@@ -296,7 +296,7 @@ class TestSmoothness:
         half_t, half = RF(P([0, Q(1, 2)])), RF(Q(1, 2))
         diag = [half_t, half, RF(P([0, Q(-1, 2)])), RF(Q(-1, 2))]
         rows = [[diag[i] if i == j else RF(0) for j in range(4)] for i in range(4)]
-        fld = HiggsField.from_grid(GroupSpec.sp(2), split_gram(GroupSpec.sp(2)), rows, (Q(1, 3),))
+        fld = field_from_grid(GroupSpec("sp", 2), split_gram(GroupSpec("sp", 2)), rows, (Q(1, 3),))
         c = build_plane_curve(fld)
         # F = X^4 - (3t - 1)^2 (t^2 + 1) X^2 + t^2 (3t - 1)^4
         assert c == curve([0, 0, 1, -12, 54, -108, 81], 0, [-1, 6, -10, 6, -9], 0, 1, scale=Q(1, 6))
@@ -361,18 +361,18 @@ class TestSoEvenPattern:
 
     def test_twisted_pfaffian_with_a_pole_outside_the_twist_raises(self):
         # Phi = diag(f, -f), f = 1/(t - 1): Pf(B*Phi) * t = -t / (t - 1)
-        group = GroupSpec.so_even(1)
+        group = GroupSpec("so-even", 1)
         f, minus_f = RF(P([1]), P([-1, 1])), RF(P([-1]), P([-1, 1]))
-        fld = HiggsField.from_grid(group, split_gram(group), [[f, RF(0)], [RF(0), minus_f]], (Q(0),))
+        fld = field_from_grid(group, split_gram(group), [[f, RF(0)], [RF(0), minus_f]], (Q(0),))
         with pytest.raises(PoleOrderError, match=r"Pf\(B\*Phi\) \* D\^1 is not polynomial"):
             twisted_pfaffian(fld)
 
     def test_non_unit_constant_gram_determinant(self, tmp_path, capsys):
         # B = [[0, 2], [2, 0]], det B = -4, Phi = diag(t, -t): F(t, 0) = -t^4
         # and the twisted Pfaffian is -2 t^2, so F(t, 0) = (-1/4) Pf^2
-        gram = GramForm.make([[0, 2], [2, 0]], "symmetric")
+        gram = gram_form([[0, 2], [2, 0]], "symmetric")
         t = P([0, 1])
-        fld = HiggsField.from_grid(GroupSpec.so_even(1), gram, [[RF(t), RF(0)], [RF(0), RF(t * -1)]], (Q(0),))
+        fld = field_from_grid(GroupSpec("so-even", 1), gram, [[RF(t), RF(0)], [RF(0), RF(t * -1)]], (Q(0),))
         c = build_plane_curve(fld)
         assert gram.det == ((-4,), (1,))
         assert twisted_pfaffian(fld) == ((0, 0, -2), 1)
@@ -387,7 +387,7 @@ class TestSoEvenPattern:
     def test_generated_so_even_field(self):
         from parahiggs.higgs import pfaffian_square_check
 
-        fld = random_strongly_parabolic_higgs(GroupSpec.so_even(2), [0], 1, seed=8)
+        fld = random_strongly_parabolic_higgs(GroupSpec("so-even", 2), [0], 1, seed=8)
         c = build_plane_curve(fld)
         twisted = twisted_pfaffian(fld)
         # the twisted Pfaffian P / s is Pf(B*Phi) * t^m, with Pf(B*Phi) from the pfaffian check
@@ -403,7 +403,7 @@ class TestSoEvenPattern:
 
         # D = (t - 1/2)(t + 2/3): neither the chart twist nor the field's
         # denominator is monic over Z
-        fld = random_strongly_parabolic_higgs(GroupSpec.so_even(2), [Q(1, 2), Q(-2, 3)], 1, seed)
+        fld = random_strongly_parabolic_higgs(GroupSpec("so-even", 2), [Q(1, 2), Q(-2, 3)], 1, seed)
         twist = P([Q(-1, 2), 1]) * P([Q(2, 3), 1])
         pf = RationalFunction.from_ints(*pfaffian_square_check(fld).pfaffian)
         p, s = twisted_pfaffian(fld)

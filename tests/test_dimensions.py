@@ -20,7 +20,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parahiggs import dimensions
+from parahiggs import dimensions, groups, linalg
 from parahiggs.dimensions import (
     CSV_HEADER,
     CrossCheckError,
@@ -31,10 +31,8 @@ from parahiggs.dimensions import (
     RegimeError,
     h0_rr,
     identity_suite,
-    pfaffian_space_discrepancy,
     ramification_degree,
     rh_genus_crosscheck,
-    so_even_hitchin_dim_literal,
     spectral_genus,
     sweep_reports,
 )
@@ -47,10 +45,12 @@ from helpers import (
     eigenline_degree_sqrt_twist,
     eigenline_reconciliation,
     hitchin_dim_by_class,
+    load_script,
     sqrt_parity_check,
 )
 
 P211 = CurveParams(2, 1)
+PFAFFIAN_REPORT = load_script("pfaffian_space_report")
 KD = LineBundleClass.kd
 
 
@@ -63,7 +63,7 @@ class TestCurveParams:
 
     def test_so_odd_needs_even_twist(self):
         with pytest.raises(ValueError, match="even deg"):
-            identity_suite(GroupSpec.so_odd(1), CurveParams(2, 1, deg_m=1))
+            identity_suite(GroupSpec("so-odd", 1), CurveParams(2, 1, deg_m=1))
 
     def test_compared_by_value(self):
         p = CurveParams(3, 2, 4)
@@ -127,10 +127,10 @@ class TestH0:
 
 class TestHitchinDim:
     def test_spot_values(self):
-        assert identity_suite(GroupSpec.sp(1), P211).dim_hitchin == 4
-        assert identity_suite(GroupSpec.sp(2), CurveParams(3, 2)).dim_hitchin == 28
-        assert identity_suite(GroupSpec.so_even(2), P211).dim_hitchin == 8
-        assert identity_suite(GroupSpec.so_odd(1), P211).dim_hitchin == 4
+        assert identity_suite(GroupSpec("sp", 1), P211).dim_hitchin == 4
+        assert identity_suite(GroupSpec("sp", 2), CurveParams(3, 2)).dim_hitchin == 28
+        assert identity_suite(GroupSpec("so-even", 2), P211).dim_hitchin == 8
+        assert identity_suite(GroupSpec("so-odd", 1), P211).dim_hitchin == 4
 
     def test_sp_m2_g3_n2_term_by_term(self):
         p = CurveParams(3, 2)
@@ -146,7 +146,7 @@ class TestHitchinDim:
         # matches the closed form m(2m-1)(g-1) + mn(m-1) = g-1
         for g in range(2, 7):
             for n in range(1, 5):
-                assert identity_suite(GroupSpec.so_even(1), CurveParams(g, n)).dim_hitchin == g - 1
+                assert identity_suite(GroupSpec("so-even", 1), CurveParams(g, n)).dim_hitchin == g - 1
 
     def test_closed_form_equals_sum_over_sweep(self):
         # the section sum equals the closed form dim M on the whole box
@@ -168,12 +168,12 @@ class TestHitchinDim:
 
 class TestModuliDims:
     def test_values(self):
-        assert identity_suite(GroupSpec.sp(1), P211).dim_moduli == 4  # 1*3 + 1*1
-        assert identity_suite(GroupSpec.so_even(2), P211).dim_moduli == 8  # 1*6 + 1*2
-        assert identity_suite(GroupSpec.so_odd(1), P211).dim_moduli == 4
-        assert identity_suite(GroupSpec.sp(1), P211).dim_higgs_moduli == 8
-        assert identity_suite(GroupSpec.sp(2), CurveParams(3, 2)).dim_higgs_moduli == 56
-        assert identity_suite(GroupSpec.so_even(2), P211).dim_higgs_moduli == 16
+        assert identity_suite(GroupSpec("sp", 1), P211).dim_moduli == 4  # 1*3 + 1*1
+        assert identity_suite(GroupSpec("so-even", 2), P211).dim_moduli == 8  # 1*6 + 1*2
+        assert identity_suite(GroupSpec("so-odd", 1), P211).dim_moduli == 4
+        assert identity_suite(GroupSpec("sp", 1), P211).dim_higgs_moduli == 8
+        assert identity_suite(GroupSpec("sp", 2), CurveParams(3, 2)).dim_higgs_moduli == 56
+        assert identity_suite(GroupSpec("so-even", 2), P211).dim_higgs_moduli == 16
 
 
 class TestGenera:
@@ -196,30 +196,30 @@ class TestGenera:
                     assert spectral_genus(r, p) == rh_genus_crosscheck(r, p)
 
     def test_fixed_points(self):
-        assert identity_suite(GroupSpec.sp(1), P211).fixed_points_or_singularities == 6
-        assert identity_suite(GroupSpec.sp(2), CurveParams(3, 2)).fixed_points_or_singularities == 24
+        assert identity_suite(GroupSpec("sp", 1), P211).fixed_points_or_singularities == 6
+        assert identity_suite(GroupSpec("sp", 2), CurveParams(3, 2)).fixed_points_or_singularities == 24
         for m in range(1, 5):
-            assert identity_suite(GroupSpec.sp(m), P211).fixed_points_or_singularities == KD(2 * m, 2 * m).degree(P211)
+            assert identity_suite(GroupSpec("sp", m), P211).fixed_points_or_singularities == KD(2 * m, 2 * m).degree(P211)
 
     def test_quotient_genus(self):
-        assert identity_suite(GroupSpec.sp(1), P211).quotient_or_desing_genus == 2  # 10 = 4 g_q - 4 + 6
-        assert identity_suite(GroupSpec.sp(2), CurveParams(3, 2)).quotient_or_desing_genus == 17  # 88 = 4 g_q - 4 + 24
+        assert identity_suite(GroupSpec("sp", 1), P211).quotient_or_desing_genus == 2  # 10 = 4 g_q - 4 + 6
+        assert identity_suite(GroupSpec("sp", 2), CurveParams(3, 2)).quotient_or_desing_genus == 17  # 88 = 4 g_q - 4 + 24
 
     def test_quotient_genus_integral_over_sweep(self):
         # a non-integral quotient genus or an odd desingularized genus - 1 raises
         assert len(sweep_reports(("sp", "so-even"), range(1, 5), range(2, 7), range(1, 5))) == 160
 
     def test_so_even_singularities(self):
-        rep = identity_suite(GroupSpec.so_even(2), P211)
+        rep = identity_suite(GroupSpec("so-even", 2), P211)
         assert rep.fixed_points_or_singularities == 6
         assert rep.quotient_or_desing_genus == 17  # 23 - 6
 
 
 class TestPrym:
     def test_values(self):
-        assert identity_suite(GroupSpec.sp(1), P211).prym_dim == 4  # 6 - 2
-        assert identity_suite(GroupSpec.so_even(2), P211).prym_dim == 8  # (17 - 1)/2
-        assert identity_suite(GroupSpec.so_odd(1), P211).prym_dim == 4  # the sp(2) chain
+        assert identity_suite(GroupSpec("sp", 1), P211).prym_dim == 4  # 6 - 2
+        assert identity_suite(GroupSpec("so-even", 2), P211).prym_dim == 8  # (17 - 1)/2
+        assert identity_suite(GroupSpec("so-odd", 1), P211).prym_dim == 4  # the sp(2) chain
 
 
 class TestEigenlineDegrees:
@@ -276,14 +276,14 @@ class TestEigenlineDegrees:
 
 class TestIdentitySuite:
     def test_sp_spot(self):
-        rep = identity_suite(GroupSpec.sp(1), P211)
+        rep = identity_suite(GroupSpec("sp", 1), P211)
         assert rep.passed
         assert (rep.dim_hitchin, rep.dim_moduli, rep.prym_dim, rep.dim_higgs_moduli) == (4, 4, 4, 8)
         assert rep.to_csv_row() == "sp,1,2,1,4,4,4,8,PASS"
         assert CSV_HEADER == "group,m,g,n,dimH,dimM,prym,dimN,verdict"
 
     def test_so_even_spot(self):
-        rep = identity_suite(GroupSpec.so_even(2), P211)
+        rep = identity_suite(GroupSpec("so-even", 2), P211)
         assert rep.passed
         assert rep.spectral_genus == 23
         assert rep.fixed_points_or_singularities == 6
@@ -292,12 +292,12 @@ class TestIdentitySuite:
         assert rep.dim_higgs_moduli == 16
 
     def test_so_odd_spot(self):
-        rep = identity_suite(GroupSpec.so_odd(1), P211)
+        rep = identity_suite(GroupSpec("so-odd", 1), P211)
         assert rep.passed
         assert (rep.dim_hitchin, rep.dim_moduli, rep.prym_dim, rep.dim_higgs_moduli) == (4, 4, 4, 8)
 
     def test_so_odd_with_even_twist(self):
-        assert identity_suite(GroupSpec.so_odd(2), CurveParams(3, 2, deg_m=4)).passed
+        assert identity_suite(GroupSpec("so-odd", 2), CurveParams(3, 2, deg_m=4)).passed
 
     def test_full_sweep_passes(self):
         reports = sweep_reports()
@@ -309,7 +309,7 @@ class TestIdentitySuite:
 
 class TestPfaffianSpaceDiscrepancy:
     def test_literal_reading_excess_is_n(self):
-        rows = pfaffian_space_discrepancy()
+        rows = PFAFFIAN_REPORT.pfaffian_space_discrepancy()
         assert len(rows) == 80
         for row in rows:
             assert row.excess == row.n
@@ -319,8 +319,8 @@ class TestPfaffianSpaceDiscrepancy:
     def test_single_instance(self):
         # m=2, g=2, n=1: literal Pfaffian space K(D)^2 has h0 = 5+1-2+... = deg 6 -> 5
         p = P211
-        assert so_even_hitchin_dim_literal(2, p) == 9
-        assert identity_suite(GroupSpec.so_even(2), p).dim_hitchin == 8
+        assert PFAFFIAN_REPORT.so_even_hitchin_dim_literal(2, p) == 9
+        assert identity_suite(GroupSpec("so-even", 2), p).dim_hitchin == 8
 
     def test_literal_section_sum_is_a_failed_row(self, monkeypatch, capsys):
         # with the literal Pfaffian class K(D)^m the section sum exceeds dim M
@@ -393,9 +393,18 @@ class TestIdentityOracle:
         assert "fractions" not in imported
         reports = sweep_reports(ms=range(1, 6), gs=range(2, 5), ns=range(1, 4), deg_m=2)
         assert len(reports) == 135 and all(r.passed for r in reports)
-        assert all(row.excess == row.n for row in pfaffian_space_discrepancy())
+        assert all(row.excess == row.n for row in PFAFFIAN_REPORT.pfaffian_space_discrepancy())
         with pytest.raises(IntegralityError, match="non-integral degree 7/2"):
             LineBundleClass(0, 0, 1).degree(CurveParams(2, 1, deg_m=7))
+
+    @pytest.mark.parametrize("module", [linalg, groups, dimensions], ids=lambda m: m.__name__)
+    def test_integer_modules_import_no_rational_function(self, module):
+        # constant matrices and dimensions are held over Z; RationalFunction
+        # is for printing and the tests
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        assert "RationalFunction" not in imported
 
 
 # the sp, m = 1, g = 2, n = 1 row with a wrong Riemann-Hurwitz genus, under `python -O`
@@ -405,7 +414,7 @@ from parahiggs.cli import main
 dimensions._rh_genus = lambda r, k, ell: -1
 assert False, "assertions are on"
 try:
-    dimensions.identity_suite(dimensions.GroupSpec.sp(1), dimensions.CurveParams(2, 1))
+    dimensions.identity_suite(dimensions.GroupSpec("sp", 1), dimensions.CurveParams(2, 1))
 except dimensions.CrossCheckError as exc:
     print(type(exc).__mro__[1].__name__, exc)
 raise SystemExit(main(["dims", "--group", "sp", "-m", "1", "-g", "2", "-n", "1"]))
@@ -451,7 +460,7 @@ class TestHoistedKernel:
     def test_odd_twist_raises_on_every_call(self, deg_m):
         for _ in range(2):  # the per-group cache must not swallow the error
             with pytest.raises(ValueError, match=re.escape("so-odd needs even deg(M)")):
-                identity_suite(GroupSpec.so_odd(2), CurveParams(3, 2, deg_m))
+                identity_suite(GroupSpec("so-odd", 2), CurveParams(3, 2, deg_m))
             with pytest.raises(ValueError, match=re.escape("so-odd needs even deg(M)")):
                 sweep_reports(("so-odd",), range(1, 3), range(2, 4), range(1, 3), deg_m)
             with pytest.raises(ValueError, match=re.escape("so-odd needs even deg(M)")):
@@ -510,7 +519,7 @@ class TestOncePerPairProofs:
         monkeypatch.setattr(dimensions, "_hitchin_section_classes", with_section(extra))
         for _ in range(2):
             with pytest.raises(RegimeError, match="section space below the Riemann-Roch regime"):
-                identity_suite(GroupSpec.sp(2), CurveParams(2, 1, deg_m))
+                identity_suite(GroupSpec("sp", 2), CurveParams(2, 1, deg_m))
             with pytest.raises(RegimeError, match="section space below the Riemann-Roch regime"):
                 sweep_reports(("sp",), range(1, 3), range(2, 4), range(1, 3), deg_m)
         assert dimensions._GROUP_DATA == {}
@@ -521,7 +530,7 @@ class TestOncePerPairProofs:
         want = re.escape(f"class K^2(D^3)M^1/2 has non-integral degree {deg_m}/2")
         for _ in range(2):
             with pytest.raises(IntegralityError, match=want):
-                identity_suite(GroupSpec.so_even(2), CurveParams(5, 4, deg_m))
+                identity_suite(GroupSpec("so-even", 2), CurveParams(5, 4, deg_m))
             with pytest.raises(IntegralityError, match=want):
                 sweep_reports(("sp", "so-even"), range(1, 3), range(2, 4), range(1, 3), deg_m)
         assert dimensions._GROUP_DATA == {}
@@ -532,7 +541,7 @@ class TestOncePerPairProofs:
         want = re.escape("quotient determinant class mismatch: det E - E0 = K^2(D^2)M^2 != K^2(D^1)M^2")
         for _ in range(2):
             with pytest.raises(CrossCheckError, match=want):
-                identity_suite(GroupSpec.so_odd(2), CurveParams(3, 2, 4))
+                identity_suite(GroupSpec("so-odd", 2), CurveParams(3, 2, 4))
             with pytest.raises(CrossCheckError, match=want):
                 sweep_reports(("so-odd",), range(2, 3), range(2, 4), range(1, 3))
         assert dimensions._GROUP_DATA == {}
@@ -545,7 +554,7 @@ class TestOncePerPairProofs:
         # the pair fails exactly when some row fails term by term; the rows at
         # g = 2, n = 1 and far out in g and in n decide it, deg - (2g - 2) being
         # linear in (g - 1, n); otherwise dim H is the term-by-term sum, M part too
-        group = GroupSpec.sp(2)
+        group = GroupSpec("sp", 2)
 
         def outcome(g, n):
             try:
@@ -680,21 +689,21 @@ class TestDimensionReport:
     def test_fields_by_name_and_position(self):
         values = ("sp", 2, 3, 2, 28, 28, 56, 45, 17, 28, 24, "PASS")
         rep = DimensionReport(**dict(zip(ROW_FIELDS, values)))
-        assert rep == DimensionReport(*values) == identity_suite(GroupSpec.sp(2), CurveParams(3, 2, 2))
+        assert rep == DimensionReport(*values) == identity_suite(GroupSpec("sp", 2), CurveParams(3, 2, 2))
         assert tuple(getattr(rep, name) for name in ROW_FIELDS) == values
 
     def test_immutable_and_compared_by_value(self):
-        rep = identity_suite(GroupSpec.so_even(3), CurveParams(3, 2))
+        rep = identity_suite(GroupSpec("so-even", 3), CurveParams(3, 2))
         for name in ROW_FIELDS:
             with pytest.raises(AttributeError):
                 setattr(rep, name, 0)
-        again = identity_suite(GroupSpec.so_even(3), CurveParams(3, 2))
+        again = identity_suite(GroupSpec("so-even", 3), CurveParams(3, 2))
         assert rep is not again and rep == again and hash(rep) == hash(again)
-        assert rep != identity_suite(GroupSpec.so_even(3), CurveParams(3, 3))
+        assert rep != identity_suite(GroupSpec("so-even", 3), CurveParams(3, 3))
         assert rep.spectral_genus == 103
 
     def test_to_dict_and_csv_row(self):
-        rep = identity_suite(GroupSpec.so_odd(2), CurveParams(3, 2, 2))
+        rep = identity_suite(GroupSpec("so-odd", 2), CurveParams(3, 2, 2))
         assert list(rep.to_dict().items()) == [
             ("group", "so-odd"), ("m", 2), ("g", 3), ("n", 2), ("dimH", 28), ("dimM", 28), ("prym", 28),
             ("dimN", 56), ("spectralGenus", 45), ("quotientOrDesingGenus", 17),

@@ -9,7 +9,6 @@ import pytest
 from parahiggs import groups
 from parahiggs.groups import (
     GROUP_KINDS,
-    GramForm,
     GroupError,
     GroupSpec,
     cayley_group_element,
@@ -18,13 +17,13 @@ from parahiggs.groups import (
     random_nilpotent_element,
     split_gram,
 )
-from parahiggs.higgs import HiggsField, random_strongly_parabolic_higgs, residue_at
+from parahiggs.higgs import random_strongly_parabolic_higgs, residue_at
 from parahiggs.linalg import SingularMatrixError
-from parahiggs.poly import RationalFunction, UniPoly
+from parahiggs.poly import UniPoly
 
-from helpers import gram_matrix, scalars, sections
+from helpers import field_from_grid, gram_form, gram_matrix, rational_function, scalars, sections
 
-RF = RationalFunction.make
+RF = rational_function
 
 
 # -- constant linear algebra over Q, the oracle of the integer Cayley route ---
@@ -68,7 +67,7 @@ def identity(n):
 
 def is_member(group, mat, gram=None):
     """Phi^T B + B Phi = 0 for the field mat, read off its cleared B*Phi."""
-    return HiggsField.from_grid(group, gram or split_gram(group), mat, ()).is_member
+    return field_from_grid(group, gram or split_gram(group), mat, ()).is_member
 
 
 class TestGroupSpec:
@@ -94,9 +93,9 @@ class TestGroupSpec:
 
     def test_borel_formulas(self):
         for m in range(1, 5):
-            assert GroupSpec.sp(m).dim_borel == m * m + m
-            assert GroupSpec.so_even(m).dim_borel == m * m
-            assert GroupSpec.so_odd(m).dim_borel == m * m + m
+            assert GroupSpec("sp", m).dim_borel == m * m + m
+            assert GroupSpec("so-even", m).dim_borel == m * m
+            assert GroupSpec("so-odd", m).dim_borel == m * m + m
 
     def test_rejects_bad_input(self):
         with pytest.raises(GroupError):
@@ -117,11 +116,25 @@ class TestSplitGram:
         assert split_gram(GroupSpec("sp", 2)) is split_gram(GroupSpec("sp", 2))
 
     def test_forms_compared_by_value(self):
-        a, b = (GramForm.make([[0, 1], [-1, 0]], "symplectic") for _ in range(2))
+        a, b = (gram_form([[0, 1], [-1, 0]], "symplectic") for _ in range(2))
         assert a is not b and a == b and hash(a) == hash(b)
-        assert a == split_gram(GroupSpec.sp(1))
-        assert a != GramForm.make([[0, 2], [-2, 0]], "symplectic")
-        assert a != GramForm.make([[0, 1], [1, 0]], "symmetric")
+        assert a == split_gram(GroupSpec("sp", 1))
+        assert a != gram_form([[0, 2], [-2, 0]], "symplectic")
+        assert a != gram_form([[0, 1], [1, 0]], "symmetric")
+
+    @pytest.mark.parametrize("kind", GROUP_KINDS)
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_built_over_z_as_clear_fractions_builds_it(self, kind, m):
+        # the block model of the module docstring, cleared from a grid of scalars
+        eye = [[int(i == j) for j in range(m)] for i in range(m)]
+        zero = [[0] * m for _ in range(m)]
+        sign = -1 if kind == "sp" else 1
+        rows = [z + e for z, e in zip(zero, eye)] + [[sign * x for x in e] + z for e, z in zip(eye, zero)]
+        if kind == "so-odd":
+            rows = [row + [0] for row in rows] + [[0] * (2 * m) + [1]]
+        gram = split_gram(GroupSpec(kind, m))
+        assert gram == gram_form(rows, "symplectic" if kind == "sp" else "symmetric")
+        assert gram.cleared[1] == (1,)
 
     @pytest.mark.parametrize("kind,m", [("sp", 1), ("sp", 2), ("so-even", 2), ("so-odd", 2)])
     def test_symmetry_kind(self, kind, m):
@@ -142,29 +155,29 @@ class TestSplitGram:
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            GramForm.make([[1, 0], [0, 0]], "symmetric")
+            gram_form([[1, 0], [0, 0]], "symmetric")
         with pytest.raises(ValueError, match="not symplectic"):
-            GramForm.make([[0, 1], [1, 0]], "symplectic")
+            gram_form([[0, 1], [1, 0]], "symplectic")
 
 
 class TestMembership:
     def test_sl2_is_sp2(self):
-        assert is_member(GroupSpec.sp(1), scalars([[1, 2], [3, -1]]))
+        assert is_member(GroupSpec("sp", 1), scalars([[1, 2], [3, -1]]))
 
     def test_identity_never_member(self):
-        for group in (GroupSpec.sp(1), GroupSpec.so_even(2), GroupSpec.so_odd(1)):
+        for group in (GroupSpec("sp", 1), GroupSpec("so-even", 2), GroupSpec("so-odd", 1)):
             assert not is_member(group, identity(group.rank_size))
 
     def test_zero_member(self):
-        assert is_member(GroupSpec.so_even(2), scalars([[0] * 4 for _ in range(4)]))
+        assert is_member(GroupSpec("so-even", 2), scalars([[0] * 4 for _ in range(4)]))
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="2x2"):
-            is_member(GroupSpec.sp(1), identity(3))
+            is_member(GroupSpec("sp", 1), identity(3))
 
     def test_random_elements_are_members(self):
         rng = random.Random(2)
-        for group in (GroupSpec.sp(2), GroupSpec.so_even(2), GroupSpec.so_odd(2)):
+        for group in (GroupSpec("sp", 2), GroupSpec("so-even", 2), GroupSpec("so-odd", 2)):
             for _ in range(5):
                 assert is_member(group, scalars(random_algebra_element(group, rng)))
                 u = random_nilpotent_element(group, rng)
@@ -175,7 +188,7 @@ class TestMembership:
 
     def test_perturbed_field_is_not_member(self):
         # one pole term off the algebra, in an entry with a nontrivial denominator
-        group = GroupSpec.so_odd(2)
+        group = GroupSpec("so-odd", 2)
         fld = random_strongly_parabolic_higgs(group, (0, 1), 1, 3)
         assert fld.is_member
         x, lin = fld.matrix[0][1], UniPoly.make([-1, 1])
@@ -187,19 +200,19 @@ class TestMembership:
 
 class TestCayley:
     def test_rotation_generator(self):
-        gram = GramForm.make([[1, 0], [0, 1]], "symmetric")
+        gram = gram_form([[1, 0], [0, 1]], "symmetric")
         q = over(cayley_group_element([[0, 1], [-1, 0]], gram))
         assert q == [[0, -1], [1, 0]]
         assert const_mat_mul(transpose(q), q) == [[1, 0], [0, 1]]
 
     def test_zero_maps_to_identity(self):
-        gram = split_gram(GroupSpec.sp(2))
+        gram = split_gram(GroupSpec("sp", 2))
         z = [[0] * 4 for _ in range(4)]
         assert over(cayley_group_element(z, gram)) == [[int(i == j) for j in range(4)] for i in range(4)]
 
     def test_preserves_split_symplectic_form(self):
         rng = random.Random(9)
-        group = GroupSpec.sp(2)
+        group = GroupSpec("sp", 2)
         gram = split_gram(group)
         j = [[p[0] if p else 0 for p in row] for row in gram.cleared[0]]
         for _ in range(5):
@@ -212,30 +225,30 @@ class TestCayley:
 
     def test_conjugation_preserves_membership_and_char(self):
         rng = random.Random(13)
-        for group in (GroupSpec.sp(2), GroupSpec.so_odd(1)):
+        for group in (GroupSpec("sp", 2), GroupSpec("so-odd", 1)):
             gram = split_gram(group)
             a = random_algebra_element(group, rng)
             q = over(random_group_element(group, gram, rng))
-            conj = HiggsField.from_grid(group, gram, scalars(const_mat_mul(const_mat_mul(q, a), mat_inverse(q))), ())
+            conj = field_from_grid(group, gram, scalars(const_mat_mul(const_mat_mul(q, a), mat_inverse(q))), ())
             assert conj.is_member
-            char = HiggsField.from_grid(group, gram, scalars(a), ()).char_data
+            char = field_from_grid(group, gram, scalars(a), ()).char_data
             assert sections(conj.char_data) == sections(char)
 
     def test_rejects_non_member(self):
         with pytest.raises(GroupError):
-            cayley_group_element([[1, 0], [0, 1]], split_gram(GroupSpec.sp(1)))
+            cayley_group_element([[1, 0], [0, 1]], split_gram(GroupSpec("sp", 1)))
         # B*A = [[0, 0], [0, 1]] is symmetric, not antisymmetric as so(2) needs
         with pytest.raises(GroupError, match="not in the Lie algebra"):
-            cayley_group_element([[0, 1], [0, 0]], split_gram(GroupSpec.so_even(1)))
+            cayley_group_element([[0, 1], [0, 0]], split_gram(GroupSpec("so-even", 1)))
 
     def test_rejects_non_constant_gram(self):
         t, minus_t = RF(UniPoly.make([0, 1])), RF(UniPoly.make([0, -1]))
-        gram = GramForm.make([[0, t], [minus_t, 0]], "symplectic")
+        gram = gram_form([[0, t], [minus_t, 0]], "symplectic")
         with pytest.raises(GroupError, match="not constant"):
             cayley_group_element([[1, 0], [0, -1]], gram)
 
     def test_cayley_pole(self):
-        b = GramForm.make([[0, 1], [-1, 0]], "symplectic")
+        b = gram_form([[0, 1], [-1, 0]], "symplectic")
         bad = [[-1, 0], [0, 1]]  # in sp(2), eigenvalue -1
         with pytest.raises(SingularMatrixError, match="Cayley pole"):
             cayley_group_element(bad, b)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parahiggs import higgs
-from parahiggs.groups import GROUP_KINDS, GramForm, GroupError, GroupSpec, split_gram
+from parahiggs.groups import GROUP_KINDS, GroupError, GroupSpec, split_gram
 from parahiggs.higgs import (
     CharData,
     HiggsField,
@@ -24,10 +24,10 @@ from parahiggs.higgs import (
 from parahiggs.linalg import int_char_poly
 from parahiggs.poly import RationalFunction, UniPoly, root_multiplicity
 
-from helpers import gram_matrix, scalars, sections, semisimple_residue_control
+from helpers import field_from_grid, gram_form, gram_matrix, rational_function, scalars, sections, semisimple_residue_control
 
 P = UniPoly.make
-RF = RationalFunction.make
+RF = rational_function
 
 
 def char_sections(cleared):
@@ -38,7 +38,7 @@ def char_sections(cleared):
 
 
 def sp1_field(entries, marked):
-    return HiggsField.from_grid(GroupSpec.sp(1), split_gram(GroupSpec.sp(1)), entries, marked)
+    return field_from_grid(GroupSpec("sp", 1), split_gram(GroupSpec("sp", 1)), entries, marked)
 
 
 def cross_matrix(a, b, c):
@@ -47,8 +47,8 @@ def cross_matrix(a, b, c):
 
 
 def so3_identity_gram_field(a, b, c, marked=()):
-    gram = GramForm.make([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "symmetric")
-    return HiggsField.from_grid(GroupSpec.so_odd(1), gram, cross_matrix(a, b, c), marked)
+    gram = gram_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "symmetric")
+    return field_from_grid(GroupSpec("so-odd", 1), gram, cross_matrix(a, b, c), marked)
 
 
 ONE_OVER_T = RF(P([1]), P([0, 1]))
@@ -130,25 +130,25 @@ class TestCharAndParity:
         s = fld.char_data
         assert s.e == ((), (-7,))  # x^2 - 7
         assert sections(s) == [RF(0), RF(-7)]
-        res = parity_classify(s, GroupSpec.sp(1))
+        res = parity_classify(s, GroupSpec("sp", 1))
         assert res.passed and res.first_odd_index is None
 
     def test_so3_cofactor(self):
         # cross matrix (1,2,3): char = x^3 + 14x
         s = so3_identity_gram_field(1, 2, 3).char_data
         assert s.e == ((), (14,), ())
-        res = parity_classify(s, GroupSpec.so_odd(1))
+        res = parity_classify(s, GroupSpec("so-odd", 1))
         assert res.passed
         assert sections(s.x_cofactor()) == [RF(0), RF(14)]  # x^2 + 14
 
     def test_fail_carries_first_index(self):
         s = CharData(((1,), ()), (1,))  # x^2 + x
-        res = parity_classify(s, GroupSpec.sp(1))
+        res = parity_classify(s, GroupSpec("sp", 1))
         assert not res.passed and res.first_odd_index == 1
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError, match="degree"):
-            parity_classify(CharData(((), (1,)), (1,)), GroupSpec.so_odd(1))
+            parity_classify(CharData(((), (1,)), (1,)), GroupSpec("so-odd", 1))
 
     def test_char_data_compared_by_value(self):
         s = sp1_field(scalars([[1, 2], [3, -1]]), ()).char_data
@@ -194,10 +194,10 @@ class TestStrongParabolic:
 
     def test_reduced_field_has_poles_at_the_kernel_pivot(self):
         # the quotient frame of reduce-odd is singular where v_ell vanishes
-        fld = random_strongly_parabolic_higgs(GroupSpec.so_odd(2), [0], 0, seed=100)
+        fld = random_strongly_parabolic_higgs(GroupSpec("so-odd", 2), [0], 0, seed=100)
         red = so_odd_reduce(fld)
         v_ell = P(red.kernel_vector[red.removed_index])
-        reduced = HiggsField(GroupSpec.sp(2), red.induced_gram, red.reduced, fld.marked_points)
+        reduced = HiggsField(GroupSpec("sp", 2), red.induced_gram, red.reduced, fld.marked_points)
         assert reduced.is_member
         (failure,) = strong_parabolic_check(reduced).failures
         assert failure == f"pole off the marked points: Phi has denominator factor {v_ell.monic()}"
@@ -206,11 +206,11 @@ class TestStrongParabolic:
 # semisimple controls, whose s_2 has a pole of order 2 at the first marked
 # point, a generated field, and a hand-built sp(1) field with s_2 = -1/t^2
 POLE_FIELDS = [
-    lambda: semisimple_residue_control(GroupSpec.sp(2), [0, 1], 1, seed=5),
-    lambda: semisimple_residue_control(GroupSpec.so_odd(2), [Q(1, 2), -1], 0, seed=2),
-    lambda: semisimple_residue_control(GroupSpec.so_even(2), [Q(1, 3), Q(-2, 5), 2], 1, seed=0),
-    lambda: semisimple_residue_control(GroupSpec.sp(1), [Q(-2, 3)], 0, seed=7),
-    lambda: random_strongly_parabolic_higgs(GroupSpec.sp(2), [0, Q(1, 2)], 1, seed=3),
+    lambda: semisimple_residue_control(GroupSpec("sp", 2), [0, 1], 1, seed=5),
+    lambda: semisimple_residue_control(GroupSpec("so-odd", 2), [Q(1, 2), -1], 0, seed=2),
+    lambda: semisimple_residue_control(GroupSpec("so-even", 2), [Q(1, 3), Q(-2, 5), 2], 1, seed=0),
+    lambda: semisimple_residue_control(GroupSpec("sp", 1), [Q(-2, 3)], 0, seed=7),
+    lambda: random_strongly_parabolic_higgs(GroupSpec("sp", 2), [0, Q(1, 2)], 1, seed=3),
     lambda: sp1_field([[ONE_OVER_T, ZERO], [ZERO, MINUS_ONE_OVER_T]], (Q(0), Q(1))),
 ]
 
@@ -252,17 +252,17 @@ class TestPoleOrders:
 
 class TestPfaffianSquare:
     def test_so2_toy(self):
-        group = GroupSpec.so_even(1)
-        fld = HiggsField.from_grid(group, split_gram(group), [[T, ZERO], [ZERO, MINUS_T]], ())
+        group = GroupSpec("so-even", 1)
+        fld = field_from_grid(group, split_gram(group), [[T, ZERO], [ZERO, MINUS_T]], ())
         res = pfaffian_square_check(fld)
         assert res.passed
         assert RationalFunction.from_ints(*res.pfaffian) == MINUS_T
         assert RationalFunction.from_ints(*res.unit) == RF(-1)  # det B = (-1)^m, m = 1
 
     def test_zero_field(self):
-        group = GroupSpec.so_even(2)
+        group = GroupSpec("so-even", 2)
         z = [[ZERO] * 4 for _ in range(4)]
-        fld = HiggsField.from_grid(group, split_gram(group), z, ())
+        fld = field_from_grid(group, split_gram(group), z, ())
         res = pfaffian_square_check(fld)
         assert res.passed and not res.pfaffian[0]
 
@@ -273,7 +273,7 @@ class TestPfaffianSquare:
 
     def test_random_so4(self):
         for seed in range(10):
-            fld = random_strongly_parabolic_higgs(GroupSpec.so_even(2), [0, 1], 1, seed)
+            fld = random_strongly_parabolic_higgs(GroupSpec("so-even", 2), [0, 1], 1, seed)
             assert pfaffian_square_check(fld).passed
 
 
@@ -287,39 +287,39 @@ class TestGenerator:
         assert parity_classify(fld.char_data, group).passed
 
     def test_determinism(self):
-        a = random_strongly_parabolic_higgs(GroupSpec.sp(2), [0, 1], 2, seed=42)
-        b = random_strongly_parabolic_higgs(GroupSpec.sp(2), [0, 1], 2, seed=42)
+        a = random_strongly_parabolic_higgs(GroupSpec("sp", 2), [0, 1], 2, seed=42)
+        b = random_strongly_parabolic_higgs(GroupSpec("sp", 2), [0, 1], 2, seed=42)
         assert a.to_dict() == b.to_dict()
-        c = random_strongly_parabolic_higgs(GroupSpec.sp(2), [0, 1], 2, seed=43)
+        c = random_strongly_parabolic_higgs(GroupSpec("sp", 2), [0, 1], 2, seed=43)
         assert a.to_dict() != c.to_dict()
 
     def test_field_equals_only_itself(self):
-        a = random_strongly_parabolic_higgs(GroupSpec.sp(2), [0, 1], 2, seed=42)
+        a = random_strongly_parabolic_higgs(GroupSpec("sp", 2), [0, 1], 2, seed=42)
         b = HiggsField(a.group, a.gram, a.cleared, a.marked_points)
         assert a == a and a != b and hash(a) != hash(b)
 
     def test_duplicate_marked_points_rejected(self):
         # HiggsField rejects them, with the message the generator once raised itself
         with pytest.raises(ValueError, match="^duplicate marked points$"):
-            random_strongly_parabolic_higgs(GroupSpec.sp(1), [0, 0], 1, seed=1)
+            random_strongly_parabolic_higgs(GroupSpec("sp", 1), [0, 0], 1, seed=1)
         with pytest.raises(ValueError, match="^duplicate marked points$"):
-            random_strongly_parabolic_higgs(GroupSpec.so_odd(2), [Q(1, 2), 0, Q(2, 4)], 0, seed=1)
+            random_strongly_parabolic_higgs(GroupSpec("so-odd", 2), [Q(1, 2), 0, Q(2, 4)], 0, seed=1)
 
     def test_negative_control_flagged(self):
-        fld = semisimple_residue_control(GroupSpec.sp(2), [0, 1], 1, seed=5)
+        fld = semisimple_residue_control(GroupSpec("sp", 2), [0, 1], 1, seed=5)
         res = strong_parabolic_check(fld)
         assert not res.passed
         assert any("pole order" in f for f in res.failures)
 
     def test_json_roundtrip(self):
-        fld = random_strongly_parabolic_higgs(GroupSpec.so_odd(2), [0, Q(1, 2)], 1, seed=3)
+        fld = random_strongly_parabolic_higgs(GroupSpec("so-odd", 2), [0, Q(1, 2)], 1, seed=3)
         again = HiggsField.from_dict(fld.to_dict())
         assert again.to_dict() == fld.to_dict()
         assert again.matrix == fld.matrix
 
     def test_output_grid_is_immutable(self):
         # the checks read ``cleared``, so an in-place edit of the output grid must fail
-        fld = random_strongly_parabolic_higgs(GroupSpec.sp(1), [0], 1, seed=3)
+        fld = random_strongly_parabolic_higgs(GroupSpec("sp", 1), [0], 1, seed=3)
         with pytest.raises(TypeError):
             fld.matrix[0][1] = fld.matrix[0][0]
 
@@ -338,7 +338,7 @@ class TestSoOddReduce:
     def test_char_factorization_and_skewness(self):
         for seed in range(6):
             for m in (1, 2):
-                fld = random_strongly_parabolic_higgs(GroupSpec.so_odd(m), [0], 1, seed=seed)
+                fld = random_strongly_parabolic_higgs(GroupSpec("so-odd", m), [0], 1, seed=seed)
                 try:
                     red = so_odd_reduce(fld)
                 except NonGenericFieldError:
@@ -373,7 +373,7 @@ class TestSoOddReduce:
 
         checked = 0
         for m, seed in itertools.product((1, 2), range(4)):
-            fld = random_strongly_parabolic_higgs(GroupSpec.so_odd(m), [0, Q(1, 2)], 1, seed=seed)
+            fld = random_strongly_parabolic_higgs(GroupSpec("so-odd", m), [0, Q(1, 2)], 1, seed=seed)
             try:
                 v = so_odd_reduce(fld).kernel_vector
             except NonGenericFieldError:
@@ -397,15 +397,15 @@ class TestSoOddReduce:
         # zero except a diagonal entry: not in so(3) for the split form
         z = [[ZERO] * 3 for _ in range(3)]
         z[0][0] = T
-        fld = HiggsField.from_grid(GroupSpec.so_odd(1), split_gram(GroupSpec.so_odd(1)), z, ())
+        fld = field_from_grid(GroupSpec("so-odd", 1), split_gram(GroupSpec("so-odd", 1)), z, ())
         with pytest.raises(ValueError, match="not in the Lie algebra"):
             so_odd_reduce(fld)
 
     def test_non_generic_detected(self):
         # zero matrix: kernel rank 3
-        gram = GramForm.make([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "symmetric")
+        gram = gram_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "symmetric")
         z = [[ZERO] * 3 for _ in range(3)]
-        fld = HiggsField.from_grid(GroupSpec.so_odd(1), gram, z, ())
+        fld = field_from_grid(GroupSpec("so-odd", 1), gram, z, ())
         with pytest.raises(NonGenericFieldError):
             so_odd_reduce(fld)
 

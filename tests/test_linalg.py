@@ -24,16 +24,15 @@ from parahiggs.linalg import (
     int_pfaffian,
     clear_fractions,
     pfaffian_adjugate,
-    entry_ints,
     zmat_inverse,
     zmat_mul,
 )
-from parahiggs.poly import RationalFunction, UniPoly, poly_gcd
+from parahiggs.poly import UniPoly, poly_gcd
 
-from helpers import bareiss_det, sylvester_matrix
+from helpers import bareiss_det, entry_ints, rational_function, sylvester_matrix
 
 P = UniPoly.make
-RF = RationalFunction.make
+RF = rational_function
 
 
 # -- oracles over ascending integer coefficient lists, [] being zero ---------
@@ -592,7 +591,7 @@ DISC_NODE_ROUTE_BOUND_S = 2.0
 
 class TestRouteSelection:
     def test_node_route_is_bounded(self):
-        a = random_strongly_parabolic_higgs(GroupSpec.sp(6), (Q(0), Q(1)), 1, 0).cleared[0]
+        a = random_strongly_parabolic_higgs(GroupSpec("sp", 6), (Q(0), Q(1)), 1, 0).cleared[0]
         bits, count = linalg._packing(a, len(a))
         assert bits * count == 34595 > linalg.KRONECKER_MAX_BITS
         with mock.patch.object(linalg, "interpolate_int_range", wraps=linalg.interpolate_int_range) as spy:

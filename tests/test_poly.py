@@ -33,8 +33,10 @@ from parahiggs.poly import (
     root_multiplicity,
 )
 
+from helpers import rational_function
+
 P = UniPoly.make
-RF = RationalFunction.make
+RF = rational_function
 
 
 def assert_pseudo_remainder(a, b):

@@ -1,5 +1,6 @@
 """Smoke runs of the scripts in scripts/: exit 0 and the summary line, and
-exit 2 with one `error:` line on a bad argument."""
+exit 2 with one `error:` line on a bad argument; and the Pfaffian-space
+report's summary and exit code when a reading fails."""
 
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import load_script
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,24 +31,32 @@ def test_pfaffian_space_report():
     )
 
 
-def test_random_field_audit():
-    code, out, _ = run_script("random_field_audit.py", "--samples", "2", "--seed", "3", "--max-m", "2", "--deg-bound", "1")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[-1] == "clean"
-    # so-odd involution is checked on the cofactor curve, not counted blindly
-    assert "involution=2/2" in next(line for line in lines if line.startswith("so-odd"))
-
-
 @pytest.mark.parametrize("name,args,message", [
     ("pfaffian_space_report.py", ("-m", "x"), "-m: bad range 'x'"),
     ("pfaffian_space_report.py", ("-m", "0"), "m must be >= 1"),
     ("pfaffian_space_report.py", ("-g", "1"), "genus must be >= 2"),
     ("pfaffian_space_report.py", ("-n", "3:1"), "-n: empty range '3:1'"),
-    ("random_field_audit.py", ("--max-m", "0"), "--max-m must be >= 1"),
-    ("random_field_audit.py", ("--deg-bound", "-1"), "--deg-bound must be >= 0"),
-    ("random_field_audit.py", ("--samples", "-1"), "--samples must be >= 1"),
-    ("random_field_audit.py", ("--samples", "0"), "--samples must be >= 1"),
+    ("pfaffian_space_report.py", ("-o", "scripts"), "[Errno 21] Is a directory: 'scripts'"),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
 def test_bad_argument_exits_2(name, args, message):
     assert run_script(name, *args) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("reading,summary", [
+    ("literal", "adopted reading matches the closed form on all; literal reading exceeds it by exactly n on 2 tuples."),
+    ("adopted", "adopted reading matches the closed form on 2; literal reading exceeds it by exactly n on all tuples."),
+], ids=["literal", "adopted"])
+def test_pfaffian_space_report_counts_each_reading(monkeypatch, capsys, reading, summary):
+    # one reading made wrong at m = 2 only: the summary counts the two
+    # readings apart and the report exits 1
+    report = load_script("pfaffian_space_report")
+    if reading == "literal":
+        literal = report.so_even_hitchin_dim_literal
+        monkeypatch.setattr(report, "so_even_hitchin_dim_literal", lambda m, p: literal(m, p) + (m == 2))
+    else:
+        sweep = report.sweep_reports
+        monkeypatch.setattr(report, "sweep_reports", lambda *box: [
+            r._replace(dim_hitchin=r.dim_hitchin + (r.m == 2)) for r in sweep(*box)
+        ])
+    assert report.main(["-m", "1:2", "-g", "2", "-n", "1:2"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == f"4 tuples: {summary}"

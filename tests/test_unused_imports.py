@@ -48,12 +48,8 @@ TEST_ONLY_API = {
     "dimensions.spectral_genus": "the adjunction genus of a cover of any degree r, which no row has (acceptance tests c03, c07)",
     "dimensions.ramification_degree": "the ramification degree of a cover of any degree r, for the eigenline checks in tests/helpers.py (c07)",
     "dimensions.rh_genus_crosscheck": "the Riemann-Hurwitz genus on its own, an oracle for identity_suite, which calls its integer kernel",
-    "groups.GroupSpec.so_even": "constructor beside GroupSpec.sp, for tests",
-    "groups.GroupSpec.so_odd": "constructor beside GroupSpec.sp, for tests",
     "higgs.CharData.pole_order": "the pole order of one s_i at one point, the oracle of strong_parabolic_check, which splits Delta once per field",
-    "higgs.HiggsField.from_grid": "clears a hand-built grid of rational functions into a field, for tests",
     "higgs.HiggsField.matrix": "Phi as reduced rational functions, for tests and the benchmark's operand-size probe",
-    "poly.RationalFunction.make": "one reduced entry from hand-written polynomials; seven test modules build fields with it",
     "poly.UniPoly.divmod": "polynomial division with remainder, the exact-division oracle of the tests",
     "poly.is_squarefree": "the squarefree test of hyperelliptic_genus (acceptance test c09) and the curve tests",
 }
